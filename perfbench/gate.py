@@ -33,11 +33,8 @@ WERNER_TOLERANCE = 1e-9
 LIVE_CHECK_EVERY = 10
 
 
-def load_references(path: Path = REFERENCES) -> dict:
-    try:
-        return json.loads(path.read_text())
-    except FileNotFoundError:
-        return {}
+def load_references() -> dict:
+    return json.loads(REFERENCES.read_text())
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,16 @@ def test_tracer_restores_and_counts():
     assert m["correlations.gamma.busy_s"][0] > 0
 
 
+def test_reference_workload_stays_outside_the_program():
+    import run
+    tr = tracer_mod.Tracer()
+    with tr.installed():
+        t = run.reference_slice()
+    assert t > 0 and len(tr.start) == 0
+    idle = run.REF_SLICE * run.REF_ITER_S
+    assert run.slowdown_of([idle, 3 * idle]) == pytest.approx(2.0)
+
+
 def test_tolerances_are_stated_in_benchmark_json():
     refs = gate.load_references()
     why = {w["name"]: w["why"] for w in SPEC["workloads"]}
@@ -143,6 +153,9 @@ def test_workload_smoke(name):
     assert res["attempted"] == workloads.WORKLOADS[name].block_size
     assert set(res["metrics"]) == {m["name"] for m in SPEC["end_to_end"]}
     assert all(v["value"] > 0 for v in res["metrics"].values())
+    record = json.loads((BENCH / "results" / f"{name}-seed3-trace0.json"
+                         ).read_text())
+    assert all(p["slowdown"] > 0 for p in record["points"])
 
 
 @pytest.mark.parametrize("name, check", [

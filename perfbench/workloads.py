@@ -3,8 +3,9 @@
 Each workload draws its inputs from ``--seed`` alone, in blocks.  A block
 is stratified over the input ranges the program's cost depends on (detector
 distance and angle, or base parameters), so the mix of cheap and expensive
-points in a run is the same whatever the seed.  A run stops at a block
-boundary.
+points in a run is the same whatever the seed.  The points of a block come
+in random order, so a run that stops inside a block has run a random subset
+of it.
 
 The program is always reached through module attributes
 (``correlations.rho2_and_Q``, not a name imported here), so the tracer's
