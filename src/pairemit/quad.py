@@ -13,8 +13,7 @@ Infinite endpoints are handled by the rational maps
     [a, inf)    x = a + t/(1-t),        t in [0, 1)
     (-inf, inf) x = t/(1-t^2),          t in (-1, 1)
 
-applied before adaptation.  An oscillation hint (a wavenumber) pre-splits
-finite domains at the hinted period so the rule starts resolved.
+applied before adaptation.
 """
 
 from __future__ import annotations
@@ -81,7 +80,6 @@ class QuadSpec:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-14
     max_depth: int = 48
-    oscillation_hint: float | None = None
     max_intervals: int = 20000
 
     def __post_init__(self):
@@ -96,7 +94,6 @@ class QuadSpec:
             rel_tol=max(self.rel_tol * factor, 1e-12),
             abs_tol=self.abs_tol * factor,
             max_depth=self.max_depth,
-            oscillation_hint=None,
             max_intervals=self.max_intervals,
         )
 
@@ -145,15 +142,6 @@ def _wrap_infinite(f, a: float, b: float):
     return g, 0.0, 1.0
 
 
-def _initial_edges(a: float, b: float, spec: QuadSpec) -> np.ndarray:
-    """Panel edges before adaptation; oscillatory domains start pre-split."""
-    n = 1
-    if spec.oscillation_hint is not None and spec.oscillation_hint > 0.0:
-        period = 2.0 * math.pi / spec.oscillation_hint
-        n = int(min(max(1, math.ceil(2.0 * (b - a) / period)), 4096))
-    return np.linspace(a, b, n + 1)
-
-
 def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                  spec: QuadSpec = QuadSpec()) -> QuadResult:
     """Adaptive integral of a vectorized integrand over [a, b].
@@ -168,10 +156,9 @@ def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         raise ValueError(f"need a < b, got [{a}, {b}]")
     f, a, b = _wrap_infinite(f, a, b)
 
-    edges = _initial_edges(a, b, spec)
-    lefts = list(edges[:-1])
-    rights = list(edges[1:])
-    depths = [0] * (len(edges) - 1)
+    lefts = [a]
+    rights = [b]
+    depths = [0]
 
     def eval_panels(ls, rs):
         ls = np.asarray(ls)

@@ -72,16 +72,18 @@ def test_criterion_11_determinism_and_cache(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("delta_over_mu = 0\ntheta_points = 3\n"
                        "theta_max = 1.0\nrel_tol = 1e-3\n")
-    cache = tmp_path / "cache"
+    # workers=1 and workers=2 each compute every row into a fresh cache of
+    # their own; the rerun is then served from the workers=1 cache
     blobs = []
-    for i, workers in enumerate((1, 2, 1)):
+    for i, (workers, cache) in enumerate(((1, "c1"), (2, "c2"), (1, "c1"))):
         out = tmp_path / f"a{i}.csv"
         rc = main(["angular", "--config", str(cfgfile), "--workers",
-                   str(workers), "--cache-dir", str(cache),
+                   str(workers), "--cache-dir", str(tmp_path / cache),
                    "--output", str(out)])
         assert rc == 0
         blobs.append(out.read_bytes())
     ok = blobs[0] == blobs[1] == blobs[2]
     print(f"ACCEPTANCE 11 [determinism_cache] {'PASS' if ok else 'FAIL'}: "
-          f"identical CSVs across worker counts and cached reruns = {ok}")
+          f"identical CSVs from uncached workers=1 and workers=2 runs and "
+          f"a cached rerun = {ok}")
     assert ok

@@ -213,16 +213,49 @@ class TestDeterminismAndCache:
             "theta_max = 1.0\n"
             "rel_tol = 1e-3\n"
         )
-        cache = tmp_path / "cache"
+        # each worker count computes every row into its own fresh cache;
+        # the last run is served from the workers=1 cache
+        runs = (("w1", 1, "cache1"), ("w2", 2, "cache2"),
+                ("cached", 1, "cache1"))
         outs = []
-        for i, workers in enumerate((1, 2, 1)):
-            out = tmp_path / f"angular_{i}.csv"
+        for name, workers, cache in runs:
+            out = tmp_path / f"angular_{name}.csv"
             rc = main(["angular", "--config", str(cfgfile),
                        "--workers", str(workers),
-                       "--cache-dir", str(cache),
+                       "--cache-dir", str(tmp_path / cache),
                        "--output", str(out)])
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]          # worker count independent
         assert outs[0] == outs[2]          # cached rerun bitwise identical
-        assert any(cache.iterdir())        # cache was actually populated
+        rows = sorted(p.name for p in (tmp_path / "cache1").iterdir())
+        assert len(rows) == 3              # one cached row per theta
+        assert rows == sorted(p.name for p in (tmp_path / "cache2").iterdir())
+
+
+class TestRowCache:
+    def test_rows_of_another_version_are_not_reused(self, tmp_path,
+                                                    monkeypatch):
+        import pairemit.cli as cli
+
+        def fake_row(label):
+            return lambda task: f"{task[0]!r},{label}"
+
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("theta_points = 2\ntheta_max = 1.0\n")
+        argv = ["angular", "--config", str(cfgfile),
+                "--cache-dir", str(tmp_path / "cache")]
+
+        def rows(label, version):
+            monkeypatch.setattr(cli, "_angular_row", fake_row(label))
+            monkeypatch.setattr(cli, "__version__", version)
+            out = tmp_path / f"{label}.csv"
+            assert main(argv + ["--output", str(out)]) == 0
+            return [ln.split(",")[-1]
+                    for ln in out.read_text().splitlines()[1:]]
+
+        real = cli.__version__
+        assert rows("stale", "0.1.0") == ["stale", "stale"]
+        assert rows("fresh", real) == ["fresh", "fresh"]
+        # same version: the cache is reused
+        assert rows("again", real) == ["fresh", "fresh"]

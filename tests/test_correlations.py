@@ -1,17 +1,18 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
 import pairemit.kernels as kernels
-from pairemit.correlations import (DetectorGeometry,
-                                   energy_cutoff, energy_cutoff_shift,
-                                   farfield_amplitude,
+from pairemit.correlations import (DetectorGeometry, NonConvergenceError,
+                                   _chi_quad, energy_cutoff,
+                                   energy_cutoff_shift, farfield_amplitude,
                                    farfield_amplitude_direct, chi, gamma,
                                    rho2_and_Q)
 from pairemit.model import EmitterParams, pole_momentum, OutOfBandError
-from pairemit.quad import QuadSpec
+from pairemit.quad import QuadResult, QuadSpec, integrate_nested
 
 DELTA = 2.997e-3
 SUPER = EmitterParams(delta=DELTA, ec=DELTA, w=1.0)
@@ -125,10 +126,107 @@ class TestGamma:
         assert energy_cutoff(wide) <= 0.95
 
 
+def _direction_f(u, k, w, n1, n2, r1, r2, khat):
+    """Pair energy-line function at one k direction (before the angular
+    integral): 2 sqrt(ab) exp(expo) e^{i(a r1 + b r2)} with the full
+    Gaussian exponent of g(a n1 - k) g(b n2 + k)."""
+    a = math.sqrt(1.0 + u)
+    b = math.sqrt(1.0 - u)
+    c1 = khat @ n1
+    c2 = khat @ n2
+    expo = -(0.5 * w * w) * (a * a + b * b + 2.0 * k * k
+                             - 2.0 * a * k * c1 + 2.0 * b * k * c2)
+    return 2.0 * math.sqrt(a * b) * np.exp(expo) \
+        * cmath.exp(1j * (a * r1 + b * r2))
+
+
+def _sphere_integral(u, k, w, n1, n2, r1, r2):
+    """Direct (cos alpha, phi) quadrature of _direction_f over all k-hat,
+    polar axis along n1 - n2 (any axis for coincident detectors)."""
+    e3 = n1 - n2
+    if np.linalg.norm(e3) < 1e-12:
+        e3 = np.array([1.0, 0.0, 0.0])
+    e3 = e3 / np.linalg.norm(e3)
+    e1 = np.cross(e3, [0.0, 1.0, 0.0] if abs(e3[1]) < 0.9 else [1.0, 0.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(e3, e1)
+
+    def f(cosa, phis):
+        sina = math.sqrt(max(0.0, 1.0 - cosa * cosa))
+        khat = (cosa * e3[None, :]
+                + sina * (np.cos(phis)[:, None] * e1[None, :]
+                          + np.sin(phis)[:, None] * e2[None, :]))
+        return _direction_f(u, k, w, n1, n2, r1, r2, khat)
+
+    res = integrate_nested(f, [(-1.0, 1.0), (0.0, 2.0 * math.pi)],
+                           QuadSpec(rel_tol=1e-10, abs_tol=1e-300))
+    assert res.converged
+    return res.value
+
+
+# the non-coplanar detector pair of acceptance check 5
+CHECK5_N1 = np.array([0.6, 0.0, 0.8])
+CHECK5_N2 = np.array([-0.595, 0.1, -0.79]) / np.linalg.norm([-0.595, 0.1,
+                                                              -0.79])
+
+
 class TestChi:
     def test_exact_null_in_normal_state(self):
         geom = DetectorGeometry.from_r_theta(R, math.pi)
         assert chi(geom, NORMAL) == 0.0
+
+    @pytest.mark.parametrize("n1, n2, r1, r2", [
+        (np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]), 628.3, 628.3),
+        (np.array([math.sin(0.5 * (math.pi - 0.35)), 0.0,
+                   math.cos(0.5 * (math.pi - 0.35))]),
+         np.array([-math.sin(0.5 * (math.pi - 0.35)), 0.0,
+                   math.cos(0.5 * (math.pi - 0.35))]), 628.3, 628.3),
+        (CHECK5_N1, CHECK5_N2, 90.0 * 2 * math.pi, 110.0 * 2 * math.pi),
+        (CHECK5_N1, CHECK5_N1, 628.3, 640.0),      # theta = 0
+    ], ids=["pi", "pi-0.35", "check5", "theta0"])
+    def test_angle_integrated_kernel_matches_direction_quadrature(
+            self, n1, n2, r1, r2):
+        w = SUPER.w_kf
+        cos_theta = float(n1 @ n2)
+        for eps in (0.0, 0.02):
+            omega = math.sqrt(eps * eps + DELTA * DELTA)
+            k = math.sqrt(1.0 + eps)
+            us = np.array([0.0, -omega * (1.0 + 1e-6), -omega, omega,
+                           omega * (1.0 - 1e-6), -0.2, 0.25])
+            got = kernels.chi_f(us, k, w, cos_theta, r1, r2)
+            want = [_sphere_integral(u, k, w, n1, n2, r1, r2) for u in us]
+            for g, x in zip(got, want):
+                assert abs(g - x) <= 1e-8 * abs(x)
+
+    def test_reported_evaluations_count_every_kernel_node(self, monkeypatch):
+        nodes = [0]
+
+        def counting(fn):
+            def wrapper(u, *args):
+                nodes[0] += np.size(u)
+                return fn(u, *args)
+            return wrapper
+
+        monkeypatch.setattr(kernels, "chi_f", counting(kernels.chi_f))
+        monkeypatch.setattr(kernels, "chi_p", counting(kernels.chi_p))
+        res = _chi_quad(DetectorGeometry.from_r_theta(R, math.pi), SUPER,
+                        QuadSpec(rel_tol=1e-3, abs_tol=1e-300, max_depth=40))
+        assert res.converged
+        assert res.evaluations == nodes[0] > 0
+
+    def test_u_line_nonconvergence_is_located(self):
+        spec = QuadSpec(rel_tol=1e-3, abs_tol=1e-300, max_depth=1)
+        with pytest.raises(NonConvergenceError) as info:
+            chi(DetectorGeometry.from_r_theta(R, math.pi), SUPER, spec)
+        m = re.fullmatch(r"chi u-line did not converge at eps = (\S+), "
+                         r"u in \[(\S+), (\S+)\]", str(info.value))
+        assert m is not None, str(info.value)
+        eps, u_lo, u_hi = map(float, m.groups())
+        assert abs(eps) <= energy_cutoff(SUPER)
+        assert -1.0 < u_lo < u_hi < 1.0
+        res = info.value.result
+        assert isinstance(res, QuadResult)
+        assert not res.converged and res.evaluations > 0
 
     def test_regime_warnings(self):
         with pytest.warns(UserWarning):
@@ -215,20 +313,3 @@ class TestRho2AndQ:
         res = rho2_and_Q(DetectorGeometry.from_r_theta(R, 0.0), NORMAL)
         assert res.chi21 == 0.0
         assert abs(res.gamma21 - res.gamma11) <= 1e-12 * res.gamma11
-
-
-class TestBackendEquivalence:
-    def test_numpy_fallback_matches(self):
-        # the pure-NumPy kernels agree with the active backend
-        u = np.linspace(-0.4, 0.4, 97)
-        c1 = np.cos(np.linspace(0, 1, 97))
-        c2 = -c1
-        a = kernels.chi_f(u, 1.0, 6.28, c1, c2, 600.0, 610.0)
-        b = kernels._chi_f(u, 1.0, 6.28, c1, c2, 600.0, 610.0)
-        assert np.allclose(a, b, rtol=1e-12, atol=0)
-        phi = np.linspace(0, math.pi, 31)
-        ga = kernels.gamma_integrand(phi, -0.01, 0.9, DELTA, DELTA, 6.28,
-                                     628.0, 628.0, 0.7, 0.999)
-        gb = kernels._gamma_integrand(phi, -0.01, 0.9, DELTA, DELTA, 6.28,
-                                      628.0, 628.0, 0.7, 0.999)
-        assert np.allclose(ga, gb, rtol=1e-12, atol=0)

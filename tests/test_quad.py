@@ -46,17 +46,6 @@ class TestIntegrate1D:
         assert abs(whole.value - (left.value + right.value)) <= \
             whole.err_est + left.err_est + right.err_est + 1e-13
 
-    def test_oscillation_hint_robustness(self):
-        # e^{i kappa x} integrands up to 10x the hinted wavenumber
-        kappa = 40.0
-        spec = QuadSpec(rel_tol=1e-8, oscillation_hint=kappa)
-        for mult in (1.0, 3.0, 10.0):
-            kk = kappa * mult
-            res = integrate_1d(lambda x: np.exp(1j * kk * x), 0.0, 1.0, spec)
-            want = (np.exp(1j * kk) - 1.0) / (1j * kk)
-            assert res.converged
-            assert abs(res.value - want) <= 1e-8 * abs(want) + 1e-12
-
     def test_determinism(self):
         f = lambda x: np.cos(17 * x) / (1.0 + x * x)
         a = integrate_1d(f, 0.0, 5.0, QuadSpec(rel_tol=1e-10))
