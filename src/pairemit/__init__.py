@@ -6,8 +6,8 @@ __version__ = "0.2.0"
 from .correlations import (CorrelationResult, DetectorGeometry,
                            farfield_amplitude, chi, gamma, rho2_and_Q)
 from .entanglement import WernerReport, werner_decompose
-from .model import (DerivedParams, EmitterParams, QuasiparticleState,
-                    bogoliubov, derive_params, form_factors, pole_momentum)
+from .model import (DerivedParams, EmitterParams, derive_params,
+                    form_factors, pole_momentum)
 from .peak import (PeakResult, SweepResult, SweepSpec, angular_profile,
                    delta_q_peak, threshold_map)
 from .quad import QuadResult, QuadSpec, integrate_1d, integrate_nested
@@ -15,8 +15,8 @@ from .robustness import FluctuationSpec, averaged_peak, roughness_bound
 
 __all__ = [
     "__version__",
-    "EmitterParams", "DerivedParams", "QuasiparticleState",
-    "derive_params", "bogoliubov", "form_factors", "pole_momentum",
+    "EmitterParams", "DerivedParams",
+    "derive_params", "form_factors", "pole_momentum",
     "DetectorGeometry", "CorrelationResult",
     "farfield_amplitude", "gamma", "chi", "rho2_and_Q",
     "WernerReport", "werner_decompose",

@@ -32,11 +32,12 @@ import numpy as np
 
 from . import __version__, kernels
 from .correlations import (DetectorGeometry, NonConvergenceError,
-                           UndefinedQError, rho2_and_Q)
-from .entanglement import werner_decompose
+                           UndefinedQError, default_spec, rho2_and_Q)
+from .entanglement import (Q_BELL_THRESHOLD, Q_ENTANGLEMENT_THRESHOLD,
+                           werner_decompose)
 from .model import EmitterParams, derive_params
-from .peak import SweepSpec, delta_q_peak, threshold_map
-from .quad import QuadSpec
+from .peak import (DQ_BELL, DQ_ENTANGLEMENT, SweepSpec, delta_q_peak,
+                   threshold_map)
 from .validation import run_checks
 
 USAGE_ERROR = 2
@@ -62,10 +63,6 @@ _DEFAULTS = {
     "fig3_points": 60,
 }
 
-_INT_KEYS = {"theta_points", "workers", "sweep_points", "fig3_points"}
-_BOOL_KEYS = {"sweep_log"}
-_STR_KEYS = {"cache_dir", "sweep_param"}
-
 
 @dataclasses.dataclass
 class RunConfig:
@@ -82,9 +79,6 @@ class RunConfig:
     def params(self) -> EmitterParams:
         return EmitterParams(delta=self.delta_over_mu, ec=self.ec_over_mu,
                              w=self.w_over_lambdaf)
-
-    def quad_spec(self) -> QuadSpec:
-        return QuadSpec(rel_tol=self.rel_tol, abs_tol=1e-300, max_depth=40)
 
     def digest(self, extra: dict | None = None) -> str:
         # workers and cache location are execution details, not physics:
@@ -104,9 +98,11 @@ class ConfigError(ValueError):
 
 
 def _coerce(key: str, raw: str):
-    if key in _STR_KEYS:
+    """Parse a config-file value as the type of the key's default."""
+    kind = type(_DEFAULTS[key])
+    if kind is str:
         return raw
-    if key in _BOOL_KEYS:
+    if kind is bool:
         low = raw.strip().lower()
         if low in ("1", "true", "yes", "on"):
             return True
@@ -114,9 +110,7 @@ def _coerce(key: str, raw: str):
             return False
         raise ConfigError(f"bad boolean for {key}: {raw!r}")
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 
@@ -146,12 +140,17 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         values[key] = val
     if not values["cache_dir"]:
         values["cache_dir"] = os.environ.get("PAIREMIT_CACHE_DIR", "")
+    for key, val in values.items():
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ConfigError(f"{key} must be finite, got {val}")
     cfg = RunConfig(values)
     # basic invariants
     if cfg.delta_over_mu < 0 or cfg.ec_over_mu <= 0 or cfg.w_over_lambdaf <= 0:
         raise ConfigError("physical ratios must be positive (delta may be 0)")
     if cfg.theta_points < 1 or cfg.sweep_points < 1 or cfg.fig3_points < 2:
         raise ConfigError("grids need at least one point")
+    if cfg.workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {cfg.workers}")
     if cfg.theta_max <= cfg.theta_min and cfg.theta_points > 1:
         raise ConfigError("theta grid must be strictly increasing")
     return cfg
@@ -203,29 +202,18 @@ class RowCache:
         atomic_write(self.root / f"{key}.row", row)
 
 
-def _q_error(corr) -> float:
-    """Propagated relative error estimate of Q from the component estimates."""
-    g11, g22 = corr.gamma11, corr.gamma22
-    e = corr.err_est
-    rel = (e.get("gamma11", 0.0) / g11 + e.get("gamma22", 0.0) / g22)
-    off = 2.0 * (abs(corr.gamma21) * e.get("gamma21", 0.0)
-                 + abs(corr.chi21) * e.get("chi21", 0.0)) \
-        / (corr.rho1_1 * corr.rho1_2)
-    return abs(corr.Q) * rel + off
-
-
 # ---------------------------------------------------------------------------
 # row workers (top level: picklable for the process pool)
 # ---------------------------------------------------------------------------
 
 def _angular_row(task) -> str:
     theta, r, delta, ec, w, rel_tol = task
-    spec = QuadSpec(rel_tol=rel_tol, abs_tol=1e-300, max_depth=40)
+    spec = default_spec(rel_tol)
     geom = DetectorGeometry.from_r_theta(r, theta)
     q_n = rho2_and_Q(geom, EmitterParams(0.0, ec, w), spec)
     q_s = rho2_and_Q(geom, EmitterParams(delta, ec, w), spec)
-    return ",".join([fmt(theta), fmt(q_n.Q), fmt(_q_error(q_n)),
-                     fmt(q_s.Q), fmt(_q_error(q_s))])
+    return ",".join([fmt(theta), fmt(q_n.Q), fmt(q_n.Q_err),
+                     fmt(q_s.Q), fmt(q_s.Q_err)])
 
 
 def _run_rows(tasks, worker, n_workers: int, cache: RowCache,
@@ -318,7 +306,6 @@ def _sweep_grid(cfg: RunConfig):
 
 
 def _classify_dq(dq: float) -> str:
-    from .peak import DQ_BELL, DQ_ENTANGLEMENT
     if dq > DQ_BELL:
         return "bell_violating"
     if dq > DQ_ENTANGLEMENT:
@@ -342,8 +329,8 @@ def _sweep_dataset(cfg: RunConfig, param: str, grid) -> tuple[list[str], dict]:
         ]))
     meta = {"crossings": {k: list(map(float, v))
                           for k, v in res.crossings.items()},
-            "thresholds": {"Q_entanglement": 1.5,
-                           "Q_bell": float(math.sqrt(2) / (math.sqrt(2) - 1))}}
+            "thresholds": {"Q_entanglement": Q_ENTANGLEMENT_THRESHOLD,
+                           "Q_bell": Q_BELL_THRESHOLD}}
     return rows, meta
 
 
@@ -401,14 +388,14 @@ def cmd_classify(cfg: RunConfig, args) -> int:
     """Correlators and Werner report at one detector geometry (quadrature)."""
     kernels.warmup()
     geom = DetectorGeometry.from_r_theta(cfg.r_over_lambdaf, cfg.theta)
-    corr = rho2_and_Q(geom, cfg.params(), cfg.quad_spec())
+    corr = rho2_and_Q(geom, cfg.params(), default_spec(cfg.rel_tol))
     rep = werner_decompose(corr)
     report = {
         "geometry": {"r_over_lambdaf": cfg.r_over_lambdaf,
                      "theta_rad": cfg.theta},
         "gamma11": corr.gamma11, "gamma22": corr.gamma22,
         "gamma21_abs": abs(corr.gamma21), "chi21_abs": abs(corr.chi21),
-        "rho2": corr.rho2, "Q": corr.Q, "Q_err_est": _q_error(corr),
+        "rho2": corr.rho2, "Q": corr.Q, "Q_err_est": corr.Q_err,
         "regime_flags": corr.regime_flags,
         "werner": {"a": rep.a, "b": rep.b, "p": rep.p,
                    "concurrence": rep.concurrence, "chsh": rep.chsh,
@@ -482,12 +469,6 @@ _COMMANDS = {
     "validate": cmd_validate,
 }
 
-_OVERRIDE_KEYS = ("delta_over_mu", "ec_over_mu", "w_over_lambdaf",
-                  "r_over_lambdaf", "theta", "rel_tol", "workers",
-                  "cache_dir", "theta_points", "sweep_param", "sweep_min",
-                  "sweep_max", "sweep_points")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="pairemit",
@@ -505,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    overrides = {k: getattr(args, k, None) for k in _OVERRIDE_KEYS}
+    overrides = {k: getattr(args, k, None) for k in _DEFAULTS}
     try:
         cfg = load_config(args.config, overrides)
     except ConfigError as exc:

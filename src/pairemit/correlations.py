@@ -39,12 +39,13 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import kernels, quad
-from .model import LAMBDA_F, MASS, EmitterParams, pole_momentum
+from .model import (LAMBDA_F, MASS, EmitterParams, form_factors,
+                    pole_momentum)
 from .quad import QuadResult, QuadSpec, integrate_1d, integrate_nested
 from .specfun import principal_sqrt
 
@@ -60,12 +61,16 @@ __all__ = [
     "chi",
     "rho2_and_Q",
     "energy_cutoff",
+    "default_spec",
 ]
 
 FAR_FIELD_KFR = 50.0
 CHI_SPREAD_MIN = 10.0
 
 TWO_PI_M6 = (2.0 * math.pi) ** -6
+
+# Quasiparticle energies at or above this value cannot emit (p_k imaginary).
+OMEGA_CAP = 0.999999
 
 # Gaussian-support truncations (energy windows, angular caps) cut where the
 # form-factor weight is below e^-18; the bias bound enters err_est.
@@ -117,10 +122,15 @@ class DetectorGeometry:
         return self.r2 * LAMBDA_F
 
     @property
-    def theta(self) -> float:
+    def cos_theta(self) -> float:
+        """Cosine of the angle between the two detector directions."""
         n1 = np.asarray(self.r1_vec) / self.r1
         n2 = np.asarray(self.r2_vec) / self.r2
-        return float(math.acos(max(-1.0, min(1.0, float(np.dot(n1, n2))))))
+        return max(-1.0, min(1.0, float(np.dot(n1, n2))))
+
+    @property
+    def theta(self) -> float:
+        return math.acos(self.cos_theta)
 
     @property
     def far_field(self) -> bool:
@@ -150,6 +160,17 @@ class CorrelationResult:
     err_est: dict = field(default_factory=dict)
     converged: bool = True
 
+    @property
+    def Q_err(self) -> float:
+        """Propagated error estimate of Q from the component estimates."""
+        e = self.err_est
+        rel = (e.get("gamma11", 0.0) / self.gamma11
+               + e.get("gamma22", 0.0) / self.gamma22)
+        off = 2.0 * (abs(self.gamma21) * e.get("gamma21", 0.0)
+                     + abs(self.chi21) * e.get("chi21", 0.0)) \
+            / (self.rho1_1 * self.rho1_2)
+        return abs(self.Q) * rel + off
+
 
 def energy_cutoff(params: EmitterParams) -> float:
     """Half-width of the eps_k integration window.
@@ -160,18 +181,18 @@ def energy_cutoff(params: EmitterParams) -> float:
     far-field amplitude has no outgoing pole and the integrand vanishes
     identically.
     """
+    return min(20.0 * max(params.ec, params.abs_delta), _band_edge(params))
+
+
+def _band_edge(params: EmitterParams) -> float:
+    """Largest |eps_k| whose quasiparticle energy stays below 0.95 mu."""
     ad = params.abs_delta
-    cap = math.sqrt(max(0.95**2 - ad * ad, 1e-4))
-    return min(20.0 * max(params.ec, ad), cap)
+    return math.sqrt(max(0.95**2 - ad * ad, 1e-4))
 
 
-def _omega_cap(params: EmitterParams) -> float:
-    """Quasiparticle energies at or above this value cannot emit (p_k imaginary)."""
-    return 0.999999
-
-
-def _default_spec() -> QuadSpec:
-    return QuadSpec(rel_tol=1e-3, abs_tol=1e-300, max_depth=40)
+def default_spec(rel_tol: float = 1e-3) -> QuadSpec:
+    """Quadrature spec of the correlators (the CLI's --rel-tol sets rel_tol)."""
+    return QuadSpec(rel_tol=rel_tol, abs_tol=1e-300, max_depth=40)
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +213,9 @@ def farfield_amplitude(k_vec: np.ndarray, r_vec: np.ndarray, omega_k: float,
     if r < FAR_FIELD_KFR:
         warnings.warn(f"k_F r = {r:.1f} < {FAR_FIELD_KFR}: far-field form "
                       "not controlled", stacklevel=2)
-    p_k = pole_momentum(omega_k, params)
-    rhat = r_vec / r
-    w = params.w_kf
-    dq = p_k * rhat - k_vec
-    g = TWO_PI_M6**0.5 * math.exp(-0.5 * float(np.dot(dq, dq)) * w * w)
-    h = math.sqrt(p_k / MASS) * math.exp(-0.5 * omega_k / params.ec)
-    return math.sqrt(math.pi / 2.0) * 2.0 * MASS * h * g \
+    p_k = pole_momentum(omega_k)
+    _, _, t = form_factors(p_k * r_vec / r, k_vec, params)
+    return math.sqrt(math.pi / 2.0) * 2.0 * MASS * t \
         * cmath.exp(1j * p_k * r) / r
 
 
@@ -221,7 +238,7 @@ def farfield_amplitude_direct(k_vec: np.ndarray, r_vec: np.ndarray,
     if ec * w * w <= 1.2:
         raise ValueError("direct integral needs E_C w_kf^2 > 1.2 to converge")
     kmag = float(np.linalg.norm(k_vec))
-    p_w = pole_momentum(omega_k, params)
+    p_w = pole_momentum(omega_k)
 
     # angular part: int dOmega_p e^{p . c} = 4 pi sinh(p C)/(p C),
     # c = w^2 k + i r, C = sqrt(c.c)
@@ -255,15 +272,8 @@ def farfield_amplitude_direct(k_vec: np.ndarray, r_vec: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# geometry frame helpers
+# gamma
 # ---------------------------------------------------------------------------
-
-def _cos_theta(geom: DetectorGeometry) -> float:
-    """Cosine of the angle between the two detector directions."""
-    n1 = np.asarray(geom.r1_vec) / geom.r1
-    n2 = np.asarray(geom.r2_vec) / geom.r2
-    return max(-1.0, min(1.0, float(np.dot(n1, n2))))
-
 
 def _gamma_cosa_window(params: EmitterParams, cth2: float) -> float:
     """Lower cos(alpha) truncation for the gamma angular cap (weight < e^-20)."""
@@ -274,32 +284,28 @@ def _gamma_cosa_window(params: EmitterParams, cth2: float) -> float:
     return max(-1.0, 1.0 - 20.0 / scale)
 
 
-# ---------------------------------------------------------------------------
-# gamma
-# ---------------------------------------------------------------------------
+# integration variables of _gamma_quad, outermost first (QuadResult.fail_dim)
+_GAMMA_VARIABLES = ("eps", "cos alpha", "phi")
+
 
 def _gamma_quad(geom: DetectorGeometry, params: EmitterParams,
                 spec: QuadSpec, abs_floor: float = 0.0,
                 ecut: float | None = None) -> QuadResult:
-    cth2 = math.sqrt(max(0.0, 0.5 * (1.0 + _cos_theta(geom))))
+    cth2 = math.sqrt(max(0.0, 0.5 * (1.0 + geom.cos_theta)))
     r1 = geom.r1_kf
     r2 = geom.r2_kf
     dabs = params.abs_delta
     ec = params.ec
     w = params.w_kf
     ecut = energy_cutoff(params) if ecut is None else ecut
-    ocap = _omega_cap(params)
     cosa_lo = _gamma_cosa_window(params, cth2)
     pref = (math.pi / 2.0) * TWO_PI_M6 / (r1 * r2) * 2.0   # phi parity doubling
     # translate an absolute tolerance on the final value into integrand units
-    spec = QuadSpec(rel_tol=spec.rel_tol,
-                    abs_tol=max(spec.abs_tol, abs_floor / pref),
-                    max_depth=spec.max_depth,
-                    max_intervals=spec.max_intervals)
+    spec = replace(spec, abs_tol=max(spec.abs_tol, abs_floor / pref))
 
     def f(eps, cosa, phis):
         return kernels.gamma_integrand(phis, eps, cosa, dabs, ec, w,
-                                       r1, r2, cth2, ocap)
+                                       r1, r2, cth2, OMEGA_CAP)
 
     total = QuadResult(0.0, 0.0, 0, True)
     for lo, hi in ((-ecut, 0.0), (0.0, ecut)):
@@ -321,10 +327,11 @@ def gamma(geom: DetectorGeometry, params: EmitterParams,
     if not geom.far_field:
         warnings.warn("geometry below the far-field threshold "
                       f"k_F r >= {FAR_FIELD_KFR}", stacklevel=2)
-    res = _gamma_quad(geom, params, spec or _default_spec())
+    res = _gamma_quad(geom, params, spec or default_spec())
     if not res.converged:
         raise NonConvergenceError(
-            f"gamma quadrature did not converge (dimension {res.fail_dim})", res)
+            "gamma quadrature did not converge in "
+            f"{_GAMMA_VARIABLES[res.fail_dim]}", res)
     return res.value
 
 
@@ -360,19 +367,15 @@ def _chi_u_window(params: EmitterParams, k: float, omega: float
 
 def _chi_quad(geom: DetectorGeometry, params: EmitterParams,
               spec: QuadSpec, abs_floor: float = 0.0) -> QuadResult:
-    cos_theta = _cos_theta(geom)
+    cos_theta = geom.cos_theta
     r1 = geom.r1_kf
     r2 = geom.r2_kf
     dabs = params.abs_delta
     w = params.w_kf
     ecut = energy_cutoff(params)
-    ocap = _omega_cap(params)
 
     pref = complex(params.delta) * (-0.25j) * TWO_PI_M6 / (r1 * r2)
-    spec = QuadSpec(rel_tol=spec.rel_tol,
-                    abs_tol=max(spec.abs_tol, abs_floor / abs(pref)),
-                    max_depth=spec.max_depth,
-                    max_intervals=spec.max_intervals)
+    spec = replace(spec, abs_tol=max(spec.abs_tol, abs_floor / abs(pref)))
     line_spec = spec.tightened()
     evals = 0       # kernel nodes: F(+-omega) and the u-line of every eps
 
@@ -380,7 +383,7 @@ def _chi_quad(geom: DetectorGeometry, params: EmitterParams,
         """m k(eps) times the energy-line integral over u at one eps node."""
         nonlocal evals
         omega = math.sqrt(eps * eps + dabs * dabs)
-        if omega >= ocap or omega == 0.0:
+        if omega >= OMEGA_CAP or omega == 0.0:
             return 0.0j
         k = math.sqrt(1.0 + eps)
         win = _chi_u_window(params, k, omega)
@@ -438,7 +441,7 @@ def chi(geom: DetectorGeometry, params: EmitterParams,
     if spread < CHI_SPREAD_MIN:
         warnings.warn(f"r/(k_F w^2) = {spread:.1f} < {CHI_SPREAD_MIN}: chi "
                       "outside its validated regime", stacklevel=2)
-    res = _chi_quad(geom, params, spec or _default_spec())
+    res = _chi_quad(geom, params, spec or default_spec())
     if not res.converged:      # a u-line that fails raises where it fails
         raise NonConvergenceError("chi eps integral did not converge", res)
     return res.value
@@ -455,10 +458,9 @@ def energy_cutoff_shift(geom: DetectorGeometry, params: EmitterParams,
     Automated convergence check of the cutoff choice; the contract is that
     doubling E_cut moves results by less than 1%.
     """
-    spec = spec or _default_spec()
+    spec = spec or default_spec()
     base = _gamma_quad(geom, params, spec).value.real
-    ecut2 = min(2.0 * energy_cutoff(params),
-                math.sqrt(max(0.95**2 - params.abs_delta**2, 1e-4)))
+    ecut2 = min(2.0 * energy_cutoff(params), _band_edge(params))
     wide = _gamma_quad(geom, params, spec, ecut=ecut2).value.real
     return abs(wide - base) / abs(base)
 
@@ -470,7 +472,7 @@ def rho2_and_Q(geom: DetectorGeometry, params: EmitterParams,
     rho2 = 4 g22 g11 - 2 |g21|^2 + 2 |chi21|^2,  Q = rho2 / (rho1(2) rho1(1))
     with rho1 = 2 gamma_diag.
     """
-    spec = spec or _default_spec()
+    spec = spec or default_spec()
     diag1 = DetectorGeometry(geom.r1_vec, geom.r1_vec)
     diag2 = DetectorGeometry(geom.r2_vec, geom.r2_vec)
 
@@ -492,9 +494,12 @@ def rho2_and_Q(geom: DetectorGeometry, params: EmitterParams,
         chi_res = _chi_quad(geom, params, spec, abs_floor=floor)
     x21 = chi_res.value
 
-    converged = all(r.converged for r in (res11, res22, res21, chi_res))
-    if not converged:
-        raise NonConvergenceError("correlation quadrature did not converge")
+    parts = {"gamma11": res11, "gamma22": res22, "gamma21": res21,
+             "chi21": chi_res}
+    failed = [name for name, res in parts.items() if not res.converged]
+    if failed:
+        raise NonConvergenceError("correlation quadrature did not converge: "
+                                  + ", ".join(failed))
 
     rho1_1 = 2.0 * g11
     rho1_2 = 2.0 * g22
@@ -507,14 +512,8 @@ def rho2_and_Q(geom: DetectorGeometry, params: EmitterParams,
         "chi_kfr_ok": r_min >= FAR_FIELD_KFR,
         "chi_spread_ok": r_min / params.w_kf ** 2 >= CHI_SPREAD_MIN,
     }
-    errs = {
-        "gamma11": res11.err_est,
-        "gamma22": res22.err_est,
-        "gamma21": res21.err_est,
-        "chi21": chi_res.err_est,
-    }
     return CorrelationResult(
         gamma11=g11, gamma22=g22, gamma21=g21, chi21=x21,
-        rho1_1=rho1_1, rho1_2=rho1_2, rho2=rho2, Q=q,
-        regime_flags=flags, err_est=errs, converged=converged,
+        rho1_1=rho1_1, rho1_2=rho1_2, rho2=rho2, Q=q, regime_flags=flags,
+        err_est={name: res.err_est for name, res in parts.items()},
     )

@@ -1,4 +1,4 @@
-"""Physical parameters, dispersion relations, BCS factors, tunneling form factors.
+"""Physical parameters, derived scales, tunneling form factors, emission pole.
 
 Unit convention (fixed throughout the package): hbar = 1, k_F = 1, mu = 1,
 hence m = 1/2, lambda_F = 2 pi, and the normal-state dispersion is
@@ -16,9 +16,8 @@ import numpy as np
 
 __all__ = [
     "KF", "MU", "MASS", "LAMBDA_F",
-    "EmitterParams", "DerivedParams", "QuasiparticleState",
-    "OutOfBandError",
-    "derive_params", "bogoliubov", "form_factors", "pole_momentum",
+    "EmitterParams", "DerivedParams", "OutOfBandError",
+    "derive_params", "form_factors", "pole_momentum",
 ]
 
 KF = 1.0
@@ -84,16 +83,6 @@ class DerivedParams:
         return self.xi / self.lambda_f
 
 
-@dataclass(frozen=True)
-class QuasiparticleState:
-    """Bogoliubov data for one normal-state energy eps_k."""
-
-    eps_k: float
-    omega_k: float
-    ukvk: complex
-    vk2: float
-
-
 def derive_params(p: EmitterParams) -> DerivedParams:
     """Pippard length and convenience ratios.
 
@@ -113,23 +102,6 @@ def derive_params(p: EmitterParams) -> DerivedParams:
         w_over_xi=w_over_xi,
         delta_over_ec=ad / p.ec,
     )
-
-
-def bogoliubov(eps_k: float, delta: complex) -> QuasiparticleState:
-    """Quasiparticle energy and coherence factors at normal-state energy eps_k.
-
-    omega_k = sqrt(eps_k^2 + |Delta|^2), u_k v_k = Delta / (2 omega_k), and
-    v_k^2 = (1 - eps_k/omega_k)/2.  At the degenerate point Delta = 0,
-    eps_k = 0 the convention is u_k v_k = 0, v_k^2 = 1/2 (step midpoint).
-    """
-    ad = abs(delta)
-    omega = math.hypot(eps_k, ad)
-    if omega == 0.0:
-        return QuasiparticleState(eps_k=eps_k, omega_k=0.0, ukvk=0.0 + 0.0j,
-                                  vk2=0.5)
-    ukvk = complex(delta) / (2.0 * omega)
-    vk2 = 0.5 * (1.0 - eps_k / omega)
-    return QuasiparticleState(eps_k=eps_k, omega_k=omega, ukvk=ukvk, vk2=vk2)
 
 
 def form_factors(p_vec: np.ndarray, k_vec: np.ndarray,
@@ -153,7 +125,7 @@ def form_factors(p_vec: np.ndarray, k_vec: np.ndarray,
     return g, h, h * g
 
 
-def pole_momentum(omega_k: float, params: EmitterParams | None = None) -> float:
+def pole_momentum(omega_k: float) -> float:
     """Emission momentum p_k = sqrt(2 m (mu - omega_k)) of the outgoing wave.
 
     Monotone decreasing in omega_k; raises OutOfBandError at or above mu

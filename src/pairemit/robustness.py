@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import EmitterParams
-from .peak import PeakResult, angular_profile, delta_q_peak
+from .peak import (DQ_BELL, DQ_ENTANGLEMENT, PeakResult, angular_profile,
+                   delta_q_peak)
 
 __all__ = ["FluctuationSpec", "averaged_peak", "roughness_bound"]
 
@@ -92,8 +93,8 @@ def averaged_peak(params: EmitterParams, r: float,
         delta_q=dq_avg,
         hankel_arg=base.hankel_arg,
         regime_ok=base.regime_ok,
-        crossings={"entangled": dq_avg > 0.5,
-                   "bell_violating": dq_avg > math.sqrt(2.0) + 1.0},
+        crossings={"entangled": dq_avg > DQ_ENTANGLEMENT,
+                   "bell_violating": dq_avg > DQ_BELL},
         lambda_warning=base.lambda_warning,
         meta={
             "unperturbed_delta_q": base.delta_q,

@@ -1,4 +1,5 @@
-"""Special functions for the bunching-peak formula and the quadrature engine.
+"""Special functions for the closed-form bunching peak: K1 and H0^(2), with
+J0 and Y0 under the latter, plus the principal complex square root.
 
 Everything here is evaluated in double precision by one of two fixed routes:
 
@@ -35,12 +36,7 @@ __all__ = [
     "SpecfunResult",
     "bessel_j0",
     "bessel_y0",
-    "bessel_j1",
-    "bessel_y1",
-    "bessel_k0",
     "bessel_k1",
-    "bessel_k2",
-    "hankel1_0",
     "hankel2_0",
     "principal_sqrt",
     "SERIES_RADIUS",
@@ -108,30 +104,6 @@ def _j0y0_series(z: complex) -> tuple[complex, complex]:
             break
     y0 = (2.0 / math.pi) * ((cmath.log(z / 2.0) + EULER_GAMMA) * j0 + ysum)
     return j0, y0
-
-
-def _j1y1_series(z: complex) -> tuple[complex, complex]:
-    """J1 and Y1 by ascending series; adequate for |z| <= SERIES_RADIUS."""
-    q = -(z * z) / 4.0
-    # J1 = (z/2) sum_k (-(z^2/4))^k / (k! (k+1)!)
-    term = 1.0 + 0.0j
-    j1 = term
-    # sum_k (-1)^k [psi(k+1)+psi(k+2)] (z^2/4)^k / (k!(k+1)!)
-    pk = -2.0 * EULER_GAMMA + 1.0
-    psum = pk * term
-    for k in range(1, 120):
-        term *= q / (k * (k + 1))
-        j1 += term
-        pk += 1.0 / k + 1.0 / (k + 1)
-        # term already carries (-1)^k through q
-        psum += pk * term
-        if abs(term) <= 1e-18 * max(1.0, abs(j1)):
-            break
-    j1 *= z / 2.0
-    y1 = (2.0 / math.pi) * (
-        cmath.log(z / 2.0) * j1 - 1.0 / z - (z / 4.0) * psum
-    )
-    return j1, y1
 
 
 # ---------------------------------------------------------------------------
@@ -258,34 +230,6 @@ def bessel_y0(z: complex) -> SpecfunResult:
     return SpecfunResult(y0, _LARGE_BASE_ERR)
 
 
-def bessel_j1(z: complex) -> SpecfunResult:
-    """Bessel J1 (series route; intended for |z| <= SERIES_RADIUS)."""
-    z = _check_z(z)
-    j1, _ = _j1y1_series(z)
-    err = _SERIES_BASE_ERR if abs(z) <= SERIES_RADIUS else float("nan")
-    return SpecfunResult(j1, err)
-
-
-def bessel_y1(z: complex) -> SpecfunResult:
-    """Bessel Y1 (series route; intended for |z| <= SERIES_RADIUS)."""
-    z = _check_z(z)
-    _, y1 = _j1y1_series(z)
-    err = _SERIES_BASE_ERR if abs(z) <= SERIES_RADIUS else float("nan")
-    return SpecfunResult(y1, err)
-
-
-def hankel1_0(z: complex) -> SpecfunResult:
-    """Hankel function H0^(1)(z) = J0(z) + i Y0(z)."""
-    z = _check_z(z)
-    if abs(z) <= SERIES_RADIUS:
-        j0, y0 = _j0y0_series(z)
-        # in the *upper* half plane H0^(1) is exponentially small vs J0, Y0
-        cancel = math.exp(2.0 * max(0.0, min(z.imag, 350.0)))
-        return SpecfunResult(j0 + 1j * y0, _SERIES_BASE_ERR * cancel)
-    h2 = _hankel2_large(z.conjugate()).conjugate()  # H1(z) = conj(H2(conj z))
-    return SpecfunResult(h2, _LARGE_BASE_ERR)
-
-
 def hankel2_0(z: complex) -> SpecfunResult:
     """Hankel function H0^(2)(z) = J0(z) - i Y0(z).
 
@@ -306,22 +250,6 @@ def hankel2_0(z: complex) -> SpecfunResult:
 # modified Bessel functions on the positive real axis
 # ---------------------------------------------------------------------------
 
-def _k0_series(x: float) -> float:
-    q = x * x / 4.0
-    term = 1.0
-    i0 = term
-    harm = 0.0
-    ksum = 0.0
-    for k in range(1, 120):
-        term *= q / (k * k)
-        i0 += term
-        harm += 1.0 / k
-        ksum += term * harm
-        if term <= 1e-19 * i0:
-            break
-    return -(math.log(x / 2.0) + EULER_GAMMA) * i0 + ksum
-
-
 def _k1_series(x: float) -> float:
     q = x * x / 4.0
     term = 1.0
@@ -339,38 +267,18 @@ def _k1_series(x: float) -> float:
     return math.log(x / 2.0) * i1 + 1.0 / x - (x / 4.0) * psum
 
 
-def _check_x(x: float) -> float:
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"modified Bessel K requires x > 0, got {x}")
-    return x
-
-
-def bessel_k0(x: float) -> float:
-    """Modified Bessel K0, real positive argument."""
-    x = _check_x(x)
-    if x <= K_SERIES_RADIUS:
-        return _k0_series(x)
-    if x > 740.0:
-        return 0.0  # graceful underflow
-    return _watson_k(0, x).real
-
-
 def bessel_k1(x: float) -> float:
     """Modified Bessel K1, real positive argument.
 
     Relative error <= 1e-10 for x in [1e-6, 700]; underflows gracefully to
     zero beyond the double-precision exponential range.
     """
-    x = _check_x(x)
+    x = float(x)
+    if not x > 0.0:
+        raise ValueError(f"modified Bessel K1 requires x > 0, got {x}")
     if x <= K_SERIES_RADIUS:
         return _k1_series(x)
     if x > 740.0:
         return 0.0
     return _watson_k(1, x).real
 
-
-def bessel_k2(x: float) -> float:
-    """Modified Bessel K2 via the upward recurrence K2 = K0 + 2 K1 / x."""
-    x = _check_x(x)
-    return bessel_k0(x) + 2.0 * bessel_k1(x) / x

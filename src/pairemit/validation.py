@@ -19,9 +19,10 @@ from .correlations import (DetectorGeometry, farfield_amplitude,
                            farfield_amplitude_direct, chi, rho2_and_Q)
 from .entanglement import (Q_BELL_THRESHOLD, concurrence_from_density_matrix,
                            werner_decompose, werner_density_matrix)
-from .model import EmitterParams, derive_params
-from .peak import (DQ_BELL, DQ_ENTANGLEMENT, SweepSpec, delta_q_peak,
-                   peak_envelope, threshold_map)
+from .model import EmitterParams, derive_params, pole_momentum
+from .peak import (DQ_BELL, DQ_ENTANGLEMENT, SweepSpec, angular_profile,
+                   delta_q_peak, misalignment_tolerance, peak_envelope,
+                   threshold_map)
 from .quad import QuadSpec, integrate_1d
 from .specfun import (_hankel2_large, _j0y0_series, bessel_k1, hankel2_0)
 from .correlations import CorrelationResult
@@ -201,8 +202,7 @@ def check_farfield_oracle() -> CheckResult:
     params = EmitterParams(delta=DELTA_FIG, ec=0.12, w=0.55)
     omega = 0.01
     r_vec = np.array([0.0, 0.0, 200.0])            # lambda_F units
-    from .model import pole_momentum
-    k_vec = np.array([0.0, 0.0, pole_momentum(omega, params)])
+    k_vec = np.array([0.0, 0.0, pole_momentum(omega)])
     a_far = farfield_amplitude(k_vec, r_vec, omega, params)
     a_dir = farfield_amplitude_direct(k_vec, r_vec, omega, params)
     err = abs(a_far - a_dir) / abs(a_dir)
@@ -274,18 +274,18 @@ def check_decay_law_asymptotic() -> CheckResult:
 
 
 def check_angular_envelope() -> CheckResult:
-    """Small-angle e^{-1/2} point at dtheta = 1/(k_F w); monotone falloff."""
-    w = PARAMS_FIG.w_kf
-    dtheta = 1.0 / w
-    small_angle = math.exp(-8.0 * w * w * (dtheta / 4.0) ** 2)
-    err = abs(small_angle - math.exp(-0.5))
+    """The envelope at the misalignment tolerance is e^{-1/2} to 1e-3
+    relative (the small-angle expansion behind the tolerance is off by
+    2.6e-4 at the figure w); monotone falloff."""
+    edge = angular_profile(math.pi - misalignment_tolerance(PARAMS_FIG),
+                           PARAMS_FIG)
+    err = abs(edge / math.exp(-0.5) - 1.0)
     thetas = np.linspace(math.pi, math.pi / 2, 200)
-    from .peak import angular_profile
     vals = [angular_profile(t, PARAMS_FIG) for t in thetas]
     monotone = all(v1 >= v2 for v1, v2 in zip(vals, vals[1:]))
-    ok = err <= 1e-12 and monotone
+    ok = err <= 1e-3 and monotone
     return CheckResult("angular_envelope", ok,
-                       f"|env - e^-1/2| = {err:.2e}, monotone = {monotone}")
+                       f"|env/e^-1/2 - 1| = {err:.2e}, monotone = {monotone}")
 
 
 def check_fig3_shapes() -> CheckResult:

@@ -52,6 +52,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(None, {"ec_over_mu": -1.0})
 
+    def test_non_finite_file_value_rejected(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("theta_max = inf\n")
+        with pytest.raises(ConfigError, match="theta_max"):
+            load_config(str(p), {})
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--w", "inf"], "w_over_lambdaf"),
+        (["--delta", "nan"], "delta_over_mu"),
+        (["--workers", "0"], "workers"),
+    ])
+    def test_bad_flag_value_exit_2_names_key(self, flags, key, capsys):
+        assert main(["params", *flags]) == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+
     def test_fmt_17_significant_digits(self):
         s = fmt(1.0 / 3.0)
         assert s == "3.3333333333333331e-01"

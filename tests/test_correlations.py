@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import pairemit.correlations as correlations
 import pairemit.kernels as kernels
 from pairemit.correlations import (DetectorGeometry, NonConvergenceError,
                                    _chi_quad, energy_cutoff,
@@ -50,14 +51,14 @@ class TestFarfieldAmplitude:
         r1 = np.array([0.0, 0.0, 100.0])
         a1 = farfield_amplitude(k, r1, omega, SUPER)
         a2 = farfield_amplitude(k, 2 * r1, omega, SUPER)
-        p_k = pole_momentum(omega, SUPER)
+        p_k = pole_momentum(omega)
         r_kf = 100.0 * 2 * math.pi
         assert a2 == pytest.approx(a1 * cmath.exp(1j * p_k * r_kf) / 2.0,
                                    rel=1e-12)
 
     def test_direction_maximum_along_r(self):
         omega = 0.01
-        p_k = pole_momentum(omega, SUPER)
+        p_k = pole_momentum(omega)
         r = np.array([0.0, 0.0, 100.0])
         best = abs(farfield_amplitude(np.array([0, 0, p_k]), r, omega, SUPER))
         for ang in (0.05, 0.2, 0.7):
@@ -75,7 +76,7 @@ class TestFarfieldAmplitude:
         params = EmitterParams(delta=DELTA, ec=0.12, w=0.55)
         omega = 0.01
         r = np.array([0.0, 0.0, 200.0])
-        k = np.array([0.0, 0.0, pole_momentum(omega, params)])
+        k = np.array([0.0, 0.0, pole_momentum(omega)])
         a_far = farfield_amplitude(k, r, omega, params)
         a_dir = farfield_amplitude_direct(k, r, omega, params)
         assert abs(a_far - a_dir) / abs(a_dir) <= 0.02
@@ -119,6 +120,12 @@ class TestGamma:
     def test_energy_cutoff_convergence(self):
         geom = DetectorGeometry.from_r_theta(R, 0.0)
         assert energy_cutoff_shift(geom, SUPER) < 0.01
+
+    def test_nonconvergence_names_the_variable(self):
+        spec = QuadSpec(rel_tol=1e-3, abs_tol=1e-300, max_depth=1)
+        with pytest.raises(NonConvergenceError) as info:
+            gamma(DetectorGeometry.from_r_theta(R, 0.0), SUPER, spec)
+        assert str(info.value) == "gamma quadrature did not converge in eps"
 
     def test_energy_cutoff_value(self):
         assert energy_cutoff(SUPER) == pytest.approx(20 * DELTA)
@@ -307,6 +314,21 @@ class TestRho2AndQ:
         assert res.regime_flags["far_field"]
         assert res.regime_flags["chi_kfr_ok"]
         assert res.regime_flags["chi_spread_ok"]
+
+    def test_nonconvergence_names_the_gamma_components(self):
+        spec = QuadSpec(rel_tol=1e-3, abs_tol=1e-300, max_depth=1)
+        with pytest.raises(NonConvergenceError) as info:
+            rho2_and_Q(DetectorGeometry.from_r_theta(R, 0.3), SUPER, spec)
+        assert str(info.value) == ("correlation quadrature did not converge: "
+                                   "gamma11, gamma22, gamma21")
+
+    def test_nonconvergence_names_chi(self, monkeypatch):
+        monkeypatch.setattr(correlations, "_chi_quad",
+                            lambda *a, **k: QuadResult(0j, 0.0, 0, False))
+        with pytest.raises(NonConvergenceError) as info:
+            rho2_and_Q(DetectorGeometry.from_r_theta(R, math.pi / 2), SUPER)
+        assert str(info.value) == ("correlation quadrature did not converge: "
+                                   "chi21")
 
     def test_normal_theta0_feeds_q_half(self):
         # Delta = 0, theta = 0: chi = 0 and gamma21 = gamma11 give Q = 1/2

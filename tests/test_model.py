@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from pairemit.model import (MASS, EmitterParams, OutOfBandError,
-                            bogoliubov, derive_params, form_factors,
-                            pole_momentum)
+                            derive_params, form_factors, pole_momentum)
 
 
 def test_pippard_length_identity():
@@ -41,42 +40,6 @@ def test_ratio_example():
 def test_param_validation(bad):
     with pytest.raises(ValueError):
         EmitterParams(**bad)
-
-
-class TestBogoliubov:
-    def test_fermi_surface(self):
-        st = bogoliubov(0.0, 0.01)
-        assert st.ukvk == pytest.approx(0.5)
-        assert st.vk2 == pytest.approx(0.5)
-        assert st.omega_k == pytest.approx(0.01)
-
-    def test_filled_sea_normal_state(self):
-        st = bogoliubov(-0.3, 0.0)
-        assert st.ukvk == 0.0
-        assert st.vk2 == pytest.approx(1.0)
-
-    def test_three_quarter_gap(self):
-        # eps = (3/4)|D| -> omega = (5/4)|D|, ukvk = (2/5) * phase
-        d = 0.01 * np.exp(0.4j)
-        st = bogoliubov(0.75 * abs(d), d)
-        assert st.omega_k == pytest.approx(1.25 * abs(d))
-        assert st.ukvk == pytest.approx(0.4 * d / abs(d))
-
-    def test_degenerate_point_convention(self):
-        st = bogoliubov(0.0, 0.0)
-        assert st.omega_k == 0.0
-        assert st.ukvk == 0.0
-        assert st.vk2 == 0.5
-
-    def test_ukvk_bound_and_particle_hole(self):
-        d = 3e-3
-        for eps in np.linspace(-0.05, 0.05, 41):
-            st = bogoliubov(float(eps), d)
-            assert abs(st.ukvk) <= 0.5 + 1e-15
-            # |ukvk| = |D|/2w, equality at eps = 0 only
-            assert abs(st.ukvk) == pytest.approx(d / (2 * st.omega_k))
-            mirror = bogoliubov(-float(eps), d)
-            assert st.vk2 + mirror.vk2 == pytest.approx(1.0, abs=1e-14)
 
 
 class TestFormFactors:
