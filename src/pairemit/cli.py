@@ -11,7 +11,7 @@ CSV outputs carry a header row and floats in scientific notation with 17
 significant digits; a JSON sidecar records the full configuration, its
 hash, the code version, and achieved error estimates.  All files are
 written atomically (temp file + rename), so interrupted runs never leave
-partial datasets.  Sweep rows are cached by configuration hash (including
+partial datasets.  Angular rows are cached by configuration hash (including
 the kernel backend) and reused bitwise.
 """
 
@@ -279,7 +279,6 @@ def _write_dataset(path: Path, header: str, rows: list[str], cfg: RunConfig,
 
 def cmd_angular(cfg: RunConfig, args) -> int:
     """Q(theta) datasets for the normal and superconducting emitter."""
-    kernels.warmup()
     thetas = np.linspace(cfg.theta_min, cfg.theta_max, cfg.theta_points)
     tasks = [(float(t), cfg.r_over_lambdaf, cfg.delta_over_mu,
               cfg.ec_over_mu, cfg.w_over_lambdaf, cfg.rel_tol)
@@ -351,7 +350,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 def cmd_peak(cfg: RunConfig, args) -> int:
     """Peak height along an r sweep at the configured parameters."""
     grid = _sweep_grid(cfg) if cfg.sweep_param == "r" else \
-        np.geomspace(10.0, 3.0e6, cfg.sweep_points)
+        np.geomspace(_DEFAULTS["sweep_min"], _DEFAULTS["sweep_max"],
+                     cfg.sweep_points)
     rows, meta = _sweep_dataset(cfg, "r", grid)
     path = Path(args.output or "peak_r.csv")
     _write_dataset(path, _HEADER_SWEEP, rows, cfg,
@@ -386,7 +386,6 @@ def cmd_fig3(cfg: RunConfig, args) -> int:
 
 def cmd_classify(cfg: RunConfig, args) -> int:
     """Correlators and Werner report at one detector geometry (quadrature)."""
-    kernels.warmup()
     geom = DetectorGeometry.from_r_theta(cfg.r_over_lambdaf, cfg.theta)
     corr = rho2_and_Q(geom, cfg.params(), default_spec(cfg.rel_tol))
     rep = werner_decompose(corr)

@@ -44,8 +44,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels, quad
-from .model import (LAMBDA_F, MASS, EmitterParams, form_factors,
-                    pole_momentum)
+from .model import (LAMBDA_F, MASS, REGIME_KFR, REGIME_SPREAD, EmitterParams,
+                    form_factors, pole_momentum)
 from .quad import QuadResult, QuadSpec, integrate_1d, integrate_nested
 from .specfun import principal_sqrt
 
@@ -54,7 +54,6 @@ __all__ = [
     "CorrelationResult",
     "NonConvergenceError",
     "UndefinedQError",
-    "FAR_FIELD_KFR",
     "farfield_amplitude",
     "farfield_amplitude_direct",
     "gamma",
@@ -63,9 +62,6 @@ __all__ = [
     "energy_cutoff",
     "default_spec",
 ]
-
-FAR_FIELD_KFR = 50.0
-CHI_SPREAD_MIN = 10.0
 
 TWO_PI_M6 = (2.0 * math.pi) ** -6
 
@@ -134,7 +130,7 @@ class DetectorGeometry:
 
     @property
     def far_field(self) -> bool:
-        return min(self.r1_kf, self.r2_kf) >= FAR_FIELD_KFR
+        return min(self.r1_kf, self.r2_kf) >= REGIME_KFR
 
     def swapped(self) -> "DetectorGeometry":
         return DetectorGeometry(self.r2_vec, self.r1_vec)
@@ -158,7 +154,6 @@ class CorrelationResult:
     Q: float
     regime_flags: dict = field(default_factory=dict)
     err_est: dict = field(default_factory=dict)
-    converged: bool = True
 
     @property
     def Q_err(self) -> float:
@@ -210,8 +205,8 @@ def farfield_amplitude(k_vec: np.ndarray, r_vec: np.ndarray, omega_k: float,
     r_vec = np.asarray(r_vec, dtype=float) * LAMBDA_F
     k_vec = np.asarray(k_vec, dtype=float)
     r = float(np.linalg.norm(r_vec))
-    if r < FAR_FIELD_KFR:
-        warnings.warn(f"k_F r = {r:.1f} < {FAR_FIELD_KFR}: far-field form "
+    if r < REGIME_KFR:
+        warnings.warn(f"k_F r = {r:.1f} < {REGIME_KFR}: far-field form "
                       "not controlled", stacklevel=2)
     p_k = pole_momentum(omega_k)
     _, _, t = form_factors(p_k * r_vec / r, k_vec, params)
@@ -255,7 +250,7 @@ def farfield_amplitude_direct(k_vec: np.ndarray, r_vec: np.ndarray,
 
     # truncate where the Gaussian-filter product is dead
     decay = 0.5 * w * w - 0.5 / ec
-    p_cut = math.sqrt((40.0 + abs(C) * 0.0 + 0.5 * w * w * kmag * kmag) / decay) + kmag
+    p_cut = math.sqrt((40.0 + 0.5 * w * w * kmag * kmag) / decay) + kmag
     p_cut = max(p_cut, p_w + 1.0)
 
     g_pole = complex(g_smooth(np.array([p_w]))[0])
@@ -326,7 +321,7 @@ def gamma(geom: DetectorGeometry, params: EmitterParams,
     """
     if not geom.far_field:
         warnings.warn("geometry below the far-field threshold "
-                      f"k_F r >= {FAR_FIELD_KFR}", stacklevel=2)
+                      f"k_F r >= {REGIME_KFR}", stacklevel=2)
     res = _gamma_quad(geom, params, spec or default_spec())
     if not res.converged:
         raise NonConvergenceError(
@@ -434,12 +429,12 @@ def chi(geom: DetectorGeometry, params: EmitterParams,
     if params.abs_delta == 0.0:
         return 0.0 + 0.0j
     r_min = min(geom.r1_kf, geom.r2_kf)
-    if r_min < FAR_FIELD_KFR:
-        warnings.warn(f"k_F r = {r_min:.1f} < {FAR_FIELD_KFR}: chi outside "
+    if r_min < REGIME_KFR:
+        warnings.warn(f"k_F r = {r_min:.1f} < {REGIME_KFR}: chi outside "
                       "its validated regime", stacklevel=2)
     spread = r_min / params.w_kf ** 2
-    if spread < CHI_SPREAD_MIN:
-        warnings.warn(f"r/(k_F w^2) = {spread:.1f} < {CHI_SPREAD_MIN}: chi "
+    if spread < REGIME_SPREAD:
+        warnings.warn(f"r/(k_F w^2) = {spread:.1f} < {REGIME_SPREAD}: chi "
                       "outside its validated regime", stacklevel=2)
     res = _chi_quad(geom, params, spec or default_spec())
     if not res.converged:      # a u-line that fails raises where it fails
@@ -506,11 +501,12 @@ def rho2_and_Q(geom: DetectorGeometry, params: EmitterParams,
     rho2 = 4.0 * g22 * g11 - 2.0 * abs(g21) ** 2 + 2.0 * abs(x21) ** 2
     q = rho2 / (rho1_1 * rho1_2)
 
+    far_field = geom.far_field
     r_min = min(geom.r1_kf, geom.r2_kf)
     flags = {
-        "far_field": geom.far_field,
-        "chi_kfr_ok": r_min >= FAR_FIELD_KFR,
-        "chi_spread_ok": r_min / params.w_kf ** 2 >= CHI_SPREAD_MIN,
+        "far_field": far_field,
+        "chi_kfr_ok": far_field,
+        "chi_spread_ok": r_min / params.w_kf ** 2 >= REGIME_SPREAD,
     }
     return CorrelationResult(
         gamma11=g11, gamma22=g22, gamma21=g21, chi21=x21,

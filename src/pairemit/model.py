@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "KF", "MU", "MASS", "LAMBDA_F",
+    "KF", "MU", "MASS", "LAMBDA_F", "REGIME_KFR", "REGIME_SPREAD",
     "EmitterParams", "DerivedParams", "OutOfBandError",
     "derive_params", "form_factors", "pole_momentum",
 ]
@@ -24,6 +24,11 @@ KF = 1.0
 MU = 1.0
 MASS = 0.5           # from k_F = sqrt(2 m mu) = 1 with mu = 1
 LAMBDA_F = 2.0 * math.pi
+
+# Numeric cutoffs of the paper's far-field (k_F r >> 1) and wave-packet
+# spreading (r / (k_F w^2) >> 1) conditions, shared by both routes.
+REGIME_KFR = 50.0
+REGIME_SPREAD = 10.0
 
 
 class OutOfBandError(ValueError):

@@ -17,37 +17,40 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LAMBDA_F, EmitterParams, derive_params
+from .model import (LAMBDA_F, REGIME_KFR, REGIME_SPREAD, EmitterParams,
+                    derive_params)
 from .specfun import bessel_k1, hankel2_0, principal_sqrt
 
 __all__ = [
     "PeakResult", "SweepSpec", "SweepResult",
     "delta_q_peak", "angular_profile", "threshold_map",
     "DQ_ENTANGLEMENT", "DQ_BELL",
-    "REGIME_KFR", "REGIME_MU_OVER_EC", "REGIME_SPREAD",
+    "REGIME_MU_OVER_EC",
 ]
 
 # dQ thresholds equivalent to Q = 3/2 and Q = sqrt(2)/(sqrt(2)-1)
 DQ_ENTANGLEMENT = 0.5
 DQ_BELL = math.sqrt(2.0) + 1.0
 
-REGIME_KFR = 50.0
 REGIME_MU_OVER_EC = 20.0
-REGIME_SPREAD = 10.0
+
+# |H0^(2)(z)|^2 grows as e^{2 Im z}: past Im z = log(max double)/2 the
+# squared Hankel factor of dQ has no double-precision value
+_HANKEL_IM_MAX = 0.5 * math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
 class PeakResult:
-    """Closed-form peak height with regime flags and threshold crossings."""
+    """Closed-form peak height with regime flags."""
 
     delta_q: float
     hankel_arg: complex
     regime_ok: dict
-    crossings: dict
     lambda_warning: bool = False
     meta: dict = field(default_factory=dict)
 
@@ -65,7 +68,9 @@ def delta_q_peak(params: EmitterParams, r: float) -> PeakResult:
 
     Evaluates the closed form with Lambda = 1; the normal state Delta = 0
     gives dQ = 0 by definition (no pair correlation).  Regime violations
-    downgrade to flags, never errors.
+    downgrade to flags, never errors.  Raises ValueError where the Hankel
+    factor would overflow (w^2/(pi^2 xi^2) > _HANKEL_IM_MAX, e.g.
+    w >~ 2000 lambda_F at the figure gap).
     """
     if r <= 0.0:
         raise ValueError("detector distance must be positive")
@@ -75,13 +80,18 @@ def delta_q_peak(params: EmitterParams, r: float) -> PeakResult:
     if params.abs_delta == 0.0:
         return PeakResult(
             delta_q=0.0, hankel_arg=0.0 + 0.0j, regime_ok=flags,
-            crossings={"entangled": False, "bell_violating": False},
             lambda_warning=lam_warn,
         )
     xi = derive_params(params).xi          # k_F^-1 units
     w = params.w_kf
     arg = 1j * w * w / (math.pi ** 2 * xi ** 2) \
         - r_kf / (2.0 * math.pi ** 2 * xi ** 2)
+    if arg.imag > _HANKEL_IM_MAX:
+        raise ValueError(
+            f"dQ overflows at |Delta|/mu = {params.abs_delta:g}, "
+            f"E_C/mu = {params.ec:g}, w/lambda_F = {params.w:g}, "
+            f"r/lambda_F = {r:g}: the Hankel argument has Im z = "
+            f"w^2/(pi^2 xi^2) = {arg.imag:.4g} > {_HANKEL_IM_MAX:.4g}")
     h2 = hankel2_0(arg)
     phase = cmath.exp(1j * r_kf / (2.0 * math.pi ** 2 * xi ** 2))
     second = 4.0 * phase / (math.pi * principal_sqrt(1j * r_kf / (w * w)))
@@ -100,8 +110,6 @@ def delta_q_peak(params: EmitterParams, r: float) -> PeakResult:
         delta_q=dq,
         hankel_arg=arg,
         regime_ok=flags,
-        crossings={"entangled": dq > DQ_ENTANGLEMENT,
-                   "bell_violating": dq > DQ_BELL},
         lambda_warning=lam_warn,
         meta={"hankel_est_error": h2.est_error, "delta_q_err": dq_err},
     )
@@ -186,7 +194,6 @@ class SweepResult:
     param: str
     values: np.ndarray
     delta_q: np.ndarray
-    q: np.ndarray
     regime_ok: list
     crossings: dict               # threshold name -> list of crossing values
     delta_q_err: np.ndarray | None = None
@@ -246,7 +253,6 @@ def threshold_map(spec: SweepSpec) -> SweepResult:
         param=spec.param,
         values=values,
         delta_q=dq,
-        q=1.0 + dq,
         regime_ok=[p.regime_ok for p in results],
         crossings=crossings,
         delta_q_err=dq_err,

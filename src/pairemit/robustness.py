@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import EmitterParams
-from .peak import (DQ_BELL, DQ_ENTANGLEMENT, PeakResult, angular_profile,
-                   delta_q_peak)
+from .peak import PeakResult, angular_profile, delta_q_peak
 
 __all__ = ["FluctuationSpec", "averaged_peak", "roughness_bound"]
 
@@ -93,8 +92,6 @@ def averaged_peak(params: EmitterParams, r: float,
         delta_q=dq_avg,
         hankel_arg=base.hankel_arg,
         regime_ok=base.regime_ok,
-        crossings={"entangled": dq_avg > DQ_ENTANGLEMENT,
-                   "bell_violating": dq_avg > DQ_BELL},
         lambda_warning=base.lambda_warning,
         meta={
             "unperturbed_delta_q": base.delta_q,

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import pairemit
 from pairemit.cli import (ConfigError, USAGE_ERROR, fmt, load_config, main)
 
 
@@ -93,7 +94,6 @@ class TestCommands:
                             "classification,config_hash,version")
         assert len(lines) == 21
         # every row carries provenance (config hash + code version)
-        import pairemit
         for row in lines[1:]:
             cells = row.split(",")
             assert len(cells[5]) == 12
@@ -109,6 +109,18 @@ class TestCommands:
         rc = main(["sweep", "--sweep-points", "0",
                    "--output", str(tmp_path / "x.csv")])
         assert rc == USAGE_ERROR
+
+    @pytest.mark.filterwarnings("error")
+    def test_w_sweep_past_overflow_exit_2(self, tmp_path, capsys):
+        # the default sweep grid (10 ... 3e6) takes w past where dQ
+        # overflows: no warning or exception escapes, one error line, no
+        # dataset
+        rc = main(["sweep", "--sweep-param", "w",
+                   "--output", str(tmp_path / "w.csv")])
+        assert rc == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: dQ overflows") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
 
     def test_bad_config_exit_2(self, tmp_path):
         p = tmp_path / "bad.cfg"

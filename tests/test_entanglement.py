@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from pairemit.correlations import CorrelationResult
-from pairemit.entanglement import (Q_BELL_THRESHOLD, Q_ENTANGLEMENT_THRESHOLD,
-                                   concurrence_from_density_matrix,
-                                   werner_decompose, werner_density_matrix)
+from pairemit.entanglement import (Q_BELL_THRESHOLD, werner_decompose,
+                                   werner_density_matrix)
 
 
 def make_corr(g11=1.0, g22=1.0, g21=0.0, chi=0.0):
@@ -45,22 +44,6 @@ def test_maximally_mixed():
     assert rep.classification == "separable"
 
 
-def test_p_equals_q_identity_and_threshold_consistency():
-    # for gamma21 = 0: p = (Q-1)/Q exactly, mapping the Q thresholds
-    for q in (1.2, Q_ENTANGLEMENT_THRESHOLD, 2.0, Q_BELL_THRESHOLD, 5.0):
-        chi = math.sqrt((q - 1.0) * 2.0)
-        rep = werner_decompose(make_corr(chi=chi))
-        assert rep.p == pytest.approx((q - 1.0) / q, abs=1e-12)
-        from_p = rep.classification
-        if q > Q_BELL_THRESHOLD:
-            from_q = "bell_violating"
-        elif q > Q_ENTANGLEMENT_THRESHOLD:
-            from_q = "entangled"
-        else:
-            from_q = "separable"
-        assert from_p == from_q
-
-
 def test_monotone_in_chi():
     ps = [werner_decompose(make_corr(g21=0.3, chi=c)).p
           for c in np.linspace(0.0, 3.0, 30)]
@@ -85,21 +68,6 @@ def test_rho2_zero_rejected():
     assert corr.rho2 == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         werner_decompose(corr)
-
-
-def test_concurrence_oracle_1000_random_pairs():
-    rng = np.random.default_rng(20090422)
-    worst = 0.0
-    for _ in range(1000):
-        a = rng.uniform(0.0, 1.0)
-        b = rng.uniform(0.0, 3.0)
-        if 4 * a + b <= 1e-12:
-            continue
-        p = b / (4 * a + b)
-        formula = max(0.0, (3.0 * p - 1.0) / 2.0)
-        direct = concurrence_from_density_matrix(werner_density_matrix(a, b))
-        worst = max(worst, abs(formula - direct))
-    assert worst <= 1e-12
 
 
 def test_density_matrix_properties():

@@ -5,8 +5,7 @@ import pytest
 
 from pairemit.model import EmitterParams, derive_params
 from pairemit.peak import (DQ_BELL, DQ_ENTANGLEMENT, SweepSpec,
-                           angular_profile, delta_q_peak,
-                           misalignment_tolerance, peak_envelope,
+                           angular_profile, delta_q_peak, peak_envelope,
                            threshold_map)
 
 PARAMS = EmitterParams(delta=2.997e-3, ec=2.997e-3, w=1.0)
@@ -36,11 +35,17 @@ class TestDeltaQPeak:
         res = delta_q_peak(EmitterParams(0.0, PARAMS.ec, PARAMS.w), R)
         assert res.delta_q == 0.0
 
-    def test_ec_halving_strictly_increases(self):
-        dq0 = delta_q_peak(PARAMS, R).delta_q
-        dq1 = delta_q_peak(EmitterParams(PARAMS.delta, PARAMS.ec / 2,
-                                         PARAMS.w), R).delta_q
-        assert dq1 > dq0
+    def test_hankel_overflow_rejected_naming_parameters(self):
+        # at the figure gap |H0^(2)|^2 leaves the double range past
+        # w ~ 2000 lambda_F; the default sweep grid reaches 3e6
+        with pytest.raises(ValueError, match=r"w/lambda_F = 3e\+06"):
+            delta_q_peak(EmitterParams(PARAMS.delta, PARAMS.ec, 3.0e6), R)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_w_below_overflow_is_finite(self):
+        dq = delta_q_peak(EmitterParams(PARAMS.delta, PARAMS.ec, 1690.0),
+                          R).delta_q
+        assert math.isfinite(dq) and dq > 0.0
 
     def test_small_ratio_prefactor_limit(self):
         # |Delta|/E_C -> 0: prefactor ~ pi^2 x^2 / 32 since K1(x) ~ 1/x
@@ -109,17 +114,6 @@ class TestAngularProfile:
         p = EmitterParams(PARAMS.delta, PARAMS.ec, 5.0 / (2 * math.pi))
         assert angular_profile(math.pi - 0.2, p) == pytest.approx(
             0.6067833492179677, rel=1e-12)
-
-    def test_small_angle_e_half_point(self):
-        # small-angle expansion: envelope = e^{-1/2} at dtheta = 1/(k_F w)
-        w = PARAMS.w_kf
-        dtheta = misalignment_tolerance(PARAMS)
-        assert dtheta == pytest.approx(1.0 / w)
-        small = math.exp(-8.0 * w * w * (dtheta / 4.0) ** 2)
-        assert abs(small - math.exp(-0.5)) <= 1e-12
-        # the exact profile agrees to the expansion's accuracy
-        assert angular_profile(math.pi - dtheta, PARAMS) == pytest.approx(
-            math.exp(-0.5), rel=1e-3)
 
     def test_domain(self):
         with pytest.raises(ValueError):

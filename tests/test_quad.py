@@ -7,23 +7,6 @@ from pairemit.quad import QuadSpec, integrate_1d, integrate_nested
 
 
 class TestIntegrate1D:
-    def test_polynomial(self):
-        res = integrate_1d(lambda x: x * x, 0.0, 1.0)
-        assert res.converged
-        assert res.value.real == pytest.approx(1.0 / 3.0, rel=1e-12)
-
-    def test_semi_infinite_oscillatory(self):
-        res = integrate_1d(lambda x: np.exp(-x) * np.cos(10 * x), 0.0, np.inf,
-                           QuadSpec(rel_tol=1e-10))
-        assert res.converged
-        assert res.value.real == pytest.approx(1.0 / 101.0, rel=1e-7)
-
-    def test_gaussian_tail(self):
-        res = integrate_1d(lambda x: np.exp(-x * x / 2.0), 0.0, np.inf)
-        assert res.converged
-        assert res.value.real == pytest.approx(math.sqrt(math.pi / 2.0),
-                                               rel=1e-9)
-
     def test_error_contract(self):
         res = integrate_1d(lambda x: np.sin(7 * x) ** 2, 0.0, 3.0,
                            QuadSpec(rel_tol=1e-9))

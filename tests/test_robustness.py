@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pairemit.model import EmitterParams, derive_params
-from pairemit.peak import angular_profile, delta_q_peak
+from pairemit.peak import delta_q_peak
 from pairemit.robustness import FluctuationSpec, averaged_peak, roughness_bound
 
 PARAMS = EmitterParams(delta=2.997e-3, ec=2.997e-3, w=1.0)
@@ -21,14 +21,6 @@ def test_small_size_fluctuation_below_one_percent():
     xi_lf = derive_params(PARAMS).xi / (2 * math.pi)
     res = averaged_peak(PARAMS, R, FluctuationSpec(sigma_w=xi_lf / 100))
     assert abs(res.meta["fractional_degradation"]) < 0.01
-
-
-def test_misalignment_boundary():
-    # dtheta = 1/(k_F w): envelope e^{-1/2} in the small-angle expansion
-    w = PARAMS.w_kf
-    dtheta = 1.0 / w
-    env = angular_profile(math.pi - dtheta, PARAMS)
-    assert env == pytest.approx(math.exp(-0.5), rel=1e-3)
 
 
 def test_displacement_degrades_peak():
