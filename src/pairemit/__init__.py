@@ -11,7 +11,7 @@ from .model import (DerivedParams, EmitterParams, derive_params,
 from .peak import (PeakResult, SweepResult, SweepSpec, angular_profile,
                    delta_q_peak, threshold_map)
 from .quad import QuadResult, QuadSpec, integrate_1d, integrate_nested
-from .robustness import FluctuationSpec, averaged_peak, roughness_bound
+from .robustness import FluctuationSpec, averaged_peak
 
 __all__ = [
     "__version__",
@@ -22,6 +22,6 @@ __all__ = [
     "WernerReport", "werner_decompose",
     "PeakResult", "SweepSpec", "SweepResult",
     "delta_q_peak", "angular_profile", "threshold_map",
-    "FluctuationSpec", "averaged_peak", "roughness_bound",
+    "FluctuationSpec", "averaged_peak",
     "QuadSpec", "QuadResult", "integrate_1d", "integrate_nested",
 ]

@@ -63,14 +63,32 @@ def _regime_flags(params: EmitterParams, r_kf: float) -> dict:
     }
 
 
+def _peak_terms(params: EmitterParams,
+                r_kf: float) -> tuple[complex, complex, float]:
+    """Hankel argument z, subtracted term s and prefactor pi^2/(32 K1^2) of
+    dQ = prefactor * |H0^(2)(z) - s|^2 (|Delta| > 0).  The prefactor is inf
+    where K1(|Delta|/E_C)^2 underflows (|Delta|/E_C above about 354)."""
+    xi = derive_params(params).xi          # k_F^-1 units
+    w = params.w_kf
+    arg = 1j * w * w / (math.pi ** 2 * xi ** 2) \
+        - r_kf / (2.0 * math.pi ** 2 * xi ** 2)
+    phase = cmath.exp(1j * r_kf / (2.0 * math.pi ** 2 * xi ** 2))
+    second = 4.0 * phase / (math.pi * principal_sqrt(1j * r_kf / (w * w)))
+    k1 = bessel_k1(params.abs_delta / params.ec)
+    denom = 32.0 * k1 * k1
+    prefactor = math.pi ** 2 / denom if denom > 0.0 else math.inf
+    return arg, second, prefactor
+
+
 def delta_q_peak(params: EmitterParams, r: float) -> PeakResult:
     """Bunching-peak height dQ at detector distance r (units of lambda_F).
 
     Evaluates the closed form with Lambda = 1; the normal state Delta = 0
     gives dQ = 0 by definition (no pair correlation).  Regime violations
-    downgrade to flags, never errors.  Raises ValueError where the Hankel
-    factor would overflow (w^2/(pi^2 xi^2) > _HANKEL_IM_MAX, e.g.
-    w >~ 2000 lambda_F at the figure gap).
+    downgrade to flags, never errors.  dQ is inf where K1(|Delta|/E_C)^2
+    underflows.  Raises ValueError where the Hankel factor would overflow
+    (w^2/(pi^2 xi^2) > _HANKEL_IM_MAX, e.g. w >~ 2000 lambda_F at the
+    figure gap).
     """
     if r <= 0.0:
         raise ValueError("detector distance must be positive")
@@ -82,10 +100,7 @@ def delta_q_peak(params: EmitterParams, r: float) -> PeakResult:
             delta_q=0.0, hankel_arg=0.0 + 0.0j, regime_ok=flags,
             lambda_warning=lam_warn,
         )
-    xi = derive_params(params).xi          # k_F^-1 units
-    w = params.w_kf
-    arg = 1j * w * w / (math.pi ** 2 * xi ** 2) \
-        - r_kf / (2.0 * math.pi ** 2 * xi ** 2)
+    arg, second, prefactor = _peak_terms(params, r_kf)
     if arg.imag > _HANKEL_IM_MAX:
         raise ValueError(
             f"dQ overflows at |Delta|/mu = {params.abs_delta:g}, "
@@ -93,19 +108,12 @@ def delta_q_peak(params: EmitterParams, r: float) -> PeakResult:
             f"r/lambda_F = {r:g}: the Hankel argument has Im z = "
             f"w^2/(pi^2 xi^2) = {arg.imag:.4g} > {_HANKEL_IM_MAX:.4g}")
     h2 = hankel2_0(arg)
-    phase = cmath.exp(1j * r_kf / (2.0 * math.pi ** 2 * xi ** 2))
-    second = 4.0 * phase / (math.pi * principal_sqrt(1j * r_kf / (w * w)))
-    k1 = bessel_k1(params.abs_delta / params.ec)
-    if k1 == 0.0:
-        dq = math.inf       # tunneling filter underflowed: formula blows up
-        dq_err = math.inf
-    else:
-        diff = h2.value - second
-        dq = math.pi ** 2 / (32.0 * k1 * k1) * abs(diff) ** 2
-        # propagated bound: Hankel route error plus K1/assembly roundoff
-        rel = 2.0 * h2.est_error * abs(h2.value) / max(abs(diff), 1e-300) \
-            + 5e-13
-        dq_err = dq * rel
+    diff = h2.value - second
+    dq = prefactor * abs(diff) ** 2
+    # propagated bound: Hankel route error plus K1/assembly roundoff
+    rel = 2.0 * h2.est_error * abs(h2.value) / max(abs(diff), 1e-300) \
+        + 5e-13
+    dq_err = dq * rel
     return PeakResult(
         delta_q=dq,
         hankel_arg=arg,
@@ -128,15 +136,9 @@ def peak_envelope(params: EmitterParams, r: float) -> float:
     """
     if params.abs_delta == 0.0:
         return 0.0
-    r_kf = r * LAMBDA_F
-    xi = derive_params(params).xi
-    w = params.w_kf
-    arg = 1j * w * w / (math.pi ** 2 * xi ** 2) \
-        - r_kf / (2.0 * math.pi ** 2 * xi ** 2)
+    arg, second, prefactor = _peak_terms(params, r * LAMBDA_F)
     habs = abs(hankel2_0(-arg).value)       # fourth quadrant: smooth modulus
-    sabs = abs(4.0 / (math.pi * principal_sqrt(1j * r_kf / (w * w))))
-    k1 = bessel_k1(params.abs_delta / params.ec)
-    return math.pi ** 2 / (32.0 * k1 * k1) * (3.0 * habs + sabs) ** 2
+    return prefactor * (3.0 * habs + abs(second)) ** 2
 
 
 def angular_profile(theta: float, params: EmitterParams) -> float:

@@ -1,4 +1,4 @@
-"""Deterministic adaptive quadrature (1D, semi-infinite, oscillatory, nested).
+"""Deterministic adaptive quadrature on finite intervals (1D and nested).
 
 The driver is a Gauss-Kronrod 7/15 rule with global worst-first refinement.
 All intervals pending refinement in a sweep are bisected together and their
@@ -6,20 +6,15 @@ nodes evaluated in a single vectorized call, so integrands backed by compiled
 kernels amortize their call overhead.  Interval bookkeeping, refinement
 selection, and the final summation are all in left-to-right position order,
 which makes results bitwise reproducible for a fixed spec regardless of how
-many worker threads the caller uses elsewhere.
-
-Infinite endpoints are handled by the rational maps
-
-    [a, inf)    x = a + t/(1-t),        t in [0, 1)
-    (-inf, inf) x = t/(1-t^2),          t in (-1, 1)
-
-applied before adaptation.
+many worker threads the caller uses elsewhere.  Endpoints must be finite:
+callers truncate infinite ranges where their integrand is negligible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -72,6 +67,11 @@ _WG = np.array([
     0.1294849661688696932706114326790820,
 ])
 
+# interval budget of one integrate_1d call, and the tolerance factor of each
+# nesting level inward
+_MAX_INTERVALS = 20000
+_TIGHTEN = 0.1
+
 
 @dataclass(frozen=True)
 class QuadSpec:
@@ -80,7 +80,6 @@ class QuadSpec:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-14
     max_depth: int = 48
-    max_intervals: int = 20000
 
     def __post_init__(self):
         if self.rel_tol < 1e-12:
@@ -88,13 +87,12 @@ class QuadSpec:
         if self.max_depth < 1:
             raise ValueError("max_depth must be positive")
 
-    def tightened(self, factor: float = 0.1) -> "QuadSpec":
-        """Spec for one nesting level inward (tolerances scaled by factor)."""
+    def tightened(self) -> "QuadSpec":
+        """Spec for one nesting level inward (tolerances scaled by _TIGHTEN)."""
         return QuadSpec(
-            rel_tol=max(self.rel_tol * factor, 1e-12),
-            abs_tol=self.abs_tol * factor,
+            rel_tol=max(self.rel_tol * _TIGHTEN, 1e-12),
+            abs_tol=self.abs_tol * _TIGHTEN,
             max_depth=self.max_depth,
-            max_intervals=self.max_intervals,
         )
 
 
@@ -118,43 +116,17 @@ class QuadResult:
         )
 
 
-def _wrap_infinite(f, a: float, b: float):
-    """Map infinite endpoints to a finite parameter interval."""
-    a_inf = math.isinf(a)
-    b_inf = math.isinf(b)
-    if not a_inf and not b_inf:
-        return f, a, b
-    if a_inf and b_inf:
-        def g(t):
-            om = 1.0 - t * t
-            x = t / om
-            return f(x) * (1.0 + t * t) / (om * om)
-        return g, -1.0, 1.0
-    if b_inf:
-        def g(t):
-            om = 1.0 - t
-            return f(a + t / om) / (om * om)
-        return g, 0.0, 1.0
-    # (-inf, b]: mirror of the semi-infinite map
-    def g(t):
-        om = 1.0 - t
-        return f(b - t / om) / (om * om)
-    return g, 0.0, 1.0
-
-
 def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                  spec: QuadSpec = QuadSpec()) -> QuadResult:
-    """Adaptive integral of a vectorized integrand over [a, b].
+    """Adaptive integral of a vectorized integrand over the finite [a, b].
 
     ``f`` receives a 1D float64 array of abscissae and must return an array
-    of the same length (real or complex).  Endpoints may be infinite; the
-    documented rational transforms are applied first.  Non-convergence is
-    reported through ``converged=False`` with the best available estimate,
-    never silently.
+    of the same length (real or complex).  Non-convergence is reported
+    through ``converged=False`` with the best available estimate, never
+    silently.
     """
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    f, a, b = _wrap_infinite(f, a, b)
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"need finite a < b, got [{a}, {b}]")
 
     lefts = [a]
     rights = [b]
@@ -186,19 +158,17 @@ def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         cut = max(0.25 * max_err, tol / (2.0 * len(errs)))
         refine = [i for i, e in enumerate(errs)
                   if e > cut and depths[i] < spec.max_depth]
-        if not refine or len(lefts) + len(refine) > spec.max_intervals:
+        if not refine or len(lefts) + len(refine) > _MAX_INTERVALS:
             return QuadResult(total, tot_err, evals, False)
-        new_l, new_r = [], []
-        for i in refine:
-            m = 0.5 * (lefts[i] + rights[i])
-            new_l += [lefts[i], m]
-            new_r += [m, rights[i]]
-        nv, ne = eval_panels(new_l, new_r)
-        evals += 15 * len(new_l)
-        # splice children back in position order
-        for j, i in enumerate(reversed(refine)):
-            k = len(refine) - 1 - j
-            m = 0.5 * (lefts[i] + rights[i])
+        mids = [0.5 * (lefts[i] + rights[i]) for i in refine]
+        nv, ne = eval_panels(
+            [x for i, m in zip(refine, mids) for x in (lefts[i], m)],
+            [x for i, m in zip(refine, mids) for x in (m, rights[i])])
+        evals += 30 * len(refine)
+        # splice children back in position order, right to left so that
+        # the indices still to splice stay valid
+        for k in reversed(range(len(refine))):
+            i, m = refine[k], mids[k]
             d = depths[i] + 1
             lefts[i:i + 1] = [lefts[i], m]
             rights[i:i + 1] = [m, rights[i]]
@@ -209,52 +179,39 @@ def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
 def integrate_nested(f: Callable, domains: Sequence[tuple[float, float]],
                      spec: QuadSpec = QuadSpec()) -> QuadResult:
-    """Nested adaptive integration over up to five dimensions.
+    """Nested adaptive integration over one to five finite dimensions.
 
     ``domains`` is ordered outermost to innermost.  The integrand is called
     as ``f(x0, ..., x_{d-2}, xs)`` where the leading arguments are scalars
     of the enclosing levels and ``xs`` is an array over the innermost
     variable; it must return an array of matching length.  Each level inward
-    runs with tolerances tightened by one order of magnitude.  Inner
-    non-convergence is propagated through ``fail_dim`` (the dimension index,
-    innermost = d-1).
+    runs with tolerances tightened by one order of magnitude.  The result
+    counts the evaluations of every level; if a level did not converge,
+    ``fail_dim`` is the innermost such dimension index (innermost = d-1).
     """
     d = len(domains)
     if d < 1 or d > 5:
         raise ValueError("integrate_nested supports 1..5 dimensions")
-
     specs = [spec]
     for _ in range(d - 1):
         specs.append(specs[-1].tightened())
+    evals = 0
+    fail = -1
 
-    evals = [0]
-    failed_dim = [-1]
-
-    def level(idx: int, outer: tuple) -> complex:
-        lo, hi = domains[idx]
+    def level(idx: int, fx: Callable) -> QuadResult:
+        """Integrate fx, its outer variables bound, over domains[idx:]."""
+        nonlocal evals, fail
         if idx == d - 1:
-            res = integrate_1d(lambda xs: f(*outer, xs), lo, hi, specs[idx])
+            g = fx
         else:
             def g(xs: np.ndarray) -> np.ndarray:
-                return np.array([level(idx + 1, outer + (float(x),))
+                return np.array([level(idx + 1, partial(fx, float(x))).value
                                  for x in xs], dtype=np.complex128)
-            res = integrate_1d(g, lo, hi, specs[idx])
-        evals[0] += res.evaluations
+        res = integrate_1d(g, *domains[idx], specs[idx])
+        evals += res.evaluations
         if not res.converged:
-            failed_dim[0] = max(failed_dim[0], idx if res.fail_dim < 0
-                                else res.fail_dim)
-        return res.value
+            fail = max(fail, idx)
+        return res
 
-    # top level re-run through integrate_1d to get its error estimate
-    lo, hi = domains[0]
-    if d == 1:
-        top = integrate_1d(lambda xs: f(xs), lo, hi, specs[0])
-        return top
-    def g0(xs: np.ndarray) -> np.ndarray:
-        return np.array([level(1, (float(x),)) for x in xs],
-                        dtype=np.complex128)
-    top = integrate_1d(g0, lo, hi, specs[0])
-    converged = top.converged and failed_dim[0] < 0
-    fail = failed_dim[0] if failed_dim[0] >= 0 else (-1 if top.converged else 0)
-    return QuadResult(top.value, top.err_est, top.evaluations + evals[0],
-                      converged, fail)
+    top = level(0, f)
+    return QuadResult(top.value, top.err_est, evals, fail < 0, fail)

@@ -1,4 +1,4 @@
-"""Static-fluctuation averaging of the bunching peak and tolerance bounds.
+"""Static-fluctuation averaging of the bunching peak.
 
 Tip imperfections enter as Gaussian static fluctuations of the emitting
 region size w and of the tip position r0.  Averages are deterministic
@@ -21,7 +21,7 @@ import numpy as np
 from .model import EmitterParams
 from .peak import PeakResult, angular_profile, delta_q_peak
 
-__all__ = ["FluctuationSpec", "averaged_peak", "roughness_bound"]
+__all__ = ["FluctuationSpec", "averaged_peak"]
 
 
 @dataclass(frozen=True)
@@ -101,14 +101,3 @@ def averaged_peak(params: EmitterParams, r: float,
                                     "(interpretation)",
         },
     )
-
-
-def roughness_bound(params: EmitterParams) -> float:
-    """Maximum tolerable tip roughness length, in units of lambda_F.
-
-    The peak survives misalignment while k_F w dtheta <~ 1; at the boundary
-    dtheta = 1/(k_F w) the tolerable roughness 1/(k_F dtheta) equals w
-    itself.  Returns w (lambda_F units); the inequality chain is
-    1/dk = 1/(k_F dtheta) ~= w evaluated at the tolerance boundary.
-    """
-    return params.w

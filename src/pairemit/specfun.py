@@ -4,9 +4,12 @@ J0 and Y0 under the latter, plus the principal complex square root.
 Everything here is evaluated in double precision by one of two fixed routes:
 
 * an ascending power series for small ``|z|`` (``|z| <= SERIES_RADIUS``), and
-* a large-argument route built on the exact integral form of the Hankel
-  asymptotic expansion (Watson's representation), evaluated with a fixed
-  Gauss-Hermite rule.
+* one large-argument route, ``_hankel2_large``, for H0^(2): the exact
+  integral form of the Hankel asymptotic expansion (Watson's
+  representation) on a fixed Gauss-Hermite rule, rotated to I0/K0 for
+  3 pi/8 < arg z <= 5 pi/8 and reflected through the origin beyond.
+  H0^(1)(z) = conj H0^(2)(conj z) comes from the same route, and
+  J0 = (H0^(1) + H0^(2))/2, Y0 = (H0^(1) - H0^(2))/2i.
 
 The switch radius is a frozen module constant, chosen so that the two routes
 overlap on an annulus where both are independently accurate; the agreement on
@@ -102,24 +105,13 @@ def _j0y0_series(z: complex) -> tuple[complex, complex]:
         ysum -= term * harm
         if abs(term) <= 1e-18 * max(1.0, abs(j0)):
             break
-    y0 = (2.0 / math.pi) * ((cmath.log(z / 2.0) + EULER_GAMMA) * j0 + ysum)
+    y0 = (2.0 / math.pi) * ((cmath.log(0.5 * z) + EULER_GAMMA) * j0 + ysum)
     return j0, y0
 
 
 # ---------------------------------------------------------------------------
 # large-argument route: Watson integrals on a fixed Gauss-Hermite rule
 # ---------------------------------------------------------------------------
-
-def _watson_h1(z: complex) -> complex:
-    """H0^(1)(z) by its exact integral representation, -pi/2 < arg z < pi."""
-    integral = np.sum(_GH_WEIGHTS / np.sqrt(1.0 + 1j * _GH_T / (2.0 * z)))
-    return (
-        cmath.sqrt(2.0 / (math.pi * z))
-        * cmath.exp(1j * (z - math.pi / 4.0))
-        / math.sqrt(math.pi)
-        * integral
-    )
-
 
 def _watson_h2(z: complex) -> complex:
     """H0^(2)(z) by its exact integral representation, -pi < arg z < pi/2."""
@@ -157,36 +149,13 @@ def _i0_periodic(y: complex) -> complex:
     return cmath.exp(re) * complex(np.mean(np.exp(y * np.cos(t) - re)))
 
 
-def _j0y0_large(z: complex) -> tuple[complex, complex]:
-    """J0 and Y0 for |z| > SERIES_RADIUS, piecewise by arg(z).
-
-    Right wedge: both Hankel integrals directly.  Near the imaginary axis:
-    modified-Bessel rotation (I0/K0).  Left half plane: reflection through
-    the origin with the analytic continuation Y0(-w) = Y0(w) +- 2i J0(w).
-    """
-    a = cmath.phase(z)
-    if abs(a) <= 3.0 * math.pi / 8.0:
-        h1 = _watson_h1(z)
-        h2 = _watson_h2(z)
-        return (h1 + h2) / 2.0, (h1 - h2) / 2j
-    if a > 5.0 * math.pi / 8.0 or a == math.pi:
-        j0w, y0w = _j0y0_large(-z)
-        return j0w, y0w + 2j * j0w
-    if a < -5.0 * math.pi / 8.0:
-        j0w, y0w = _j0y0_large(-z)
-        return j0w, y0w - 2j * j0w
-    if a > 0.0:
-        y = -1j * z
-        j0 = _i0_periodic(y)
-        h1 = (-2j / math.pi) * _watson_k(0, y)
-        return j0, -1j * (h1 - j0)
-    j0c, y0c = _j0y0_large(z.conjugate())
-    return j0c.conjugate(), y0c.conjugate()
-
-
 def _hankel2_large(z: complex) -> complex:
     """H0^(2)(z) for |z| > SERIES_RADIUS, cancellation-free in every wedge."""
     a = cmath.phase(z)
+    if a == -math.pi and z.imag == 0.0:
+        # -x - 0j, the lower side of the cut, where the Watson square root
+        # takes the other branch: H0^(2)(-x - i0) = -H0^(1)(x)
+        return -_watson_h2(-z).conjugate()
     if a <= 3.0 * math.pi / 8.0:
         # covers (-pi, 3pi/8]: the direct integral computes the (possibly
         # exponentially small) value without forming J0 - iY0
@@ -194,9 +163,19 @@ def _hankel2_large(z: complex) -> complex:
     if a <= 5.0 * math.pi / 8.0:
         y = -1j * z
         return 2.0 * _i0_periodic(y) + (2j / math.pi) * _watson_k(0, y)
+    # H0^(2)(z) = 2 J0(w) + H0^(2)(w) = H0^(1)(w) + 2 H0^(2)(w) with w = -z
+    # in the fourth quadrant, and H0^(1)(w) = conj H0^(2)(conj w)
     w = -z
-    j0w = 0.5 * (_watson_h1(w) + _watson_h2(w))
-    return 2.0 * j0w + _watson_h2(w)
+    h2w = _watson_h2(w)
+    return _watson_h2(w.conjugate()).conjugate() + h2w + h2w
+
+
+def _j0y0_large(z: complex) -> tuple[complex, complex]:
+    """J0 and Y0 for |z| > SERIES_RADIUS from H0^(1) and H0^(2), taking
+    H0^(1)(z) = conj H0^(2)(conj z)."""
+    h1 = _hankel2_large(z.conjugate()).conjugate()
+    h2 = _hankel2_large(z)
+    return (h1 + h2) / 2.0, (h1 - h2) / 2j
 
 
 # ---------------------------------------------------------------------------
@@ -210,24 +189,24 @@ def _check_z(z: complex) -> complex:
     return z
 
 
-def bessel_j0(z: complex) -> SpecfunResult:
-    """Bessel J0 for complex argument."""
+def _j0y0(z: complex) -> tuple[complex, complex, float]:
+    """J0, Y0 and their error bound by the route that |z| selects."""
     z = _check_z(z)
     if abs(z) <= SERIES_RADIUS:
-        j0, _ = _j0y0_series(z)
-        return SpecfunResult(j0, _SERIES_BASE_ERR)
-    j0, _ = _j0y0_large(z)
-    return SpecfunResult(j0, _LARGE_BASE_ERR)
+        return (*_j0y0_series(z), _SERIES_BASE_ERR)
+    return (*_j0y0_large(z), _LARGE_BASE_ERR)
+
+
+def bessel_j0(z: complex) -> SpecfunResult:
+    """Bessel J0 for complex argument."""
+    j0, _, err = _j0y0(z)
+    return SpecfunResult(j0, err)
 
 
 def bessel_y0(z: complex) -> SpecfunResult:
     """Bessel Y0 for complex argument, principal branch (cut on (-inf, 0])."""
-    z = _check_z(z)
-    if abs(z) <= SERIES_RADIUS:
-        _, y0 = _j0y0_series(z)
-        return SpecfunResult(y0, _SERIES_BASE_ERR)
-    _, y0 = _j0y0_large(z)
-    return SpecfunResult(y0, _LARGE_BASE_ERR)
+    _, y0, err = _j0y0(z)
+    return SpecfunResult(y0, err)
 
 
 def hankel2_0(z: complex) -> SpecfunResult:

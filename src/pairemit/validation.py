@@ -154,10 +154,12 @@ def check_quad_basics() -> CheckResult:
     """Elementary integrals with analytic values, each converged."""
     cases = [
         (integrate_1d(lambda x: x * x, 0.0, 1.0), 1.0 / 3.0, 1e-12),
-        (integrate_1d(lambda x: np.exp(-x) * np.cos(10 * x), 0.0, np.inf,
-                      QuadSpec(rel_tol=1e-10)), 1.0 / 101.0, 1e-7),
-        (integrate_1d(lambda x: np.exp(-x * x / 2.0), 0.0, np.inf),
-         math.sqrt(math.pi / 2.0), 1e-9),
+        (integrate_1d(lambda x: np.exp(-x) * np.cos(10 * x), 0.0, 10.0,
+                      QuadSpec(rel_tol=1e-10)),
+         (1.0 + math.exp(-10.0) * (10.0 * math.sin(100.0) - math.cos(100.0)))
+         / 101.0, 1e-7),
+        (integrate_1d(lambda x: np.exp(-x * x / 2.0), 0.0, 5.0),
+         math.sqrt(math.pi / 2.0) * math.erf(5.0 / math.sqrt(2.0)), 1e-9),
     ]
     errs = [abs(res.value.real - want) / abs(want) for res, want, _ in cases]
     converged = all(res.converged for res, _, _ in cases)

@@ -122,6 +122,20 @@ class TestCommands:
         assert err.startswith("error: dQ overflows") and err.count("\n") == 1
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.filterwarnings("error")
+    def test_ec_sweep_past_k1_underflow(self, tmp_path, capsys):
+        # |Delta|/E_C runs from 1000 down to 50: on the first two rows
+        # K1(|Delta|/E_C)^2 underflows and dQ is inf, which is a result
+        out = tmp_path / "ec.csv"
+        rc = main(["sweep", "--sweep-param", "ec", "--sweep-min", "5e-4",
+                   "--sweep-max", "1e-2", "--sweep-points", "5",
+                   "--delta", "0.5", "--output", str(out)])
+        assert rc == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 5
+        assert [row.split(",")[1] for row in rows[:2]] == ["inf", "inf"]
+
     def test_bad_config_exit_2(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("nope = 1\n")

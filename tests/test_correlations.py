@@ -65,6 +65,36 @@ class TestFarfieldAmplitude:
             k = p_k * np.array([math.sin(ang), 0.0, math.cos(ang)])
             assert abs(farfield_amplitude(k, r, omega, SUPER)) < best
 
+    @pytest.mark.parametrize("r1, r2, theta", [(100.0, 100.0, math.pi),
+                                               (100.0, 120.0, math.pi - 0.3),
+                                               (90.0, 130.0, 1.0)])
+    def test_gamma_integrand_is_amplitude_product(self, r1, r2, theta):
+        # gamma's kernel is v_k^2 (k/2) A_k(r1) A_k*(r2), with A_k the
+        # amplitude that acceptance check farfield_oracle tests against its
+        # defining integral; k at angle alpha from the detector bisector z
+        n1 = np.array([math.sin(theta / 2), 0.0, math.cos(theta / 2)])
+        n2 = np.array([-math.sin(theta / 2), 0.0, math.cos(theta / 2)])
+        r1_kf, r2_kf = 2 * math.pi * r1, 2 * math.pi * r2
+        for eps in (-0.05, -0.01, -0.002, 0.0, 0.004):
+            k = math.sqrt(1.0 + eps)
+            omega = math.hypot(eps, DELTA)
+            vk2 = 0.5 * (1.0 - eps / omega)
+            for cosa in (1.0, 0.6, -0.4):
+                sina = math.sqrt(1.0 - cosa * cosa)
+                k_vec = k * np.array([sina * math.cos(0.7),
+                                      sina * math.sin(0.7), cosa])
+                kernel = kernels.gamma_integrand(
+                    np.zeros(1), eps, cosa, DELTA, SUPER.ec, SUPER.w_kf,
+                    r1_kf, r2_kf, math.cos(theta / 2),
+                    correlations.OMEGA_CAP)[0]
+                got = kernel * (math.pi / 2) * (2 * math.pi) ** -6 \
+                    / (r1_kf * r2_kf)
+                want = vk2 * (k / 2) \
+                    * farfield_amplitude(k_vec, r1 * n1, omega, SUPER) \
+                    * farfield_amplitude(k_vec, r2 * n2, omega,
+                                         SUPER).conjugate()
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_out_of_band_propagates(self):
         with pytest.raises(OutOfBandError):
             farfield_amplitude(np.array([0, 0, 1.0]),

@@ -7,6 +7,7 @@ from pairemit.model import EmitterParams, derive_params
 from pairemit.peak import (DQ_BELL, DQ_ENTANGLEMENT, SweepSpec,
                            angular_profile, delta_q_peak, peak_envelope,
                            threshold_map)
+from pairemit.specfun import bessel_k1
 
 PARAMS = EmitterParams(delta=2.997e-3, ec=2.997e-3, w=1.0)
 R = 100.0
@@ -14,6 +15,23 @@ R = 100.0
 # frozen from the arbitrary-precision oracle evaluation of the closed form
 # at |Delta|/mu = 2.997e-3, E_C = |Delta|, w = lambda_F, r = 100 lambda_F
 GOLDEN_DELTA_Q = 26.73893311600365
+
+
+def _mp_delta_q(params, r):
+    """The closed form of dQ at 30 digits (mpmath), rounded to a double."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        pi = mp.pi
+        r_kf = 2 * pi * mp.mpf(r)
+        w_kf = 2 * pi * mp.mpf(params.w)
+        xi = 2 / (pi * mp.mpf(params.abs_delta))
+        s = 2 * pi ** 2 * xi ** 2
+        z = 2j * w_kf ** 2 / s - r_kf / s
+        second = 4 * mp.exp(1j * r_kf / s) \
+            / (pi * mp.sqrt(1j * r_kf / w_kf ** 2))
+        k1 = mp.besselk(1, mp.mpf(params.abs_delta) / mp.mpf(params.ec))
+        return float(pi ** 2 / (32 * k1 ** 2)
+                     * abs(mp.hankel2(0, z) - second) ** 2)
 
 
 class TestDeltaQPeak:
@@ -46,6 +64,21 @@ class TestDeltaQPeak:
         dq = delta_q_peak(EmitterParams(PARAMS.delta, PARAMS.ec, 1690.0),
                           R).delta_q
         assert math.isfinite(dq) and dq > 0.0
+
+    @pytest.mark.parametrize("ratio, finite", [(345.0, True), (385.0, False),
+                                               (500.0, False)])
+    def test_k1_underflow_against_mpmath(self, ratio, finite):
+        # dQ ~ 1e302 at |Delta|/E_C = 345; past about 354 K1 is still
+        # positive but K1^2 underflows, and dQ (mpmath's too) is inf
+        p = EmitterParams(0.5, 0.5 / ratio, 1.0)
+        assert bessel_k1(ratio) > 0.0
+        want = _mp_delta_q(p, R)
+        assert math.isfinite(want) == finite
+        got = delta_q_peak(p, R).delta_q
+        if finite:
+            assert got == pytest.approx(want, rel=1e-9)
+        else:
+            assert got == math.inf
 
     def test_small_ratio_prefactor_limit(self):
         # |Delta|/E_C -> 0: prefactor ~ pi^2 x^2 / 32 since K1(x) ~ 1/x

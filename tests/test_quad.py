@@ -39,6 +39,8 @@ class TestIntegrate1D:
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             integrate_1d(lambda x: x, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            integrate_1d(lambda x: x, 0.0, math.inf)
 
     def test_rel_tol_floor(self):
         with pytest.raises(ValueError):
@@ -54,16 +56,20 @@ class TestIntegrateNested:
     def test_gaussian_r2(self):
         res = integrate_nested(
             lambda x, ys: np.exp(-(x * x + ys * ys) / 2.0),
-            [(-np.inf, np.inf), (-np.inf, np.inf)])
+            [(-5.0, 5.0), (-5.0, 5.0)])
         assert res.converged
-        assert res.value.real == pytest.approx(2.0 * math.pi, rel=1e-8)
+        want = 2.0 * math.pi * math.erf(5.0 / math.sqrt(2.0)) ** 2
+        assert res.value.real == pytest.approx(want, rel=1e-8)
 
     def test_spherical_gaussian_3d(self):
         res = integrate_nested(
             lambda r, ct, phis: np.exp(-r * r) * r * r * np.ones_like(phis),
-            [(0, np.inf), (-1, 1), (0, 2 * math.pi)])
+            [(0, 4), (-1, 1), (0, 2 * math.pi)])
         assert res.converged
-        assert res.value.real == pytest.approx(math.pi ** 1.5, rel=1e-8)
+        # 4 pi int_0^4 r^2 e^{-r^2} dr
+        want = 4.0 * math.pi * (math.sqrt(math.pi) / 4.0 * math.erf(4.0)
+                                - 2.0 * math.exp(-16.0))
+        assert res.value.real == pytest.approx(want, rel=1e-8)
 
     def test_dimension_limit(self):
         with pytest.raises(ValueError):

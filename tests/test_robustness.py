@@ -5,7 +5,7 @@ import pytest
 
 from pairemit.model import EmitterParams, derive_params
 from pairemit.peak import delta_q_peak
-from pairemit.robustness import FluctuationSpec, averaged_peak, roughness_bound
+from pairemit.robustness import FluctuationSpec, averaged_peak
 
 PARAMS = EmitterParams(delta=2.997e-3, ec=2.997e-3, w=1.0)
 R = 100.0
@@ -59,15 +59,3 @@ def test_bad_spec_rejected():
         FluctuationSpec(sigma_w=-0.1)
     with pytest.raises(ValueError):
         FluctuationSpec(samples=0)
-
-
-class TestRoughnessBound:
-    def test_identity_at_boundary(self):
-        assert roughness_bound(EmitterParams(0.0, 1e-3, 2.0)) == 2.0
-        assert roughness_bound(EmitterParams(0.0, 1e-3, 1.0)) == 1.0
-
-    def test_linear_scaling(self):
-        ws = np.linspace(0.5, 5.0, 10)
-        bounds = [roughness_bound(EmitterParams(0.0, 1e-3, float(w)))
-                  for w in ws]
-        assert np.allclose(bounds, ws)

@@ -88,13 +88,30 @@ class TestHankel:
         assert _wronskian_rel_err(z) <= 5e-9
 
     def test_conjugation_symmetry(self):
-        # J0(conj z) = conj(J0(z)) on a grid off the real axis
+        # J0(conj z) = conj(J0(z)) on a grid off the real axis, inside the
+        # series disc: the large-argument route builds J0 from H0^(2)(z)
+        # and conj H0^(2)(conj z), which is symmetric by construction
         rng = np.random.default_rng(3)
         for _ in range(40):
-            z = complex(rng.uniform(-20, 20), rng.uniform(0.1, 20))
+            z = complex(rng.uniform(-6, 6), rng.uniform(0.1, 6))
             a = sf.bessel_j0(z.conjugate()).value
             b = sf.bessel_j0(z).value.conjugate()
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+    @pytest.mark.parametrize("x", [3.0, 15.0, 200.0])
+    def test_negative_real_axis_follows_the_signed_zero(self, x):
+        # J0 is even across the cut; Y0 and H0^(2) take the side that the
+        # sign of the zero imaginary part names, as cmath does
+        mp = pytest.importorskip("mpmath")
+        for side in (1.0, -1.0):
+            z = complex(-x, math.copysign(0.0, side))
+            with mp.workdps(30):
+                near = mp.mpc(-x, side * 1e-30)
+                wants = [complex(f(0, near)) for f in
+                         (mp.besselj, mp.bessely, mp.hankel2)]
+            for f, want in zip((sf.bessel_j0, sf.bessel_y0, sf.hankel2_0),
+                               wants):
+                assert abs(f(z).value - want) <= 1e-12 * abs(want)
 
     def test_est_error_contract_inside_domain(self):
         # physics-regime arguments: est_error stays at the validated bound
