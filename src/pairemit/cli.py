@@ -11,8 +11,8 @@ CSV outputs carry a header row and floats in scientific notation with 17
 significant digits; a JSON sidecar records the full configuration, its
 hash, the code version, and achieved error estimates.  All files are
 written atomically (temp file + rename), so interrupted runs never leave
-partial datasets.  Angular rows are cached by configuration hash (including
-the kernel backend) and reused bitwise.
+partial datasets.  Angular rows are cached by a hash of the row's own
+inputs, the code version and the kernel backend, and reused bitwise.
 """
 
 from __future__ import annotations
@@ -64,6 +64,11 @@ _DEFAULTS = {
 }
 
 
+def _sha256(payload: dict) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()) \
+        .hexdigest()
+
+
 @dataclasses.dataclass
 class RunConfig:
     """Resolved run configuration (defaults < config file < flags)."""
@@ -82,15 +87,14 @@ class RunConfig:
 
     def digest(self, extra: dict | None = None) -> str:
         # workers and cache location are execution details, not physics:
-        # they must not change row identities
+        # they stay out of the hash
         values = {k: v for k, v in self.values.items()
                   if k not in ("workers", "cache_dir")}
         payload = {"config": values, "version": __version__,
                    "backend": kernels.BACKEND}
         if extra:
             payload.update(extra)
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return _sha256(payload)
 
 
 class ConfigError(ValueError):
@@ -180,7 +184,7 @@ def atomic_write(path: Path, text: str) -> None:
 
 
 class RowCache:
-    """Row-level result cache keyed by configuration hash."""
+    """Row-level result cache keyed by a hash of each row's inputs."""
 
     def __init__(self, root: str):
         self.root = Path(root) if root else None
@@ -214,6 +218,12 @@ def _angular_row(task) -> str:
     q_s = rho2_and_Q(geom, EmitterParams(delta, ec, w), spec)
     return ",".join([fmt(theta), fmt(q_n.Q), fmt(q_n.Q_err),
                      fmt(q_s.Q), fmt(q_s.Q_err)])
+
+
+def _angular_key(task) -> str:
+    # _angular_row reads only its task, so no other config key enters
+    return _sha256({"cmd": "angular", "task": task, "version": __version__,
+                    "backend": kernels.BACKEND})
 
 
 def _run_rows(tasks, worker, n_workers: int, cache: RowCache,
@@ -283,12 +293,8 @@ def cmd_angular(cfg: RunConfig, args) -> int:
     tasks = [(float(t), cfg.r_over_lambdaf, cfg.delta_over_mu,
               cfg.ec_over_mu, cfg.w_over_lambdaf, cfg.rel_tol)
              for t in thetas]
-    cache = RowCache(cfg.cache_dir)
-
-    def key_of(task):
-        return cfg.digest({"cmd": "angular", "task": task})
-
-    rows = _run_rows(tasks, _angular_row, cfg.workers, cache, key_of)
+    rows = _run_rows(tasks, _angular_row, cfg.workers,
+                     RowCache(cfg.cache_dir), _angular_key)
     path = Path(args.output or "angular.csv")
     _write_dataset(path, "theta_rad,Q_normal,err_normal,Q_super,err_super",
                    rows, cfg, {"command": "angular"})
@@ -352,11 +358,12 @@ def cmd_peak(cfg: RunConfig, args) -> int:
     grid = _sweep_grid(cfg) if cfg.sweep_param == "r" else \
         np.geomspace(_DEFAULTS["sweep_min"], _DEFAULTS["sweep_max"],
                      cfg.sweep_points)
+    # the point at --r is checked before anything is written
+    point = delta_q_peak(cfg.params(), cfg.r_over_lambdaf)
     rows, meta = _sweep_dataset(cfg, "r", grid)
     path = Path(args.output or "peak_r.csv")
     _write_dataset(path, _HEADER_SWEEP, rows, cfg,
                    {"command": "peak", "sweep_param": "r", **meta})
-    point = delta_q_peak(cfg.params(), cfg.r_over_lambdaf)
     print(f"dQ(r = {cfg.r_over_lambdaf} lambda_F) = {point.delta_q:.6g}  "
           f"regime {point.regime_ok}")
     print(f"wrote {path}")

@@ -28,7 +28,9 @@ carries the off-shell background (including the Fermi-surface stationary
 phase responsible for the slow oscillatory decay of the bunching peak).
 
 gamma runs as nested adaptive quadrature over (eps_k, k-hat) with Gaussian
-truncation of the angular cap.  In chi the k-hat integral is analytic: F
+truncation of the angular cap.  On the diagonal the phase e^{i p_k (r1 - r2)}
+is 1, so gamma(r; r) = G(params) / r^2: one diagonal quadrature serves both
+detectors of a Q point.  In chi the k-hat integral is analytic: F
 depends on k-hat only through exp(v . k-hat), v = w^2 k (a n1 - b n2), and
 int dOmega exp(v . k-hat) = 4 pi sinh|v| / |v| (kernels.chi_f), so chi is
 one adaptive eps integral of one adaptive u-line per eps node.
@@ -284,15 +286,14 @@ _GAMMA_VARIABLES = ("eps", "cos alpha", "phi")
 
 
 def _gamma_quad(geom: DetectorGeometry, params: EmitterParams,
-                spec: QuadSpec, abs_floor: float = 0.0,
-                ecut: float | None = None) -> QuadResult:
+                spec: QuadSpec, abs_floor: float = 0.0) -> QuadResult:
     cth2 = math.sqrt(max(0.0, 0.5 * (1.0 + geom.cos_theta)))
     r1 = geom.r1_kf
     r2 = geom.r2_kf
     dabs = params.abs_delta
     ec = params.ec
     w = params.w_kf
-    ecut = energy_cutoff(params) if ecut is None else ecut
+    ecut = energy_cutoff(params)
     cosa_lo = _gamma_cosa_window(params, cth2)
     pref = (math.pi / 2.0) * TWO_PI_M6 / (r1 * r2) * 2.0   # phi parity doubling
     # translate an absolute tolerance on the final value into integrand units
@@ -446,33 +447,21 @@ def chi(geom: DetectorGeometry, params: EmitterParams,
 # assembly
 # ---------------------------------------------------------------------------
 
-def energy_cutoff_shift(geom: DetectorGeometry, params: EmitterParams,
-                        spec: QuadSpec | None = None) -> float:
-    """Relative shift of gamma_diag when the eps_k window is doubled.
-
-    Automated convergence check of the cutoff choice; the contract is that
-    doubling E_cut moves results by less than 1%.
-    """
-    spec = spec or default_spec()
-    base = _gamma_quad(geom, params, spec).value.real
-    ecut2 = min(2.0 * energy_cutoff(params), _band_edge(params))
-    wide = _gamma_quad(geom, params, spec, ecut=ecut2).value.real
-    return abs(wide - base) / abs(base)
-
-
 def rho2_and_Q(geom: DetectorGeometry, params: EmitterParams,
                spec: QuadSpec | None = None) -> CorrelationResult:
     """Two-particle distribution and normalized coincidence for one geometry.
 
     rho2 = 4 g22 g11 - 2 |g21|^2 + 2 |chi21|^2,  Q = rho2 / (rho1(2) rho1(1))
-    with rho1 = 2 gamma_diag.
+    with rho1 = 2 gamma_diag.  The diagonal is gamma(r; r) = G(params) / r^2,
+    so one quadrature at detector 1 gives gamma22 = gamma11 (r1 / r2)^2, and
+    its err_est scales the same way.
     """
     spec = spec or default_spec()
-    diag1 = DetectorGeometry(geom.r1_vec, geom.r1_vec)
-    diag2 = DetectorGeometry(geom.r2_vec, geom.r2_vec)
-
-    res11 = _gamma_quad(diag1, params, spec)
-    res22 = _gamma_quad(diag2, params, spec)
+    res11 = _gamma_quad(DetectorGeometry(geom.r1_vec, geom.r1_vec), params,
+                        spec)
+    scale = (geom.r1_kf / geom.r2_kf) ** 2
+    res22 = replace(res11, value=scale * res11.value,
+                    err_est=scale * res11.err_est)
     g11 = res11.value.real
     g22 = res22.value.real
     if g11 <= 0.0 or g22 <= 0.0:

@@ -160,6 +160,13 @@ class TestCommands:
         assert rc == 0
         assert out.exists()
 
+    def test_peak_bad_r_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert main(["peak", "--r", "-1", "--output", str(out)]) \
+            == USAGE_ERROR
+        assert "detector distance must be positive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_classify_normal_separable(self, tmp_path, capsys):
         out = tmp_path / "cls.json"
         rc = main(["classify", "--delta", "0", "--r", "100",
@@ -301,3 +308,29 @@ class TestRowCache:
         assert rows("fresh", real) == ["fresh", "fresh"]
         # same version: the cache is reused
         assert rows("again", real) == ["fresh", "fresh"]
+
+    def test_rows_keyed_on_their_own_inputs(self, tmp_path, monkeypatch):
+        # the 3 thetas of a 3-point grid are bitwise among the 5 of a
+        # 5-point grid, and sweep_points is a key no angular row reads
+        import pairemit.cli as cli
+        real = cli._angular_row
+        computed = []
+
+        def counting(task):
+            computed.append(task[0])
+            return real(task)
+
+        monkeypatch.setattr(cli, "_angular_row", counting)
+        base = ["angular", "--rel-tol", "0.03"]
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+
+        def run(name, points, *extra):
+            out = tmp_path / f"{name}.csv"
+            assert main(base + ["--theta-points", str(points),
+                                "--output", str(out), *extra]) == 0
+            return out.read_bytes()
+
+        run("three", 3, *cache)
+        cached = run("five", 5, *cache, "--sweep-points", "7")
+        assert computed[3:] == [math.pi / 4, 3 * math.pi / 4]
+        assert cached == run("uncached", 5)

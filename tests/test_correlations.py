@@ -8,8 +8,8 @@ import pytest
 import pairemit.correlations as correlations
 import pairemit.kernels as kernels
 from pairemit.correlations import (DetectorGeometry, NonConvergenceError,
-                                   _chi_quad, energy_cutoff,
-                                   energy_cutoff_shift, farfield_amplitude,
+                                   _chi_quad, default_spec, energy_cutoff,
+                                   farfield_amplitude,
                                    farfield_amplitude_direct, chi, gamma,
                                    rho2_and_Q)
 from pairemit.model import EmitterParams, pole_momentum, OutOfBandError
@@ -136,9 +136,14 @@ class TestGamma:
         with pytest.warns(UserWarning):
             gamma(DetectorGeometry.from_r_theta(2.0, 0.1), NORMAL)
 
-    def test_energy_cutoff_convergence(self):
+    def test_energy_cutoff_convergence(self, monkeypatch):
+        # doubling the eps_k window moves the diagonal by less than 1%
         geom = DetectorGeometry.from_r_theta(R, 0.0)
-        assert energy_cutoff_shift(geom, SUPER) < 0.01
+        base = gamma(geom, SUPER).real
+        monkeypatch.setattr(correlations, "energy_cutoff", lambda p: min(
+            2.0 * energy_cutoff(p), correlations._band_edge(p)))
+        wide = gamma(geom, SUPER).real
+        assert abs(wide - base) < 0.01 * abs(base)
 
     def test_nonconvergence_names_the_variable(self):
         spec = QuadSpec(rel_tol=1e-3, abs_tol=1e-300, max_depth=1)
@@ -333,6 +338,31 @@ class TestRho2AndQ:
         assert res.regime_flags["far_field"]
         assert res.regime_flags["chi_kfr_ok"]
         assert res.regime_flags["chi_spread_ok"]
+
+    def test_gamma22_is_gamma11_rescaled(self):
+        # gamma(r; r) = G / r^2: detector 2's diagonal is detector 1's
+        # times (r1 / r2)^2, at unequal radii too
+        geom = DetectorGeometry((0.0, 0.0, 90.0), (30.0, 0.0, 85.0))
+        res = rho2_and_Q(geom, SUPER)
+        g11 = gamma(DetectorGeometry(geom.r1_vec, geom.r1_vec), SUPER)
+        g22 = gamma(DetectorGeometry(geom.r2_vec, geom.r2_vec), SUPER)
+        assert res.gamma11 == g11.real
+        assert abs(res.gamma22 - g22.real) <= 1e-12 * g22.real
+        assert res.err_est["gamma22"] / res.gamma22 == pytest.approx(
+            res.err_est["gamma11"] / res.gamma11, rel=1e-12)
+
+    def test_one_diagonal_quadrature_per_point(self, monkeypatch):
+        calls = []
+        real = correlations._gamma_quad
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(correlations, "_gamma_quad", counting)
+        geom = DetectorGeometry((0.0, 0.0, 90.0), (30.0, 0.0, 85.0))
+        rho2_and_Q(geom, NORMAL, default_spec(0.03))
+        assert calls == [DetectorGeometry(geom.r1_vec, geom.r1_vec), geom]
 
     def test_nonconvergence_names_the_gamma_components(self):
         spec = QuadSpec(rel_tol=1e-3, abs_tol=1e-300, max_depth=1)
