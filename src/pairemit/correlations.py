@@ -29,16 +29,20 @@ phase responsible for the slow oscillatory decay of the bunching peak).
 
 gamma runs as nested adaptive quadrature over (eps_k, k-hat) with Gaussian
 truncation of the angular cap.  On the diagonal the phase e^{i p_k (r1 - r2)}
-is 1, so gamma(r; r) = G(params) / r^2: one diagonal quadrature serves both
-detectors of a Q point.  In chi the k-hat integral is analytic: F
-depends on k-hat only through exp(v . k-hat), v = w^2 k (a n1 - b n2), and
-int dOmega exp(v . k-hat) = 4 pi sinh|v| / |v| (kernels.chi_f), so chi is
-one adaptive eps integral of one adaptive u-line per eps node.
+is 1, so gamma(r; r) = G(params) / r^2.  G is integrated once per
+(|Delta|, E_C, w, spec) in a process, at unit radius and cos(theta/2) = 1
+exactly, and kept in a small bounded cache (_gamma_diag); every diagonal
+of every Q point is G scaled by 1 / r^2, whatever point asked first.  In
+chi the k-hat integral is analytic: F depends on k-hat only through
+exp(v . k-hat), v = w^2 k (a n1 - b n2), and int dOmega exp(v . k-hat) =
+4 pi sinh|v| / |v| (kernels.chi_f), so chi is one adaptive eps integral of
+one adaptive u-line per eps node.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -272,29 +276,37 @@ def farfield_amplitude_direct(k_vec: np.ndarray, r_vec: np.ndarray,
 # gamma
 # ---------------------------------------------------------------------------
 
-def _gamma_cosa_window(params: EmitterParams, cth2: float) -> float:
+def _gamma_cosa_window(w: float, cth2: float) -> float:
     """Lower cos(alpha) truncation for the gamma angular cap (weight < e^-20)."""
-    w2 = params.w_kf ** 2
-    scale = 2.0 * w2 * cth2          # at p ~ k ~ 1
+    scale = 2.0 * w * w * cth2          # at p ~ k ~ 1
     if scale < 1.0:
         return -1.0
     return max(-1.0, 1.0 - 20.0 / scale)
 
 
-# integration variables of _gamma_quad, outermost first (QuadResult.fail_dim)
+# integration variables of _gamma_core, outermost first (QuadResult.fail_dim)
 _GAMMA_VARIABLES = ("eps", "cos alpha", "phi")
+
+# distinct (|Delta|, E_C, w, spec) diagonals one process keeps; a command
+# uses one or two parameter sets, the acceptance suite a handful
+_DIAG_CACHE_SIZE = 16
 
 
 def _gamma_quad(geom: DetectorGeometry, params: EmitterParams,
                 spec: QuadSpec, abs_floor: float = 0.0) -> QuadResult:
+    """gamma(2;1) at one detector geometry, by one nested quadrature."""
     cth2 = math.sqrt(max(0.0, 0.5 * (1.0 + geom.cos_theta)))
-    r1 = geom.r1_kf
-    r2 = geom.r2_kf
-    dabs = params.abs_delta
-    ec = params.ec
-    w = params.w_kf
-    ecut = energy_cutoff(params)
-    cosa_lo = _gamma_cosa_window(params, cth2)
+    return _gamma_core(cth2, geom.r1_kf, geom.r2_kf, params.abs_delta,
+                       params.ec, params.w_kf, energy_cutoff(params), spec,
+                       abs_floor)
+
+
+def _gamma_core(cth2: float, r1: float, r2: float, dabs: float, ec: float,
+                w: float, ecut: float, spec: QuadSpec,
+                abs_floor: float = 0.0) -> QuadResult:
+    """gamma from scalars: cth2 = cos(theta/2), radii in k_F^-1, the
+    emitter's |Delta|, E_C and w_kf, and the eps window half-width ecut."""
+    cosa_lo = _gamma_cosa_window(w, cth2)
     pref = (math.pi / 2.0) * TWO_PI_M6 / (r1 * r2) * 2.0   # phi parity doubling
     # translate an absolute tolerance on the final value into integrand units
     spec = replace(spec, abs_tol=max(spec.abs_tol, abs_floor / pref))
@@ -313,17 +325,46 @@ def _gamma_quad(geom: DetectorGeometry, params: EmitterParams,
                       total.evaluations, total.converged, total.fail_dim)
 
 
+@functools.lru_cache(maxsize=_DIAG_CACHE_SIZE)
+def _gamma_diag(dabs: float, ec: float, w: float, ecut: float,
+                spec: QuadSpec) -> QuadResult:
+    """G = r^2 gamma(r; r), the diagonal at unit radius (k_F^-1).
+
+    cth2 is exactly 1.0, not read from a caller's geometry: a diagonal's
+    cos_theta can round to 1 - 4e-16, and a value cached from it would
+    depend on which point asked first.  ecut = energy_cutoff(params) is in
+    the key, so a changed eps window is a new entry, never a stale one.
+    Callers must not mutate the result.
+    """
+    return _gamma_core(1.0, 1.0, 1.0, dabs, ec, w, ecut, spec)
+
+
+def _gamma_diag_at(r_kf: float, params: EmitterParams,
+                   spec: QuadSpec) -> QuadResult:
+    """gamma(r; r) = G / r^2, err_est scaled alike; r in k_F^-1."""
+    g = _gamma_diag(params.abs_delta, params.ec, params.w_kf,
+                    energy_cutoff(params), spec)
+    r2 = r_kf * r_kf
+    return replace(g, value=g.value / r2, err_est=g.err_est / r2)
+
+
 def gamma(geom: DetectorGeometry, params: EmitterParams,
           spec: QuadSpec | None = None) -> complex:
     """One-particle correlation gamma(2;1) between the two detector points.
 
     Gram-kernel form: positive on the diagonal, Hermitian under swapping the
-    detectors.  Raises NonConvergenceError if the quadrature contract fails.
+    detectors.  A diagonal geometry (r1_vec == r2_vec) reads the cached
+    G(params) / r^2.  Raises NonConvergenceError if the quadrature contract
+    fails.
     """
     if not geom.far_field:
         warnings.warn("geometry below the far-field threshold "
                       f"k_F r >= {REGIME_KFR}", stacklevel=2)
-    res = _gamma_quad(geom, params, spec or default_spec())
+    spec = spec or default_spec()
+    if geom.r1_vec == geom.r2_vec:
+        res = _gamma_diag_at(geom.r1_kf, params, spec)
+    else:
+        res = _gamma_quad(geom, params, spec)
     if not res.converged:
         raise NonConvergenceError(
             "gamma quadrature did not converge in "
@@ -453,12 +494,12 @@ def rho2_and_Q(geom: DetectorGeometry, params: EmitterParams,
 
     rho2 = 4 g22 g11 - 2 |g21|^2 + 2 |chi21|^2,  Q = rho2 / (rho1(2) rho1(1))
     with rho1 = 2 gamma_diag.  The diagonal is gamma(r; r) = G(params) / r^2,
-    so one quadrature at detector 1 gives gamma22 = gamma11 (r1 / r2)^2, and
-    its err_est scales the same way.
+    and G is one quadrature per (|Delta|, E_C, w, spec) and process, cached:
+    gamma11 = G / r1^2 and gamma22 = gamma11 (r1 / r2)^2, each err_est
+    scaled the same way.  Only gamma21 and chi are integrated per point.
     """
     spec = spec or default_spec()
-    res11 = _gamma_quad(DetectorGeometry(geom.r1_vec, geom.r1_vec), params,
-                        spec)
+    res11 = _gamma_diag_at(geom.r1_kf, params, spec)
     scale = (geom.r1_kf / geom.r2_kf) ** 2
     res22 = replace(res11, value=scale * res11.value,
                     err_est=scale * res11.err_est)

@@ -351,18 +351,55 @@ class TestRho2AndQ:
         assert res.err_est["gamma22"] / res.gamma22 == pytest.approx(
             res.err_est["gamma11"] / res.gamma11, rel=1e-12)
 
-    def test_one_diagonal_quadrature_per_point(self, monkeypatch):
-        calls = []
-        real = correlations._gamma_quad
+    def test_one_diagonal_quadrature_per_params(self, monkeypatch):
+        # the diagonal G is integrated once per (|Delta|, E_C, w, spec):
+        # a spy on the core records each quadrature at unit radii
+        diagonals = []
+        real = correlations._gamma_core
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return real(*args, **kwargs)
+        def spy(cth2, r1, r2, *rest):
+            if (r1, r2) == (1.0, 1.0):
+                diagonals.append(rest)
+            return real(cth2, r1, r2, *rest)
 
-        monkeypatch.setattr(correlations, "_gamma_quad", counting)
-        geom = DetectorGeometry((0.0, 0.0, 90.0), (30.0, 0.0, 85.0))
-        rho2_and_Q(geom, NORMAL, default_spec(0.03))
-        assert calls == [DetectorGeometry(geom.r1_vec, geom.r1_vec), geom]
+        monkeypatch.setattr(correlations, "_gamma_core", spy)
+        correlations._gamma_diag.cache_clear()
+        coarse = default_spec(0.03)
+        points = [DetectorGeometry.from_r_theta(r, theta)
+                  for r, theta in ((90.0, 0.4), (120.0, 2.0), (150.0, 3.0))]
+        for geom in points:
+            rho2_and_Q(geom, NORMAL, coarse)
+        assert len(diagonals) == 1
+        rho2_and_Q(points[0], SUPER, coarse)            # new |Delta|
+        assert len(diagonals) == 2
+        rho2_and_Q(points[1], SUPER, default_spec(0.05))    # new rel_tol
+        assert len(diagonals) == 3
+        rotated = EmitterParams(delta=1j * DELTA, ec=DELTA, w=1.0)
+        rho2_and_Q(points[2], rotated, coarse)          # gap phase only
+        assert len(diagonals) == 3
+
+    def test_diagonal_independent_of_call_order(self):
+        # (100, pi)'s diagonal has cos_theta = 1.0 exactly, the others'
+        # round below it: gamma11 must not depend on who filled the cache
+        b = DetectorGeometry.from_r_theta(100.0, math.pi)
+        coarse = default_spec(0.03)
+        correlations._gamma_diag.cache_clear()
+        first = rho2_and_Q(b, NORMAL, coarse).gamma11
+        correlations._gamma_diag.cache_clear()
+        for r, theta in ((100.0, 2.0), (150.0, 0.5), (90.0, 2.5)):
+            rho2_and_Q(DetectorGeometry.from_r_theta(r, theta), NORMAL,
+                       coarse)
+        assert rho2_and_Q(b, NORMAL, coarse).gamma11 == first
+
+    def test_diagonal_cache_is_bounded(self):
+        spec = QuadSpec(rel_tol=1.0, abs_tol=1e-300, max_depth=1)   # cheap
+        size = correlations._DIAG_CACHE_SIZE
+        for i in range(size + 3):
+            correlations._gamma_diag_at(
+                1.0, EmitterParams(0.0, DELTA * (1.0 + i / 8.0), 1.0), spec)
+        info = correlations._gamma_diag.cache_info()
+        assert info.maxsize == size
+        assert info.currsize == size
 
     def test_nonconvergence_names_the_gamma_components(self):
         spec = QuadSpec(rel_tol=1e-3, abs_tol=1e-300, max_depth=1)

@@ -3,10 +3,14 @@
 import math
 
 import pytest
-from hypothesis import Phase, assume, given, settings, strategies as st
+from hypothesis import (Phase, assume, example, given, settings,
+                        strategies as st)
 
-from pairemit.correlations import DetectorGeometry, default_spec, rho2_and_Q
+from pairemit import correlations
+from pairemit.correlations import (DetectorGeometry, NonConvergenceError,
+                                   default_spec, rho2_and_Q)
 from pairemit.model import EmitterParams
+from pairemit.quad import QuadSpec
 
 DELTA = 2.997e-3
 PARAMS = {"normal": EmitterParams(delta=0.0, ec=DELTA, w=1.0),
@@ -30,3 +34,53 @@ def test_unequal_radii_invariants(name, r1, r2, theta):
     # gamma(r; r) = G / r^2
     assert res.gamma11 * geom.r1 ** 2 == pytest.approx(
         res.gamma22 * geom.r2 ** 2, rel=1e-13, abs=0.0)
+
+
+def _polar_vec(r, polar, azimuth):
+    return (r * math.sin(polar) * math.cos(azimuth),
+            r * math.sin(polar) * math.sin(azimuth), r * math.cos(polar))
+
+
+# detector positions: the CLI's mirrored pairs and arbitrary directions
+_R = st.floats(50.0, 3000.0)
+_POSITIONS = st.one_of(
+    st.builds(lambda r, t: DetectorGeometry.from_r_theta(r, t).r1_vec,
+              _R, st.floats(0.0, 2.0 * math.pi)),
+    st.builds(_polar_vec, _R, st.floats(0.0, math.pi),
+              st.floats(0.0, 2.0 * math.pi)))
+
+
+@pytest.mark.parametrize("name", PARAMS)
+@settings(derandomize=True, max_examples=12, deadline=None, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(r_vec=_POSITIONS)
+# its diagonal's cos_theta rounds to 1 - 3e-16
+@example(r_vec=DetectorGeometry.from_r_theta(100.0, 2.0).r1_vec)
+def test_cached_diagonal_matches_uncached_quadrature(name, r_vec):
+    # the cache integrates at unit radius and cos(theta/2) = 1 exactly; a
+    # geometry's own cos_theta can round to 1 - 2e-16, which moves the
+    # value by about 1e-14 relative
+    geom = DetectorGeometry(r_vec, r_vec)
+    spec = default_spec(0.03)
+    cached = correlations._gamma_diag_at(geom.r1_kf, PARAMS[name], spec)
+    direct = correlations._gamma_quad(geom, PARAMS[name], spec)
+    assert cached.value.real == pytest.approx(direct.value.real, rel=1e-13,
+                                              abs=0.0)
+    # err_est is a difference of two rules: the same 1e-16 nudge moves it
+    # by about 1e-12 of itself, but by only 1e-15 of the value
+    assert abs(cached.err_est - direct.err_est) <= 1e-13 * direct.value.real
+    assert cached.converged and direct.converged
+
+
+def test_nonconvergence_message_repeats_from_the_cache():
+    spec = QuadSpec(rel_tol=1e-3, abs_tol=1e-300, max_depth=1)
+    geom = DetectorGeometry.from_r_theta(100.0, 0.3)
+    correlations._gamma_diag.cache_clear()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(NonConvergenceError) as info:
+            rho2_and_Q(geom, PARAMS["super"], spec)
+        messages.append(str(info.value))
+    assert correlations._gamma_diag.cache_info().hits == 1
+    assert messages == ["correlation quadrature did not converge: "
+                        "gamma11, gamma22, gamma21"] * 2
