@@ -5,14 +5,18 @@ Subcommands: params, angular, peak, fig3, classify, sweep, validate.
 Exit codes: 0 success, 1 validation failure, 2 usage/config error,
 3 numerical non-convergence.
 
-Configuration is line-oriented ``key = value`` text ('#' comments); unknown
-keys are rejected.  Precedence: command-line flags > config file > defaults.
+Each subcommand takes ``--output`` and flags only for the settings it reads
+(``_COMMANDS``); any other flag is a usage error.  Configuration is
+line-oriented ``key = value`` text ('#' comments) that accepts every known key,
+so one file can serve several commands; unknown keys are rejected.
+Precedence: command-line flags > config file > defaults.
 CSV outputs carry a header row and floats in scientific notation with 17
 significant digits; a JSON sidecar records the full configuration, its
 hash, the code version, and achieved error estimates.  All files are
 written atomically (temp file + rename), so interrupted runs never leave
 partial datasets.  Angular rows are cached by a hash of the row's own
-inputs, the code version and the kernel backend, and reused bitwise.
+inputs and the code version, and reused bitwise; uncached rows run in a
+process pool sized by the usable CPUs (limit it with ``taskset``).
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, kernels
+from . import __version__
 from .correlations import (DetectorGeometry, NonConvergenceError,
                            UndefinedQError, default_spec, rho2_and_Q)
 from .entanglement import (Q_BELL_THRESHOLD, Q_ENTANGLEMENT_THRESHOLD,
@@ -53,7 +57,6 @@ _DEFAULTS = {
     "theta_max": math.pi,
     "theta_points": 25,
     "rel_tol": 1e-3,
-    "workers": 1,
     "cache_dir": "",
     "sweep_param": "r",
     "sweep_min": 10.0,
@@ -86,12 +89,9 @@ class RunConfig:
                              w=self.w_over_lambdaf)
 
     def digest(self, extra: dict | None = None) -> str:
-        # workers and cache location are execution details, not physics:
-        # they stay out of the hash
-        values = {k: v for k, v in self.values.items()
-                  if k not in ("workers", "cache_dir")}
-        payload = {"config": values, "version": __version__,
-                   "backend": kernels.BACKEND}
+        # the cache location is an execution detail: it stays out of the hash
+        values = {k: v for k, v in self.values.items() if k != "cache_dir"}
+        payload = {"config": values, "version": __version__}
         if extra:
             payload.update(extra)
         return _sha256(payload)
@@ -153,8 +153,6 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         raise ConfigError("physical ratios must be positive (delta may be 0)")
     if cfg.theta_points < 1 or cfg.sweep_points < 1 or cfg.fig3_points < 2:
         raise ConfigError("grids need at least one point")
-    if cfg.workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {cfg.workers}")
     if cfg.theta_max <= cfg.theta_min and cfg.theta_points > 1:
         raise ConfigError("theta grid must be strictly increasing")
     return cfg
@@ -222,30 +220,27 @@ def _angular_row(task) -> str:
 
 def _angular_key(task) -> str:
     # _angular_row reads only its task, so no other config key enters
-    return _sha256({"cmd": "angular", "task": task, "version": __version__,
-                    "backend": kernels.BACKEND})
+    return _sha256({"cmd": "angular", "task": task, "version": __version__})
 
 
-def _run_rows(tasks, worker, n_workers: int, cache: RowCache,
-              key_of) -> list[str]:
-    """Compute formatted rows, cache-aware, assembled in grid order."""
-    rows: list[str | None] = [None] * len(tasks)
-    pending = []
-    for i, task in enumerate(tasks):
-        hit = cache.get(key_of(task))
-        if hit is not None:
-            rows[i] = hit
-        else:
-            pending.append(i)
-    if pending:
-        if n_workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(n_workers) as pool:
-                done = list(pool.map(worker, [tasks[i] for i in pending]))
-        else:
-            done = [worker(tasks[i]) for i in pending]
-        for i, row in zip(pending, done):
-            rows[i] = row
-            cache.put(key_of(tasks[i]), row)
+def _run_rows(tasks, cache: RowCache) -> list[str]:
+    """Angular rows in grid order: cached rows are reused, the rest run in a
+    pool of min(uncached rows, usable CPUs) processes, or serially if 1."""
+    keys = [_angular_key(task) for task in tasks]
+    rows = [cache.get(key) for key in keys]
+    pending = [i for i, row in enumerate(rows) if row is None]
+    todo = [tasks[i] for i in pending]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    n_workers = min(len(todo), cpus)
+    if n_workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(n_workers) as pool:
+            done = list(pool.map(_angular_row, todo))
+    else:
+        done = [_angular_row(task) for task in todo]
+    for i, row in zip(pending, done):
+        rows[i] = row
+        cache.put(keys[i], row)
     return rows  # type: ignore[return-value]
 
 
@@ -280,7 +275,6 @@ def _write_dataset(path: Path, header: str, rows: list[str], cfg: RunConfig,
         "config": cfg.values,
         "config_hash": cfg.digest(),
         "version": __version__,
-        "backend": kernels.BACKEND,
     }
     meta.update(meta_extra)
     atomic_write(path.with_suffix(".meta.json"),
@@ -293,8 +287,7 @@ def cmd_angular(cfg: RunConfig, args) -> int:
     tasks = [(float(t), cfg.r_over_lambdaf, cfg.delta_over_mu,
               cfg.ec_over_mu, cfg.w_over_lambdaf, cfg.rel_tol)
              for t in thetas]
-    rows = _run_rows(tasks, _angular_row, cfg.workers,
-                     RowCache(cfg.cache_dir), _angular_key)
+    rows = _run_rows(tasks, RowCache(cfg.cache_dir))
     path = Path(args.output or "angular.csv")
     _write_dataset(path, "theta_rad,Q_normal,err_normal,Q_super,err_super",
                    rows, cfg, {"command": "angular"})
@@ -410,6 +403,10 @@ def cmd_classify(cfg: RunConfig, args) -> int:
     print(f"Q = {corr.Q:.6f}   p = {rep.p:.6f}   "
           f"concurrence = {rep.concurrence:.6f}   CHSH = {rep.chsh:.6f}")
     print(f"classification: {rep.classification}")
+    outside = [k for k, ok in corr.regime_flags.items() if not ok]
+    if outside:
+        print("warning: outside the validated regime: "
+              + ", ".join(outside), file=sys.stderr)
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.output:
         atomic_write(Path(args.output),
@@ -426,7 +423,6 @@ def cmd_validate(cfg: RunConfig, args) -> int:
         "failed": sum(not r.passed for r in results),
         "checks": [dataclasses.asdict(r) for r in results],
         "version": __version__,
-        "backend": kernels.BACKEND,
     }
     print(json.dumps(summary, sort_keys=True))      # machine-readable line
     if args.output:
@@ -442,38 +438,37 @@ def cmd_validate(cfg: RunConfig, args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
-    sub.add_argument("--config", help="key = value configuration file")
-    sub.add_argument("--output", help="output path (CSV/JSON per command)")
-    sub.add_argument("--delta", type=float, dest="delta_over_mu",
-                     help="|Delta|/mu")
-    sub.add_argument("--ec", type=float, dest="ec_over_mu", help="E_C/mu")
-    sub.add_argument("--w", type=float, dest="w_over_lambdaf",
-                     help="w/lambda_F")
-    sub.add_argument("--r", type=float, dest="r_over_lambdaf",
-                     help="r/lambda_F")
-    sub.add_argument("--theta", type=float, dest="theta",
-                     help="detector angle (rad), classify only")
-    sub.add_argument("--rel-tol", type=float, dest="rel_tol")
-    sub.add_argument("--workers", type=int, dest="workers")
-    sub.add_argument("--cache-dir", dest="cache_dir")
-    sub.add_argument("--theta-points", type=int, dest="theta_points")
-    sub.add_argument("--sweep-param", dest="sweep_param",
-                     choices=("delta", "ec", "w", "r"))
-    sub.add_argument("--sweep-min", type=float, dest="sweep_min")
-    sub.add_argument("--sweep-max", type=float, dest="sweep_max")
-    sub.add_argument("--sweep-points", type=int, dest="sweep_points")
-
-
-_COMMANDS = {
-    "params": cmd_params,
-    "angular": cmd_angular,
-    "peak": cmd_peak,
-    "fig3": cmd_fig3,
-    "classify": cmd_classify,
-    "sweep": cmd_sweep,
-    "validate": cmd_validate,
+_FLAGS = {
+    "--delta": dict(type=float, dest="delta_over_mu", help="|Delta|/mu"),
+    "--ec": dict(type=float, dest="ec_over_mu", help="E_C/mu"),
+    "--w": dict(type=float, dest="w_over_lambdaf", help="w/lambda_F"),
+    "--r": dict(type=float, dest="r_over_lambdaf", help="r/lambda_F"),
+    "--theta": dict(type=float, dest="theta", help="detector angle (rad)"),
+    "--rel-tol": dict(type=float, dest="rel_tol"),
+    "--cache-dir": dict(dest="cache_dir"),
+    "--theta-points": dict(type=int, dest="theta_points"),
+    "--sweep-param": dict(dest="sweep_param",
+                          choices=("delta", "ec", "w", "r")),
+    "--sweep-min": dict(type=float, dest="sweep_min"),
+    "--sweep-max": dict(type=float, dest="sweep_max"),
+    "--sweep-points": dict(type=int, dest="sweep_points"),
 }
+
+_PARAMS = ("--delta", "--ec", "--w")
+_SWEEP = (*_PARAMS, "--r", "--sweep-min", "--sweep-max", "--sweep-points")
+
+# each command with the flags of the settings it reads
+_COMMANDS = {
+    "params": (cmd_params, _PARAMS),
+    "angular": (cmd_angular, (*_PARAMS, "--r", "--rel-tol", "--theta-points",
+                              "--cache-dir")),
+    "peak": (cmd_peak, _SWEEP),
+    "fig3": (cmd_fig3, (*_PARAMS, "--r")),
+    "classify": (cmd_classify, (*_PARAMS, "--r", "--theta", "--rel-tol")),
+    "sweep": (cmd_sweep, (*_SWEEP, "--sweep-param")),
+    "validate": (cmd_validate, ()),
+}
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
@@ -482,24 +477,28 @@ def main(argv: list[str] | None = None) -> int:
                     "electron pairs field-emitted from a superconducting tip",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         sub = subs.add_parser(name)
-        _add_common(sub)
-        if name == "validate":
-            sub.add_argument("--quick", action="store_true",
-                             help="skip the slow quadrature-path checks")
+        if flags:
+            sub.add_argument("--config", help="key = value configuration file")
+        sub.add_argument("--output", help="output path (CSV/JSON per command)")
+        for flag in flags:
+            sub.add_argument(flag, **_FLAGS[flag])
+    subs.choices["validate"].add_argument(
+        "--quick", action="store_true",
+        help="skip the slow quadrature-path checks")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     overrides = {k: getattr(args, k, None) for k in _DEFAULTS}
     try:
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(getattr(args, "config", None), overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command][0](cfg, args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

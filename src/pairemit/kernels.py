@@ -6,8 +6,8 @@ kernels ``chi_f`` and ``chi_p`` come with the k-direction integral already
 done in closed form: both Gaussian form factors depend on the direction
 k-hat only through exp(v . k-hat), and int dOmega exp(v . k-hat) =
 4 pi sinh|v| / |v|, so they take the angle between the detectors instead
-of direction cosines.  ``BACKEND`` names the implementation; the CLI keys
-its row cache on it.
+of direction cosines.  ``BACKEND`` names the implementation; the benchmark
+harness records it with every run, and calls ``warmup`` before timing.
 
 Inputs are in internal Fermi units (k_F = 1, mu = 1, m = 1/2); lengths here
 are k_F^-1, energies are units of mu.

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import re
 from pathlib import Path
 
 import pytest
@@ -12,15 +14,15 @@ class TestConfig:
     def test_defaults(self):
         cfg = load_config(None, {})
         assert cfg.delta_over_mu == pytest.approx(2.997e-3)
-        assert cfg.workers == 1
+        assert "workers" not in cfg.values
 
     def test_file_parsing(self, tmp_path):
         p = tmp_path / "run.cfg"
-        p.write_text("# comment\ndelta_over_mu = 1e-3\n  workers =  4 \n"
+        p.write_text("# comment\ndelta_over_mu = 1e-3\n  theta_points =  4 \n"
                      "sweep_log = false\n")
         cfg = load_config(str(p), {})
         assert cfg.delta_over_mu == 1e-3
-        assert cfg.workers == 4
+        assert cfg.theta_points == 4
         assert cfg.sweep_log is False
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -62,17 +64,69 @@ class TestConfig:
     @pytest.mark.parametrize("flags, key", [
         (["--w", "inf"], "w_over_lambdaf"),
         (["--delta", "nan"], "delta_over_mu"),
-        (["--workers", "0"], "workers"),
+        (["--ec=-inf"], "ec_over_mu"),
     ])
     def test_bad_flag_value_exit_2_names_key(self, flags, key, capsys):
         assert main(["params", *flags]) == USAGE_ERROR
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and key in err
 
+    def test_workers_key_rejected(self, tmp_path, capsys):
+        # the pool is sized from the usable CPUs; the key is gone
+        p = tmp_path / "run.cfg"
+        p.write_text("workers = 2\n")
+        out = tmp_path / "angular.csv"
+        assert main(["angular", "--config", str(p), "--output", str(out)]) \
+            == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "'workers'" in err
+        assert not out.exists()
+
     def test_fmt_17_significant_digits(self):
         s = fmt(1.0 / 3.0)
         assert s == "3.3333333333333331e-01"
         assert len(s.split("e")[0].replace(".", "").replace("-", "")) == 17
+
+
+_BASE = {"--config", "--delta", "--ec", "--w"}
+_SWEEP = _BASE | {"--r", "--sweep-min", "--sweep-max", "--sweep-points"}
+
+
+class TestFlags:
+    # every command offers --output; a command that reads settings also
+    # offers --config and one flag per setting it reads, and no other
+    @pytest.mark.parametrize("command, flags", [
+        ("params", _BASE),
+        ("fig3", _BASE | {"--r"}),
+        ("classify", _BASE | {"--r", "--theta", "--rel-tol"}),
+        ("angular", _BASE | {"--r", "--rel-tol", "--theta-points",
+                             "--cache-dir"}),
+        ("peak", _SWEEP),
+        ("sweep", _SWEEP | {"--sweep-param"}),
+        ("validate", {"--quick"}),
+    ])
+    def test_offered_flags(self, command, flags, capsys):
+        assert main([command, "--help"]) == 0
+        offered = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert offered == flags | {"--help", "--output"}
+
+    @pytest.mark.parametrize("argv", [
+        ["fig3", "--rel-tol", "1e-9"],
+        ["validate", "--quick", "--delta", "0.5"],
+        ["params", "--cache-dir", "zz"],
+        ["angular", "--workers", "2"],
+    ], ids=["fig3-rel-tol", "validate-delta", "params-cache-dir",
+            "angular-workers"])
+    def test_unread_flag_is_usage_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--output", str(out)]) == USAGE_ERROR
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+# the flags of the fig3 and peak calls in perfbench/workloads.py
+_BENCH_FLAGS = ["--delta", "0.002997", "--ec", "0.002997", "--w", "1.0",
+                "--r", "100.0"]
 
 
 class TestCommands:
@@ -144,7 +198,7 @@ class TestCommands:
 
     def test_fig3_panels(self, tmp_path):
         stem = tmp_path / "fig3"
-        rc = main(["fig3", "--output", str(stem),
+        rc = main(["fig3", *_BENCH_FLAGS, "--output", str(stem),
                    "--config", str(_small_cfg(tmp_path))])
         assert rc == 0
         for param in ("delta", "ec", "w", "r"):
@@ -156,7 +210,8 @@ class TestCommands:
 
     def test_peak_dataset(self, tmp_path):
         out = tmp_path / "peak.csv"
-        rc = main(["peak", "--sweep-points", "12", "--output", str(out)])
+        rc = main(["peak", *_BENCH_FLAGS, "--sweep-points", "12",
+                   "--output", str(out)])
         assert rc == 0
         assert out.exists()
 
@@ -176,6 +231,24 @@ class TestCommands:
         assert rep["werner"]["classification"] == "separable"
         assert rep["werner"]["p"] == pytest.approx(0.0, abs=1e-4)
         assert rep["chi21_abs"] == 0.0
+        assert capsys.readouterr().err == ""
+
+    def test_classify_names_false_regime_flags(self, tmp_path, capsys):
+        # k_F r = 6.3: still classified, exit 0, but one stderr line names
+        # every false regime flag
+        out = tmp_path / "cls.json"
+        rc = main(["classify", "--r", "1", "--rel-tol", "0.03",
+                   "--output", str(out)])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "classification: " in captured.out
+        flags = json.loads(out.read_text())["regime_flags"]
+        false = {k for k, ok in flags.items() if not ok}
+        assert false
+        head, named = captured.err.rsplit(": ", 1)
+        assert head == "warning: outside the validated regime"
+        assert named.endswith("\n") and named.count("\n") == 1
+        assert set(named.strip().split(", ")) == false
 
     def test_usage_error_on_bad_subcommand(self):
         assert main(["frobnicate"]) == USAGE_ERROR
@@ -212,11 +285,12 @@ def _small_cfg(tmp_path) -> Path:
 
 @pytest.mark.slow
 class TestClassifyDeepPeak:
-    def test_bell_violating_at_figure_defaults(self, tmp_path):
+    def test_bell_violating_at_figure_defaults(self, tmp_path, capsys):
         # deep-peak configuration with dQ > sqrt(2)+1 classifies as Bell
         out = tmp_path / "cls.json"
         rc = main(["classify", "--output", str(out)])
         assert rc == 0
+        assert capsys.readouterr().err == ""       # inside the regime
         rep = json.loads(out.read_text())
         assert rep["Q"] - 1.0 > math.sqrt(2) + 1
         assert rep["werner"]["classification"] == "bell_violating"
@@ -252,9 +326,16 @@ class TestAngularShape:
         assert meta["command"] == "angular"
 
 
+def _pin_cpus(monkeypatch, n: int) -> None:
+    """Pin the CPU set that angular sizes its pool from to n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
 @pytest.mark.slow
 class TestDeterminismAndCache:
-    def test_angular_bitwise_identical_across_workers_and_cache(self, tmp_path):
+    def test_angular_bitwise_identical_across_workers_and_cache(
+            self, tmp_path, monkeypatch):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(
             "delta_over_mu = 0\n"          # normal state: fast rows
@@ -262,20 +343,21 @@ class TestDeterminismAndCache:
             "theta_max = 1.0\n"
             "rel_tol = 1e-3\n"
         )
-        # each worker count computes every row into its own fresh cache;
-        # the last run is served from the workers=1 cache
-        runs = (("w1", 1, "cache1"), ("w2", 2, "cache2"),
-                ("cached", 1, "cache1"))
+        # one CPU (serial) and two (a pool of 2) each compute every row
+        # into their own fresh cache; the last run is served from the
+        # one-CPU cache
+        runs = (("cpu1", 1, "cache1"), ("cpu2", 2, "cache2"),
+                ("cached", 2, "cache1"))
         outs = []
-        for name, workers, cache in runs:
+        for name, cpus, cache in runs:
+            _pin_cpus(monkeypatch, cpus)
             out = tmp_path / f"angular_{name}.csv"
             rc = main(["angular", "--config", str(cfgfile),
-                       "--workers", str(workers),
                        "--cache-dir", str(tmp_path / cache),
                        "--output", str(out)])
             assert rc == 0
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1]          # worker count independent
+        assert outs[0] == outs[1]          # CPU count independent
         assert outs[0] == outs[2]          # cached rerun bitwise identical
         rows = sorted(p.name for p in (tmp_path / "cache1").iterdir())
         assert len(rows) == 3              # one cached row per theta
@@ -289,6 +371,8 @@ class TestRowCache:
 
         def fake_row(label):
             return lambda task: f"{task[0]!r},{label}"
+
+        _pin_cpus(monkeypatch, 1)          # a closure cannot go to a pool
 
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("theta_points = 2\ntheta_max = 1.0\n")
@@ -321,6 +405,9 @@ class TestRowCache:
             return real(task)
 
         monkeypatch.setattr(cli, "_angular_row", counting)
+        _pin_cpus(monkeypatch, 1)          # count in this process
+        other = tmp_path / "other.cfg"
+        other.write_text("sweep_points = 7\n")
         base = ["angular", "--rel-tol", "0.03"]
         cache = ["--cache-dir", str(tmp_path / "cache")]
 
@@ -331,6 +418,6 @@ class TestRowCache:
             return out.read_bytes()
 
         run("three", 3, *cache)
-        cached = run("five", 5, *cache, "--sweep-points", "7")
+        cached = run("five", 5, *cache, "--config", str(other))
         assert computed[3:] == [math.pi / 4, 3 * math.pi / 4]
         assert cached == run("uncached", 5)

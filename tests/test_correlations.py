@@ -13,7 +13,7 @@ from pairemit.correlations import (DetectorGeometry, NonConvergenceError,
                                    farfield_amplitude_direct, chi, gamma,
                                    rho2_and_Q)
 from pairemit.model import EmitterParams, pole_momentum, OutOfBandError
-from pairemit.quad import QuadResult, QuadSpec, integrate_nested
+from pairemit.quad import QuadResult, QuadSpec
 
 DELTA = 2.997e-3
 SUPER = EmitterParams(delta=DELTA, ec=DELTA, w=1.0)
@@ -171,9 +171,11 @@ def _direction_f(u, k, w, n1, n2, r1, r2, khat):
         * cmath.exp(1j * (a * r1 + b * r2))
 
 
-def _sphere_integral(u, k, w, n1, n2, r1, r2):
+def _sphere_integral(u, k, w, n1, n2, r1, r2, n_cos=64, n_phi=64):
     """Direct (cos alpha, phi) quadrature of _direction_f over all k-hat,
-    polar axis along n1 - n2 (any axis for coincident detectors)."""
+    polar axis along n1 - n2 (any axis for coincident detectors): a product
+    of Gauss-Legendre in cos alpha and the periodic trapezoid rule in phi,
+    independent of the program's adaptive integrator."""
     e3 = n1 - n2
     if np.linalg.norm(e3) < 1e-12:
         e3 = np.array([1.0, 0.0, 0.0])
@@ -182,17 +184,14 @@ def _sphere_integral(u, k, w, n1, n2, r1, r2):
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(e3, e1)
 
-    def f(cosa, phis):
-        sina = math.sqrt(max(0.0, 1.0 - cosa * cosa))
-        khat = (cosa * e3[None, :]
-                + sina * (np.cos(phis)[:, None] * e1[None, :]
-                          + np.sin(phis)[:, None] * e2[None, :]))
-        return _direction_f(u, k, w, n1, n2, r1, r2, khat)
-
-    res = integrate_nested(f, [(-1.0, 1.0), (0.0, 2.0 * math.pi)],
-                           QuadSpec(rel_tol=1e-10, abs_tol=1e-300))
-    assert res.converged
-    return res.value
+    cosa, weights = np.polynomial.legendre.leggauss(n_cos)
+    sina = np.sqrt(1.0 - cosa * cosa)
+    phis = (2.0 * math.pi / n_phi) * np.arange(n_phi)
+    khat = (cosa[:, None, None] * e3
+            + sina[:, None, None] * (np.cos(phis)[None, :, None] * e1
+                                     + np.sin(phis)[None, :, None] * e2))
+    f = _direction_f(u, k, w, n1, n2, r1, r2, khat)
+    return (2.0 * math.pi / n_phi) * (weights @ f.sum(axis=1))
 
 
 # the non-coplanar detector pair of acceptance check 5
@@ -225,8 +224,12 @@ class TestChi:
             us = np.array([0.0, -omega * (1.0 + 1e-6), -omega, omega,
                            omega * (1.0 - 1e-6), -0.2, 0.25])
             got = kernels.chi_f(us, k, w, cos_theta, r1, r2)
-            want = [_sphere_integral(u, k, w, n1, n2, r1, r2) for u in us]
-            for g, x in zip(got, want):
+            for g, u in zip(got, us):
+                x = _sphere_integral(u, k, w, n1, n2, r1, r2)
+                # the oracle's node counts have converged: doubled, they
+                # move it by far less than the tolerance below
+                x2 = _sphere_integral(u, k, w, n1, n2, r1, r2, 128, 128)
+                assert abs(x - x2) <= 1e-11 * abs(x2)
                 assert abs(g - x) <= 1e-8 * abs(x)
 
     def test_reported_evaluations_count_every_kernel_node(self, monkeypatch):
