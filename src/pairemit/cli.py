@@ -348,9 +348,15 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 def cmd_peak(cfg: RunConfig, args) -> int:
     """Peak height along an r sweep at the configured parameters."""
-    grid = _sweep_grid(cfg) if cfg.sweep_param == "r" else \
-        np.geomspace(_DEFAULTS["sweep_min"], _DEFAULTS["sweep_max"],
-                     cfg.sweep_points)
+    if cfg.sweep_param == "r":
+        grid = _sweep_grid(cfg)
+    else:
+        # the configured range is another parameter's: r takes the range
+        # given on the command line, or else the default one
+        ends = {key: _DEFAULTS[key] if getattr(args, key) is None
+                else getattr(args, key) for key in ("sweep_min", "sweep_max")}
+        grid = _sweep_grid(RunConfig({**cfg.values, **ends,
+                                      "sweep_log": True}))
     # the point at --r is checked before anything is written
     point = delta_q_peak(cfg.params(), cfg.r_over_lambdaf)
     rows, meta = _sweep_dataset(cfg, "r", grid)

@@ -35,8 +35,12 @@ exactly, and kept in a small bounded cache (_gamma_diag); every diagonal
 of every Q point is G scaled by 1 / r^2, whatever point asked first.  In
 chi the k-hat integral is analytic: F depends on k-hat only through
 exp(v . k-hat), v = w^2 k (a n1 - b n2), and int dOmega exp(v . k-hat) =
-4 pi sinh|v| / |v| (kernels.chi_f), so chi is one adaptive eps integral of
-one adaptive u-line per eps node.
+4 pi sinh|v| / |v| (kernels.chi_f), so chi is one adaptive eps integral
+whose integrand, at each sweep's eps nodes, is one adaptive u-line per
+node.  The u-lines of a sweep run in lockstep (quad.integrate_batch): one
+chi_f call gives every line's F(-omega) and F(+omega), and each refinement
+sweep of the batch is one chi_p call over the new panels of all its
+unconverged lines, each line converging on its own.
 """
 
 from __future__ import annotations
@@ -321,8 +325,7 @@ def _gamma_core(cth2: float, r1: float, r2: float, dabs: float, ec: float,
                                spec)
         total = total + res
     err = pref * total.err_est + TRUNCATION_BIAS_REL * abs(pref * total.value)
-    return QuadResult(pref * total.value, err,
-                      total.evaluations, total.converged, total.fail_dim)
+    return replace(total, value=pref * total.value, err_est=err)
 
 
 @functools.lru_cache(maxsize=_DIAG_CACHE_SIZE)
@@ -404,6 +407,15 @@ def _chi_u_window(params: EmitterParams, k: float, omega: float
 
 def _chi_quad(geom: DetectorGeometry, params: EmitterParams,
               spec: QuadSpec, abs_floor: float = 0.0) -> QuadResult:
+    """chi(2;1) at one detector geometry: an eps integral of u-lines.
+
+    ``evaluations`` counts kernel nodes: two chi_f nodes and the chi_p
+    nodes of every u-line.  ``intervals`` adds the final panels of the eps
+    integral and of every u-line, and ``max_depth`` is the deepest
+    bisection of either level.  A u-line that does not converge raises
+    NonConvergenceError naming its eps node and u window, the first such
+    node in eps order within its sweep.
+    """
     cos_theta = geom.cos_theta
     r1 = geom.r1_kf
     r2 = geom.r2_kf
@@ -414,50 +426,72 @@ def _chi_quad(geom: DetectorGeometry, params: EmitterParams,
     pref = complex(params.delta) * (-0.25j) * TWO_PI_M6 / (r1 * r2)
     spec = replace(spec, abs_tol=max(spec.abs_tol, abs_floor / abs(pref)))
     line_spec = spec.tightened()
-    evals = 0       # kernel nodes: F(+-omega) and the u-line of every eps
-
-    def line(eps: float) -> complex:
-        """m k(eps) times the energy-line integral over u at one eps node."""
-        nonlocal evals
-        omega = math.sqrt(eps * eps + dabs * dabs)
-        if omega >= OMEGA_CAP or omega == 0.0:
-            return 0.0j
-        k = math.sqrt(1.0 + eps)
-        win = _chi_u_window(params, k, omega)
-        if win is None:
-            return 0.0j
-        u_lo, u_hi = win
-        fm, fp = kernels.chi_f(np.array([-omega, omega]), k, w, cos_theta,
-                               r1, r2)
-        # through quad's own name, not this module's: a tracer wrapping
-        # this module's integrate_1d (perfbench) then sees one chi integral
-        # per eps half, with its u-lines inside it
-        res = quad.integrate_1d(
-            lambda u: kernels.chi_p(u, fm, fp, omega, k, w, cos_theta,
-                                    r1, r2),
-            u_lo, u_hi, line_spec)
-        evals += 2 + res.evaluations
-        if not res.converged:
-            raise NonConvergenceError(
-                f"chi u-line did not converge at eps = {eps!r}, "
-                f"u in [{u_lo!r}, {u_hi!r}]", res)
-        log_m = math.log(abs((u_hi + omega) / (u_lo + omega)))
-        log_p = math.log(abs((omega - u_lo) / (omega - u_hi)))
-        res_m = 1j * math.pi if u_lo < -omega < u_hi else 0.0
-        res_p = 1j * math.pi if u_lo < omega < u_hi else 0.0
-        analytic = (fm * (log_m + res_m) + fp * (log_p + res_p)) \
-            / (2.0 * omega)
-        return 0.5 * k * (res.value + analytic)    # m k(eps) measure
+    # over every u-line: kernel nodes (F(+-omega) and the line's chi_p
+    # nodes), final panels and the deepest bisection
+    evals = intervals = depth = 0
 
     def f(eps: np.ndarray) -> np.ndarray:
-        return np.array([line(float(e)) for e in eps], dtype=np.complex128)
+        """m k(eps) times the energy-line integral over u, at every eps node.
+
+        The u-lines of all eps nodes run in one lockstep batch, with one
+        chi_f call for all their F(-omega) and F(+omega).
+        """
+        nonlocal evals, intervals, depth
+        nodes = []      # (index, eps, omega, k, u_lo, u_hi) of each u-line
+        for i, e in enumerate(eps.tolist()):
+            omega = math.sqrt(e * e + dabs * dabs)
+            if omega >= OMEGA_CAP or omega == 0.0:
+                continue
+            k = math.sqrt(1.0 + e)
+            win = _chi_u_window(params, k, omega)
+            if win is not None:
+                nodes.append((i, e, omega, k, *win))
+        out = np.zeros(eps.shape, np.complex128)
+        if not nodes:
+            return out
+        _, _, omegas, ks, u_los, u_his = map(list, zip(*nodes))
+        om = np.array(omegas)
+        kk = np.array(ks)
+        fpm = kernels.chi_f(np.concatenate([-om, om]),
+                            np.concatenate([kk, kk]), w, cos_theta, r1, r2)
+        fm, fp = fpm[:len(nodes)], fpm[len(nodes):]
+
+        def p(u: np.ndarray, owner: np.ndarray | None) -> np.ndarray:
+            j = 0 if owner is None else owner       # None: a single line
+            return kernels.chi_p(u, fm[j], fp[j], om[j], kk[j], w, cos_theta,
+                                 r1, r2)
+
+        # quad's own name, not one bound in this module: a tracer that
+        # spans this module's quad names as correlator calls (perfbench)
+        # must not take a batch of u-lines for a correlator
+        results = quad.integrate_batch(p, u_los, u_his, line_spec)
+        for (i, e, omega, k, u_lo, u_hi), res, fmi, fpi in zip(
+                nodes, results, fm, fp):
+            # the first failed line in eps order names where chi failed
+            if not res.converged:
+                raise NonConvergenceError(
+                    f"chi u-line did not converge at eps = {e!r}, "
+                    f"u in [{u_lo!r}, {u_hi!r}]", res)
+            evals += 2 + res.evaluations
+            intervals += res.intervals
+            depth = max(depth, res.max_depth)
+            log_m = math.log(abs((u_hi + omega) / (u_lo + omega)))
+            log_p = math.log(abs((omega - u_lo) / (omega - u_hi)))
+            res_m = 1j * math.pi if u_lo < -omega < u_hi else 0.0
+            res_p = 1j * math.pi if u_lo < omega < u_hi else 0.0
+            analytic = (fmi * (log_m + res_m) + fpi * (log_p + res_p)) \
+                / (2.0 * omega)
+            out[i] = 0.5 * k * (res.value + analytic)    # m k(eps) measure
+        return out
 
     total = QuadResult(0.0, 0.0, 0, True)
     for lo, hi in ((-ecut, 0.0), (0.0, ecut)):
         total = total + integrate_1d(f, lo, hi, spec)
     err = abs(pref) * total.err_est \
         + TRUNCATION_BIAS_REL * abs(pref) * abs(total.value)
-    return QuadResult(pref * total.value, err, evals, total.converged)
+    return QuadResult(pref * total.value, err, evals, total.converged, -1,
+                      total.intervals + intervals,
+                      max(total.max_depth, depth))
 
 
 def chi(geom: DetectorGeometry, params: EmitterParams,

@@ -57,10 +57,11 @@ def chi_f(u, k, w, cos_theta, r1, r2):
     """Angle-integrated pair energy-line function F(u) over the node array u.
 
     F(u) = int dOmega_k h(a) h(b) (2 pi)^6 g(a n1 - k) g(b n2 + k)
-    e^{i(a r1 + b r2)} with a = sqrt(1+u), b = sqrt(1-u) and |k| = k; the
-    opposite tunneling-filter exponents of the pair cancel, so E_C does not
-    appear, and the (2 pi)^-6 of the g's is folded into the assembly
-    prefactor outside.  The direction integral is 4 pi e^expo sinh V / V
+    e^{i(a r1 + b r2)} with a = sqrt(1+u), b = sqrt(1-u) and |k| = k (a
+    scalar, or an array like u with each node's own k); the opposite
+    tunneling-filter exponents of the pair cancel, so E_C does not appear,
+    and the (2 pi)^-6 of the g's is folded into the assembly prefactor
+    outside.  The direction integral is 4 pi e^expo sinh V / V
     with expo = -w^2 (1 + k^2) and V = w^2 k |a n1 - b n2|, written as
     e^(expo + V) (1 - e^-2V) / (2V): expo + V <= 0, so nothing overflows,
     and the last factor tends to 1 as V -> 0.
@@ -80,8 +81,11 @@ def chi_f(u, k, w, cos_theta, r1, r2):
 def chi_p(u, fm, fp, omega, k, w, cos_theta, r1, r2):
     """Pole-subtracted pair integrand P(u) for the principal-value integral.
 
-    P(u) = [F(u) - F(-w)] / (2 w (u + w)) + [F(u) - F(+w)] / (2 w (w - u));
-    fm and fp are the scalars F(-omega) and F(+omega) at the same k.
+    P(u) = [F(u) - F(-omega)] / (2 omega (u + omega))
+         + [F(u) - F(+omega)] / (2 omega (omega - u)).
+    fm, fp, omega and k are per node, arrays like u (or scalars, which
+    broadcast), so the nodes of many u-lines, each with its own eps, go in
+    one call; fm and fp are F(-omega) and F(+omega) at the node's k.
     """
     f = _chi_f(u, k, w, cos_theta, r1, r2)
     return (f - fm) / (2.0 * omega * (u + omega)) + (f - fp) / (
@@ -103,6 +107,7 @@ def warmup() -> None:
     """
     phi = np.zeros(2)
     u = np.array([-0.1, 0.1])
+    k = np.array([1.0, 1.01])
     gamma_integrand(phi, -0.01, 0.9, 1e-3, 1e-3, 6.0, 600.0, 600.0, 0.5, 0.99)
-    chi_f(u, 1.0, 6.0, -0.9, 600.0, 600.0)
-    chi_p(u, 0.1 + 0.0j, 0.1 + 0.0j, 0.05, 1.0, 6.0, -0.9, 600.0, 600.0)
+    f = chi_f(u, k, 6.0, -0.9, 600.0, 600.0)
+    chi_p(u, f, f, np.array([0.05, 0.06]), k, 6.0, -0.9, 600.0, 600.0)

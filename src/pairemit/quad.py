@@ -8,6 +8,12 @@ selection, and the final summation are all in left-to-right position order,
 which makes results bitwise reproducible for a fixed spec regardless of how
 many worker threads the caller uses elsewhere.  Endpoints must be finite:
 callers truncate infinite ranges where their integrand is negligible.
+
+``integrate_batch`` advances many independent integrals of one integrand in
+lockstep: each sweep evaluates the new panels of every unconverged line in
+one call, while each line keeps its own panels, tolerance test and budget,
+so its result is bitwise the one it gets alone.  ``integrate_1d`` is the
+batch of one, and ``integrate_nested`` recurses through it.
 """
 
 from __future__ import annotations
@@ -19,9 +25,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["QuadSpec", "QuadResult", "integrate_1d", "integrate_nested"]
+__all__ = ["QuadSpec", "QuadResult", "integrate_1d", "integrate_batch",
+           "integrate_nested"]
 
-# Gauss-Kronrod 7/15 nodes and weights on [-1, 1], ascending order.
+# Gauss-Kronrod 7/15 nodes and weights on [-1, 1], ascending order.  The
+# weights are stored complex, the dtype of the node values they reduce, so
+# that no product casts them per call (the cast is exact either way).
 _XGK = np.array([
     -0.9914553711208126392068546975263285,
     -0.9491079123427585245261896840478513,
@@ -55,7 +64,7 @@ _WGK = np.array([
     0.1047900103222501838398763225415180,
     0.0630920926299785532907006631892042,
     0.0229353220105292249637320080589695,
-])
+], dtype=np.complex128)
 _GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _WG = np.array([
     0.1294849661688696932706114326790820,
@@ -65,10 +74,10 @@ _WG = np.array([
     0.3818300505051189449503697754889751,
     0.2797053914892766679014677714237796,
     0.1294849661688696932706114326790820,
-])
+], dtype=np.complex128)
 
-# interval budget of one integrate_1d call, and the tolerance factor of each
-# nesting level inward
+# interval budget of one integral (each line of a batch has its own), and
+# the tolerance factor of each nesting level inward
 _MAX_INTERVALS = 20000
 _TIGHTEN = 0.1
 
@@ -98,13 +107,20 @@ class QuadSpec:
 
 @dataclass
 class QuadResult:
-    """Integral value, error estimate, and convergence status."""
+    """Integral value, error estimate, convergence status and the work done.
+
+    ``intervals`` is the number of panels in the final partition and
+    ``max_depth`` the deepest bisection level among them; a sum of results
+    adds the intervals and keeps the deeper depth.
+    """
 
     value: complex
     err_est: float
     evaluations: int
     converged: bool
     fail_dim: int = -1
+    intervals: int = 0
+    max_depth: int = 0
 
     def __add__(self, other: "QuadResult") -> "QuadResult":
         return QuadResult(
@@ -113,68 +129,152 @@ class QuadResult:
             self.evaluations + other.evaluations,
             self.converged and other.converged,
             max(self.fail_dim, other.fail_dim),
+            self.intervals + other.intervals,
+            max(self.max_depth, other.max_depth),
         )
+
+
+def _panels(f: Callable, ls: list, rs: list, owner: np.ndarray | None,
+            stops: list[int]) -> tuple[list, list]:
+    """K15 values and |K15 - G7| error estimates of the panels [ls, rs].
+
+    ``owner`` goes to ``f`` with the nodes; ``stops`` ends each line's block
+    of panels.  Each block is reduced by the same matrix-vector products
+    its line makes in a batch of its own, never as rows of a larger
+    product: OpenBLAS can round a row differently depending on the rows
+    around it (the Gauss product over numpy's Fortran-ordered column
+    selection does), and a lone row is a dot product.
+    """
+    m = len(ls)
+    if m == 1:      # most integrals end on their first panel: set up in floats
+        c = 0.5 * (ls[0] + rs[0])
+        h = 0.5 * (rs[0] - ls[0])
+        xs = (c + h * _XGK)[None, :]
+    else:
+        ends = np.array(ls + rs)
+        ls, rs = ends[:m], ends[m:]
+        c = 0.5 * (ls + rs)
+        h = 0.5 * (rs - ls)
+        xs = c[:, None] + h[:, None] * _XGK
+    fv = np.asarray(f(xs.ravel(), owner), dtype=np.complex128)
+    fv = fv.reshape(xs.shape)
+    fg = fv[:, _GAUSS_IDX]          # Fortran-ordered, as numpy makes it
+    if len(stops) == 1:
+        k15 = fv @ _WGK
+        g7 = fg @ _WG
+    else:
+        k15 = np.empty(m, np.complex128)
+        g7 = np.empty(m, np.complex128)
+        start = 0
+        for stop in stops:
+            k15[start:stop] = fv[start:stop] @ _WGK
+            g7[start:stop] = fg[start:stop] @ _WG
+            start = stop
+    k15 = h * k15
+    return k15.tolist(), np.abs(k15 - h * g7).tolist()
+
+
+def integrate_batch(f: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
+                    a: Sequence[float], b: Sequence[float],
+                    spec: QuadSpec = QuadSpec()) -> list[QuadResult]:
+    """Adaptive integrals of one vectorized integrand over the lines [a, b].
+
+    Line ``j`` runs over the finite ``[a[j], b[j]]``.  Each sweep evaluates
+    the new panels of every unconverged line in one call ``f(xs, owner)``:
+    ``xs`` is a 1D float64 array of abscissae and ``owner[i]`` the index of
+    the line node ``xs[i]`` belongs to, or ``None`` when there is one line.
+    ``f`` must return an array of the same length (real or complex).  Each
+    line keeps its own panels, depths, tolerance test, worst-first
+    selection and interval budget, so its result is bitwise what it gets in
+    a batch of its own, whatever lines share its sweeps.  Non-convergence is
+    reported per line through ``converged=False`` with the best available
+    estimate, never silently.
+    """
+    n = len(a)
+    if len(b) != n:
+        raise ValueError(f"{n} lower but {len(b)} upper endpoints")
+    for lo, hi in zip(a, b):
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"need finite a < b, got [{lo}, {hi}]")
+    if n == 0:
+        return []
+    lefts = [[lo] for lo in a]
+    rights = [[hi] for hi in b]
+    depths = [[0] for _ in range(n)]
+    evals = [15] * n
+    owner = None if n == 1 else np.repeat(np.arange(n), 15)
+    vs, es = _panels(f, list(a), list(b), owner, list(range(1, n + 1)))
+    vals = [[v] for v in vs]
+    errs = [[e] for e in es]
+    results: list[QuadResult] = [None] * n
+    active = range(n)
+
+    while active:
+        ls: list = []
+        rs: list = []
+        plans = []          # (line, panels to bisect, their midpoints)
+        for j in active:
+            vj, ej, dj = vals[j], errs[j], depths[j]
+            total = complex(sum(vj))        # position order: deterministic
+            tot_err = float(sum(ej))
+            tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+            refine = []
+            if tot_err > tol:
+                cut = max(0.25 * max(ej), tol / (2.0 * len(ej)))
+                refine = [i for i, e in enumerate(ej)
+                          if e > cut and dj[i] < spec.max_depth]
+            if not refine or len(ej) + len(refine) > _MAX_INTERVALS:
+                results[j] = QuadResult(total, tot_err, evals[j],
+                                        tot_err <= tol, -1, len(ej), max(dj))
+                continue
+            lj, rj = lefts[j], rights[j]
+            mids = [0.5 * (lj[i] + rj[i]) for i in refine]
+            for i, m in zip(refine, mids):
+                ls += (lj[i], m)
+                rs += (m, rj[i])
+            plans.append((j, refine, mids))
+        if not plans:
+            break
+        if n == 1:
+            stops = [len(ls)]
+        else:
+            sizes = [2 * len(refine) for _, refine, _ in plans]
+            stops = np.cumsum(sizes).tolist()
+            owner = np.repeat([j for j, _, _ in plans],
+                              [15 * s for s in sizes])
+        nv, ne = _panels(f, ls, rs, owner, stops)
+        active = []
+        start = 0
+        for j, refine, mids in plans:
+            evals[j] += 30 * len(refine)
+            lj, rj, dj = lefts[j], rights[j], depths[j]
+            vj, ej = vals[j], errs[j]
+            # splice children back in position order, right to left so
+            # that the indices still to splice stay valid
+            for k in reversed(range(len(refine))):
+                i, m = refine[k], mids[k]
+                d = dj[i] + 1
+                c = start + 2 * k
+                lj[i:i + 1] = [lj[i], m]
+                rj[i:i + 1] = [m, rj[i]]
+                dj[i:i + 1] = [d, d]
+                vj[i:i + 1] = nv[c:c + 2]
+                ej[i:i + 1] = ne[c:c + 2]
+            start += 2 * len(refine)
+            active.append(j)
+    return results
 
 
 def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                  spec: QuadSpec = QuadSpec()) -> QuadResult:
     """Adaptive integral of a vectorized integrand over the finite [a, b].
 
-    ``f`` receives a 1D float64 array of abscissae and must return an array
-    of the same length (real or complex).  Non-convergence is reported
-    through ``converged=False`` with the best available estimate, never
-    silently.
+    The batch-of-one case of ``integrate_batch``: ``f`` receives a 1D
+    float64 array of abscissae and must return an array of the same length
+    (real or complex).  Non-convergence is reported through
+    ``converged=False`` with the best available estimate, never silently.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ValueError(f"need finite a < b, got [{a}, {b}]")
-
-    lefts = [a]
-    rights = [b]
-    depths = [0]
-
-    def eval_panels(ls, rs):
-        ls = np.asarray(ls)
-        rs = np.asarray(rs)
-        c = 0.5 * (ls + rs)
-        h = 0.5 * (rs - ls)
-        xs = c[:, None] + h[:, None] * _XGK[None, :]
-        fv = np.asarray(f(xs.ravel()), dtype=np.complex128).reshape(xs.shape)
-        k15 = h * (fv @ _WGK)
-        g7 = h * (fv[:, _GAUSS_IDX] @ _WG)
-        return k15, np.abs(k15 - g7)
-
-    vals, errs = eval_panels(lefts, rights)
-    vals = list(vals)
-    errs = list(errs)
-    evals = 15 * len(lefts)
-
-    while True:
-        total = complex(sum(vals))          # position order: deterministic
-        tot_err = float(sum(errs))
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if tot_err <= tol:
-            return QuadResult(total, tot_err, evals, True)
-        max_err = max(errs)
-        cut = max(0.25 * max_err, tol / (2.0 * len(errs)))
-        refine = [i for i, e in enumerate(errs)
-                  if e > cut and depths[i] < spec.max_depth]
-        if not refine or len(lefts) + len(refine) > _MAX_INTERVALS:
-            return QuadResult(total, tot_err, evals, False)
-        mids = [0.5 * (lefts[i] + rights[i]) for i in refine]
-        nv, ne = eval_panels(
-            [x for i, m in zip(refine, mids) for x in (lefts[i], m)],
-            [x for i, m in zip(refine, mids) for x in (m, rights[i])])
-        evals += 30 * len(refine)
-        # splice children back in position order, right to left so that
-        # the indices still to splice stay valid
-        for k in reversed(range(len(refine))):
-            i, m = refine[k], mids[k]
-            d = depths[i] + 1
-            lefts[i:i + 1] = [lefts[i], m]
-            rights[i:i + 1] = [m, rights[i]]
-            depths[i:i + 1] = [d, d]
-            vals[i:i + 1] = [nv[2 * k], nv[2 * k + 1]]
-            errs[i:i + 1] = [ne[2 * k], ne[2 * k + 1]]
+    return integrate_batch(lambda xs, owner: f(xs), (a,), (b,), spec)[0]
 
 
 def integrate_nested(f: Callable, domains: Sequence[tuple[float, float]],
@@ -186,8 +286,9 @@ def integrate_nested(f: Callable, domains: Sequence[tuple[float, float]],
     of the enclosing levels and ``xs`` is an array over the innermost
     variable; it must return an array of matching length.  Each level inward
     runs with tolerances tightened by one order of magnitude.  The result
-    counts the evaluations of every level; if a level did not converge,
-    ``fail_dim`` is the innermost such dimension index (innermost = d-1).
+    counts the evaluations and intervals of every level and the deepest
+    bisection of any; if a level did not converge, ``fail_dim`` is the
+    innermost such dimension index (innermost = d-1).
     """
     d = len(domains)
     if d < 1 or d > 5:
@@ -195,12 +296,12 @@ def integrate_nested(f: Callable, domains: Sequence[tuple[float, float]],
     specs = [spec]
     for _ in range(d - 1):
         specs.append(specs[-1].tightened())
-    evals = 0
+    evals = intervals = depth = 0
     fail = -1
 
     def level(idx: int, fx: Callable) -> QuadResult:
         """Integrate fx, its outer variables bound, over domains[idx:]."""
-        nonlocal evals, fail
+        nonlocal evals, intervals, depth, fail
         if idx == d - 1:
             g = fx
         else:
@@ -209,9 +310,12 @@ def integrate_nested(f: Callable, domains: Sequence[tuple[float, float]],
                                  for x in xs], dtype=np.complex128)
         res = integrate_1d(g, *domains[idx], specs[idx])
         evals += res.evaluations
+        intervals += res.intervals
+        depth = max(depth, res.max_depth)
         if not res.converged:
             fail = max(fail, idx)
         return res
 
     top = level(0, f)
-    return QuadResult(top.value, top.err_est, evals, fail < 0, fail)
+    return QuadResult(top.value, top.err_est, evals, fail < 0, fail,
+                      intervals, depth)

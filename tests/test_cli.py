@@ -222,6 +222,28 @@ class TestCommands:
         assert "detector distance must be positive" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_peak_takes_command_line_range_under_other_sweep_param(
+            self, tmp_path):
+        # one file serves `sweep` over w and `peak`: the file's range is w's,
+        # but a range given on the command line is peak's r range
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("sweep_param = w\nsweep_min = 0.5\nsweep_max = 2\n")
+        out = tmp_path / "p.csv"
+        assert main(["peak", "--config", str(cfg), "--sweep-min", "100",
+                     "--sweep-max", "200", "--sweep-points", "3",
+                     "--output", str(out)]) == 0
+        rs = [float(line.split(",")[0])
+              for line in out.read_text().splitlines()[1:]]
+        assert rs == pytest.approx([100.0, 100.0 * math.sqrt(2.0), 200.0],
+                                   rel=1e-12)
+        # without a range on the command line, r keeps its default range
+        assert main(["peak", "--config", str(cfg), "--sweep-points", "3",
+                     "--output", str(out)]) == 0
+        rs = [float(line.split(",")[0])
+              for line in out.read_text().splitlines()[1:]]
+        assert rs == pytest.approx([10.0, math.sqrt(10.0 * 3.0e6), 3.0e6],
+                                   rel=1e-12)
+
     def test_classify_normal_separable(self, tmp_path, capsys):
         out = tmp_path / "cls.json"
         rc = main(["classify", "--delta", "0", "--r", "100",

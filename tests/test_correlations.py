@@ -7,6 +7,7 @@ import pytest
 
 import pairemit.correlations as correlations
 import pairemit.kernels as kernels
+import pairemit.quad as quad
 from pairemit.correlations import (DetectorGeometry, NonConvergenceError,
                                    _chi_quad, default_spec, energy_cutoff,
                                    farfield_amplitude,
@@ -261,6 +262,75 @@ class TestChi:
         res = info.value.result
         assert isinstance(res, QuadResult)
         assert not res.converged and res.evaluations > 0
+
+    def test_first_failed_u_line_in_eps_order_is_named(self, monkeypatch):
+        batches = []
+        batch = quad.integrate_batch
+
+        def recording(f, a, b, spec):
+            res = batch(f, a, b, spec)
+            batches.append((a, b, res))
+            return res
+
+        monkeypatch.setattr(quad, "integrate_batch", recording)
+        spec = QuadSpec(rel_tol=1e-3, abs_tol=1e-300, max_depth=1)
+        with pytest.raises(NonConvergenceError) as info:
+            chi(DetectorGeometry.from_r_theta(R, math.pi), SUPER, spec)
+        # the u-lines of the sweep that raised: several failed, and the
+        # first of them in eps order is named, with its own result
+        u_los, u_his, lines = next(b for b in reversed(batches)
+                                   if len(b[2]) > 1)
+        failed = [j for j, res in enumerate(lines) if not res.converged]
+        assert len(failed) > 1
+        first = failed[0]
+        assert str(info.value).endswith(
+            f"u in [{u_los[first]!r}, {u_his[first]!r}]")
+        assert info.value.result is lines[first]
+
+    @pytest.mark.parametrize("rel_tol, max_calls, nodes", [
+        (0.03, 12, 6_750), (1e-3, 40, 47_250)])
+    def test_kernel_calls_at_the_figure_point(self, monkeypatch, rel_tol,
+                                              max_calls, nodes):
+        # machine-independent counts: the u-lines of an eps sweep share
+        # their chi_p calls, while each line keeps its own nodes
+        seen = {"calls": 0, "nodes": 0}
+        chi_p = kernels.chi_p
+
+        def counting(u, *args):
+            seen["calls"] += 1
+            seen["nodes"] += np.size(u)
+            return chi_p(u, *args)
+
+        monkeypatch.setattr(kernels, "chi_p", counting)
+        chi(DetectorGeometry.from_r_theta(R, math.pi), SUPER,
+            default_spec(rel_tol))
+        assert seen["calls"] <= max_calls
+        assert seen["nodes"] == nodes
+
+    def test_telemetry_sums_the_eps_integral_and_every_u_line(
+            self, monkeypatch):
+        eps, batches = [], []
+        integrate_1d, batch = correlations.integrate_1d, quad.integrate_batch
+
+        def eps_recording(*args):
+            eps.append(integrate_1d(*args))
+            return eps[-1]
+
+        def recording(*args):
+            batches.append(batch(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(correlations, "integrate_1d", eps_recording)
+        monkeypatch.setattr(quad, "integrate_batch", recording)
+        res = _chi_quad(DetectorGeometry.from_r_theta(R, math.pi), SUPER,
+                        default_spec(0.03))
+        # the eps integrals' own batches of one are not u-lines
+        lines = [r for b in batches for r in b
+                 if not any(r is e for e in eps)]
+        assert len(eps) == 2 and len(lines) >= 2 * 15
+        assert res.intervals == sum(r.intervals for r in eps + lines)
+        assert res.max_depth == max(r.max_depth for r in eps + lines) > 0
+        assert res.evaluations == sum(2 + r.evaluations for r in lines)
 
     def test_regime_warnings(self):
         with pytest.warns(UserWarning):
