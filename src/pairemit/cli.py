@@ -423,7 +423,8 @@ def cmd_classify(cfg: RunConfig, args) -> int:
 def cmd_validate(cfg: RunConfig, args) -> int:
     results = run_checks(skip_slow=args.quick)
     for res in results:
-        print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}")
+        print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}"
+              f"  [{res.seconds:.3f} s]")
     summary = {
         "passed": sum(r.passed for r in results),
         "failed": sum(not r.passed for r in results),

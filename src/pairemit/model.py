@@ -17,7 +17,7 @@ import numpy as np
 __all__ = [
     "KF", "MU", "MASS", "LAMBDA_F", "REGIME_KFR", "REGIME_SPREAD",
     "EmitterParams", "DerivedParams", "OutOfBandError",
-    "derive_params", "form_factors", "pole_momentum",
+    "derive_params", "pippard_length", "form_factors", "pole_momentum",
 ]
 
 KF = 1.0
@@ -88,6 +88,11 @@ class DerivedParams:
         return self.xi / self.lambda_f
 
 
+def pippard_length(abs_delta):
+    """xi = k_F / (pi m |Delta|) in k_F^-1 units, elementwise, |Delta| > 0."""
+    return KF / (math.pi * MASS * abs_delta)
+
+
 def derive_params(p: EmitterParams) -> DerivedParams:
     """Pippard length and convenience ratios.
 
@@ -99,7 +104,7 @@ def derive_params(p: EmitterParams) -> DerivedParams:
         xi = math.inf
         w_over_xi = 0.0
     else:
-        xi = KF / (math.pi * MASS * ad)
+        xi = pippard_length(ad)
         w_over_xi = p.w_kf / xi
     return DerivedParams(
         xi=xi,

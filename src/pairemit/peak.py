@@ -15,20 +15,19 @@ modelling it).  The regime conditions carry documented numeric cutoffs
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (LAMBDA_F, REGIME_KFR, REGIME_SPREAD, EmitterParams,
-                    derive_params)
-from .specfun import bessel_k1, hankel2_0, principal_sqrt
+from .model import (LAMBDA_F, MU, REGIME_KFR, REGIME_SPREAD, EmitterParams,
+                    pippard_length)
+from .specfun import bessel_k1, hankel2_0
 
 __all__ = [
     "PeakResult", "SweepSpec", "SweepResult",
-    "delta_q_peak", "angular_profile", "threshold_map",
+    "delta_q_peak", "delta_q_grid", "angular_profile", "threshold_map",
     "DQ_ENTANGLEMENT", "DQ_BELL",
     "REGIME_MU_OVER_EC",
 ]
@@ -55,29 +54,73 @@ class PeakResult:
     meta: dict = field(default_factory=dict)
 
 
-def _regime_flags(params: EmitterParams, r_kf: float) -> dict:
+def _regime_flags(ec, w, r) -> dict:
+    """The three regime conditions, elementwise over E_C, w and r."""
+    r_kf = r * LAMBDA_F
     return {
         "kfr_large": r_kf >= REGIME_KFR,
-        "ec_small": 1.0 / params.ec >= REGIME_MU_OVER_EC,
-        "spread_large": r_kf / params.w_kf ** 2 >= REGIME_SPREAD,
+        "ec_small": 1.0 / ec >= REGIME_MU_OVER_EC,
+        "spread_large": r_kf / (w * LAMBDA_F) ** 2 >= REGIME_SPREAD,
     }
 
 
-def _peak_terms(params: EmitterParams,
-                r_kf: float) -> tuple[complex, complex, float]:
-    """Hankel argument z, subtracted term s and prefactor pi^2/(32 K1^2) of
-    dQ = prefactor * |H0^(2)(z) - s|^2 (|Delta| > 0).  The prefactor is inf
-    where K1(|Delta|/E_C)^2 underflows (|Delta|/E_C above about 354)."""
-    xi = derive_params(params).xi          # k_F^-1 units
-    w = params.w_kf
-    arg = 1j * w * w / (math.pi ** 2 * xi ** 2) \
-        - r_kf / (2.0 * math.pi ** 2 * xi ** 2)
-    phase = cmath.exp(1j * r_kf / (2.0 * math.pi ** 2 * xi ** 2))
-    second = 4.0 * phase / (math.pi * principal_sqrt(1j * r_kf / (w * w)))
-    k1 = bessel_k1(params.abs_delta / params.ec)
-    denom = 32.0 * k1 * k1
-    prefactor = math.pi ** 2 / denom if denom > 0.0 else math.inf
+def _peak_terms(ad, ec, w, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """z, s and the prefactor pi^2/(32 K1^2) of dQ = prefactor |H0^(2)(z) -
+    s|^2 over 1-D arrays (length 1 or n) of |Delta| > 0, E_C, w and r: K1
+    once per element of |Delta|/E_C, so once per sweep unless |Delta| or
+    E_C is swept; inf where K1^2 underflows (|Delta|/E_C above ~354)."""
+    xi2 = pippard_length(ad) ** 2           # (k_F^-1 units)^2
+    w2 = (w * LAMBDA_F) ** 2
+    r_kf = r * LAMBDA_F
+    u = r_kf / (2.0 * math.pi ** 2 * xi2)
+    arg = 1j * (w2 / (math.pi ** 2 * xi2)) - u
+    # s = 4 e^{iu} / (pi sqrt(i r / (k_F w^2))), principal square root
+    second = 4.0 * np.exp(1j * u) / (math.pi * np.sqrt(1j * (r_kf / w2)))
+    k1 = np.array([bessel_k1(x) for x in (ad / ec).tolist()])
+    denom = 32.0 * k1 * k1                  # 0 where K1^2 underflows
+    prefactor = np.divide(math.pi ** 2, denom, out=np.full(k1.shape, np.inf),
+                          where=denom > 0.0)
     return arg, second, prefactor
+
+
+def delta_q_grid(abs_delta, ec, w, r) -> tuple[np.ndarray, ...]:
+    """dQ, its error bound and the Hankel argument, elementwise over
+    |Delta|/mu, E_C/mu, w/lambda_F and r/lambda_F (scalars or 1-D arrays of
+    one length n).  dQ = 0 where Delta = 0 and inf where K1(|Delta|/E_C)^2
+    underflows.  The first element that is no valid EmitterParams with
+    r > 0, or where the Hankel factor overflows, raises ValueError naming
+    it as that point alone would."""
+    cols = [np.asarray(x, float).reshape(-1) for x in (abs_delta, ec, w, r)]
+    ad, ec, w, r = cols
+    bad = ~(ec > 0.0) | ~(w > 0.0) | (ad >= MU) | (r <= 0.0)
+    if np.count_nonzero(bad):       # the first bad point raises as if alone
+        EmitterParams(*(np.broadcast_to(c, bad.shape)[np.argmax(bad)]
+                        for c in cols[:3]))
+        raise ValueError("detector distance must be positive")
+    if np.count_nonzero(ad) < ad.size:      # Delta = 0: dQ = 0, no pairs
+        cols = np.broadcast_arrays(*cols)
+        pair = cols[0] > 0.0
+        out = tuple(np.zeros(pair.shape, t) for t in (float, float, complex))
+        for o, v in zip(out, delta_q_grid(*(c[pair] for c in cols))):
+            o[pair] = v
+        return out
+    arg, second, prefactor = _peak_terms(*cols)
+    over = arg.imag > _HANKEL_IM_MAX
+    if np.count_nonzero(over):
+        ad, ec, w, r = np.broadcast_arrays(*cols)
+        i = int(np.argmax(over))
+        raise ValueError(
+            f"dQ overflows at |Delta|/mu = {ad[i]:g}, "
+            f"E_C/mu = {ec[i]:g}, w/lambda_F = {w[i]:g}, "
+            f"r/lambda_F = {r[i]:g}: the Hankel argument has Im z = "
+            f"w^2/(pi^2 xi^2) = {arg[i].imag:.4g} > {_HANKEL_IM_MAX:.4g}")
+    h2 = hankel2_0(arg)
+    diff = np.abs(h2.value - second)
+    dq = prefactor * diff ** 2
+    # propagated bound: Hankel route error plus K1/assembly roundoff
+    rel = 2.0 * h2.est_error * np.abs(h2.value) \
+        / np.maximum(diff, 1e-300) + 5e-13
+    return dq, dq * rel, arg
 
 
 def delta_q_peak(params: EmitterParams, r: float) -> PeakResult:
@@ -88,43 +131,22 @@ def delta_q_peak(params: EmitterParams, r: float) -> PeakResult:
     downgrade to flags, never errors.  dQ is inf where K1(|Delta|/E_C)^2
     underflows.  Raises ValueError where the Hankel factor would overflow
     (w^2/(pi^2 xi^2) > _HANKEL_IM_MAX, e.g. w >~ 2000 lambda_F at the
-    figure gap).
+    figure gap).  The length-1 case of the grid evaluation.
     """
-    if r <= 0.0:
-        raise ValueError("detector distance must be positive")
-    r_kf = r * LAMBDA_F
-    flags = _regime_flags(params, r_kf)
-    lam_warn = params.w < 1.0
-    if params.abs_delta == 0.0:
-        return PeakResult(
-            delta_q=0.0, hankel_arg=0.0 + 0.0j, regime_ok=flags,
-            lambda_warning=lam_warn,
-        )
-    arg, second, prefactor = _peak_terms(params, r_kf)
-    if arg.imag > _HANKEL_IM_MAX:
-        raise ValueError(
-            f"dQ overflows at |Delta|/mu = {params.abs_delta:g}, "
-            f"E_C/mu = {params.ec:g}, w/lambda_F = {params.w:g}, "
-            f"r/lambda_F = {r:g}: the Hankel argument has Im z = "
-            f"w^2/(pi^2 xi^2) = {arg.imag:.4g} > {_HANKEL_IM_MAX:.4g}")
-    h2 = hankel2_0(arg)
-    diff = h2.value - second
-    dq = prefactor * abs(diff) ** 2
-    # propagated bound: Hankel route error plus K1/assembly roundoff
-    rel = 2.0 * h2.est_error * abs(h2.value) / max(abs(diff), 1e-300) \
-        + 5e-13
-    dq_err = dq * rel
+    dq, dq_err, arg = delta_q_grid(params.abs_delta, params.ec, params.w, r)
+    flags = _regime_flags(params.ec, params.w, r)
     return PeakResult(
-        delta_q=dq,
-        hankel_arg=arg,
-        regime_ok=flags,
-        lambda_warning=lam_warn,
-        meta={"hankel_est_error": h2.est_error, "delta_q_err": dq_err},
+        delta_q=float(dq[0]),
+        hankel_arg=complex(arg[0]),
+        regime_ok={k: bool(v) for k, v in flags.items()},
+        lambda_warning=params.w < 1.0,
+        meta={"delta_q_err": float(dq_err[0])},
     )
 
 
-def peak_envelope(params: EmitterParams, r: float) -> float:
-    """Smooth upper envelope of the oscillating dQ(r) at fixed parameters.
+def peak_envelope(params: EmitterParams, r) -> np.ndarray | float:
+    """Smooth upper envelope of the oscillating dQ(r) at fixed parameters,
+    elementwise over r (a scalar r gives a float).
 
     At its second-quadrant argument z the Hankel function carries both
     asymptotic phases (H0^(2)(z) = 2 J0(-z) + H0^(2)(-z)), so |H0^(2)(z)|
@@ -135,23 +157,26 @@ def peak_envelope(params: EmitterParams, r: float) -> float:
     decay-law diagnostics.
     """
     if params.abs_delta == 0.0:
-        return 0.0
-    arg, second, prefactor = _peak_terms(params, r * LAMBDA_F)
-    habs = abs(hankel2_0(-arg).value)       # fourth quadrant: smooth modulus
-    return prefactor * (3.0 * habs + abs(second)) ** 2
+        return np.zeros(np.shape(r)) if np.ndim(r) else 0.0
+    arg, second, prefactor = _peak_terms(
+        *(np.asarray(x, float).reshape(-1)
+          for x in (params.abs_delta, params.ec, params.w, r)))
+    habs = np.abs(hankel2_0(-arg).value)    # fourth quadrant: smooth modulus
+    env = prefactor * (3.0 * habs + np.abs(second)) ** 2
+    return env if np.ndim(r) else float(env[0])
 
 
-def angular_profile(theta: float, params: EmitterParams) -> float:
-    """Angular envelope of the bunching peak, normalized to 1 at theta = pi.
+def angular_profile(theta, params: EmitterParams):
+    """Angular envelope of the bunching peak, 1 at theta = pi, elementwise.
 
     exp(-8 k_F^2 w^2 sin^2((pi - theta)/4)); the full off-peak Q(theta)
     lives in the correlations module.
     """
-    if not 0.0 <= theta < 2.0 * math.pi:
+    if not np.all((0.0 <= theta) & (theta < 2.0 * math.pi)):
         raise ValueError("theta must lie in [0, 2 pi)")
     w = params.w_kf
-    s = math.sin((math.pi - theta) / 4.0)
-    return math.exp(-8.0 * w * w * s * s)
+    s = np.sin((math.pi - theta) / 4.0)
+    return np.exp(-8.0 * w * w * s * s)
 
 
 def misalignment_tolerance(params: EmitterParams) -> float:
@@ -191,7 +216,7 @@ class SweepSpec:
 
 @dataclass
 class SweepResult:
-    """Tabulated peak heights plus bisected threshold crossings."""
+    """Tabulated peak heights plus the located threshold crossings."""
 
     param: str
     values: np.ndarray
@@ -201,61 +226,73 @@ class SweepResult:
     delta_q_err: np.ndarray | None = None
 
 
-def _peak_at(spec: SweepSpec, value: float) -> PeakResult:
-    base = spec.base
-    kw = dict(delta=base.delta, ec=base.ec, w=base.w)
-    r = spec.r
-    if spec.param == "r":
-        r = value
-    elif spec.param == "delta":
-        # sweeps are over |Delta|; keep the base phase
-        phase = base.delta / abs(base.delta) if abs(base.delta) else 1.0
-        kw["delta"] = value * phase
-    else:
-        kw[spec.param] = value
-    return delta_q_peak(EmitterParams(**kw), r)
+def _sweep_columns(spec: SweepSpec, values) -> list:
+    """|Delta|, E_C, w and r at the swept values, the others at the base."""
+    cols = {"delta": spec.base.abs_delta, "ec": spec.base.ec,
+            "w": spec.base.w, "r": spec.r}
+    cols[spec.param] = np.abs(values) if spec.param == "delta" else values
+    return [cols[k] for k in ("delta", "ec", "w", "r")]
 
 
-def _bisect_crossing(spec: SweepSpec, lo: float, hi: float, target: float,
-                     rel_tol: float = 1e-6) -> float:
-    flo = _peak_at(spec, lo).delta_q - target
+def _illinois(f, x0: list, x1: list, f0: list, f1: list,
+              rel_tol: float = 1e-6) -> list[float]:
+    """Roots of f in the brackets [x0[j], x1[j]] (f0[j], f1[j] of opposite
+    signs) by Illinois regula falsi: a step that keeps the older end again
+    halves its f.  Open brackets advance in lockstep, one call f(xs, owner)
+    per step (owner[i] the bracket of xs[i]), so each root is what its
+    bracket gives alone; a bracket closes at |x1 - x0| <= rel_tol |mid|."""
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if abs(hi - lo) <= rel_tol * abs(mid):
-            return mid
-        fm = _peak_at(spec, mid).delta_q - target
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        todo = [j for j, (a, b) in enumerate(zip(x0, x1))
+                if abs(b - a) > rel_tol * abs(0.5 * (a + b))]
+        if not todo:
+            break
+        xs = [x1[j] - f1[j] * (x1[j] - x0[j]) / (f1[j] - f0[j]) for j in todo]
+        # an inf end or roundoff puts the secant point off the bracket: bisect
+        xs = [c if min(x0[j], x1[j]) < c < max(x0[j], x1[j])
+              else 0.5 * (x0[j] + x1[j]) for j, c in zip(todo, xs)]
+        for j, c, fc in zip(todo, xs, f(np.array(xs), todo)):
+            if fc == 0.0:
+                x0[j] = c
+            elif (fc > 0.0) != (f1[j] > 0.0):
+                x0[j], f0[j] = x1[j], f1[j]
+            else:
+                f0[j] *= 0.5
+            x1[j], f1[j] = c, fc
+    return [0.5 * (a + b) for a, b in zip(x0, x1)]      # the midpoints
 
 
 def threshold_map(spec: SweepSpec) -> SweepResult:
     """Peak height over the grid with entanglement/Bell crossings located.
 
-    Crossings of dQ = 1/2 (Q = 3/2) and dQ = sqrt(2)+1 (Bell) are refined by
-    bisection between bracketing grid points to 1e-6 relative in the swept
-    parameter.
+    The grid is one array evaluation.  A grid value exactly on a threshold
+    (dQ = 1/2, i.e. Q = 3/2, or dQ = sqrt(2)+1, Bell) is that crossing; the
+    others, bracketed by grid neighbours, are refined together by Illinois
+    regula falsi to a bracket of 1e-6 relative in the swept parameter.
     """
     values = np.asarray(spec.grid, dtype=float)
-    results = [_peak_at(spec, v) for v in values]
-    dq = np.array([p.delta_q for p in results])
-    dq_err = np.array([p.meta.get("delta_q_err", 0.0) for p in results])
-    crossings: dict[str, list[float]] = {}
-    for name, target in (("entangled", DQ_ENTANGLEMENT), ("bell", DQ_BELL)):
-        found = []
-        s = dq - target
-        for i in range(len(values) - 1):
-            if s[i] == 0.0 or (s[i] > 0) != (s[i + 1] > 0):
-                found.append(_bisect_crossing(spec, values[i], values[i + 1],
-                                              target))
-        crossings[name] = found
+    cols = _sweep_columns(spec, values)
+    dq, dq_err, _ = delta_q_grid(*cols)
+    # crossings (threshold k, grid index i): a grid value exactly on its
+    # target is one, a bracket [i, i]; a sign change brackets [i, i + 1]
+    t = np.array([[DQ_ENTANGLEMENT], [DQ_BELL]])
+    s = np.sign(dq - t)
+    k, i = np.nonzero((s == 0.0) | np.pad(s[:, :-1] * s[:, 1:] < 0.0,
+                                          ((0, 0), (0, 1))))
+    j = np.where(s[k, i] == 0.0, i, i + 1)
+    roots = _illinois(
+        lambda xs, owner: (delta_q_grid(*_sweep_columns(spec, xs))[0]
+                           - t[k[owner], 0]).tolist(),
+        values[i].tolist(), values[j].tolist(),
+        (dq[i] - t[k, 0]).tolist(), (dq[j] - t[k, 0]).tolist())
+    crossings = {name: [x for x, kx in zip(roots, k) if kx == n]
+                 for n, name in enumerate(("entangled", "bell"))}
+    flags = _regime_flags(*np.broadcast_arrays(*cols[1:], values)[:3])
     return SweepResult(
         param=spec.param,
         values=values,
         delta_q=dq,
-        regime_ok=[p.regime_ok for p in results],
+        regime_ok=[dict(zip(flags, row))
+                   for row in zip(*(f.tolist() for f in flags.values()))],
         crossings=crossings,
         delta_q_err=dq_err,
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import EmitterParams
-from .peak import PeakResult, angular_profile, delta_q_peak
+from .peak import PeakResult, angular_profile, delta_q_grid, delta_q_peak
 
 __all__ = ["FluctuationSpec", "averaged_peak"]
 
@@ -45,11 +45,19 @@ def averaged_peak(params: EmitterParams, r: float,
 
     Returns a PeakResult whose delta_q is the averaged value; meta carries
     the unperturbed value and the fractional degradation.  Rejects sigma_w
-    large enough to push w non-positive at a quadrature node.
+    that puts real weight at w <= 0, sigma_r0 that tilts a node past pi.
     """
-    base = delta_q_peak(params, r)
     nodes, weights = np.polynomial.hermite.hermgauss(fluct.samples)
     norm = math.sqrt(math.pi)
+    # transverse tip displacement -> misalignment dtheta = |r0_perp| / r,
+    # from the two transverse components at the nodes
+    dtheta = math.sqrt(2.0) * fluct.sigma_r0 \
+        * np.hypot(nodes[:, None], nodes) / r
+    if dtheta.max() > math.pi:
+        raise ValueError(
+            f"sigma_r0 = {fluct.sigma_r0} at r = {r} puts a node at |r0_perp|"
+            f" = {dtheta.max() * r:.4g} lambda_F, beyond pi r; invalid")
+    base = delta_q_peak(params, r)
 
     # size-fluctuation average over w: quadrature nodes that land at
     # non-physical w <= 0 are dropped and the rule renormalized, provided
@@ -64,24 +72,13 @@ def averaged_peak(params: EmitterParams, r: float,
                 f"sigma_w = {fluct.sigma_w} puts {dropped:.1%} of the "
                 "Gaussian mass at w <= 0; fluctuation model invalid"
             )
-        vals = np.array([
-            delta_q_peak(EmitterParams(params.delta, params.ec, wi), r).delta_q
-            for wi in ws[keep]
-        ])
+        vals = delta_q_grid(params.abs_delta, params.ec, ws[keep], r)[0]
         dq_w = float(np.sum(weights[keep] * vals) / np.sum(weights[keep]))
     else:
         dq_w = base.delta_q
 
-    # transverse tip displacement -> misalignment dtheta = |r0_perp| / r,
-    # averaged over the two transverse components
     if fluct.sigma_r0 > 0.0:
-        scale = math.sqrt(2.0) * fluct.sigma_r0 / r
-        xx = scale * nodes
-        env = np.empty((fluct.samples, fluct.samples))
-        for i, xi in enumerate(xx):
-            for j, yj in enumerate(xx):
-                dtheta = math.hypot(xi, yj)
-                env[i, j] = angular_profile(math.pi - dtheta, params)
+        env = angular_profile(math.pi - dtheta, params)
         env_factor = float(weights @ env @ weights / (norm * norm))
     else:
         env_factor = 1.0

@@ -1,9 +1,10 @@
 """Special functions for the closed-form bunching peak: K1 and H0^(2), with
 J0 and Y0 under the latter, plus the principal complex square root.
 
-Everything here is evaluated in double precision by one of two fixed routes:
+Everything here is evaluated in double precision, elementwise over arrays (a
+scalar is the length-1 case), by one of two fixed routes:
 
-* an ascending power series for small ``|z|`` (``|z| <= SERIES_RADIUS``), and
+* an ascending power series of fixed length for ``|z| <= SERIES_RADIUS``, and
 * one large-argument route, ``_hankel2_large``, for H0^(2): the exact
   integral form of the Hankel asymptotic expansion (Watson's
   representation) on a fixed Gauss-Hermite rule, rotated to I0/K0 for
@@ -68,6 +69,11 @@ _LARGE_BASE_ERR = 1e-13
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(200)
 _GH_T = _GH_NODES * _GH_NODES
 
+# Fixed length of the ascending series, k = 1 ... 32: on |z| <= SERIES_RADIUS
+# its terms fall below 1e-28 of the largest one by k = 32.
+_K = np.arange(1.0, 33.0)[:, None]
+_HARMONIC = np.cumsum(1.0 / _K, axis=0)
+
 
 @dataclass(frozen=True)
 class SpecfunResult:
@@ -90,22 +96,20 @@ def principal_sqrt(z: complex) -> complex:
 # ascending series (small |z|)
 # ---------------------------------------------------------------------------
 
-def _j0y0_series(z: complex) -> tuple[complex, complex]:
-    """J0 and Y0 by their ascending series, principal branch of the log."""
-    q = -(z * z) / 4.0
-    term = 1.0 + 0.0j
-    j0 = term
-    harm = 0.0
-    ysum = 0.0 + 0.0j
-    for k in range(1, 120):
-        term *= q / (k * k)
-        j0 += term
-        harm += 1.0 / k
-        # (-1)^{k+1} H_k (z^2/4)^k / (k!)^2  ==  -term * H_k
-        ysum -= term * harm
-        if abs(term) <= 1e-18 * max(1.0, abs(j0)):
-            break
-    y0 = (2.0 / math.pi) * ((cmath.log(0.5 * z) + EULER_GAMMA) * j0 + ysum)
+def _j0y0_series(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J0 and Y0 by their ascending series, principal branch of the log,
+    elementwise over a 1-D array: the terms k = 0 ... 32 as running products
+    of -z^2/(4 k^2), each sum accumulated from k = 0 upwards."""
+    q = z * z / -4.0
+    f = np.empty((_K.size + 1, z.size), dtype=complex)
+    f[0] = 1.0
+    f[1:].real = q.real / (_K * _K)         # componentwise, as q / k^2 rounds
+    f[1:].imag = q.imag / (_K * _K)
+    term = np.cumprod(f, axis=0)            # (-z^2/4)^k / (k!)^2
+    j0 = np.cumsum(term, axis=0)[-1]
+    # (-1)^{k+1} H_k (z^2/4)^k / (k!)^2  ==  -term * H_k
+    ysum = -np.cumsum(term[1:] * _HARMONIC, axis=0)[-1]
+    y0 = (2.0 / math.pi) * ((np.log(0.5 * z) + EULER_GAMMA) * j0 + ysum)
     return j0, y0
 
 
@@ -113,28 +117,28 @@ def _j0y0_series(z: complex) -> tuple[complex, complex]:
 # large-argument route: Watson integrals on a fixed Gauss-Hermite rule
 # ---------------------------------------------------------------------------
 
-def _watson_h2(z: complex) -> complex:
-    """H0^(2)(z) by its exact integral representation, -pi < arg z < pi/2."""
-    integral = np.sum(_GH_WEIGHTS / np.sqrt(1.0 - 1j * _GH_T / (2.0 * z)))
+def _watson_h2(z: np.ndarray) -> np.ndarray:
+    """H0^(2)(z) by its exact integral form, -pi < arg z < pi/2 (1-D)."""
+    t2z = 1j * _GH_T / (2.0 * z[:, None])
+    integral = np.sum(_GH_WEIGHTS / np.sqrt(1.0 - t2z), axis=-1)
     return (
-        cmath.sqrt(2.0 / (math.pi * z))
-        * cmath.exp(-1j * (z - math.pi / 4.0))
+        np.sqrt(2.0 / (math.pi * z))
+        * np.exp(-1j * (z - math.pi / 4.0))
         / math.sqrt(math.pi)
         * integral
     )
 
 
-def _watson_k(nu: int, z: complex) -> complex:
+def _watson_k(nu: int, z):
     """K_nu(z) for nu in {0, 1}, Re z > 0, by the Watson integral."""
+    t2z = _GH_T / (2.0 * np.asarray(z)[..., None])
     if nu == 0:
-        integral = np.sum(_GH_WEIGHTS / np.sqrt(1.0 + _GH_T / (2.0 * z)))
+        integral = np.sum(_GH_WEIGHTS / np.sqrt(1.0 + t2z), axis=-1)
         gamma_factor = math.sqrt(math.pi)
     else:
-        integral = np.sum(_GH_WEIGHTS * _GH_T * np.sqrt(1.0 + _GH_T / (2.0 * z)))
+        integral = np.sum(_GH_WEIGHTS * _GH_T * np.sqrt(1.0 + t2z), axis=-1)
         gamma_factor = math.sqrt(math.pi) / 2.0
-    return (
-        cmath.sqrt(math.pi / (2.0 * z)) * cmath.exp(-z) * integral / gamma_factor
-    )
+    return np.sqrt(math.pi / (2.0 * z)) * np.exp(-z) * integral / gamma_factor
 
 
 def _i0_periodic(y: complex) -> complex:
@@ -149,80 +153,89 @@ def _i0_periodic(y: complex) -> complex:
     return cmath.exp(re) * complex(np.mean(np.exp(y * np.cos(t) - re)))
 
 
-def _hankel2_large(z: complex) -> complex:
-    """H0^(2)(z) for |z| > SERIES_RADIUS, cancellation-free in every wedge."""
-    a = cmath.phase(z)
-    if a == -math.pi and z.imag == 0.0:
-        # -x - 0j, the lower side of the cut, where the Watson square root
-        # takes the other branch: H0^(2)(-x - i0) = -H0^(1)(x)
-        return -_watson_h2(-z).conjugate()
-    if a <= 3.0 * math.pi / 8.0:
-        # covers (-pi, 3pi/8]: the direct integral computes the (possibly
-        # exponentially small) value without forming J0 - iY0
-        return _watson_h2(z)
-    if a <= 5.0 * math.pi / 8.0:
-        y = -1j * z
-        return 2.0 * _i0_periodic(y) + (2j / math.pi) * _watson_k(0, y)
+def _hankel2_large(z: np.ndarray) -> np.ndarray:
+    """H0^(2) on a 1-D array, |z| > SERIES_RADIUS, cancellation-free."""
+    a = np.angle(z)
+    # -x - 0j, the lower side of the cut, where the Watson square root takes
+    # the other branch: H0^(2)(-x - i0) = -H0^(1)(x)
+    cut = (a == -math.pi) & (z.imag == 0.0)
+    rotated = (a > 3.0 * math.pi / 8.0) & (a <= 5.0 * math.pi / 8.0)
+    reflected = a > 5.0 * math.pi / 8.0
+    out = np.empty_like(z)
+    # on (-pi, 3pi/8] the direct integral computes the (possibly
+    # exponentially small) value without forming J0 - iY0; the cut and the
+    # reflected wedge need it at w = -z, the latter also at conj w
+    w = np.where(cut | reflected, -z, z)[~rotated]
+    h = _watson_h2(np.concatenate([w, np.conj(-z[reflected])]))
+    out[~rotated] = np.where(cut[~rotated], -np.conj(h[:w.size]), h[:w.size])
     # H0^(2)(z) = 2 J0(w) + H0^(2)(w) = H0^(1)(w) + 2 H0^(2)(w) with w = -z
     # in the fourth quadrant, and H0^(1)(w) = conj H0^(2)(conj w)
-    w = -z
-    h2w = _watson_h2(w)
-    return _watson_h2(w.conjugate()).conjugate() + h2w + h2w
-
-
-def _j0y0_large(z: complex) -> tuple[complex, complex]:
-    """J0 and Y0 for |z| > SERIES_RADIUS from H0^(1) and H0^(2), taking
-    H0^(1)(z) = conj H0^(2)(conj z)."""
-    h1 = _hankel2_large(z.conjugate()).conjugate()
-    h2 = _hankel2_large(z)
-    return (h1 + h2) / 2.0, (h1 - h2) / 2j
+    out[reflected] = np.conj(h[w.size:]) + out[reflected] + out[reflected]
+    if rotated.any():
+        y = -1j * z[rotated]
+        out[rotated] = 2.0 * np.array([_i0_periodic(v) for v in y]) \
+            + (2j / math.pi) * _watson_k(0, y)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # public Bessel/Hankel API
 # ---------------------------------------------------------------------------
 
-def _check_z(z: complex) -> complex:
-    z = complex(z)
-    if z == 0:
+def _by_route(z, series, large) -> SpecfunResult:
+    """Elementwise over z: series(zs) on |z| <= SERIES_RADIUS, large(zl)
+    beyond, each giving (value, est_error) on a 1-D array; a scalar z gives
+    a complex value and a float est_error, an array arrays of its shape."""
+    z = np.asarray(z, dtype=complex)
+    if np.count_nonzero(z) < z.size:
         raise ValueError("argument z = 0 hits the logarithmic singularity")
-    return z
+    small = np.abs(z) <= SERIES_RADIUS
+    n_small = np.count_nonzero(small)
+    value, err = np.empty_like(z), np.empty(z.shape)
+    if n_small:
+        value[small], err[small] = series(z[small])
+    if n_small < z.size:
+        value[~small], err[~small] = large(z[~small])
+    if z.ndim == 0:
+        return SpecfunResult(complex(value), float(err))
+    return SpecfunResult(value, err)
 
 
-def _j0y0(z: complex) -> tuple[complex, complex, float]:
-    """J0, Y0 and their error bound by the route that |z| selects."""
-    z = _check_z(z)
-    if abs(z) <= SERIES_RADIUS:
-        return (*_j0y0_series(z), _SERIES_BASE_ERR)
-    return (*_j0y0_large(z), _LARGE_BASE_ERR)
+def _j0y0_large(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J0 and Y0 for |z| > SERIES_RADIUS, H0^(1)(z) = conj H0^(2)(conj z)."""
+    h1 = np.conj(_hankel2_large(np.conj(z)))
+    h2 = _hankel2_large(z)
+    return (h1 + h2) / 2.0, (h1 - h2) / 2j
 
 
-def bessel_j0(z: complex) -> SpecfunResult:
-    """Bessel J0 for complex argument."""
-    j0, _, err = _j0y0(z)
-    return SpecfunResult(j0, err)
+def bessel_j0(z) -> SpecfunResult:
+    """Bessel J0 for complex argument, elementwise."""
+    return _by_route(z, lambda zs: (_j0y0_series(zs)[0], _SERIES_BASE_ERR),
+                     lambda zl: (_j0y0_large(zl)[0], _LARGE_BASE_ERR))
 
 
-def bessel_y0(z: complex) -> SpecfunResult:
-    """Bessel Y0 for complex argument, principal branch (cut on (-inf, 0])."""
-    _, y0, err = _j0y0(z)
-    return SpecfunResult(y0, err)
+def bessel_y0(z) -> SpecfunResult:
+    """Bessel Y0 (principal branch, cut on (-inf, 0]), elementwise."""
+    return _by_route(z, lambda zs: (_j0y0_series(zs)[1], _SERIES_BASE_ERR),
+                     lambda zl: (_j0y0_large(zl)[1], _LARGE_BASE_ERR))
 
 
-def hankel2_0(z: complex) -> SpecfunResult:
-    """Hankel function H0^(2)(z) = J0(z) - i Y0(z).
+def _hankel2_series(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    j0, y0 = _j0y0_series(z)
+    cancel = np.exp(np.minimum(np.maximum(-2.0 * z.imag, 0.0), 700.0))
+    return j0 - 1j * y0, _SERIES_BASE_ERR * cancel
+
+
+def hankel2_0(z) -> SpecfunResult:
+    """Hankel function H0^(2)(z) = J0(z) - i Y0(z), elementwise over an array.
 
     Dual-route evaluation: ascending series for ``|z| <= SERIES_RADIUS``,
     Watson-integral route beyond.  The est_error grows below the lower-half
     guard line ``Im z = -HANKEL2_IM_GUARD`` in the series region, where the
     result is cancellation-limited.
     """
-    z = _check_z(z)
-    if abs(z) <= SERIES_RADIUS:
-        j0, y0 = _j0y0_series(z)
-        cancel = math.exp(2.0 * max(0.0, min(-z.imag, 350.0)))
-        return SpecfunResult(j0 - 1j * y0, _SERIES_BASE_ERR * cancel)
-    return SpecfunResult(_hankel2_large(z), _LARGE_BASE_ERR)
+    return _by_route(z, _hankel2_series,
+                     lambda zl: (_hankel2_large(zl), _LARGE_BASE_ERR))
 
 
 # ---------------------------------------------------------------------------
@@ -259,5 +272,5 @@ def bessel_k1(x: float) -> float:
         return _k1_series(x)
     if x > 740.0:
         return 0.0
-    return _watson_k(1, x).real
+    return float(_watson_k(1, x).real)
 

@@ -11,6 +11,7 @@ frozen acceptance values, not tunables.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable
@@ -25,8 +26,8 @@ from .entanglement import (Q_BELL_THRESHOLD, Q_ENTANGLEMENT_THRESHOLD,
                            werner_density_matrix)
 from .model import EmitterParams, derive_params, pole_momentum
 from .peak import (DQ_BELL, DQ_ENTANGLEMENT, SweepSpec, angular_profile,
-                   delta_q_peak, misalignment_tolerance, peak_envelope,
-                   threshold_map)
+                   delta_q_grid, delta_q_peak, misalignment_tolerance,
+                   peak_envelope, threshold_map)
 from .quad import QuadSpec, integrate_1d
 from .specfun import (_hankel2_large, _j0y0_series, bessel_j0, bessel_k1,
                       bessel_y0, hankel2_0)
@@ -44,6 +45,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float = 0.0        # wall time, filled in by run_checks
 
 
 def _load_goldens() -> list[tuple[str, complex, complex]]:
@@ -135,16 +137,13 @@ def check_specfun_goldens() -> CheckResult:
     ok = worst <= 1e-10
     detail = f"worst rel err = {worst:.2e} ({worst_tag})"
 
-    overlap_worst = 0.0
     n = 60
-    for i in range(n):
-        r = 8.0 + 4.0 * i / (n - 1)
-        a = -0.4 + 0.8 * ((i * 13) % n) / n
-        z = r * complex(math.cos(a), math.sin(a))
-        j0s, y0s = _j0y0_series(z)
-        h2s = j0s - 1j * y0s
-        h2l = _hankel2_large(z)
-        overlap_worst = max(overlap_worst, abs(h2s - h2l) / abs(h2l))
+    i = np.arange(n)
+    a = -0.4 + 0.8 * (i * 13 % n) / n
+    z = (8.0 + 4.0 * i / (n - 1)) * (np.cos(a) + 1j * np.sin(a))
+    j0s, y0s = _j0y0_series(z)
+    h2l = _hankel2_large(z)
+    overlap_worst = float(np.max(np.abs(j0s - 1j * y0s - h2l) / np.abs(h2l)))
     ok = ok and overlap_worst <= 1e-9
     return CheckResult("specfun_goldens", ok,
                        detail + f"; overlap = {overlap_worst:.2e}")
@@ -262,11 +261,11 @@ def check_decay_law() -> CheckResult:
     xi = derive_params(PARAMS_FIG).xi
     kxi2_lf = xi * xi / (2.0 * math.pi)        # k_F xi^2 in lambda_F units
     rs = np.geomspace(10.0 * kxi2_lf, 100.0 * kxi2_lf, 200)
-    env = np.array([peak_envelope(PARAMS_FIG, r) for r in rs])
+    env = peak_envelope(PARAMS_FIG, rs)
     slope = float(np.polyfit(np.log(rs), np.log(env), 1)[0])
     rs_d = np.geomspace(10.0 * kxi2_lf, 100.0 * kxi2_lf, 1500)
-    ratio = np.array([delta_q_peak(PARAMS_FIG, r).delta_q /
-                      peak_envelope(PARAMS_FIG, r) for r in rs_d])
+    ratio = delta_q_grid(PARAMS_FIG.abs_delta, PARAMS_FIG.ec, PARAMS_FIG.w,
+                         rs_d)[0] / peak_envelope(PARAMS_FIG, rs_d)
     is_envelope = bool(np.max(ratio) <= 1.0 + 1e-9) and np.max(ratio) > 0.95
     ok = abs(slope - (-1.0)) <= 0.15 and is_envelope
     return CheckResult("decay_law", ok,
@@ -284,7 +283,7 @@ def check_decay_law_asymptotic() -> CheckResult:
     xi = derive_params(PARAMS_FIG).xi
     scale_lf = 2.0 * math.pi ** 2 * xi * xi / (2.0 * math.pi)
     rs = np.geomspace(10.0 * scale_lf, 100.0 * scale_lf, 200)
-    env = np.array([peak_envelope(PARAMS_FIG, r) for r in rs])
+    env = peak_envelope(PARAMS_FIG, rs)
     slope = float(np.polyfit(np.log(rs), np.log(env), 1)[0])
     ok = abs(slope - (-1.0)) <= 0.15
     return CheckResult("decay_law_asymptotic", ok,
@@ -299,8 +298,7 @@ def check_angular_envelope() -> CheckResult:
                            PARAMS_FIG)
     err = abs(edge / math.exp(-0.5) - 1.0)
     thetas = np.linspace(math.pi, math.pi / 2, 200)
-    vals = [angular_profile(t, PARAMS_FIG) for t in thetas]
-    monotone = all(v1 >= v2 for v1, v2 in zip(vals, vals[1:]))
+    monotone = bool(np.all(np.diff(angular_profile(thetas, PARAMS_FIG)) <= 0))
     ok = err <= 1e-3 and monotone
     return CheckResult("angular_envelope", ok,
                        f"|env/e^-1/2 - 1| = {err:.2e}, monotone = {monotone}")
@@ -313,9 +311,8 @@ def check_fig3_shapes() -> CheckResult:
     ok = True
 
     # E_C halving strictly increases dQ
-    dq0 = delta_q_peak(base, R_FIG).delta_q
-    dq_half = delta_q_peak(EmitterParams(base.delta, base.ec / 2, base.w),
-                           R_FIG).delta_q
+    dq0, dq_half = delta_q_grid(base.abs_delta, [base.ec, base.ec / 2],
+                                base.w, R_FIG)[0]
     cond = dq_half > dq0
     ok &= cond
     msgs.append(f"EC halving: {dq0:.3f} -> {dq_half:.3f}")
@@ -328,15 +325,14 @@ def check_fig3_shapes() -> CheckResult:
     ok &= mono
     msgs.append(f"delta monotone: {mono}")
 
-    # crossings of both thresholds located by bisection
+    # crossings of both thresholds located
     has_both = len(res.crossings["entangled"]) >= 1 \
         and len(res.crossings["bell"]) >= 1
     ok &= has_both
     if has_both:
         c_e = res.crossings["entangled"][0]
         c_b = res.crossings["bell"][0]
-        a = delta_q_peak(EmitterParams(c_e, base.ec, base.w), R_FIG).delta_q
-        b = delta_q_peak(EmitterParams(c_b, base.ec, base.w), R_FIG).delta_q
+        a, b = delta_q_grid([c_e, c_b], base.ec, base.w, R_FIG)[0]
         tight = abs(a - DQ_ENTANGLEMENT) <= 1e-4 * DQ_ENTANGLEMENT * 10 \
             and abs(b - DQ_BELL) <= 1e-4 * DQ_BELL * 10
         ok &= tight
@@ -349,9 +345,8 @@ def check_fig3_shapes() -> CheckResult:
     xi = derive_params(base).xi
     scale_lf = 2.0 * math.pi ** 2 * xi * xi / (2.0 * math.pi)
     rs = np.geomspace(10.0 * scale_lf, 100.0 * scale_lf, 1200)
-    dq = np.array([delta_q_peak(base, r).delta_q for r in rs])
-    n_max = sum(1 for i in range(1, len(dq) - 1)
-                if dq[i] > dq[i - 1] and dq[i] > dq[i + 1])
+    dq = delta_q_grid(base.abs_delta, base.ec, base.w, rs)[0]
+    n_max = int(np.sum((dq[1:-1] > dq[:-2]) & (dq[1:-1] > dq[2:])))
     below = bool(np.all(dq < DQ_ENTANGLEMENT))
     ok &= (n_max >= 3) and below
     msgs.append(f"r-panel: {n_max} maxima, below threshold = {below}")
@@ -382,10 +377,12 @@ def run_checks(skip_slow: bool = False) -> list[CheckResult]:
     for name, fn in CHECKS:
         if skip_slow and name in _SLOW:
             continue
+        t0 = time.perf_counter()
         try:
             res = fn()
-            results.append(CheckResult(res.name, bool(res.passed),
-                                       str(res.detail)))
+            passed, detail = bool(res.passed), str(res.detail)
         except Exception as exc:            # a crashed check is a failure
-            results.append(CheckResult(name, False, f"raised {exc!r}"))
+            passed, detail = False, f"raised {exc!r}"
+        results.append(CheckResult(name, passed, detail,
+                                   time.perf_counter() - t0))
     return results

@@ -275,12 +275,22 @@ class TestCommands:
     def test_usage_error_on_bad_subcommand(self):
         assert main(["frobnicate"]) == USAGE_ERROR
 
-    def test_validate_quick_passes(self, tmp_path):
+    def test_validate_quick_passes(self, tmp_path, capsys):
         out = tmp_path / "summary.json"
         rc = main(["validate", "--quick", "--output", str(out)])
         assert rc == 0
         summary = json.loads(out.read_text())
         assert summary["failed"] == 0
+        # each check reports its wall time, on its line and in the JSON
+        lines = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith(("PASS", "FAIL"))]
+        assert len(lines) == len(summary["checks"]) == summary["passed"]
+        for line, check in zip(lines, summary["checks"]):
+            shown = re.fullmatch(r"PASS  (\w+): .*  \[(\d+\.\d{3}) s\]", line)
+            assert shown and shown.group(1) == check["name"]
+            assert float(shown.group(2)) == pytest.approx(check["seconds"],
+                                                          abs=5e-4)
+            assert 0.0 < check["seconds"] < 60.0
 
     def test_validate_names_corrupted_goldens(self, monkeypatch, capsys):
         # a corrupted golden table must fail naming the specfun check

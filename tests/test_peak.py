@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from pairemit import peak
 from pairemit.model import EmitterParams, derive_params
 from pairemit.peak import (DQ_BELL, DQ_ENTANGLEMENT, SweepSpec,
-                           angular_profile, delta_q_peak, peak_envelope,
-                           threshold_map)
-from pairemit.specfun import bessel_k1
+                           angular_profile, delta_q_grid, delta_q_peak,
+                           peak_envelope, threshold_map)
+from pairemit.specfun import bessel_k1, hankel2_0
 
 PARAMS = EmitterParams(delta=2.997e-3, ec=2.997e-3, w=1.0)
 R = 100.0
@@ -121,7 +122,7 @@ class TestDeltaQPeak:
         xi = derive_params(PARAMS).xi
         scale_lf = 2 * math.pi**2 * xi * xi / (2 * math.pi)
         rs = np.geomspace(10 * scale_lf, 40 * scale_lf, 4000)
-        dq = np.array([delta_q_peak(PARAMS, float(r)).delta_q for r in rs])
+        dq = delta_q_grid(PARAMS.abs_delta, PARAMS.ec, PARAMS.w, rs)[0]
         peaks = [rs[i] for i in range(1, len(dq) - 1)
                  if dq[i] > dq[i - 1] and dq[i] > dq[i + 1]]
         spacings = np.diff(peaks) / (math.pi * scale_lf)
@@ -195,3 +196,107 @@ class TestThresholdMap:
         # dQ thresholds equivalent to Q = 3/2 and Q = sqrt2/(sqrt2-1)
         assert 1.0 + DQ_BELL == pytest.approx(
             math.sqrt(2.0) / (math.sqrt(2.0) - 1.0), rel=1e-12)
+
+
+# the four panels of `pairemit fig3` at its default fig3_points = 60, at the
+# figure base and at one other base (each with its detector distance)
+_FIG3_PANELS = {
+    "delta": np.geomspace(1e-4, 1e-2, 60),
+    "ec": np.geomspace(3e-4, 3e-2, 60),
+    "w": np.linspace(0.5, 4.0, 60),
+    "r": np.geomspace(10.0, 3.0e6, 60),
+}
+_BASES = {"figure": (PARAMS, R),
+          "other": (EmitterParams(5e-3, 2e-3, 1.7), 300.0)}
+
+
+def _fig3_spec(base: str, param: str, grid=None) -> SweepSpec:
+    params, r = _BASES[base]
+    return SweepSpec(base=params, r=r, param=param,
+                     grid=tuple(_FIG3_PANELS[param] if grid is None else grid))
+
+
+def _point(spec: SweepSpec, value: float) -> tuple[EmitterParams, float]:
+    kw = dict(delta=spec.base.delta, ec=spec.base.ec, w=spec.base.w, r=spec.r)
+    kw[spec.param] = float(value)
+    r = kw.pop("r")
+    return EmitterParams(**kw), r
+
+
+@pytest.mark.parametrize("base", sorted(_BASES))
+@pytest.mark.parametrize("param", sorted(_FIG3_PANELS))
+class TestFig3Panels:
+    def test_grid_matches_mpmath(self, base, param):
+        spec = _fig3_spec(base, param)
+        res = threshold_map(spec)
+        want = [_mp_delta_q(*_point(spec, v)) for v in res.values]
+        np.testing.assert_allclose(res.delta_q, want, rtol=1e-9, atol=0.0)
+
+    def test_crossings_bracket_their_thresholds(self, base, param):
+        spec = _fig3_spec(base, param)
+        res = threshold_map(spec)
+        for name, target in (("entangled", DQ_ENTANGLEMENT),
+                             ("bell", DQ_BELL)):
+            for c in res.crossings[name]:
+                lo, hi = (delta_q_peak(*_point(spec, c * f)).delta_q - target
+                          for f in (1.0 - 3e-6, 1.0 + 3e-6))
+                assert lo * hi < 0.0, (name, c, lo, hi)
+
+
+class TestThresholdMapCounts:
+    def test_one_hankel_call_per_grid(self, monkeypatch):
+        sizes = []
+
+        def counted(z):
+            sizes.append(np.size(z))
+            return hankel2_0(z)
+
+        monkeypatch.setattr(peak, "hankel2_0", counted)
+        res = threshold_map(_fig3_spec("figure", "w"))
+        assert res.crossings == {"entangled": [], "bell": []}
+        assert sizes == [60]
+        # with crossings: the grid call, then one call per refinement step
+        # over the open brackets (two here)
+        sizes.clear()
+        res = threshold_map(_fig3_spec("figure", "delta"))
+        assert sizes[0] == 60 and max(sizes[1:]) <= 2
+
+    @pytest.mark.parametrize("param", sorted(_FIG3_PANELS))
+    def test_at_most_ten_evaluations_per_crossing(self, monkeypatch, param):
+        # each bracket refines alone as in the full map, so a map over one
+        # grid interval counts the evaluations of that interval's crossings
+        evals = []
+        delta_q_grid = peak.delta_q_grid
+
+        def counted(*cols):
+            evals.append(max(np.size(c) for c in cols))
+            return delta_q_grid(*cols)
+
+        monkeypatch.setattr(peak, "delta_q_grid", counted)
+        grid = _FIG3_PANELS[param]
+        total = 0
+        for lo, hi in zip(grid[:-1], grid[1:]):
+            evals.clear()
+            res = threshold_map(_fig3_spec("figure", param, (lo, hi)))
+            n = sum(len(c) for c in res.crossings.values())
+            assert sum(evals) - 2 <= 10 * n
+            total += n
+        full = threshold_map(_fig3_spec("figure", param))
+        assert total == sum(len(c) for c in full.crossings.values())
+
+
+class TestExactThresholdHit:
+    @pytest.mark.parametrize("grid", [(100.0, 200.0, 300.0),
+                                      (300.0, 200.0, 100.0),
+                                      (100.0, 200.0), (200.0, 300.0),
+                                      (150.0, 250.0)])
+    def test_grid_value_on_threshold_is_one_crossing(self, monkeypatch,
+                                                     grid):
+        # dQ = 1 - r/400 is exactly 1/2 at r = 200
+        def linear(ad, ec, w, r):
+            dq = 1.0 - np.atleast_1d(r) / 400.0
+            return dq, np.zeros_like(dq), np.zeros(dq.shape, complex)
+
+        monkeypatch.setattr(peak, "delta_q_grid", linear)
+        res = threshold_map(SweepSpec(base=PARAMS, r=R, param="r", grid=grid))
+        assert res.crossings == {"entangled": [200.0], "bell": []}

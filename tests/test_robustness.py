@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pairemit import robustness
 from pairemit.model import EmitterParams, derive_params
 from pairemit.peak import delta_q_peak
 from pairemit.robustness import FluctuationSpec, averaged_peak
@@ -52,6 +53,55 @@ def test_gauss_hermite_order_convergence():
 def test_oversized_sigma_rejected():
     with pytest.raises(ValueError):
         averaged_peak(PARAMS, R, FluctuationSpec(sigma_w=PARAMS.w))
+
+
+@pytest.mark.parametrize("sigma_r0", [60.0, 100.0])
+def test_oversized_displacement_rejected_before_evaluating(monkeypatch,
+                                                           sigma_r0):
+    # at r = 100 these put quadrature nodes at misalignments beyond pi
+    def evaluated(*args):
+        raise AssertionError("evaluated before the check")
+
+    monkeypatch.setattr(robustness, "delta_q_peak", evaluated)
+    monkeypatch.setattr(robustness, "delta_q_grid", evaluated, raising=False)
+    with pytest.raises(ValueError, match=rf"sigma_r0 = {sigma_r0} at "
+                       rf"r = {R} .* \|r0_perp\| = [0-9.]+ lambda_F"):
+        averaged_peak(PARAMS, R, FluctuationSpec(sigma_w=0.1,
+                                                 sigma_r0=sigma_r0))
+
+
+def test_displacement_just_inside_pi_accepted():
+    # the outermost node pair sits at dtheta = 2 max|node| sigma_r0 / r
+    top = np.max(np.polynomial.hermite.hermgauss(21)[0])
+    sigma = 0.999 * math.pi * R / (2.0 * top)
+    res = averaged_peak(PARAMS, R, FluctuationSpec(sigma_r0=sigma))
+    assert 0.0 < res.delta_q < delta_q_peak(PARAMS, R).delta_q
+    with pytest.raises(ValueError, match="sigma_r0"):
+        averaged_peak(PARAMS, R, FluctuationSpec(sigma_r0=1.002 * sigma))
+
+
+def test_size_average_against_pointwise_peaks():
+    sig = 0.2
+    nodes, weights = np.polynomial.hermite.hermgauss(21)
+    ws = PARAMS.w + math.sqrt(2.0) * sig * nodes
+    keep = ws > 0.0                 # the rule drops the nodes at w <= 0
+    vals = [delta_q_peak(EmitterParams(PARAMS.delta, PARAMS.ec, w), R).delta_q
+            for w in ws[keep]]
+    want = float(np.dot(weights[keep], vals) / np.sum(weights[keep]))
+    res = averaged_peak(PARAMS, R, FluctuationSpec(sigma_w=sig))
+    assert res.delta_q == pytest.approx(want, rel=1e-14)
+
+
+def test_envelope_factor_against_a_direct_double_sum():
+    sig = R / (4 * PARAMS.w_kf)
+    nodes, weights = np.polynomial.hermite.hermgauss(21)
+    xx = math.sqrt(2.0) * sig / R * nodes
+    want = sum(wi * wj * math.exp(-8.0 * PARAMS.w_kf ** 2
+                                  * math.sin(math.hypot(xi, xj) / 4.0) ** 2)
+               for xi, wi in zip(xx, weights)
+               for xj, wj in zip(xx, weights)) / math.pi
+    res = averaged_peak(PARAMS, R, FluctuationSpec(sigma_r0=sig))
+    assert res.meta["envelope_factor"] == pytest.approx(want, rel=1e-12)
 
 
 def test_bad_spec_rejected():

@@ -125,6 +125,61 @@ class TestHankel:
         assert res.est_error > 1e-10       # cancellation-limited region
 
 
+# one argument in each route and wedge of hankel2_0: the series disc (with
+# Im z < -HANKEL2_IM_GUARD among them), the plain Watson wedge
+# -pi < arg z <= 3 pi/8, the rotated wedge 3 pi/8 < arg z <= 5 pi/8, the
+# reflected wedge beyond, and both sides of the cut on the negative axis
+_ROUTE_ARGS = [
+    0.7 + 0.2j, -7e-4 + 9e-5j, 3.0 - 6.0j, -2.0 - 4.0j, 8.9 + 0.1j,
+    15.0 + 3.0j, 20.0 - 5.0j, -30.0 - 2.0j, 12.0 * np.exp(0.3j),
+    2.0 + 15.0j, -1.0 + 12.0j, 10.0 * np.exp(1.9j),
+    -20.0 + 1.0j, -50.0 + 0.004j, 10.0 * np.exp(3.0j),
+    complex(-15.0, 0.0), complex(-15.0, -0.0), complex(-3.0, -0.0),
+]
+
+
+class TestArrays:
+    @pytest.mark.parametrize("fn", [sf.hankel2_0, sf.bessel_j0, sf.bessel_y0])
+    def test_array_is_its_elements_bitwise(self, fn):
+        z = np.array(_ROUTE_ARGS)
+        assert np.count_nonzero(np.abs(z) > sf.SERIES_RADIUS) >= 10
+        arg = np.angle(z[np.abs(z) > sf.SERIES_RADIUS])
+        assert np.any((arg > 3 * np.pi / 8) & (arg <= 5 * np.pi / 8))
+        assert np.any(arg > 5 * np.pi / 8) and np.any(arg == -np.pi)
+        whole = fn(z)
+        assert whole.value.shape == z.shape
+        for i, zi in enumerate(_ROUTE_ARGS):
+            one = fn(zi)
+            assert isinstance(one.value, complex)
+            assert isinstance(one.est_error, float)
+            assert np.array_equal(whole.value[i], one.value)
+            assert whole.est_error[i] == one.est_error
+        # any order, any subset, any shape: each element stays the same
+        perm = np.random.default_rng(7).permutation(len(z))
+        assert np.array_equal(fn(z[perm]).value, whole.value[perm])
+        grid = fn(z.reshape(3, -1))
+        assert np.array_equal(grid.value, whole.value.reshape(3, -1))
+        assert np.array_equal(grid.est_error, whole.est_error.reshape(3, -1))
+
+    def test_array_within_its_error_of_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        res = sf.hankel2_0(np.array(_ROUTE_ARGS))
+        for z, got, err in zip(_ROUTE_ARGS, res.value, res.est_error):
+            with mp.workdps(30):
+                # the signed zero of Im z names the side of the cut
+                near = mp.mpc(z.real, z.imag or math.copysign(1e-30, z.imag))
+                want = complex(mp.hankel2(0, near))
+            assert abs(got - want) <= err * abs(want)
+
+    def test_cancellation_error_grows_elementwise(self):
+        res = sf.hankel2_0(np.array([3.0 + 1.0j, 3.0 - 6.0j]))
+        assert res.est_error[0] <= 1e-12 < res.est_error[1]
+
+    def test_zero_anywhere_rejected(self):
+        with pytest.raises(ValueError, match="z = 0"):
+            sf.hankel2_0(np.array([1.0, 0.0, 2.0]))
+
+
 class TestPrincipalSqrt:
     def test_sqrt_i(self):
         assert sf.principal_sqrt(1j) == pytest.approx((1 + 1j) / math.sqrt(2))
