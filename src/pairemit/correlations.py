@@ -57,7 +57,6 @@ from . import kernels, quad
 from .model import (LAMBDA_F, MASS, REGIME_KFR, REGIME_SPREAD, EmitterParams,
                     form_factors, pole_momentum)
 from .quad import QuadResult, QuadSpec, integrate_1d, integrate_nested
-from .specfun import principal_sqrt
 
 __all__ = [
     "DetectorGeometry",
@@ -146,8 +145,9 @@ class DetectorGeometry:
         return DetectorGeometry(self.r2_vec, self.r1_vec)
 
     def __post_init__(self):
-        if self.r1 <= 0.0 or self.r2 <= 0.0:
-            raise ValueError("detector distances must be positive")
+        if not (0.0 < self.r1 < math.inf and 0.0 < self.r2 < math.inf):
+            raise ValueError("detector distances must be positive and finite,"
+                             f" got r1 = {self.r1}, r2 = {self.r2}")
 
 
 @dataclass
@@ -248,7 +248,7 @@ def farfield_amplitude_direct(k_vec: np.ndarray, r_vec: np.ndarray,
     # angular part: int dOmega_p e^{p . c} = 4 pi sinh(p C)/(p C),
     # c = w^2 k + i r, C = sqrt(c.c)
     cvec = w * w * k_vec + 1j * r_vec
-    C = principal_sqrt(complex(np.dot(cvec, cvec)))
+    C = cmath.sqrt(complex(np.dot(cvec, cvec)))
 
     def g_smooth(p: np.ndarray) -> np.ndarray:
         p = np.asarray(p)

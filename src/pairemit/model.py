@@ -55,14 +55,13 @@ class EmitterParams:
     w: float
 
     def __post_init__(self):
-        if not self.ec > 0.0:
-            raise ValueError(f"E_C must be positive, got {self.ec}")
-        if not self.w > 0.0:
-            raise ValueError(f"w must be positive, got {self.w}")
-        if abs(self.delta) >= MU:
-            raise ValueError(
-                f"weak-coupling guard requires |Delta| < mu, got {abs(self.delta)}"
-            )
+        if not 0.0 < self.ec < math.inf:
+            raise ValueError(f"E_C must be positive and finite, got {self.ec}")
+        if not 0.0 < self.w < math.inf:
+            raise ValueError(f"w must be positive and finite, got {self.w}")
+        if not abs(self.delta) < MU:            # NaN fails here too
+            raise ValueError("weak-coupling guard requires a finite "
+                             f"|Delta| < mu, got {abs(self.delta)}")
 
     @property
     def abs_delta(self) -> float:

@@ -64,11 +64,27 @@ def _regime_flags(ec, w, r) -> dict:
     }
 
 
-def _peak_terms(ad, ec, w, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """z, s and the prefactor pi^2/(32 K1^2) of dQ = prefactor |H0^(2)(z) -
-    s|^2 over 1-D arrays (length 1 or n) of |Delta| > 0, E_C, w and r: K1
-    once per element of |Delta|/E_C, so once per sweep unless |Delta| or
-    E_C is swept; inf where K1^2 underflows (|Delta|/E_C above ~354)."""
+def _columns(abs_delta, ec, w, r) -> list[np.ndarray]:
+    """|Delta|/mu, E_C/mu, w/lambda_F and r/lambda_F as 1-D float arrays
+    (length 1 or n).  The first point that is no valid EmitterParams with
+    a finite r > 0 raises ValueError naming it as that point alone would."""
+    cols = [np.asarray(x, float).reshape(-1) for x in (abs_delta, ec, w, r)]
+    ad, ec, w, r = cols
+    ok = (np.abs(ad) < MU) & (ec > 0.0) & (ec < math.inf) & (w > 0.0) \
+        & (w < math.inf) & (r > 0.0) & (r < math.inf)
+    if not ok.all():                # the first bad point raises as if alone
+        i = int(np.argmin(ok))
+        ad, ec, w, r = (np.broadcast_to(c, ok.shape)[i] for c in cols)
+        EmitterParams(ad, ec, w)
+        raise ValueError(
+            f"detector distance must be positive and finite, got r = {r}")
+    return cols
+
+
+def _peak_terms(ad, ec, w, r) -> tuple[np.ndarray, ...]:
+    """z, s, the prefactor pi^2/(32 K1^2) of dQ = prefactor |H0^(2)(z) - s|^2
+    and K1's error over checked columns with |Delta| > 0; the prefactor is
+    inf where K1^2 underflows (|Delta|/E_C above ~354)."""
     xi2 = pippard_length(ad) ** 2           # (k_F^-1 units)^2
     w2 = (w * LAMBDA_F) ** 2
     r_kf = r * LAMBDA_F
@@ -76,35 +92,29 @@ def _peak_terms(ad, ec, w, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     arg = 1j * (w2 / (math.pi ** 2 * xi2)) - u
     # s = 4 e^{iu} / (pi sqrt(i r / (k_F w^2))), principal square root
     second = 4.0 * np.exp(1j * u) / (math.pi * np.sqrt(1j * (r_kf / w2)))
-    k1 = np.array([bessel_k1(x) for x in (ad / ec).tolist()])
-    denom = 32.0 * k1 * k1                  # 0 where K1^2 underflows
-    prefactor = np.divide(math.pi ** 2, denom, out=np.full(k1.shape, np.inf),
-                          where=denom > 0.0)
-    return arg, second, prefactor
+    k1 = bessel_k1(ad / ec)
+    denom = 32.0 * k1.value * k1.value      # 0 where K1^2 underflows
+    prefactor = np.divide(math.pi ** 2, denom,
+                          out=np.full(denom.shape, np.inf), where=denom > 0.0)
+    return arg, second, prefactor, k1.est_error
 
 
 def delta_q_grid(abs_delta, ec, w, r) -> tuple[np.ndarray, ...]:
     """dQ, its error bound and the Hankel argument, elementwise over
     |Delta|/mu, E_C/mu, w/lambda_F and r/lambda_F (scalars or 1-D arrays of
     one length n).  dQ = 0 where Delta = 0 and inf where K1(|Delta|/E_C)^2
-    underflows.  The first element that is no valid EmitterParams with
-    r > 0, or where the Hankel factor overflows, raises ValueError naming
-    it as that point alone would."""
-    cols = [np.asarray(x, float).reshape(-1) for x in (abs_delta, ec, w, r)]
-    ad, ec, w, r = cols
-    bad = ~(ec > 0.0) | ~(w > 0.0) | (ad >= MU) | (r <= 0.0)
-    if np.count_nonzero(bad):       # the first bad point raises as if alone
-        EmitterParams(*(np.broadcast_to(c, bad.shape)[np.argmax(bad)]
-                        for c in cols[:3]))
-        raise ValueError("detector distance must be positive")
-    if np.count_nonzero(ad) < ad.size:      # Delta = 0: dQ = 0, no pairs
+    underflows.  The first element that is no valid EmitterParams with a
+    finite r > 0, or where the Hankel factor overflows, raises ValueError
+    naming it as that point alone would."""
+    cols = _columns(abs_delta, ec, w, r)
+    if np.count_nonzero(cols[0]) < cols[0].size:    # Delta = 0: no pairs
         cols = np.broadcast_arrays(*cols)
-        pair = cols[0] > 0.0
+        pair = cols[0] != 0.0
         out = tuple(np.zeros(pair.shape, t) for t in (float, float, complex))
         for o, v in zip(out, delta_q_grid(*(c[pair] for c in cols))):
             o[pair] = v
         return out
-    arg, second, prefactor = _peak_terms(*cols)
+    arg, second, prefactor, k1_err = _peak_terms(*cols)
     over = arg.imag > _HANKEL_IM_MAX
     if np.count_nonzero(over):
         ad, ec, w, r = np.broadcast_arrays(*cols)
@@ -117,9 +127,9 @@ def delta_q_grid(abs_delta, ec, w, r) -> tuple[np.ndarray, ...]:
     h2 = hankel2_0(arg)
     diff = np.abs(h2.value - second)
     dq = prefactor * diff ** 2
-    # propagated bound: Hankel route error plus K1/assembly roundoff
+    # propagated bound: the Hankel factor's error and twice K1's (K1^-2)
     rel = 2.0 * h2.est_error * np.abs(h2.value) \
-        / np.maximum(diff, 1e-300) + 5e-13
+        / np.maximum(diff, 1e-300) + 2.0 * k1_err
     return dq, dq * rel, arg
 
 
@@ -129,9 +139,10 @@ def delta_q_peak(params: EmitterParams, r: float) -> PeakResult:
     Evaluates the closed form with Lambda = 1; the normal state Delta = 0
     gives dQ = 0 by definition (no pair correlation).  Regime violations
     downgrade to flags, never errors.  dQ is inf where K1(|Delta|/E_C)^2
-    underflows.  Raises ValueError where the Hankel factor would overflow
-    (w^2/(pi^2 xi^2) > _HANKEL_IM_MAX, e.g. w >~ 2000 lambda_F at the
-    figure gap).  The length-1 case of the grid evaluation.
+    underflows.  Raises ValueError for an r that is not finite and > 0,
+    and where the Hankel factor would overflow (w^2/(pi^2 xi^2) >
+    _HANKEL_IM_MAX, e.g. w >~ 2000 lambda_F at the figure gap).  The
+    length-1 case of the grid evaluation.
     """
     dq, dq_err, arg = delta_q_grid(params.abs_delta, params.ec, params.w, r)
     flags = _regime_flags(params.ec, params.w, r)
@@ -146,7 +157,7 @@ def delta_q_peak(params: EmitterParams, r: float) -> PeakResult:
 
 def peak_envelope(params: EmitterParams, r) -> np.ndarray | float:
     """Smooth upper envelope of the oscillating dQ(r) at fixed parameters,
-    elementwise over r (a scalar r gives a float).
+    elementwise over r (a scalar r gives a float), checked as delta_q_grid.
 
     At its second-quadrant argument z the Hankel function carries both
     asymptotic phases (H0^(2)(z) = 2 J0(-z) + H0^(2)(-z)), so |H0^(2)(z)|
@@ -156,13 +167,13 @@ def peak_envelope(params: EmitterParams, r) -> np.ndarray | float:
     times (3 |H0^(2)(-z)| + |s|)^2 with s the subtracted term.  Used by the
     decay-law diagnostics.
     """
+    cols = _columns(params.abs_delta, params.ec, params.w, r)
     if params.abs_delta == 0.0:
-        return np.zeros(np.shape(r)) if np.ndim(r) else 0.0
-    arg, second, prefactor = _peak_terms(
-        *(np.asarray(x, float).reshape(-1)
-          for x in (params.abs_delta, params.ec, params.w, r)))
-    habs = np.abs(hankel2_0(-arg).value)    # fourth quadrant: smooth modulus
-    env = prefactor * (3.0 * habs + np.abs(second)) ** 2
+        env = np.zeros(cols[3].shape)
+    else:
+        arg, second, prefactor, _ = _peak_terms(*cols)
+        habs = np.abs(hankel2_0(-arg).value)    # fourth quadrant: smooth
+        env = prefactor * (3.0 * habs + np.abs(second)) ** 2
     return env if np.ndim(r) else float(env[0])
 
 

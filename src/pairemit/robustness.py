@@ -47,6 +47,9 @@ def averaged_peak(params: EmitterParams, r: float,
     the unperturbed value and the fractional degradation.  Rejects sigma_w
     that puts real weight at w <= 0, sigma_r0 that tilts a node past pi.
     """
+    if not 0.0 < r < math.inf:              # before dividing by it
+        raise ValueError(
+            f"detector distance must be positive and finite, got r = {r}")
     nodes, weights = np.polynomial.hermite.hermgauss(fluct.samples)
     norm = math.sqrt(math.pi)
     # transverse tip displacement -> misalignment dtheta = |r0_perp| / r,

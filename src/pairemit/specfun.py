@@ -1,31 +1,33 @@
-"""Special functions for the closed-form bunching peak: K1 and H0^(2), with
-J0 and Y0 under the latter, plus the principal complex square root.
+"""Special functions for the closed-form bunching peak: K1 on the positive
+real axis, and H0^(2) with J0 and Y0 under it.
 
-Everything here is evaluated in double precision, elementwise over arrays (a
-scalar is the length-1 case), by one of two fixed routes:
+Each public function takes a scalar or an array and returns a
+``SpecfunResult`` (value and a conservative relative-error bound) of its
+shape, a scalar for a scalar; each element is bitwise what its lone call
+gives.  One dispatcher, ``_by_route``, sends each element to one of two
+fixed routes, switched at a frozen radius (``SERIES_RADIUS``, for K1
+``K_SERIES_RADIUS``):
 
-* an ascending power series of fixed length for ``|z| <= SERIES_RADIUS``, and
-* one large-argument route, ``_hankel2_large``, for H0^(2): the exact
-  integral form of the Hankel asymptotic expansion (Watson's
-  representation) on a fixed Gauss-Hermite rule, rotated to I0/K0 for
-  3 pi/8 < arg z <= 5 pi/8 and reflected through the origin beyond.
-  H0^(1)(z) = conj H0^(2)(conj z) comes from the same route, and
-  J0 = (H0^(1) + H0^(2))/2, Y0 = (H0^(1) - H0^(2))/2i.
+* an ascending power series of fixed length inside, and
+* a Watson integral on a fixed Gauss-Hermite rule beyond: ``_watson_k`` for
+  K1, and for H0^(2) ``_hankel2_large``, the exact integral form of the
+  Hankel asymptotic expansion, rotated to I0/K0 for 3 pi/8 < arg z <= 5 pi/8
+  and reflected through the origin beyond.  H0^(1)(z) = conj H0^(2)(conj z)
+  comes from the same route, and J0 = (H0^(1) + H0^(2))/2,
+  Y0 = (H0^(1) - H0^(2))/2i.
 
-The switch radius is a frozen module constant, chosen so that the two routes
-overlap on an annulus where both are independently accurate; the agreement on
-that annulus is asserted by the test suite against a committed high-precision
-golden table.  No arbitrary-precision arithmetic is used at run time.
+SERIES_RADIUS sits inside an annulus where both routes are accurate; their
+agreement there is asserted against a committed high-precision golden table.
+No arbitrary-precision arithmetic is used at run time.
 
-Validated domain
-----------------
-``|z| <= 1e3``, away from the branch cut of Y0 on the negative real axis.
-For ``hankel2_0`` the relative-accuracy claim additionally requires
-``Im z >= -HANKEL2_IM_GUARD`` when ``|z| <= SERIES_RADIUS``: below that line
-H0^(2) is exponentially small against J0 and Y0 and the series route loses
-relative digits to cancellation.  ``est_error`` reflects this honestly.
-Function values with ``|Im z|`` beyond ~700 overflow/underflow the double
-range; underflow to zero is permitted.
+Validated domain: H0^(2), J0, Y0 on ``0 < |z| <= 1e3`` off the cut of Y0
+on the negative real axis; for ``hankel2_0`` with ``|z| <= SERIES_RADIUS``
+also ``Im z >= -HANKEL2_IM_GUARD``, below which H0^(2) is exponentially
+small against J0 and Y0 and the series loses relative digits (``est_error``
+grows accordingly).  K1 on ``x > 0``: its series is cancellation-limited
+near the switch (worst error 8.8e-14 at x = 3.97 against a 40-digit oracle,
+8.9e-16 on the Watson route).  Values beyond the double range underflow to
+zero or overflow.
 """
 
 from __future__ import annotations
@@ -36,17 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "SpecfunResult",
-    "bessel_j0",
-    "bessel_y0",
-    "bessel_k1",
-    "hankel2_0",
-    "principal_sqrt",
-    "SERIES_RADIUS",
-    "K_SERIES_RADIUS",
-    "HANKEL2_IM_GUARD",
-]
+__all__ = ["SpecfunResult", "bessel_j0", "bessel_y0", "bessel_k1", "hankel2_0",
+           "SERIES_RADIUS", "K_SERIES_RADIUS", "HANKEL2_IM_GUARD"]
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -59,10 +52,11 @@ K_SERIES_RADIUS = 4.0
 # cancellation (the function is ~e^{2 Im z} smaller than J0, Y0 there).
 HANKEL2_IM_GUARD = 2.0
 
-# Baseline relative-error bounds for the two routes, measured against a
+# Baseline relative-error bounds of the routes, measured against a
 # 40+-digit oracle on dense grids over the validated domain and rounded up.
 _SERIES_BASE_ERR = 5e-13
 _LARGE_BASE_ERR = 1e-13
+_K1_SERIES_ERR = 2e-13
 
 # Fixed Gauss-Hermite rule for the Watson integrals (t = s^2 substitution of
 # the weight e^-t t^-1/2).  200 nodes keeps every region below _LARGE_BASE_ERR.
@@ -74,22 +68,20 @@ _GH_T = _GH_NODES * _GH_NODES
 _K = np.arange(1.0, 33.0)[:, None]
 _HARMONIC = np.cumsum(1.0 / _K, axis=0)
 
+# K1's series, k = 0 ... 31, in powers of q = x^2/4: c_k = 1/(k! (k+1)!) and
+# c_k (psi(k+1) + psi(k+2))/2 = c_k ((H_k + H_{k+1})/2 - gamma), H_0 = 0.  On
+# x <= K_SERIES_RADIUS the terms fall below 1e-30 of the largest by k = 31.
+_K1_C = np.cumprod(np.concatenate(([1.0], 1.0 / (_K[:31, 0] * _K[1:, 0]))))
+_K1_PSI = _K1_C * (0.5 * (np.concatenate(([0.0], _HARMONIC[:31, 0]))
+                          + _HARMONIC[:, 0]) - EULER_GAMMA)
+
 
 @dataclass(frozen=True)
 class SpecfunResult:
-    """Function value with a conservative relative-error bound."""
+    """Function value(s) with a conservative relative-error bound."""
 
-    value: complex
-    est_error: float
-
-
-def principal_sqrt(z: complex) -> complex:
-    """Principal branch of the complex square root.
-
-    Branch cut on the negative real axis; the result has non-negative real
-    part (and maps -x + 0j to +i sqrt(x)).
-    """
-    return cmath.sqrt(z)
+    value: complex | float | np.ndarray
+    est_error: float | np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +103,20 @@ def _j0y0_series(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ysum = -np.cumsum(term[1:] * _HARMONIC, axis=0)[-1]
     y0 = (2.0 / math.pi) * ((np.log(0.5 * z) + EULER_GAMMA) * j0 + ysum)
     return j0, y0
+
+
+def _k1_series(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """K1(x) = 1/x + (x/2) sum_k q^k c_k (ln(x/2) - (psi(k+1) + psi(k+2))/2)
+    on a 1-D array, q = x^2/4: the powers of q as running products, the sum
+    accumulated from k = 0 upwards."""
+    h = 0.5 * x
+    f = np.empty((x.size, 32))              # one row of powers per element
+    f[:, 0] = 1.0
+    f[:, 1:] = (h * h)[:, None]
+    terms = (np.log(h)[:, None] * _K1_C - _K1_PSI) \
+        * np.multiply.accumulate(f, axis=1)
+    return 1.0 / x + h * np.add.accumulate(terms, axis=1)[:, -1], \
+        _K1_SERIES_ERR
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +188,14 @@ def _hankel2_large(z: np.ndarray) -> np.ndarray:
 # public Bessel/Hankel API
 # ---------------------------------------------------------------------------
 
-def _by_route(z, series, large) -> SpecfunResult:
-    """Elementwise over z: series(zs) on |z| <= SERIES_RADIUS, large(zl)
-    beyond, each giving (value, est_error) on a 1-D array; a scalar z gives
-    a complex value and a float est_error, an array arrays of its shape."""
-    z = np.asarray(z, dtype=complex)
+def _by_route(z: np.ndarray, radius: float, series, large) -> SpecfunResult:
+    """Elementwise over the array z: series(zs) on |z| <= radius, large(zl)
+    beyond, each giving (value, est_error) on a 1-D array; a 0-d z gives a
+    Python scalar value and a float est_error, an array arrays of its shape.
+    z = 0, the series' logarithmic singularity, raises."""
     if np.count_nonzero(z) < z.size:
         raise ValueError("argument z = 0 hits the logarithmic singularity")
-    small = np.abs(z) <= SERIES_RADIUS
+    small = np.abs(z) <= radius
     n_small = np.count_nonzero(small)
     value, err = np.empty_like(z), np.empty(z.shape)
     if n_small:
@@ -197,7 +203,7 @@ def _by_route(z, series, large) -> SpecfunResult:
     if n_small < z.size:
         value[~small], err[~small] = large(z[~small])
     if z.ndim == 0:
-        return SpecfunResult(complex(value), float(err))
+        return SpecfunResult(value.item(), err.item())
     return SpecfunResult(value, err)
 
 
@@ -210,13 +216,15 @@ def _j0y0_large(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def bessel_j0(z) -> SpecfunResult:
     """Bessel J0 for complex argument, elementwise."""
-    return _by_route(z, lambda zs: (_j0y0_series(zs)[0], _SERIES_BASE_ERR),
+    return _by_route(np.asarray(z, complex), SERIES_RADIUS,
+                     lambda zs: (_j0y0_series(zs)[0], _SERIES_BASE_ERR),
                      lambda zl: (_j0y0_large(zl)[0], _LARGE_BASE_ERR))
 
 
 def bessel_y0(z) -> SpecfunResult:
     """Bessel Y0 (principal branch, cut on (-inf, 0]), elementwise."""
-    return _by_route(z, lambda zs: (_j0y0_series(zs)[1], _SERIES_BASE_ERR),
+    return _by_route(np.asarray(z, complex), SERIES_RADIUS,
+                     lambda zs: (_j0y0_series(zs)[1], _SERIES_BASE_ERR),
                      lambda zl: (_j0y0_large(zl)[1], _LARGE_BASE_ERR))
 
 
@@ -234,43 +242,24 @@ def hankel2_0(z) -> SpecfunResult:
     guard line ``Im z = -HANKEL2_IM_GUARD`` in the series region, where the
     result is cancellation-limited.
     """
-    return _by_route(z, _hankel2_series,
+    return _by_route(np.asarray(z, complex), SERIES_RADIUS, _hankel2_series,
                      lambda zl: (_hankel2_large(zl), _LARGE_BASE_ERR))
 
 
-# ---------------------------------------------------------------------------
-# modified Bessel functions on the positive real axis
-# ---------------------------------------------------------------------------
+def bessel_k1(x) -> SpecfunResult:
+    """Modified Bessel K1 on the positive real axis, elementwise.
 
-def _k1_series(x: float) -> float:
-    q = x * x / 4.0
-    term = 1.0
-    i1 = term
-    pk = -2.0 * EULER_GAMMA + 1.0  # psi(1) + psi(2)
-    psum = pk * term
-    for k in range(1, 120):
-        term *= q / (k * (k + 1))
-        i1 += term
-        pk += 1.0 / k + 1.0 / (k + 1)
-        psum += pk * term
-        if term <= 1e-19 * i1:
-            break
-    i1 *= x / 2.0
-    return math.log(x / 2.0) * i1 + 1.0 / x - (x / 4.0) * psum
-
-
-def bessel_k1(x: float) -> float:
-    """Modified Bessel K1, real positive argument.
-
-    Relative error <= 1e-10 for x in [1e-6, 700]; underflows gracefully to
-    zero beyond the double-precision exponential range.
+    Ascending series for ``x <= K_SERIES_RADIUS``, Watson integral beyond;
+    est_error is the tested bound of the element's route (2e-13 and 1e-13
+    relative).  Underflows gracefully to zero past x ~ 740.  Raises
+    ValueError naming the first element that is not > 0 (0, negative, NaN).
     """
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"modified Bessel K1 requires x > 0, got {x}")
-    if x <= K_SERIES_RADIUS:
-        return _k1_series(x)
-    if x > 740.0:
-        return 0.0
-    return float(_watson_k(1, x).real)
-
+    x = np.asarray(x, dtype=float)
+    ok = x > 0.0
+    if np.count_nonzero(ok) < x.size:
+        i = np.unravel_index(np.argmin(ok), x.shape)
+        at = f"x[{', '.join(map(str, i))}]" if x.ndim else "x"
+        raise ValueError(
+            f"modified Bessel K1 requires x > 0, got {at} = {x[i]}")
+    return _by_route(x, K_SERIES_RADIUS, _k1_series,
+                     lambda xl: (_watson_k(1, xl), _LARGE_BASE_ERR))

@@ -29,8 +29,8 @@ from .peak import (DQ_BELL, DQ_ENTANGLEMENT, SweepSpec, angular_profile,
                    delta_q_grid, delta_q_peak, misalignment_tolerance,
                    peak_envelope, threshold_map)
 from .quad import QuadSpec, integrate_1d
-from .specfun import (_hankel2_large, _j0y0_series, bessel_j0, bessel_k1,
-                      bessel_y0, hankel2_0)
+from .specfun import (SpecfunResult, _hankel2_large, _j0y0_series,
+                      bessel_j0, bessel_k1, bessel_y0, hankel2_0)
 
 __all__ = ["CheckResult", "CHECKS", "run_checks"]
 
@@ -62,13 +62,10 @@ def _load_goldens() -> list[tuple[str, complex, complex]]:
     return rows
 
 
-# golden-table tag -> the function value it tabulates at z
-_GOLDEN_FUNCTIONS: dict[str, Callable[[complex], complex]] = {
-    "k1": lambda z: complex(bessel_k1(z.real), 0.0),
-    "j0": lambda z: bessel_j0(z).value,
-    "y0": lambda z: bessel_y0(z).value,
-    "h2": lambda z: hankel2_0(z).value,
-}
+# golden-table tag -> the function it tabulates (K1 on the real axis)
+_GOLDEN_FUNCTIONS: dict[str, Callable[[complex], SpecfunResult]] = {
+    "k1": lambda z: bessel_k1(z.real), "j0": bessel_j0, "y0": bessel_y0,
+    "h2": hankel2_0}
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +128,7 @@ def check_specfun_goldens() -> CheckResult:
     worst = 0.0
     worst_tag = ""
     for tag, z, ref in _load_goldens():
-        err = abs(_GOLDEN_FUNCTIONS[tag](z) - ref) / abs(ref)
+        err = abs(_GOLDEN_FUNCTIONS[tag](z).value - ref) / abs(ref)
         if err > worst:
             worst, worst_tag = err, tag
     ok = worst <= 1e-10

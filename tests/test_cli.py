@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import pairemit
+from pairemit import cli
 from pairemit.cli import (ConfigError, USAGE_ERROR, fmt, load_config, main)
 
 
@@ -122,6 +123,16 @@ class TestFlags:
         assert main([*argv, "--output", str(out)]) == USAGE_ERROR
         assert "unrecognized arguments" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_readme_flag_table_matches_the_commands(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        rows = re.findall(r"^\| `(\w+)` \| (`--[^|]*`) \|$",
+                          readme.read_text(), re.M)
+        table = {name: set(re.findall(r"--[a-z-]+", flags))
+                 for name, flags in rows}
+        want = {name: set(flags) for name, (_, flags) in cli._COMMANDS.items()}
+        want["validate"] = {"--quick"}      # a switch, not a setting flag
+        assert table == want
 
 
 # the flags of the fig3 and peak calls in perfbench/workloads.py

@@ -43,6 +43,19 @@ class TestGeometry:
         with pytest.raises(ValueError):
             DetectorGeometry((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize("geom, named", [
+        (lambda: DetectorGeometry.from_r_theta(math.nan, 1.0),
+         "r1 = nan, r2 = nan"),
+        (lambda: DetectorGeometry.from_r_theta(100.0, math.nan),
+         "r1 = nan, r2 = nan"),
+        (lambda: DetectorGeometry((0.0, 0.0, 1.0), (0.0, 0.0, math.inf)),
+         "r1 = 1.0, r2 = inf"),
+    ], ids=["r-nan", "theta-nan", "r2-inf"])
+    def test_non_finite_distances_rejected(self, geom, named):
+        with pytest.raises(ValueError,
+                           match=f"positive and finite, got {named}"):
+            geom()
+
 
 class TestFarfieldAmplitude:
     def test_exact_distance_scaling(self):
@@ -374,7 +387,7 @@ class TestChi:
             def bracket(dd):
                 z = complex(-r_kf * dd**2 / 8.0, w_kf**2 * dd**2 / 4.0)
                 s = 4.0 * cmath.exp(1j * r_kf * dd**2 / 8.0) / (
-                    math.pi * sf.principal_sqrt(1j * r_kf / w_kf**2))
+                    math.pi * cmath.sqrt(1j * r_kf / w_kf**2))
                 return abs(sf.hankel2_0(z).value - s)
             return 2.0 * bracket(2 * d) / bracket(d)
 

@@ -42,6 +42,20 @@ def test_param_validation(bad):
         EmitterParams(**bad)
 
 
+@pytest.mark.parametrize("bad, named", [
+    (dict(delta=math.nan, ec=1e-3, w=1.0), r"\|Delta\| < mu, got nan"),
+    (dict(delta=complex(0.0, math.inf), ec=1e-3, w=1.0),
+     r"\|Delta\| < mu, got inf"),
+    (dict(delta=1e-3, ec=math.inf, w=1.0), "E_C must be positive and finite"),
+    (dict(delta=1e-3, ec=math.nan, w=1.0), "E_C must be positive and finite"),
+    (dict(delta=1e-3, ec=1e-3, w=math.inf), "w must be positive and finite"),
+    (dict(delta=1e-3, ec=1e-3, w=math.nan), "w must be positive and finite"),
+])
+def test_non_finite_params_rejected_by_name(bad, named):
+    with pytest.raises(ValueError, match=named):
+        EmitterParams(**bad)
+
+
 class TestFormFactors:
     params = EmitterParams(delta=0.0, ec=0.05, w=1.0)
 

@@ -72,7 +72,7 @@ class TestDeltaQPeak:
         # dQ ~ 1e302 at |Delta|/E_C = 345; past about 354 K1 is still
         # positive but K1^2 underflows, and dQ (mpmath's too) is inf
         p = EmitterParams(0.5, 0.5 / ratio, 1.0)
-        assert bessel_k1(ratio) > 0.0
+        assert bessel_k1(ratio).value > 0.0
         want = _mp_delta_q(p, R)
         assert math.isfinite(want) == finite
         got = delta_q_peak(p, R).delta_q
@@ -80,6 +80,44 @@ class TestDeltaQPeak:
             assert got == pytest.approx(want, rel=1e-9)
         else:
             assert got == math.inf
+
+    @pytest.mark.parametrize("r", [0.0, -5.0, math.nan, math.inf])
+    def test_bad_distance_rejected_by_name(self, r):
+        with pytest.raises(ValueError, match=rf"detector distance must be "
+                           rf"positive and finite, got r = {r}"):
+            delta_q_peak(PARAMS, r)
+
+    @pytest.mark.parametrize("col, bad, named", [
+        (1, math.inf, "E_C must be positive and finite, got inf"),
+        (2, math.nan, "w must be positive and finite, got nan"),
+        (0, math.nan, r"\|Delta\| < mu, got nan"),
+        (3, math.inf, "detector distance .* got r = inf"),
+    ])
+    def test_grid_names_its_first_non_finite_point(self, col, bad, named):
+        cols = [np.full(4, v) for v in (PARAMS.abs_delta, PARAMS.ec,
+                                        PARAMS.w, R)]
+        cols[col][[1, 3]] = bad, -1.0
+        with pytest.raises(ValueError, match=named):
+            delta_q_grid(*cols)
+
+    def test_calibrated_against_mpmath(self):
+        # dQ's error bound holds on a seeded sample over the CLI ranges,
+        # half of it at |Delta|/E_C in [3.7, 4.2], about K1's switch radius
+        rng = np.random.default_rng(11)
+        n, m = 200, 100
+
+        def logu(lo, hi, k):
+            return np.exp(rng.uniform(math.log(lo), math.log(hi), k))
+
+        ad = logu(1e-4, 1e-2, n)
+        ec = np.concatenate([logu(3e-4, 3e-2, m),
+                             ad[m:] / rng.uniform(3.7, 4.2, n - m)])
+        w = rng.uniform(0.5, 4.0, n)
+        r = logu(10.0, 3.0e6, n)
+        dq, dq_err, _ = delta_q_grid(ad, ec, w, r)
+        want = [_mp_delta_q(EmitterParams(*p[:3]), p[3])
+                for p in zip(ad, ec, w, r)]
+        assert np.all(np.abs(dq - want) <= dq_err)
 
     def test_small_ratio_prefactor_limit(self):
         # |Delta|/E_C -> 0: prefactor ~ pi^2 x^2 / 32 since K1(x) ~ 1/x
@@ -128,6 +166,11 @@ class TestDeltaQPeak:
         spacings = np.diff(peaks) / (math.pi * scale_lf)
         assert len(spacings) >= 5
         assert np.all(np.abs(spacings - 1.0) < 0.12)
+
+    @pytest.mark.parametrize("r", [-5.0, [100.0, 0.0], [math.nan]])
+    def test_envelope_checks_r_as_the_grid_does(self, r):
+        with pytest.raises(ValueError, match="detector distance"):
+            peak_envelope(PARAMS, r)
 
     def test_large_r_scaled_envelope_bounded(self):
         # r * dQ envelope bounded and non-vanishing over a decade

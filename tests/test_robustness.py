@@ -70,6 +70,16 @@ def test_oversized_displacement_rejected_before_evaluating(monkeypatch,
                                                  sigma_r0=sigma_r0))
 
 
+@pytest.mark.parametrize("r", [0.0, -5.0, math.nan, math.inf])
+@pytest.mark.parametrize("sigma_r0", [0.0, 1.0])
+def test_bad_distance_rejected_before_dividing(r, sigma_r0):
+    # r is checked before the misalignment divides by it: a division at
+    # r = 0 warns, and the suite's error::RuntimeWarning filter would turn
+    # that warning into the wrong error
+    with pytest.raises(ValueError, match=f"positive and finite, got r = {r}"):
+        averaged_peak(PARAMS, r, FluctuationSpec(sigma_r0=sigma_r0))
+
+
 def test_displacement_just_inside_pi_accepted():
     # the outermost node pair sits at dtheta = 2 max|node| sigma_r0 / r
     top = np.max(np.polynomial.hermite.hermgauss(21)[0])

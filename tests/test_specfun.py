@@ -21,7 +21,7 @@ def test_golden_table_coverage():
                          ids=[f"{t}_{i}" for i, (t, _, _) in enumerate(GOLDEN_ROWS)])
 def test_goldens(tag, z, ref):
     got = validation._GOLDEN_FUNCTIONS[tag](z)
-    assert abs(got - ref) <= 1e-10 * abs(ref)
+    assert abs(got.value - ref) <= 1e-10 * abs(ref)
 
 
 def _wronskian_rel_err(z: complex) -> float:
@@ -40,14 +40,16 @@ def _wronskian_rel_err(z: complex) -> float:
 
 class TestK1:
     def test_k1_of_one(self):
-        assert sf.bessel_k1(1.0) == pytest.approx(0.6019072302, rel=1e-9)
+        assert sf.bessel_k1(1.0).value == pytest.approx(0.6019072302,
+                                                        rel=1e-9)
 
     def test_k1_of_five(self):
-        assert sf.bessel_k1(5.0) == pytest.approx(4.0446134e-3, rel=1e-6)
+        assert sf.bessel_k1(5.0).value == pytest.approx(4.0446134e-3,
+                                                        rel=1e-6)
 
     def test_small_argument_limit(self):
         for x in (1e-6, 1e-4, 1e-3):
-            assert x * sf.bessel_k1(x) == pytest.approx(1.0, rel=1e-5)
+            assert x * sf.bessel_k1(x).value == pytest.approx(1.0, rel=1e-5)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -56,7 +58,29 @@ class TestK1:
             sf.bessel_k1(-1.0)
 
     def test_graceful_underflow(self):
-        assert sf.bessel_k1(760.0) == 0.0
+        assert sf.bessel_k1(760.0).value == 0.0
+
+    @pytest.mark.parametrize("x, named", [
+        (np.nan, r"got x = nan"),
+        ([1.0, 0.0, -1.0], r"got x\[1\] = 0\.0"),
+        ([5.0, 2.0, -3.0, 0.0], r"got x\[2\] = -3\.0"),
+        ([[1.0, 2.0], [np.nan, -1.0]], r"got x\[1, 0\] = nan"),
+    ])
+    def test_first_bad_element_named(self, x, named):
+        with pytest.raises(ValueError, match=named):
+            sf.bessel_k1(np.array(x))
+
+    def test_within_its_error_of_mpmath(self):
+        # dense over the whole domain, denser about the switch radius where
+        # the series is cancellation-limited (worst 8.8e-14 near x = 3.97)
+        mp = pytest.importorskip("mpmath")
+        x = np.concatenate([np.geomspace(1e-6, 700.0, 160),
+                            np.linspace(3.9, 4.1, 101)])
+        res = sf.bessel_k1(x)
+        with mp.workdps(20):
+            want = np.array([float(mp.besselk(1, v)) for v in x.tolist()])
+        assert np.all(np.abs(res.value - want) <= res.est_error * want)
+        assert np.all(res.est_error <= 2e-13)
 
 
 class TestHankel:
@@ -138,19 +162,36 @@ _ROUTE_ARGS = [
 ]
 
 
+# both routes of bessel_k1 and both sides of the switch radius, the
+# small-argument pole, the underflow to zero, and a spread of series
+# arguments
+_K1_ARGS = [1e-6, 0.3, 1.0, 2.0, 3.95, 4.0, np.nextafter(4.0, 5.0), 4.05,
+            7.5, 30.0, 700.0, 760.0, *np.linspace(0.05, 3.95, 48).tolist()]
+
+
+def test_route_args_reach_every_wedge():
+    z = np.array(_ROUTE_ARGS)
+    assert np.count_nonzero(np.abs(z) > sf.SERIES_RADIUS) >= 10
+    arg = np.angle(z[np.abs(z) > sf.SERIES_RADIUS])
+    assert np.any((arg > 3 * np.pi / 8) & (arg <= 5 * np.pi / 8))
+    assert np.any(arg > 5 * np.pi / 8) and np.any(arg == -np.pi)
+
+
 class TestArrays:
-    @pytest.mark.parametrize("fn", [sf.hankel2_0, sf.bessel_j0, sf.bessel_y0])
-    def test_array_is_its_elements_bitwise(self, fn):
-        z = np.array(_ROUTE_ARGS)
-        assert np.count_nonzero(np.abs(z) > sf.SERIES_RADIUS) >= 10
-        arg = np.angle(z[np.abs(z) > sf.SERIES_RADIUS])
-        assert np.any((arg > 3 * np.pi / 8) & (arg <= 5 * np.pi / 8))
-        assert np.any(arg > 5 * np.pi / 8) and np.any(arg == -np.pi)
+    @pytest.mark.parametrize("fn, args, radius, kind", [
+        (sf.hankel2_0, _ROUTE_ARGS, sf.SERIES_RADIUS, complex),
+        (sf.bessel_j0, _ROUTE_ARGS, sf.SERIES_RADIUS, complex),
+        (sf.bessel_y0, _ROUTE_ARGS, sf.SERIES_RADIUS, complex),
+        (sf.bessel_k1, _K1_ARGS, sf.K_SERIES_RADIUS, float),
+    ], ids=["hankel2_0", "bessel_j0", "bessel_y0", "bessel_k1"])
+    def test_array_is_its_elements_bitwise(self, fn, args, radius, kind):
+        z = np.array(args)
+        assert 3 <= np.count_nonzero(np.abs(z) <= radius) < z.size - 3
         whole = fn(z)
         assert whole.value.shape == z.shape
-        for i, zi in enumerate(_ROUTE_ARGS):
+        for i, zi in enumerate(args):
             one = fn(zi)
-            assert isinstance(one.value, complex)
+            assert isinstance(one.value, kind)
             assert isinstance(one.est_error, float)
             assert np.array_equal(whole.value[i], one.value)
             assert whole.est_error[i] == one.est_error
@@ -178,20 +219,3 @@ class TestArrays:
     def test_zero_anywhere_rejected(self):
         with pytest.raises(ValueError, match="z = 0"):
             sf.hankel2_0(np.array([1.0, 0.0, 2.0]))
-
-
-class TestPrincipalSqrt:
-    def test_sqrt_i(self):
-        assert sf.principal_sqrt(1j) == pytest.approx((1 + 1j) / math.sqrt(2))
-
-    def test_branch_convention(self):
-        assert sf.principal_sqrt(complex(-1.0, 0.0)) == pytest.approx(1j)
-
-    def test_real(self):
-        assert sf.principal_sqrt(4.0) == pytest.approx(2.0)
-
-    def test_nonnegative_real_part(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            z = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            assert sf.principal_sqrt(z).real >= 0.0
