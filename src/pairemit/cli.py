@@ -14,9 +14,10 @@ CSV outputs carry a header row and floats in scientific notation with 17
 significant digits; a JSON sidecar records the full configuration, its
 hash, the code version, and achieved error estimates.  All files are
 written atomically (temp file + rename), so interrupted runs never leave
-partial datasets.  Angular rows are cached by a hash of the row's own
-inputs and the code version, and reused bitwise; uncached rows run in a
-process pool sized by the usable CPUs (limit it with ``taskset``).
+partial datasets, with the mode the umask gives a plain open.  Angular rows
+are cached by a hash of the row's own inputs and the code version, and
+reused bitwise; uncached rows run in a process pool sized by the usable
+CPUs (limit it with ``taskset``).
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import os
+import secrets
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -167,8 +169,17 @@ def fmt(x: float) -> str:
 
 
 def atomic_write(path: Path, text: str) -> None:
+    """Write text to path through a fresh file in its directory and a rename,
+    so a reader sees the old file or the whole new one.  The file is made
+    0o666 less the umask, as open() makes it (mkstemp's are 0o600)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
+    while True:
+        tmp = path.with_name(f"{path.name}.tmp{secrets.token_hex(4)}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -316,15 +327,13 @@ def _sweep_dataset(cfg: RunConfig, param: str, grid) -> tuple[list[str], dict]:
                      grid=tuple(float(g) for g in grid))
     res = threshold_map(spec)
     hash12 = cfg.digest({"cmd": "threshold_map", "param": param})[:12]
-    rows = []
-    for v, dq, err, flags in zip(res.values, res.delta_q, res.delta_q_err,
-                                 res.regime_ok):
-        rows.append(",".join([
-            fmt(v), fmt(1.0 + dq), fmt(err),
-            "1" if all(flags.values()) else "0",
-            _classify_dq(dq),
-            hash12, __version__,
-        ]))
+    regime_ok = np.logical_and.reduce(list(res.regime_ok.values()))
+    rows = [",".join([fmt(v), fmt(1.0 + dq), fmt(err), "1" if ok else "0",
+                      _classify_dq(dq), hash12, __version__])
+            for v, dq, err, ok in zip(res.values.tolist(),
+                                      res.delta_q.tolist(),
+                                      res.delta_q_err.tolist(),
+                                      regime_ok.tolist())]
     meta = {"crossings": {k: list(map(float, v))
                           for k, v in res.crossings.items()},
             "thresholds": {"Q_entanglement": Q_ENTANGLEMENT_THRESHOLD,
@@ -477,7 +486,10 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser of every command, built at the first main call
+    of a process and reused by the later ones."""
     parser = argparse.ArgumentParser(
         prog="pairemit",
         description="Coincidence statistics and entanglement thresholds of "
@@ -494,8 +506,12 @@ def main(argv: list[str] | None = None) -> int:
     subs.choices["validate"].add_argument(
         "--quick", action="store_true",
         help="skip the slow quadrature-path checks")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     overrides = {k: getattr(args, k, None) for k in _DEFAULTS}

@@ -15,6 +15,7 @@ modelling it).  The regime conditions carry documented numeric cutoffs
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -67,57 +68,61 @@ def _regime_flags(ec, w, r) -> dict:
 def _columns(abs_delta, ec, w, r) -> list[np.ndarray]:
     """|Delta|/mu, E_C/mu, w/lambda_F and r/lambda_F as 1-D float arrays
     (length 1 or n).  The first point that is no valid EmitterParams with
-    a finite r > 0 raises ValueError naming it as that point alone would."""
+    a finite r > 0, or has |Delta| < 0, raises ValueError naming it as that
+    point alone would."""
     cols = [np.asarray(x, float).reshape(-1) for x in (abs_delta, ec, w, r)]
     ad, ec, w, r = cols
-    ok = (np.abs(ad) < MU) & (ec > 0.0) & (ec < math.inf) & (w > 0.0) \
-        & (w < math.inf) & (r > 0.0) & (r < math.inf)
+    ok = (ad >= 0.0) & (ad < MU) & (ec > 0.0) & (ec < math.inf) \
+        & (w > 0.0) & (w < math.inf) & (r > 0.0) & (r < math.inf)
     if not ok.all():                # the first bad point raises as if alone
         i = int(np.argmin(ok))
         ad, ec, w, r = (np.broadcast_to(c, ok.shape)[i] for c in cols)
+        if ad < 0.0:
+            raise ValueError(
+                f"|Delta| must be non-negative, got |Delta|/mu = {ad:g} at "
+                f"point {i} (E_C/mu = {ec:g}, w/lambda_F = {w:g}, "
+                f"r/lambda_F = {r:g})")
         EmitterParams(ad, ec, w)
         raise ValueError(
             f"detector distance must be positive and finite, got r = {r}")
     return cols
 
 
-def _peak_terms(ad, ec, w, r) -> tuple[np.ndarray, ...]:
-    """z, s, the prefactor pi^2/(32 K1^2) of dQ = prefactor |H0^(2)(z) - s|^2
-    and K1's error over checked columns with |Delta| > 0; the prefactor is
-    inf where K1^2 underflows (|Delta|/E_C above ~354)."""
-    xi2 = pippard_length(ad) ** 2           # (k_F^-1 units)^2
+def _k1_terms(ad, ec) -> tuple[np.ndarray, np.ndarray]:
+    """The prefactor pi^2/(32 K1(|Delta|/E_C)^2) of dQ and K1's error bound,
+    |Delta| > 0; the prefactor is inf where K1^2 underflows (|Delta|/E_C
+    above ~354)."""
+    k1 = bessel_k1(ad / ec)
+    denom = 32.0 * k1.value * k1.value      # 0 where K1^2 underflows
+    prefactor = np.divide(math.pi ** 2, denom,
+                          out=np.full(denom.shape, np.inf), where=denom > 0.0)
+    return prefactor, k1.est_error
+
+
+def _hankel_terms(xi2, w, r) -> tuple[np.ndarray, np.ndarray]:
+    """z and s of dQ = prefactor |H0^(2)(z) - s|^2, xi^2 in (k_F^-1
+    units)^2."""
     w2 = (w * LAMBDA_F) ** 2
     r_kf = r * LAMBDA_F
     u = r_kf / (2.0 * math.pi ** 2 * xi2)
     arg = 1j * (w2 / (math.pi ** 2 * xi2)) - u
     # s = 4 e^{iu} / (pi sqrt(i r / (k_F w^2))), principal square root
     second = 4.0 * np.exp(1j * u) / (math.pi * np.sqrt(1j * (r_kf / w2)))
-    k1 = bessel_k1(ad / ec)
-    denom = 32.0 * k1.value * k1.value      # 0 where K1^2 underflows
-    prefactor = np.divide(math.pi ** 2, denom,
-                          out=np.full(denom.shape, np.inf), where=denom > 0.0)
-    return arg, second, prefactor, k1.est_error
+    return arg, second
 
 
-def delta_q_grid(abs_delta, ec, w, r) -> tuple[np.ndarray, ...]:
-    """dQ, its error bound and the Hankel argument, elementwise over
-    |Delta|/mu, E_C/mu, w/lambda_F and r/lambda_F (scalars or 1-D arrays of
-    one length n).  dQ = 0 where Delta = 0 and inf where K1(|Delta|/E_C)^2
-    underflows.  The first element that is no valid EmitterParams with a
-    finite r > 0, or where the Hankel factor overflows, raises ValueError
-    naming it as that point alone would."""
-    cols = _columns(abs_delta, ec, w, r)
-    if np.count_nonzero(cols[0]) < cols[0].size:    # Delta = 0: no pairs
-        cols = np.broadcast_arrays(*cols)
-        pair = cols[0] != 0.0
-        out = tuple(np.zeros(pair.shape, t) for t in (float, float, complex))
-        for o, v in zip(out, delta_q_grid(*(c[pair] for c in cols))):
-            o[pair] = v
-        return out
-    arg, second, prefactor, k1_err = _peak_terms(*cols)
-    over = arg.imag > _HANKEL_IM_MAX
-    if np.count_nonzero(over):
-        ad, ec, w, r = np.broadcast_arrays(*cols)
+def _evaluate(ad, ec, w, r, xi2=None, k1=None,
+              check=True) -> tuple[np.ndarray, ...]:
+    """dQ, its error bound and z over checked columns with |Delta| > 0,
+    taking xi^2 and K1's (prefactor, error) as given where they are.  With
+    check, the first element where the Hankel factor overflows raises
+    ValueError naming it."""
+    if xi2 is None:
+        xi2 = pippard_length(ad) ** 2
+    arg, second = _hankel_terms(xi2, w, r)
+    prefactor, k1_err = _k1_terms(ad, ec) if k1 is None else k1
+    if check and np.count_nonzero(over := arg.imag > _HANKEL_IM_MAX):
+        ad, ec, w, r = np.broadcast_arrays(ad, ec, w, r)
         i = int(np.argmax(over))
         raise ValueError(
             f"dQ overflows at |Delta|/mu = {ad[i]:g}, "
@@ -133,6 +138,29 @@ def delta_q_grid(abs_delta, ec, w, r) -> tuple[np.ndarray, ...]:
     return dq, dq * rel, arg
 
 
+def _paired(f, cols) -> tuple[np.ndarray, ...]:
+    """f(*cols), dQ, its bound and z, on the elements with |Delta| > 0;
+    all three are 0 where Delta = 0 (no pairs)."""
+    if np.count_nonzero(cols[0]) == cols[0].size:
+        return f(*cols)
+    cols = np.broadcast_arrays(*cols)
+    pair = cols[0] != 0.0
+    out = tuple(np.zeros(pair.shape, t) for t in (float, float, complex))
+    for o, v in zip(out, f(*(c[pair] for c in cols))):
+        o[pair] = v
+    return out
+
+
+def delta_q_grid(abs_delta, ec, w, r) -> tuple[np.ndarray, ...]:
+    """dQ, its error bound and the Hankel argument, elementwise over
+    |Delta|/mu, E_C/mu, w/lambda_F and r/lambda_F (scalars or 1-D arrays of
+    one length n).  dQ = 0 where Delta = 0 and inf where K1(|Delta|/E_C)^2
+    underflows.  The first element that is no valid EmitterParams with a
+    finite r > 0, has |Delta| < 0, or where the Hankel factor overflows,
+    raises ValueError naming it as that point alone would."""
+    return _paired(_evaluate, _columns(abs_delta, ec, w, r))
+
+
 def delta_q_peak(params: EmitterParams, r: float) -> PeakResult:
     """Bunching-peak height dQ at detector distance r (units of lambda_F).
 
@@ -144,7 +172,14 @@ def delta_q_peak(params: EmitterParams, r: float) -> PeakResult:
     _HANKEL_IM_MAX, e.g. w >~ 2000 lambda_F at the figure gap).  The
     length-1 case of the grid evaluation.
     """
-    dq, dq_err, arg = delta_q_grid(params.abs_delta, params.ec, params.w, r)
+    return _peak_result(params, r, *delta_q_grid(params.abs_delta, params.ec,
+                                                 params.w, r))
+
+
+def _peak_result(params: EmitterParams, r: float, dq, dq_err,
+                 arg) -> PeakResult:
+    """The PeakResult at params and r from the first element of a
+    delta_q_grid evaluation there."""
     flags = _regime_flags(params.ec, params.w, r)
     return PeakResult(
         delta_q=float(dq[0]),
@@ -171,7 +206,8 @@ def peak_envelope(params: EmitterParams, r) -> np.ndarray | float:
     if params.abs_delta == 0.0:
         env = np.zeros(cols[3].shape)
     else:
-        arg, second, prefactor, _ = _peak_terms(*cols)
+        arg, second = _hankel_terms(pippard_length(cols[0]) ** 2, *cols[2:])
+        prefactor = _k1_terms(*cols[:2])[0]
         habs = np.abs(hankel2_0(-arg).value)    # fourth quadrant: smooth
         env = prefactor * (3.0 * habs + np.abs(second)) ** 2
     return env if np.ndim(r) else float(env[0])
@@ -232,7 +268,7 @@ class SweepResult:
     param: str
     values: np.ndarray
     delta_q: np.ndarray
-    regime_ok: list
+    regime_ok: dict               # flag name -> bool array over values
     crossings: dict               # threshold name -> list of crossing values
     delta_q_err: np.ndarray | None = None
 
@@ -272,38 +308,60 @@ def _illinois(f, x0: list, x1: list, f0: list, f1: list,
     return [0.5 * (a + b) for a, b in zip(x0, x1)]      # the midpoints
 
 
+def _sweep_evaluator(param: str, cols: list[np.ndarray]):
+    """f(values, check=False): dQ, its bound and z at values of the swept
+    parameter, the other columns those of cols, the grid's columns as
+    _columns passed them.  Where |Delta| is fixed (and > 0) xi^2, and where
+    |Delta|/E_C is fixed also K1's prefactor and error, are computed once,
+    here.  Only the grid needs check=True: between two valid grid points
+    each column stays in its valid interval, and Im z = w^2/(pi^2 xi^2),
+    which grows with w and |Delta|, below its value at one of them."""
+    k = _SWEEPABLE.index(param)
+    fixed = {}
+    if k > 0 and cols[0][0] > 0.0:
+        fixed["xi2"] = pippard_length(cols[0]) ** 2
+        if k > 1:
+            fixed["k1"] = _k1_terms(cols[0], cols[1])
+
+    def f(values, check=False):
+        at = list(cols)
+        at[k] = np.abs(values) if k == 0 else values
+        return _paired(functools.partial(_evaluate, check=check, **fixed), at)
+    return f
+
+
 def threshold_map(spec: SweepSpec) -> SweepResult:
     """Peak height over the grid with entanglement/Bell crossings located.
 
-    The grid is one array evaluation.  A grid value exactly on a threshold
-    (dQ = 1/2, i.e. Q = 3/2, or dQ = sqrt(2)+1, Bell) is that crossing; the
-    others, bracketed by grid neighbours, are refined together by Illinois
-    regula falsi to a bracket of 1e-6 relative in the swept parameter.
+    The grid is checked and evaluated once, as one array.  A grid value
+    exactly on a threshold (dQ = 1/2, i.e. Q = 3/2, or dQ = sqrt(2)+1,
+    Bell) is that crossing; the others, bracketed by grid neighbours, are
+    refined together by Illinois regula falsi to a bracket of 1e-6 relative
+    in the swept parameter, on the terms of the grid that do not move.
     """
     values = np.asarray(spec.grid, dtype=float)
-    cols = _sweep_columns(spec, values)
-    dq, dq_err, _ = delta_q_grid(*cols)
+    cols = _columns(*_sweep_columns(spec, values))
+    dq_at = _sweep_evaluator(spec.param, cols)
+    dq, dq_err, _ = dq_at(values, check=True)
     # crossings (threshold k, grid index i): a grid value exactly on its
     # target is one, a bracket [i, i]; a sign change brackets [i, i + 1]
     t = np.array([[DQ_ENTANGLEMENT], [DQ_BELL]])
     s = np.sign(dq - t)
-    k, i = np.nonzero((s == 0.0) | np.pad(s[:, :-1] * s[:, 1:] < 0.0,
-                                          ((0, 0), (0, 1))))
+    hit = s == 0.0
+    hit[:, :-1] |= s[:, :-1] * s[:, 1:] < 0.0
+    k, i = np.nonzero(hit)
     j = np.where(s[k, i] == 0.0, i, i + 1)
     roots = _illinois(
-        lambda xs, owner: (delta_q_grid(*_sweep_columns(spec, xs))[0]
-                           - t[k[owner], 0]).tolist(),
+        lambda xs, owner: (dq_at(xs)[0] - t[k[owner], 0]).tolist(),
         values[i].tolist(), values[j].tolist(),
         (dq[i] - t[k, 0]).tolist(), (dq[j] - t[k, 0]).tolist())
     crossings = {name: [x for x, kx in zip(roots, k) if kx == n]
                  for n, name in enumerate(("entangled", "bell"))}
-    flags = _regime_flags(*np.broadcast_arrays(*cols[1:], values)[:3])
     return SweepResult(
         param=spec.param,
         values=values,
         delta_q=dq,
-        regime_ok=[dict(zip(flags, row))
-                   for row in zip(*(f.tolist() for f in flags.values()))],
+        regime_ok=_regime_flags(*np.broadcast_arrays(*cols[1:], values)[:3]),
         crossings=crossings,
         delta_q_err=dq_err,
     )

@@ -13,13 +13,14 @@ the result metadata.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import EmitterParams
-from .peak import PeakResult, angular_profile, delta_q_grid, delta_q_peak
+from .peak import PeakResult, _peak_result, angular_profile, delta_q_grid
 
 __all__ = ["FluctuationSpec", "averaged_peak"]
 
@@ -39,6 +40,15 @@ class FluctuationSpec:
             raise ValueError("quadrature order must be positive")
 
 
+@functools.lru_cache(maxsize=8)
+def _hermgauss(samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights of the given order, read-only, made
+    once per order and process."""
+    nodes, weights = np.polynomial.hermite.hermgauss(samples)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def averaged_peak(params: EmitterParams, r: float,
                   fluct: FluctuationSpec) -> PeakResult:
     """Gauss-Hermite average of the peak height over static fluctuations.
@@ -50,7 +60,7 @@ def averaged_peak(params: EmitterParams, r: float,
     if not 0.0 < r < math.inf:              # before dividing by it
         raise ValueError(
             f"detector distance must be positive and finite, got r = {r}")
-    nodes, weights = np.polynomial.hermite.hermgauss(fluct.samples)
+    nodes, weights = _hermgauss(fluct.samples)
     norm = math.sqrt(math.pi)
     # transverse tip displacement -> misalignment dtheta = |r0_perp| / r,
     # from the two transverse components at the nodes
@@ -60,23 +70,26 @@ def averaged_peak(params: EmitterParams, r: float,
         raise ValueError(
             f"sigma_r0 = {fluct.sigma_r0} at r = {r} puts a node at |r0_perp|"
             f" = {dtheta.max() * r:.4g} lambda_F, beyond pi r; invalid")
-    base = delta_q_peak(params, r)
-
     # size-fluctuation average over w: quadrature nodes that land at
     # non-physical w <= 0 are dropped and the rule renormalized, provided
     # they carry negligible Gaussian mass; if the distribution itself puts
     # real weight there, the Gaussian fluctuation model is invalid
+    ws = np.array([params.w])
     if fluct.sigma_w > 0.0:
-        ws = params.w + math.sqrt(2.0) * fluct.sigma_w * nodes
-        keep = ws > 0.0
+        w_nodes = params.w + math.sqrt(2.0) * fluct.sigma_w * nodes
+        keep = w_nodes > 0.0
         dropped = float(np.sum(weights[~keep])) / norm
         if dropped > 1e-2:
             raise ValueError(
                 f"sigma_w = {fluct.sigma_w} puts {dropped:.1%} of the "
                 "Gaussian mass at w <= 0; fluctuation model invalid"
             )
-        vals = delta_q_grid(params.abs_delta, params.ec, ws[keep], r)[0]
-        dq_w = float(np.sum(weights[keep] * vals) / np.sum(weights[keep]))
+        ws = np.concatenate((ws, w_nodes[keep]))
+    # the unperturbed peak and the w nodes in one evaluation, one K1
+    dq, dq_err, arg = delta_q_grid(params.abs_delta, params.ec, ws, r)
+    base = _peak_result(params, r, dq, dq_err, arg)
+    if fluct.sigma_w > 0.0:
+        dq_w = float(np.sum(weights[keep] * dq[1:]) / np.sum(weights[keep]))
     else:
         dq_w = base.delta_q
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import stat
 from pathlib import Path
 
 import pytest
@@ -318,6 +319,52 @@ class TestCommands:
         assert rc == 1
         assert "specfun_goldens" in capsys.readouterr().out.split(
             "FAILED checks:")[-1]
+
+
+class TestOneParserPerProcess:
+    _RUNS = [["fig3", *_BENCH_FLAGS, "--output", "{d}/fig3"],
+             ["peak", *_BENCH_FLAGS, "--output", "{d}/peak.csv"],
+             ["sweep", "--theta", "1.0", "--output", "{d}/bad.csv"],
+             ["sweep", "--sweep-param", "w", "--sweep-min", "0.5",
+              "--sweep-max", "4", "--output", "{d}/sweep.csv"]]
+
+    def test_reused_parser_writes_the_bytes_of_fresh_ones(self, tmp_path,
+                                                          capsys):
+        def run(argv, d):
+            return main([a.format(d=d) for a in argv])
+
+        cli._parser.cache_clear()
+        together = [run(argv, tmp_path / "one") for argv in self._RUNS]
+        assert cli._parser.cache_info().misses == 1     # built once
+        alone = []
+        for argv in self._RUNS:             # each as a fresh process makes it
+            cli._parser.cache_clear()
+            alone.append(run(argv, tmp_path / "fresh"))
+        assert together == alone == [0, 0, USAGE_ERROR, 0]
+        names = sorted(f.name for f in (tmp_path / "one").iterdir())
+        assert names == sorted(f.name for f in (tmp_path / "fresh").iterdir())
+        assert len(names) == 12         # 6 datasets, each CSV and meta
+        for name in names:
+            assert (tmp_path / "one" / name).read_bytes() \
+                == (tmp_path / "fresh" / name).read_bytes(), name
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_files_honour_the_umask(self, tmp_path, capsys, umask, mode):
+        old = os.umask(umask)
+        try:
+            assert main(["peak", "--sweep-points", "3",
+                         "--output", str(tmp_path / "p.csv")]) == 0
+            cli.atomic_write(tmp_path / "sub" / "x.txt", "x\n")
+            cli.atomic_write(tmp_path / "sub" / "x.txt", "y\n")  # replaces
+        finally:
+            os.umask(old)
+        for name in ("p.csv", "p.meta.json", "sub/x.txt"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+        assert (tmp_path / "sub" / "x.txt").read_text() == "y\n"
+        assert sorted(f.name for f in tmp_path.rglob("*")) \
+            == ["p.csv", "p.meta.json", "sub", "x.txt"]
 
 
 def _small_cfg(tmp_path) -> Path:

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -172,6 +173,25 @@ class TestDeltaQPeak:
         with pytest.raises(ValueError, match="detector distance"):
             peak_envelope(PARAMS, r)
 
+    def test_grid_names_a_negative_abs_delta(self):
+        with pytest.raises(ValueError, match=r"\|Delta\| must be "
+                           r"non-negative, got \|Delta\|/mu = -0\.002 at "
+                           r"point 1 \(E_C/mu = 0\.001, "):
+            delta_q_grid([1e-3, -2e-3], 1e-3, 1.0, 100.0)
+
+    def test_envelope_names_a_negative_abs_delta(self):
+        # a negative Delta is a gap phase of pi, with |Delta| > 0 and the
+        # same envelope; only a negative |Delta| itself is refused
+        rs = np.array([100.0, 300.0])
+        flipped = EmitterParams(-PARAMS.delta, PARAMS.ec, PARAMS.w)
+        assert np.array_equal(peak_envelope(flipped, rs),
+                              peak_envelope(PARAMS, rs))
+        bad = types.SimpleNamespace(abs_delta=-2e-3, ec=1e-3, w=1.0)
+        with pytest.raises(ValueError, match=r"\|Delta\| must be "
+                           r"non-negative, got \|Delta\|/mu = -0\.002 at "
+                           r"point 0 "):
+            peak_envelope(bad, rs)
+
     def test_large_r_scaled_envelope_bounded(self):
         # r * dQ envelope bounded and non-vanishing over a decade
         xi = derive_params(PARAMS).xi
@@ -309,13 +329,13 @@ class TestThresholdMapCounts:
         # each bracket refines alone as in the full map, so a map over one
         # grid interval counts the evaluations of that interval's crossings
         evals = []
-        delta_q_grid = peak.delta_q_grid
+        evaluate = peak._evaluate
 
-        def counted(*cols):
+        def counted(*cols, **kw):
             evals.append(max(np.size(c) for c in cols))
-            return delta_q_grid(*cols)
+            return evaluate(*cols, **kw)
 
-        monkeypatch.setattr(peak, "delta_q_grid", counted)
+        monkeypatch.setattr(peak, "_evaluate", counted)
         grid = _FIG3_PANELS[param]
         total = 0
         for lo, hi in zip(grid[:-1], grid[1:]):
@@ -327,6 +347,99 @@ class TestThresholdMapCounts:
         full = threshold_map(_fig3_spec("figure", param))
         assert total == sum(len(c) for c in full.crossings.values())
 
+    @pytest.mark.parametrize("param, params", [
+        ("w", EmitterParams(2.997e-3, 6.8e-3, 1.0)), ("r", PARAMS)])
+    def test_one_k1_call_where_the_ratio_is_fixed(self, monkeypatch, param,
+                                                   params):
+        # |Delta|/E_C does not move along a w or an r sweep: one K1 call
+        # serves the grid and every refinement step
+        calls = []
+
+        def counted(x):
+            calls.append(np.size(x))
+            return bessel_k1(x)
+
+        monkeypatch.setattr(peak, "bessel_k1", counted)
+        res = threshold_map(SweepSpec(base=params, r=R, param=param,
+                                      grid=tuple(_FIG3_PANELS[param])))
+        assert sum(len(c) for c in res.crossings.values()) > 0
+        assert calls == [1]
+
+
+def _oracle_map(spec: SweepSpec):
+    """threshold_map with the public, fully checked delta_q_grid for the
+    grid and at every Illinois step: values, dQ, its bound, crossings."""
+    values = np.asarray(spec.grid, dtype=float)
+    dq, dq_err, _ = delta_q_grid(*peak._sweep_columns(spec, values))
+    t = np.array([[DQ_ENTANGLEMENT], [DQ_BELL]])
+    s = np.sign(dq - t)
+    k, i = np.nonzero((s == 0.0) | np.pad(s[:, :-1] * s[:, 1:] < 0.0,
+                                          ((0, 0), (0, 1))))
+    j = np.where(s[k, i] == 0.0, i, i + 1)
+    roots = peak._illinois(
+        lambda xs, owner: (delta_q_grid(*peak._sweep_columns(spec, xs))[0]
+                           - t[k[owner], 0]).tolist(),
+        values[i].tolist(), values[j].tolist(),
+        (dq[i] - t[k, 0]).tolist(), (dq[j] - t[k, 0]).tolist())
+    crossings = {name: [x for x, kx in zip(roots, k) if kx == n]
+                 for n, name in enumerate(("entangled", "bell"))}
+    return values, dq, dq_err, crossings
+
+
+def _seeded_base(seed: int) -> tuple[EmitterParams, float]:
+    """A base drawn over the ranges of the closed-form benchmark points."""
+    rng = np.random.default_rng(seed)
+    delta, ec = 10.0 ** rng.uniform(-3.0, -2.0, 2)
+    w = rng.uniform(0.8, 2.0)
+    return EmitterParams(delta, ec, w), 10.0 ** rng.uniform(math.log10(50.0),
+                                                            3.0)
+
+
+_ORACLE_BASES = {"figure": (PARAMS, R), "seed1": _seeded_base(1),
+                 "seed2": _seeded_base(2)}
+_SIGNED = np.geomspace(1e-4, 1e-2, 20)
+
+
+class TestRefinementOracle:
+    """threshold_map equals, bitwise, the map that evaluates the public
+    delta_q_grid at every refinement step."""
+
+    @staticmethod
+    def assert_as_oracle(spec: SweepSpec) -> None:
+        values, dq, dq_err, crossings = _oracle_map(spec)
+        res = threshold_map(spec)
+        for got, want in ((res.values, values), (res.delta_q, dq),
+                          (res.delta_q_err, dq_err)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert {k: [x.hex() for x in v] for k, v in res.crossings.items()} \
+            == {k: [x.hex() for x in v] for k, v in crossings.items()}
+        for i, v in enumerate(values):
+            flags = delta_q_peak(*_point(spec, v)).regime_ok
+            assert {k: bool(f[i]) for k, f in res.regime_ok.items()} == flags
+
+    @pytest.mark.parametrize("base", sorted(_ORACLE_BASES))
+    @pytest.mark.parametrize("param", sorted(_FIG3_PANELS))
+    def test_fig3_panels(self, base, param):
+        params, r = _ORACLE_BASES[base]
+        self.assert_as_oracle(SweepSpec(base=params, r=r, param=param,
+                                        grid=tuple(_FIG3_PANELS[param])))
+
+    @pytest.mark.parametrize("params, param, grid", [
+        # a w sweep with a crossing to refine
+        (EmitterParams(2.997e-3, 6.8e-3, 1.0), "w", _FIG3_PANELS["w"]),
+        # a signed Delta grid through 0, where dQ = 0
+        (PARAMS, "delta", np.concatenate((-_SIGNED[::-1], [0.0], _SIGNED))),
+        # a bracket with its ends on either side of Delta = 0
+        (PARAMS, "delta", (-1e-4, 5e-3)),
+        # the normal emitter: dQ = 0 along every other parameter
+        (EmitterParams(0.0, PARAMS.ec, PARAMS.w), "w", _FIG3_PANELS["w"]),
+        (EmitterParams(0.0, PARAMS.ec, PARAMS.w), "r", _FIG3_PANELS["r"]),
+    ], ids=["w-crossing", "delta-through-0", "delta-across-0", "normal-w",
+            "normal-r"])
+    def test_edge_sweeps(self, params, param, grid):
+        self.assert_as_oracle(SweepSpec(base=params, r=R, param=param,
+                                        grid=tuple(grid)))
+
 
 class TestExactThresholdHit:
     @pytest.mark.parametrize("grid", [(100.0, 200.0, 300.0),
@@ -336,10 +449,10 @@ class TestExactThresholdHit:
     def test_grid_value_on_threshold_is_one_crossing(self, monkeypatch,
                                                      grid):
         # dQ = 1 - r/400 is exactly 1/2 at r = 200
-        def linear(ad, ec, w, r):
+        def linear(ad, ec, w, r, **kw):
             dq = 1.0 - np.atleast_1d(r) / 400.0
             return dq, np.zeros_like(dq), np.zeros(dq.shape, complex)
 
-        monkeypatch.setattr(peak, "delta_q_grid", linear)
+        monkeypatch.setattr(peak, "_evaluate", linear)
         res = threshold_map(SweepSpec(base=PARAMS, r=R, param="r", grid=grid))
         assert res.crossings == {"entangled": [200.0], "bell": []}

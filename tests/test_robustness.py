@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from pairemit import robustness
+from pairemit import peak, robustness
 from pairemit.model import EmitterParams, derive_params
-from pairemit.peak import delta_q_peak
+from pairemit.peak import delta_q_grid, delta_q_peak
 from pairemit.robustness import FluctuationSpec, averaged_peak
+from pairemit.specfun import bessel_k1
 
 PARAMS = EmitterParams(delta=2.997e-3, ec=2.997e-3, w=1.0)
 R = 100.0
@@ -62,8 +63,7 @@ def test_oversized_displacement_rejected_before_evaluating(monkeypatch,
     def evaluated(*args):
         raise AssertionError("evaluated before the check")
 
-    monkeypatch.setattr(robustness, "delta_q_peak", evaluated)
-    monkeypatch.setattr(robustness, "delta_q_grid", evaluated, raising=False)
+    monkeypatch.setattr(robustness, "delta_q_grid", evaluated)
     with pytest.raises(ValueError, match=rf"sigma_r0 = {sigma_r0} at "
                        rf"r = {R} .* \|r0_perp\| = [0-9.]+ lambda_F"):
         averaged_peak(PARAMS, R, FluctuationSpec(sigma_w=0.1,
@@ -112,6 +112,40 @@ def test_envelope_factor_against_a_direct_double_sum():
                for xj, wj in zip(xx, weights)) / math.pi
     res = averaged_peak(PARAMS, R, FluctuationSpec(sigma_r0=sig))
     assert res.meta["envelope_factor"] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("fluct", [
+    FluctuationSpec(), FluctuationSpec(sigma_w=0.2),
+    FluctuationSpec(sigma_w=0.3),           # drops the nodes at w <= 0
+    FluctuationSpec(0.1, R / (4 * PARAMS.w_kf))])
+def test_one_k1_call_bitwise_the_two_evaluations_it_replaces(monkeypatch,
+                                                             fluct):
+    calls = []
+
+    def counted(x):
+        calls.append(np.size(x))
+        return bessel_k1(x)
+
+    monkeypatch.setattr(peak, "bessel_k1", counted)
+    res = averaged_peak(PARAMS, R, fluct)
+    monkeypatch.undo()
+    assert calls == [1]
+    # the lone peak, then the w nodes, each with a K1 of its own
+    base = delta_q_peak(PARAMS, R)
+    dq_w = base.delta_q
+    if fluct.sigma_w > 0.0:
+        nodes, weights = np.polynomial.hermite.hermgauss(fluct.samples)
+        ws = PARAMS.w + math.sqrt(2.0) * fluct.sigma_w * nodes
+        keep = ws > 0.0
+        vals = delta_q_grid(PARAMS.abs_delta, PARAMS.ec, ws[keep], R)[0]
+        dq_w = float(np.sum(weights[keep] * vals) / np.sum(weights[keep]))
+    dq_avg = dq_w * res.meta["envelope_factor"]
+    assert res.delta_q.hex() == dq_avg.hex()
+    assert res.meta["unperturbed_delta_q"].hex() == base.delta_q.hex()
+    assert res.meta["fractional_degradation"].hex() \
+        == (1.0 - dq_avg / base.delta_q).hex()
+    assert (res.hankel_arg, res.regime_ok, res.lambda_warning) \
+        == (base.hankel_arg, base.regime_ok, base.lambda_warning)
 
 
 def test_bad_spec_rejected():
