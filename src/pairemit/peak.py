@@ -111,17 +111,16 @@ def _hankel_terms(xi2, w, r) -> tuple[np.ndarray, np.ndarray]:
     return arg, second
 
 
-def _evaluate(ad, ec, w, r, xi2=None, k1=None,
-              check=True) -> tuple[np.ndarray, ...]:
+def _evaluate(ad, ec, w, r, xi2=None, k1=None) -> tuple[np.ndarray, ...]:
     """dQ, its error bound and z over checked columns with |Delta| > 0,
-    taking xi^2 and K1's (prefactor, error) as given where they are.  With
-    check, the first element where the Hankel factor overflows raises
-    ValueError naming it."""
+    taking xi^2 and K1's (prefactor, error) as given where they are.  The
+    first element where the Hankel factor overflows raises ValueError
+    naming it."""
     if xi2 is None:
         xi2 = pippard_length(ad) ** 2
     arg, second = _hankel_terms(xi2, w, r)
     prefactor, k1_err = _k1_terms(ad, ec) if k1 is None else k1
-    if check and np.count_nonzero(over := arg.imag > _HANKEL_IM_MAX):
+    if np.count_nonzero(over := arg.imag > _HANKEL_IM_MAX):
         ad, ec, w, r = np.broadcast_arrays(ad, ec, w, r)
         i = int(np.argmax(over))
         raise ValueError(
@@ -172,14 +171,17 @@ def delta_q_peak(params: EmitterParams, r: float) -> PeakResult:
     _HANKEL_IM_MAX, e.g. w >~ 2000 lambda_F at the figure gap).  The
     length-1 case of the grid evaluation.
     """
-    return _peak_result(params, r, *delta_q_grid(params.abs_delta, params.ec,
-                                                 params.w, r))
+    return peak_result(params, r, *delta_q_grid(params.abs_delta, params.ec,
+                                                params.w, r))
 
 
-def _peak_result(params: EmitterParams, r: float, dq, dq_err,
-                 arg) -> PeakResult:
-    """The PeakResult at params and r from the first element of a
-    delta_q_grid evaluation there."""
+def peak_result(params: EmitterParams, r: float, dq, dq_err,
+                arg) -> PeakResult:
+    """The PeakResult of delta_q_peak(params, r) from a delta_q_grid
+    evaluation (dQ, its bound, z) whose first element is at params and r.
+    Lets a caller that evaluates more points with the same K1 (e.g.
+    robustness.averaged_peak) build the unperturbed result from that one
+    evaluation."""
     flags = _regime_flags(params.ec, params.w, r)
     return PeakResult(
         delta_q=float(dq[0]),
@@ -309,13 +311,10 @@ def _illinois(f, x0: list, x1: list, f0: list, f1: list,
 
 
 def _sweep_evaluator(param: str, cols: list[np.ndarray]):
-    """f(values, check=False): dQ, its bound and z at values of the swept
-    parameter, the other columns those of cols, the grid's columns as
-    _columns passed them.  Where |Delta| is fixed (and > 0) xi^2, and where
-    |Delta|/E_C is fixed also K1's prefactor and error, are computed once,
-    here.  Only the grid needs check=True: between two valid grid points
-    each column stays in its valid interval, and Im z = w^2/(pi^2 xi^2),
-    which grows with w and |Delta|, below its value at one of them."""
+    """f(values): dQ, its bound and z at values of the swept parameter, the
+    other columns those of cols, the grid's columns as _columns passed
+    them.  Where |Delta| is fixed (and > 0) xi^2, and where |Delta|/E_C is
+    fixed also K1's prefactor and error, are computed once, here."""
     k = _SWEEPABLE.index(param)
     fixed = {}
     if k > 0 and cols[0][0] > 0.0:
@@ -323,10 +322,10 @@ def _sweep_evaluator(param: str, cols: list[np.ndarray]):
         if k > 1:
             fixed["k1"] = _k1_terms(cols[0], cols[1])
 
-    def f(values, check=False):
+    def f(values):
         at = list(cols)
         at[k] = np.abs(values) if k == 0 else values
-        return _paired(functools.partial(_evaluate, check=check, **fixed), at)
+        return _paired(functools.partial(_evaluate, **fixed), at)
     return f
 
 
@@ -342,7 +341,7 @@ def threshold_map(spec: SweepSpec) -> SweepResult:
     values = np.asarray(spec.grid, dtype=float)
     cols = _columns(*_sweep_columns(spec, values))
     dq_at = _sweep_evaluator(spec.param, cols)
-    dq, dq_err, _ = dq_at(values, check=True)
+    dq, dq_err, _ = dq_at(values)
     # crossings (threshold k, grid index i): a grid value exactly on its
     # target is one, a bracket [i, i]; a sign change brackets [i, i + 1]
     t = np.array([[DQ_ENTANGLEMENT], [DQ_BELL]])

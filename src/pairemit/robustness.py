@@ -13,14 +13,13 @@ the result metadata.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import EmitterParams
-from .peak import PeakResult, _peak_result, angular_profile, delta_q_grid
+from .peak import PeakResult, angular_profile, delta_q_grid, peak_result
 
 __all__ = ["FluctuationSpec", "averaged_peak"]
 
@@ -40,15 +39,6 @@ class FluctuationSpec:
             raise ValueError("quadrature order must be positive")
 
 
-@functools.lru_cache(maxsize=8)
-def _hermgauss(samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights of the given order, read-only, made
-    once per order and process."""
-    nodes, weights = np.polynomial.hermite.hermgauss(samples)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
 def averaged_peak(params: EmitterParams, r: float,
                   fluct: FluctuationSpec) -> PeakResult:
     """Gauss-Hermite average of the peak height over static fluctuations.
@@ -60,7 +50,7 @@ def averaged_peak(params: EmitterParams, r: float,
     if not 0.0 < r < math.inf:              # before dividing by it
         raise ValueError(
             f"detector distance must be positive and finite, got r = {r}")
-    nodes, weights = _hermgauss(fluct.samples)
+    nodes, weights = np.polynomial.hermite.hermgauss(fluct.samples)
     norm = math.sqrt(math.pi)
     # transverse tip displacement -> misalignment dtheta = |r0_perp| / r,
     # from the two transverse components at the nodes
@@ -87,7 +77,7 @@ def averaged_peak(params: EmitterParams, r: float,
         ws = np.concatenate((ws, w_nodes[keep]))
     # the unperturbed peak and the w nodes in one evaluation, one K1
     dq, dq_err, arg = delta_q_grid(params.abs_delta, params.ec, ws, r)
-    base = _peak_result(params, r, dq, dq_err, arg)
+    base = peak_result(params, r, dq, dq_err, arg)
     if fluct.sigma_w > 0.0:
         dq_w = float(np.sum(weights[keep] * dq[1:]) / np.sum(weights[keep]))
     else:
