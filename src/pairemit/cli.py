@@ -42,8 +42,8 @@ from .correlations import (DetectorGeometry, NonConvergenceError,
 from .entanglement import (Q_BELL_THRESHOLD, Q_ENTANGLEMENT_THRESHOLD,
                            werner_decompose)
 from .model import EmitterParams, derive_params
-from .peak import (DQ_BELL, DQ_ENTANGLEMENT, SweepSpec, delta_q_peak,
-                   threshold_map)
+from .peak import (DQ_BELL, DQ_ENTANGLEMENT, SweepResult, SweepSpec,
+                   delta_q_peak, threshold_map, threshold_maps)
 from .validation import run_checks
 
 USAGE_ERROR = 2
@@ -322,11 +322,15 @@ def _classify_dq(dq: float) -> str:
     return "separable"
 
 
-def _sweep_dataset(cfg: RunConfig, param: str, grid) -> tuple[list[str], dict]:
-    spec = SweepSpec(base=cfg.params(), r=cfg.r_over_lambdaf, param=param,
+def _sweep_spec(cfg: RunConfig, param: str, grid) -> SweepSpec:
+    return SweepSpec(base=cfg.params(), r=cfg.r_over_lambdaf, param=param,
                      grid=tuple(float(g) for g in grid))
-    res = threshold_map(spec)
-    hash12 = cfg.digest({"cmd": "threshold_map", "param": param})[:12]
+
+
+def _sweep_dataset(cfg: RunConfig,
+                   res: SweepResult) -> tuple[list[str], dict]:
+    """CSV rows and .meta.json fields of a computed sweep."""
+    hash12 = cfg.digest({"cmd": "threshold_map", "param": res.param})[:12]
     regime_ok = np.logical_and.reduce(list(res.regime_ok.values()))
     rows = [",".join([fmt(v), fmt(1.0 + dq), fmt(err), "1" if ok else "0",
                       _classify_dq(dq), hash12, __version__])
@@ -346,8 +350,8 @@ _HEADER_SWEEP = ("param_value,Q_peak,err_est,regime_ok,classification,"
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    grid = _sweep_grid(cfg)
-    rows, meta = _sweep_dataset(cfg, cfg.sweep_param, grid)
+    res = threshold_map(_sweep_spec(cfg, cfg.sweep_param, _sweep_grid(cfg)))
+    rows, meta = _sweep_dataset(cfg, res)
     path = Path(args.output or f"sweep_{cfg.sweep_param}.csv")
     _write_dataset(path, _HEADER_SWEEP, rows, cfg,
                    {"command": "sweep", "sweep_param": cfg.sweep_param, **meta})
@@ -368,7 +372,8 @@ def cmd_peak(cfg: RunConfig, args) -> int:
                                       "sweep_log": True}))
     # the point at --r is checked before anything is written
     point = delta_q_peak(cfg.params(), cfg.r_over_lambdaf)
-    rows, meta = _sweep_dataset(cfg, "r", grid)
+    res = threshold_map(_sweep_spec(cfg, "r", grid))
+    rows, meta = _sweep_dataset(cfg, res)
     path = Path(args.output or "peak_r.csv")
     _write_dataset(path, _HEADER_SWEEP, rows, cfg,
                    {"command": "peak", "sweep_param": "r", **meta})
@@ -379,7 +384,8 @@ def cmd_peak(cfg: RunConfig, args) -> int:
 
 
 def cmd_fig3(cfg: RunConfig, args) -> int:
-    """Four threshold-map panels (|Delta|, E_C, w, r)."""
+    """Four threshold-map panels (|Delta|, E_C, w, r), evaluated together
+    before any is written: a failing panel leaves no dataset."""
     n = cfg.fig3_points
     xi_lf = derive_params(cfg.params()).xi / (2 * math.pi)
     panels = {
@@ -388,9 +394,11 @@ def cmd_fig3(cfg: RunConfig, args) -> int:
         "w": np.linspace(0.5, 4.0, n),
         "r": np.geomspace(10.0, 3.0e6, n),
     }
+    results = threshold_maps([_sweep_spec(cfg, param, grid)
+                              for param, grid in panels.items()])
     stem = Path(args.output or "fig3")
-    for param, grid in panels.items():
-        rows, meta = _sweep_dataset(cfg, param, grid)
+    for param, res in zip(panels, results):
+        rows, meta = _sweep_dataset(cfg, res)
         path = stem.parent / f"{stem.name}_{param}.csv"
         _write_dataset(path, _HEADER_SWEEP, rows, cfg,
                        {"command": "fig3", "sweep_param": param,

@@ -15,7 +15,6 @@ modelling it).  The regime conditions carry documented numeric cutoffs
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -29,6 +28,7 @@ from .specfun import bessel_k1, hankel2_0
 __all__ = [
     "PeakResult", "SweepSpec", "SweepResult",
     "delta_q_peak", "delta_q_grid", "angular_profile", "threshold_map",
+    "threshold_maps",
     "DQ_ENTANGLEMENT", "DQ_BELL",
     "REGIME_MU_OVER_EC",
 ]
@@ -310,57 +310,106 @@ def _illinois(f, x0: list, x1: list, f0: list, f1: list,
     return [0.5 * (a + b) for a, b in zip(x0, x1)]      # the midpoints
 
 
-def _sweep_evaluator(param: str, cols: list[np.ndarray]):
-    """f(values): dQ, its bound and z at values of the swept parameter, the
-    other columns those of cols, the grid's columns as _columns passed
-    them.  Where |Delta| is fixed (and > 0) xi^2, and where |Delta|/E_C is
-    fixed also K1's prefactor and error, are computed once, here."""
-    k = _SWEEPABLE.index(param)
-    fixed = {}
-    if k > 0 and cols[0][0] > 0.0:
-        fixed["xi2"] = pippard_length(cols[0]) ** 2
-        if k > 1:
-            fixed["k1"] = _k1_terms(cols[0], cols[1])
+def _sweep_evaluator(kind: np.ndarray, first: np.ndarray,
+                     cols: list[np.ndarray]):
+    """The concatenated grids of several sweeps: element e sweeps the
+    parameter _SWEEPABLE[kind[e]] of the spec whose grid starts at element
+    first[e], the grid's columns as _columns passed them.  Returns the
+    grid's (dQ, its bound, z) and f(values, e): the same at values of the
+    swept parameter of elements e, their other columns those of the grid.
 
-    def f(values):
-        at = list(cols)
-        at[k] = np.abs(values) if k == 0 else values
-        return _paired(functools.partial(_evaluate, **fixed), at)
-    return f
+    The terms an element's spec holds fixed come from the grid: xi^2 where
+    |Delta| is fixed (ec, w, r), K1's prefactor and error where |Delta|/E_C
+    is (w, r).  The grid makes one K1 call, on the delta and ec elements
+    and the first element of each w or r sweep, so a refinement step calls
+    K1 only on elements of delta and ec sweeps."""
+    n = kind.size
+    grid = np.stack(cols)
+    ad = grid[0]
+    pair = ad != 0.0
+    xi2 = np.zeros(n)
+    xi2[pair] = pippard_length(ad[pair]) ** 2
+    # each element's K1 comes from itself or, along w and r, its spec's first
+    src = np.where(kind >= 2, first, np.arange(n))
+    own = pair & (src == np.arange(n))
+    pref, err = np.zeros(n), np.zeros(n)
+    if np.count_nonzero(own):
+        pref[own], err[own] = _k1_terms(ad[own], grid[1][own])
+    pref, err = pref[src], err[src]
+
+    def terms(ad, ec, w, r, xi2, pref, err):
+        return _evaluate(ad, ec, w, r, xi2=xi2, k1=(pref, err))
+
+    def f(values, e):
+        k = kind[e]
+        at = grid[:, e]
+        at[k, np.arange(e.size)] = np.where(k == 0, np.abs(values), values)
+        x, p, q = xi2[e], pref[e], err[e]
+        ok = at[0] != 0.0
+        if np.count_nonzero(m := ok & (k == 0)):
+            x[m] = pippard_length(at[0][m]) ** 2
+        if np.count_nonzero(m := ok & (k < 2)):
+            p[m], q[m] = _k1_terms(at[0][m], at[1][m])
+        return _paired(terms, [*at, x, p, q])
+    return _paired(terms, [*grid, xi2, pref, err]), f
 
 
-def threshold_map(spec: SweepSpec) -> SweepResult:
-    """Peak height over the grid with entanglement/Bell crossings located.
+def threshold_maps(specs) -> list[SweepResult]:
+    """Peak heights over the grids of several sweeps, with their
+    entanglement/Bell crossings located; one SweepResult per spec, each
+    bitwise the map of that spec alone.
 
-    The grid is checked and evaluated once, as one array.  A grid value
+    The grids are checked in spec order (the first bad point raises as it
+    would alone), then evaluated together as one array.  A grid value
     exactly on a threshold (dQ = 1/2, i.e. Q = 3/2, or dQ = sqrt(2)+1,
-    Bell) is that crossing; the others, bracketed by grid neighbours, are
-    refined together by Illinois regula falsi to a bracket of 1e-6 relative
-    in the swept parameter, on the terms of the grid that do not move.
+    Bell) is that crossing; the others, bracketed by neighbours of one
+    grid, are refined together by Illinois regula falsi to a bracket of
+    1e-6 relative in the swept parameter, on the terms of their grid that
+    do not move.
     """
-    values = np.asarray(spec.grid, dtype=float)
-    cols = _columns(*_sweep_columns(spec, values))
-    dq_at = _sweep_evaluator(spec.param, cols)
-    dq, dq_err, _ = dq_at(values)
-    # crossings (threshold k, grid index i): a grid value exactly on its
-    # target is one, a bracket [i, i]; a sign change brackets [i, i + 1]
+    if not specs:
+        return []
+    values = [np.asarray(s.grid, dtype=float) for s in specs]
+    cols = [_columns(*_sweep_columns(s, v)) for s, v in zip(specs, values)]
+    sizes = [v.size for v in values]
+    ends = np.cumsum(sizes)
+    flat = [np.concatenate([np.broadcast_to(c[m], v.shape)
+                            for c, v in zip(cols, values)]) for m in range(4)]
+    kind = np.repeat([_SWEEPABLE.index(s.param) for s in specs], sizes)
+    (dq, dq_err, _), dq_at = _sweep_evaluator(
+        kind, np.repeat(ends - sizes, sizes), flat)
+    x = np.concatenate(values)
+    # crossings (threshold k, element i): a grid value exactly on its target
+    # is one, a bracket [i, i]; a sign change within a grid brackets [i, i+1]
     t = np.array([[DQ_ENTANGLEMENT], [DQ_BELL]])
     s = np.sign(dq - t)
     hit = s == 0.0
-    hit[:, :-1] |= s[:, :-1] * s[:, 1:] < 0.0
+    step = s[:, :-1] * s[:, 1:] < 0.0
+    step[:, ends[:-1] - 1] = False          # no bracket spans two grids
+    hit[:, :-1] |= step
     k, i = np.nonzero(hit)
     j = np.where(s[k, i] == 0.0, i, i + 1)
     roots = _illinois(
-        lambda xs, owner: (dq_at(xs)[0] - t[k[owner], 0]).tolist(),
-        values[i].tolist(), values[j].tolist(),
+        lambda xs, owner: (dq_at(xs, i[owner])[0] - t[k[owner], 0]).tolist(),
+        x[i].tolist(), x[j].tolist(),
         (dq[i] - t[k, 0]).tolist(), (dq[j] - t[k, 0]).tolist())
-    crossings = {name: [x for x, kx in zip(roots, k) if kx == n]
-                 for n, name in enumerate(("entangled", "bell"))}
-    return SweepResult(
-        param=spec.param,
-        values=values,
-        delta_q=dq,
-        regime_ok=_regime_flags(*np.broadcast_arrays(*cols[1:], values)[:3]),
-        crossings=crossings,
-        delta_q_err=dq_err,
-    )
+    owner = np.searchsorted(ends, i, side="right")
+    flags = _regime_flags(*flat[1:])
+    out = []
+    for n, (spec, lo, hi) in enumerate(zip(specs, ends - sizes, ends)):
+        mine = [(kx, root) for kx, root, o in zip(k, roots, owner) if o == n]
+        out.append(SweepResult(
+            param=spec.param,
+            values=values[n],
+            delta_q=dq[lo:hi],
+            regime_ok={name: f[lo:hi] for name, f in flags.items()},
+            crossings={name: [root for kx, root in mine if kx == m]
+                       for m, name in enumerate(("entangled", "bell"))},
+            delta_q_err=dq_err[lo:hi],
+        ))
+    return out
+
+
+def threshold_map(spec: SweepSpec) -> SweepResult:
+    """threshold_maps of one spec."""
+    return threshold_maps([spec])[0]

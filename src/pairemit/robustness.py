@@ -13,6 +13,7 @@ the result metadata.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +40,16 @@ class FluctuationSpec:
             raise ValueError("quadrature order must be positive")
 
 
+@functools.cache
+def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights of an order, built once per process
+    and shared read-only."""
+    rule = np.polynomial.hermite.hermgauss(order)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def averaged_peak(params: EmitterParams, r: float,
                   fluct: FluctuationSpec) -> PeakResult:
     """Gauss-Hermite average of the peak height over static fluctuations.
@@ -50,7 +61,7 @@ def averaged_peak(params: EmitterParams, r: float,
     if not 0.0 < r < math.inf:              # before dividing by it
         raise ValueError(
             f"detector distance must be positive and finite, got r = {r}")
-    nodes, weights = np.polynomial.hermite.hermgauss(fluct.samples)
+    nodes, weights = _hermgauss(fluct.samples)
     norm = math.sqrt(math.pi)
     # transverse tip displacement -> misalignment dtheta = |r0_perp| / r,
     # from the two transverse components at the nodes

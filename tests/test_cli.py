@@ -220,6 +220,20 @@ class TestCommands:
             assert meta["sweep_param"] == param
             assert meta["xi_over_lambdaf"] == pytest.approx(33.8075, abs=1e-3)
 
+    def test_fig3_failing_panel_writes_nothing(self, tmp_path, capsys):
+        # the delta panel evaluates, the ec panel's Hankel factor overflows:
+        # no panel is written, and the error names the overflowing element
+        rc = main(["fig3", "--delta", "0.05", "--w", "200",
+                   "--output", str(tmp_path / "d" / "f")])
+        assert rc == USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: dQ overflows at |Delta|/mu = 0.05, E_C/mu = 0.0003, "
+            "w/lambda_F = 200, r/lambda_F = 100: the Hankel argument has "
+            "Im z = w^2/(pi^2 xi^2) = 987 > 354.9\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_peak_dataset(self, tmp_path):
         out = tmp_path / "peak.csv"
         rc = main(["peak", *_BENCH_FLAGS, "--sweep-points", "12",

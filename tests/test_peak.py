@@ -1,14 +1,16 @@
+import itertools
+import json
 import math
 import types
 
 import numpy as np
 import pytest
 
-from pairemit import peak
+from pairemit import cli, peak
 from pairemit.model import EmitterParams, derive_params
 from pairemit.peak import (DQ_BELL, DQ_ENTANGLEMENT, SweepSpec,
                            angular_profile, delta_q_grid, delta_q_peak,
-                           peak_envelope, threshold_map)
+                           peak_envelope, threshold_map, threshold_maps)
 from pairemit.specfun import bessel_k1, hankel2_0
 
 PARAMS = EmitterParams(delta=2.997e-3, ec=2.997e-3, w=1.0)
@@ -400,22 +402,60 @@ _ORACLE_BASES = {"figure": (PARAMS, R), "seed1": _seeded_base(1),
 _SIGNED = np.geomspace(1e-4, 1e-2, 20)
 
 
+_EDGE_SWEEPS = {
+    # a w sweep with a crossing to refine
+    "w-crossing": (EmitterParams(2.997e-3, 6.8e-3, 1.0), "w",
+                   _FIG3_PANELS["w"]),
+    # a signed Delta grid through 0, where dQ = 0
+    "delta-through-0": (PARAMS, "delta",
+                        np.concatenate((-_SIGNED[::-1], [0.0], _SIGNED))),
+    # a bracket with its ends on either side of Delta = 0
+    "delta-across-0": (PARAMS, "delta", (-1e-4, 5e-3)),
+    # the normal emitter: dQ = 0 along every other parameter
+    "normal-w": (EmitterParams(0.0, PARAMS.ec, PARAMS.w), "w",
+                 _FIG3_PANELS["w"]),
+    "normal-r": (EmitterParams(0.0, PARAMS.ec, PARAMS.w), "r",
+                 _FIG3_PANELS["r"]),
+}
+
+
+def _hex(crossings: dict) -> dict:
+    return {k: [x.hex() for x in v] for k, v in crossings.items()}
+
+
+def _assert_as_oracle(spec: SweepSpec, res) -> None:
+    """res is, bitwise, the map of spec that evaluates the public
+    delta_q_grid at every refinement step."""
+    values, dq, dq_err, crossings = _oracle_map(spec)
+    for got, want in ((res.values, values), (res.delta_q, dq),
+                      (res.delta_q_err, dq_err)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert _hex(res.crossings) == _hex(crossings)
+    for i, v in enumerate(values):
+        flags = delta_q_peak(*_point(spec, v)).regime_ok
+        assert {k: bool(f[i]) for k, f in res.regime_ok.items()} == flags
+
+
+def _assert_same_map(got, want) -> None:
+    """Two SweepResults agree bitwise: values, dQ, its bound, per-row
+    regime flags and crossings."""
+    assert got.param == want.param
+    assert got.regime_ok.keys() == want.regime_ok.keys()
+    for a, b in ((got.values, want.values), (got.delta_q, want.delta_q),
+                 (got.delta_q_err, want.delta_q_err),
+                 *((got.regime_ok[k], want.regime_ok[k])
+                   for k in want.regime_ok)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert _hex(got.crossings) == _hex(want.crossings)
+
+
 class TestRefinementOracle:
     """threshold_map equals, bitwise, the map that evaluates the public
     delta_q_grid at every refinement step."""
 
     @staticmethod
     def assert_as_oracle(spec: SweepSpec) -> None:
-        values, dq, dq_err, crossings = _oracle_map(spec)
-        res = threshold_map(spec)
-        for got, want in ((res.values, values), (res.delta_q, dq),
-                          (res.delta_q_err, dq_err)):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert {k: [x.hex() for x in v] for k, v in res.crossings.items()} \
-            == {k: [x.hex() for x in v] for k, v in crossings.items()}
-        for i, v in enumerate(values):
-            flags = delta_q_peak(*_point(spec, v)).regime_ok
-            assert {k: bool(f[i]) for k, f in res.regime_ok.items()} == flags
+        _assert_as_oracle(spec, threshold_map(spec))
 
     @pytest.mark.parametrize("base", sorted(_ORACLE_BASES))
     @pytest.mark.parametrize("param", sorted(_FIG3_PANELS))
@@ -424,35 +464,199 @@ class TestRefinementOracle:
         self.assert_as_oracle(SweepSpec(base=params, r=r, param=param,
                                         grid=tuple(_FIG3_PANELS[param])))
 
-    @pytest.mark.parametrize("params, param, grid", [
-        # a w sweep with a crossing to refine
-        (EmitterParams(2.997e-3, 6.8e-3, 1.0), "w", _FIG3_PANELS["w"]),
-        # a signed Delta grid through 0, where dQ = 0
-        (PARAMS, "delta", np.concatenate((-_SIGNED[::-1], [0.0], _SIGNED))),
-        # a bracket with its ends on either side of Delta = 0
-        (PARAMS, "delta", (-1e-4, 5e-3)),
-        # the normal emitter: dQ = 0 along every other parameter
-        (EmitterParams(0.0, PARAMS.ec, PARAMS.w), "w", _FIG3_PANELS["w"]),
-        (EmitterParams(0.0, PARAMS.ec, PARAMS.w), "r", _FIG3_PANELS["r"]),
-    ], ids=["w-crossing", "delta-through-0", "delta-across-0", "normal-w",
-            "normal-r"])
+    @pytest.mark.parametrize("params, param, grid", _EDGE_SWEEPS.values(),
+                             ids=list(_EDGE_SWEEPS))
     def test_edge_sweeps(self, params, param, grid):
         self.assert_as_oracle(SweepSpec(base=params, r=R, param=param,
                                         grid=tuple(grid)))
 
 
+def _linear(ad, ec, w, r, **kw):
+    """dQ = 1 - r/400, exactly 1/2 at r = 200, as peak._evaluate returns
+    it."""
+    dq = 1.0 - np.atleast_1d(r) / 400.0
+    return dq, np.zeros_like(dq), np.zeros(dq.shape, complex)
+
+
+# grids with and without the value r = 200, where _linear is 1/2
+_ON_THRESHOLD_GRIDS = [(100.0, 200.0, 300.0), (300.0, 200.0, 100.0),
+                       (100.0, 200.0), (200.0, 300.0), (150.0, 250.0)]
+
+
 class TestExactThresholdHit:
-    @pytest.mark.parametrize("grid", [(100.0, 200.0, 300.0),
-                                      (300.0, 200.0, 100.0),
-                                      (100.0, 200.0), (200.0, 300.0),
-                                      (150.0, 250.0)])
+    @pytest.mark.parametrize("grid", _ON_THRESHOLD_GRIDS)
     def test_grid_value_on_threshold_is_one_crossing(self, monkeypatch,
                                                      grid):
-        # dQ = 1 - r/400 is exactly 1/2 at r = 200
-        def linear(ad, ec, w, r, **kw):
-            dq = 1.0 - np.atleast_1d(r) / 400.0
-            return dq, np.zeros_like(dq), np.zeros(dq.shape, complex)
-
-        monkeypatch.setattr(peak, "_evaluate", linear)
+        monkeypatch.setattr(peak, "_evaluate", _linear)
         res = threshold_map(SweepSpec(base=PARAMS, r=R, param="r", grid=grid))
         assert res.crossings == {"entangled": [200.0], "bell": []}
+
+
+_BAD_SPECS = {
+    "distance": SweepSpec(base=PARAMS, r=-1.0, param="w", grid=(1.0, 2.0)),
+    "abs-delta-past-mu": SweepSpec(base=PARAMS, r=R, param="delta",
+                                   grid=(1e-3, -1.5)),
+    "hankel-overflow": SweepSpec(base=EmitterParams(0.05, 3e-4, 200.0), r=R,
+                                 param="ec", grid=(3e-4, 3e-3)),
+}
+
+
+class TestThresholdMaps:
+    """threshold_maps evaluates several sweeps together, each bitwise its
+    lone map and the oracle's."""
+
+    @staticmethod
+    def assert_as_lone_maps(specs) -> None:
+        results = threshold_maps(specs)
+        assert len(results) == len(specs)
+        for spec, res in zip(specs, results):
+            _assert_same_map(res, threshold_map(spec))
+            _assert_as_oracle(spec, res)
+
+    @pytest.mark.parametrize("base", sorted(_ORACLE_BASES))
+    def test_fig3_panels(self, base):
+        params, r = _ORACLE_BASES[base]
+        self.assert_as_lone_maps([
+            SweepSpec(base=params, r=r, param=param, grid=tuple(grid))
+            for param, grid in _FIG3_PANELS.items()])
+
+    def test_edge_sweeps_among_fig3_panels(self):
+        edges = [SweepSpec(base=params, r=R, param=param, grid=tuple(grid))
+                 for params, param, grid in _EDGE_SWEEPS.values()]
+        panels = [_fig3_spec("figure", param) for param in _FIG3_PANELS]
+        self.assert_as_lone_maps([x for pair in zip(edges, panels)
+                                  for x in pair] + edges[len(panels):])
+
+    def test_grid_values_on_threshold(self, monkeypatch):
+        # TestExactThresholdHit's grids in one batch
+        monkeypatch.setattr(peak, "_evaluate", _linear)
+        for res in threshold_maps([SweepSpec(base=PARAMS, r=R, param="r",
+                                             grid=g)
+                                   for g in _ON_THRESHOLD_GRIDS]):
+            assert res.crossings == {"entangled": [200.0], "bell": []}
+
+    @pytest.mark.parametrize("grids", [
+        [(100.0, 150.0), (300.0, 350.0)], [(300.0, 350.0), (100.0, 150.0)],
+        [(300.0, 250.0), (150.0, 100.0), (300.0, 350.0)]])
+    def test_no_bracket_spans_two_grids(self, monkeypatch, grids):
+        # dQ changes sign from the last value of one grid to the first of
+        # the next, but within no grid
+        monkeypatch.setattr(peak, "_evaluate", _linear)
+        for res in threshold_maps([SweepSpec(base=PARAMS, r=R, param="r",
+                                             grid=g) for g in grids]):
+            assert res.crossings == {"entangled": [], "bell": []}
+
+    def test_no_bracket_spans_two_grids_of_the_closed_form(self):
+        # two Delta grids on either side of the figure's entangled crossing
+        c = threshold_map(_fig3_spec("figure", "delta")).crossings[
+            "entangled"][0]
+        specs = [_fig3_spec("figure", "delta", (c / 1.02, c / 1.01)),
+                 _fig3_spec("figure", "delta", (c * 1.01, c * 1.02))]
+        results = threshold_maps(specs)
+        below, above = (res.delta_q - DQ_ENTANGLEMENT for res in results)
+        assert below[-1] * above[0] < 0.0
+        for spec, res in zip(specs, results):
+            assert res.crossings == {"entangled": [], "bell": []}
+            _assert_same_map(res, threshold_map(spec))
+
+    @pytest.mark.parametrize("first, second",
+                             itertools.permutations(sorted(_BAD_SPECS), 2))
+    def test_bad_points_raise_as_alone(self, first, second):
+        # every grid's columns are checked, in spec order, before the grids
+        # are evaluated and the Hankel factor can overflow
+        want = second if first == "hankel-overflow" else first
+        with pytest.raises(ValueError) as alone:
+            threshold_map(_BAD_SPECS[want])
+        good = _fig3_spec("figure", "r")
+        with pytest.raises(ValueError) as batch:
+            threshold_maps([good, _BAD_SPECS[first], good,
+                            _BAD_SPECS[second]])
+        assert str(batch.value) == str(alone.value)
+
+
+def _benchmark_bases(n: int):
+    """The first n bases (|Delta|, E_C, w, r) of the closed_form_maps
+    benchmark at seed 0: its stream draws w, |Delta|, E_C, r, two row
+    indices and two fluctuation pairs per point."""
+    rng = np.random.default_rng([0, sum(map(ord, "closed_form_maps"))])
+    for _ in range(n):
+        w = rng.uniform(0.8, 2.0)
+        delta, ec = (10.0 ** rng.uniform(-3.0, -2.0) for _ in range(2))
+        r = 10.0 ** rng.uniform(math.log10(50.0), 3.0)
+        rng.choice(60, 2, replace=False)
+        for _ in range(4):
+            rng.uniform()
+        yield delta, ec, w, r
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Replace peak.<name> by a wrapper that records each call's largest
+    argument size; return the record."""
+    sizes = []
+    f = getattr(peak, name)
+
+    def counted(*args, **kw):
+        sizes.append(max(np.size(a) for a in args))
+        return f(*args, **kw)
+
+    monkeypatch.setattr(peak, name, counted)
+    return sizes
+
+
+class TestThresholdMapsCounts:
+    def test_fig3_makes_one_grid_hankel_call(self, monkeypatch, tmp_path,
+                                             capsys):
+        sizes = _counting(monkeypatch, "hankel2_0")
+        assert cli.main(["fig3", "--output", str(tmp_path / "f")]) == 0
+        assert sizes[0] == 4 * 60
+        metas = [json.loads((tmp_path / f"f_{p}.meta.json").read_text())
+                 for p in _FIG3_PANELS]
+        crossings = sum(len(v) for m in metas for v in m["crossings"].values())
+        assert crossings > 0 and max(sizes[1:]) <= crossings
+
+    def test_steps_are_the_lone_maps_in_lockstep(self, monkeypatch):
+        # a step evaluates the open brackets of every panel together, and
+        # calls K1 only on the brackets of the delta and ec panels
+        hankel = _counting(monkeypatch, "hankel2_0")
+        k1 = _counting(monkeypatch, "bessel_k1")
+        lone = {}
+        for param in _FIG3_PANELS:
+            hankel.clear()
+            k1.clear()
+            threshold_map(_fig3_spec("figure", param))
+            lone[param] = hankel[1:], k1[1:]
+        assert lone["w"][1] == lone["r"][1] == []
+        assert all(lone[p][1] for p in ("delta", "ec"))
+        hankel.clear()
+        k1.clear()
+        threshold_maps([_fig3_spec("figure", p) for p in _FIG3_PANELS])
+        assert hankel[0] == 4 * 60 and k1[0] == 2 * 60 + 2
+
+        def summed(i):
+            return [sum(step) for step in itertools.zip_longest(
+                *(lone[p][i] for p in _FIG3_PANELS), fillvalue=0)]
+        assert hankel[1:] == summed(0)
+        assert k1[1:] == summed(1)
+
+    def test_benchmark_bases_evaluation_counts(self, monkeypatch, tmp_path,
+                                               capsys):
+        # fig3's four panels share one grid evaluation and one refinement;
+        # peak evaluates its point and its lone r map
+        evals = _counting(monkeypatch, "_evaluate")
+        k1 = _counting(monkeypatch, "bessel_k1")
+        n, fig3, peaks = 200, 0, 0
+        for base in _benchmark_bases(n):
+            flags = [x for f, v in zip(("--delta", "--ec", "--w", "--r"),
+                                       base) for x in (f, repr(v))]
+            evals.clear()
+            assert cli.main(["fig3", *flags,
+                             "--output", str(tmp_path / "f")]) == 0
+            fig3 += len(evals)
+            evals.clear()
+            k1.clear()
+            assert cli.main(["peak", *flags,
+                             "--output", str(tmp_path / "p.csv")]) == 0
+            peaks += len(evals)
+            assert len(k1) == 2
+        assert fig3 / n <= 9.0
+        assert peaks / n <= 7.8

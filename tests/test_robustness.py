@@ -153,3 +153,12 @@ def test_bad_spec_rejected():
         FluctuationSpec(sigma_w=-0.1)
     with pytest.raises(ValueError):
         FluctuationSpec(samples=0)
+
+
+def test_gauss_hermite_rule_built_once_read_only():
+    nodes, weights = robustness._hermgauss(21)
+    assert robustness._hermgauss(21)[0] is nodes
+    assert not (nodes.flags.writeable or weights.flags.writeable)
+    want = np.polynomial.hermite.hermgauss(21)
+    assert (nodes.tobytes(), weights.tobytes()) \
+        == (want[0].tobytes(), want[1].tobytes())

@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Write the datasets of the closed-form CLI commands into one directory.
+
+    PYTHONPATH=src python tools/cli_outputs.py OUTDIR
+
+Runs `pairemit fig3`, `peak` and `sweep` (over each of r, delta, ec and w)
+at the defaults and at 5 seeded bases, drawn with numpy's
+default_rng(2024) over the ranges of the `closed_form_maps` benchmark
+points, plus one `fig3` whose ec panel overflows.  Each case runs in its
+own directory OUTDIR/<base>/<command> with relative output paths; its exit
+code, stdout and stderr go to run.txt there.  The pairemit imported is the
+one first on sys.path, so running this on the sources of two checkouts and
+`diff -r` on the two directories compares their outputs byte for byte.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import math
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from pairemit.cli import main
+
+# sweep ranges of the four sweep parameters
+SWEEPS = {
+    "r": (),
+    "delta": ("--sweep-min", "1e-4", "--sweep-max", "1e-2"),
+    "ec": ("--sweep-min", "3e-4", "--sweep-max", "3e-2"),
+    "w": ("--sweep-min", "0.5", "--sweep-max", "4"),
+}
+
+
+def bases(n: int = 5) -> dict[str, list[str]]:
+    """The defaults, then n bases over the closed_form_maps ranges."""
+    rng = np.random.default_rng(2024)
+    out = {"default": []}
+    for i in range(n):
+        delta, ec = 10.0 ** rng.uniform(-3.0, -2.0, 2)
+        w = rng.uniform(0.8, 2.0)
+        r = 10.0 ** rng.uniform(math.log10(50.0), 3.0)
+        out[f"seed{i}"] = ["--delta", repr(float(delta)),
+                           "--ec", repr(float(ec)), "--w", repr(float(w)),
+                           "--r", repr(float(r))]
+    return out
+
+
+def cases() -> dict[str, list[str]]:
+    """Case directory -> CLI arguments."""
+    out = {}
+    for name, flags in bases().items():
+        out[f"{name}/fig3"] = ["fig3", *flags, "--output", "fig3"]
+        out[f"{name}/peak"] = ["peak", *flags, "--output", "peak.csv"]
+        for param, ends in SWEEPS.items():
+            out[f"{name}/sweep_{param}"] = [
+                "sweep", *flags, "--sweep-param", param, *ends,
+                "--output", f"sweep_{param}.csv"]
+    # the ec panel's Hankel factor overflows (exit 2)
+    out["overflow/fig3"] = ["fig3", "--delta", "0.05", "--w", "200",
+                            "--output", "fig3"]
+    return out
+
+
+def run(outdir: Path) -> None:
+    os.environ.pop("PAIREMIT_CACHE_DIR", None)
+    home = Path.cwd()
+    for case, argv in cases().items():
+        where = outdir / case
+        where.mkdir(parents=True, exist_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        os.chdir(where)
+        try:
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                rc = main(argv)
+        finally:
+            os.chdir(home)
+        (where / "run.txt").write_text(
+            f"argv: {' '.join(argv)}\nexit: {rc}\n--- stdout\n"
+            f"{out.getvalue()}--- stderr\n{err.getvalue()}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    run(Path(sys.argv[1]).resolve())
