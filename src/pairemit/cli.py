@@ -2,8 +2,8 @@
 classification, and the validation suite.
 
 Subcommands: params, angular, peak, fig3, classify, sweep, validate.
-Exit codes: 0 success, 1 validation failure, 2 usage/config error,
-3 numerical non-convergence.
+Exit codes: 0 success, 1 validation failure, 2 usage/config error (an
+output path that cannot be written is one), 3 numerical non-convergence.
 
 Each subcommand takes ``--output`` and flags only for the settings it reads
 (``_COMMANDS``); any other flag is a usage error.  Configuration is
@@ -43,7 +43,7 @@ from .entanglement import (Q_BELL_THRESHOLD, Q_ENTANGLEMENT_THRESHOLD,
                            werner_decompose)
 from .model import EmitterParams, derive_params
 from .peak import (DQ_BELL, DQ_ENTANGLEMENT, SweepResult, SweepSpec,
-                   delta_q_peak, threshold_map, threshold_maps)
+                   threshold_map, threshold_maps)
 from .validation import run_checks
 
 USAGE_ERROR = 2
@@ -168,28 +168,36 @@ def fmt(x: float) -> str:
     return format(float(x), ".16e")
 
 
+class OutputError(OSError):
+    """An output file or the cache directory cannot be written."""
+
+
 def atomic_write(path: Path, text: str) -> None:
     """Write text to path through a fresh file in its directory and a rename,
     so a reader sees the old file or the whole new one.  The file is made
-    0o666 less the umask, as open() makes it (mkstemp's are 0o600)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    while True:
-        tmp = path.with_name(f"{path.name}.tmp{secrets.token_hex(4)}")
-        try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            break
-        except FileExistsError:
-            continue
+    0o666 less the umask, as open() makes it (mkstemp's are 0o600).  A path
+    that cannot be written raises OutputError naming it."""
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        while True:
+            tmp = path.with_name(f"{path.name}.tmp{secrets.token_hex(4)}")
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+            except FileExistsError:
+                continue
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
 class RowCache:
@@ -198,7 +206,12 @@ class RowCache:
     def __init__(self, root: str):
         self.root = Path(root) if root else None
         if self.root:
-            self.root.mkdir(parents=True, exist_ok=True)
+            try:
+                self.root.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise OutputError(
+                    f"cannot create the cache directory {root}: {exc}") \
+                    from exc
 
     def get(self, key: str) -> str | None:
         if not self.root:
@@ -370,15 +383,17 @@ def cmd_peak(cfg: RunConfig, args) -> int:
                 else getattr(args, key) for key in ("sweep_min", "sweep_max")}
         grid = _sweep_grid(RunConfig({**cfg.values, **ends,
                                       "sweep_log": True}))
-    # the point at --r is checked before anything is written
-    point = delta_q_peak(cfg.params(), cfg.r_over_lambdaf)
-    res = threshold_map(_sweep_spec(cfg, "r", grid))
+    # the point at --r goes first, so it is checked before the map and
+    # before anything is written; one evaluation serves both
+    point, res = threshold_maps([_sweep_spec(cfg, "r", [cfg.r_over_lambdaf]),
+                                 _sweep_spec(cfg, "r", grid)])
     rows, meta = _sweep_dataset(cfg, res)
     path = Path(args.output or "peak_r.csv")
     _write_dataset(path, _HEADER_SWEEP, rows, cfg,
                    {"command": "peak", "sweep_param": "r", **meta})
-    print(f"dQ(r = {cfg.r_over_lambdaf} lambda_F) = {point.delta_q:.6g}  "
-          f"regime {point.regime_ok}")
+    regime = {k: bool(v[0]) for k, v in point.regime_ok.items()}
+    print(f"dQ(r = {cfg.r_over_lambdaf} lambda_F) = "
+          f"{float(point.delta_q[0]):.6g}  regime {regime}")
     print(f"wrote {path}")
     return 0
 
@@ -530,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     try:
         return _COMMANDS[args.command][0](cfg, args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except UndefinedQError as exc:

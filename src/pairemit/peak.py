@@ -111,15 +111,12 @@ def _hankel_terms(xi2, w, r) -> tuple[np.ndarray, np.ndarray]:
     return arg, second
 
 
-def _evaluate(ad, ec, w, r, xi2=None, k1=None) -> tuple[np.ndarray, ...]:
-    """dQ, its error bound and z over checked columns with |Delta| > 0,
-    taking xi^2 and K1's (prefactor, error) as given where they are.  The
+def _evaluate(ad, ec, w, r) -> tuple[np.ndarray, ...]:
+    """dQ, its error bound and z over checked columns with |Delta| > 0.  The
     first element where the Hankel factor overflows raises ValueError
     naming it."""
-    if xi2 is None:
-        xi2 = pippard_length(ad) ** 2
-    arg, second = _hankel_terms(xi2, w, r)
-    prefactor, k1_err = _k1_terms(ad, ec) if k1 is None else k1
+    arg, second = _hankel_terms(pippard_length(ad) ** 2, w, r)
+    prefactor, k1_err = _k1_terms(ad, ec)
     if np.count_nonzero(over := arg.imag > _HANKEL_IM_MAX):
         ad, ec, w, r = np.broadcast_arrays(ad, ec, w, r)
         i = int(np.argmax(over))
@@ -310,50 +307,6 @@ def _illinois(f, x0: list, x1: list, f0: list, f1: list,
     return [0.5 * (a + b) for a, b in zip(x0, x1)]      # the midpoints
 
 
-def _sweep_evaluator(kind: np.ndarray, first: np.ndarray,
-                     cols: list[np.ndarray]):
-    """The concatenated grids of several sweeps: element e sweeps the
-    parameter _SWEEPABLE[kind[e]] of the spec whose grid starts at element
-    first[e], the grid's columns as _columns passed them.  Returns the
-    grid's (dQ, its bound, z) and f(values, e): the same at values of the
-    swept parameter of elements e, their other columns those of the grid.
-
-    The terms an element's spec holds fixed come from the grid: xi^2 where
-    |Delta| is fixed (ec, w, r), K1's prefactor and error where |Delta|/E_C
-    is (w, r).  The grid makes one K1 call, on the delta and ec elements
-    and the first element of each w or r sweep, so a refinement step calls
-    K1 only on elements of delta and ec sweeps."""
-    n = kind.size
-    grid = np.stack(cols)
-    ad = grid[0]
-    pair = ad != 0.0
-    xi2 = np.zeros(n)
-    xi2[pair] = pippard_length(ad[pair]) ** 2
-    # each element's K1 comes from itself or, along w and r, its spec's first
-    src = np.where(kind >= 2, first, np.arange(n))
-    own = pair & (src == np.arange(n))
-    pref, err = np.zeros(n), np.zeros(n)
-    if np.count_nonzero(own):
-        pref[own], err[own] = _k1_terms(ad[own], grid[1][own])
-    pref, err = pref[src], err[src]
-
-    def terms(ad, ec, w, r, xi2, pref, err):
-        return _evaluate(ad, ec, w, r, xi2=xi2, k1=(pref, err))
-
-    def f(values, e):
-        k = kind[e]
-        at = grid[:, e]
-        at[k, np.arange(e.size)] = np.where(k == 0, np.abs(values), values)
-        x, p, q = xi2[e], pref[e], err[e]
-        ok = at[0] != 0.0
-        if np.count_nonzero(m := ok & (k == 0)):
-            x[m] = pippard_length(at[0][m]) ** 2
-        if np.count_nonzero(m := ok & (k < 2)):
-            p[m], q[m] = _k1_terms(at[0][m], at[1][m])
-        return _paired(terms, [*at, x, p, q])
-    return _paired(terms, [*grid, xi2, pref, err]), f
-
-
 def threshold_maps(specs) -> list[SweepResult]:
     """Peak heights over the grids of several sweeps, with their
     entanglement/Bell crossings located; one SweepResult per spec, each
@@ -364,8 +317,7 @@ def threshold_maps(specs) -> list[SweepResult]:
     exactly on a threshold (dQ = 1/2, i.e. Q = 3/2, or dQ = sqrt(2)+1,
     Bell) is that crossing; the others, bracketed by neighbours of one
     grid, are refined together by Illinois regula falsi to a bracket of
-    1e-6 relative in the swept parameter, on the terms of their grid that
-    do not move.
+    1e-6 relative in the swept parameter.
     """
     if not specs:
         return []
@@ -373,11 +325,19 @@ def threshold_maps(specs) -> list[SweepResult]:
     cols = [_columns(*_sweep_columns(s, v)) for s, v in zip(specs, values)]
     sizes = [v.size for v in values]
     ends = np.cumsum(sizes)
-    flat = [np.concatenate([np.broadcast_to(c[m], v.shape)
-                            for c, v in zip(cols, values)]) for m in range(4)]
+    grid = np.stack([np.concatenate([np.broadcast_to(c[m], v.shape)
+                                     for c, v in zip(cols, values)])
+                     for m in range(4)])
     kind = np.repeat([_SWEEPABLE.index(s.param) for s in specs], sizes)
-    (dq, dq_err, _), dq_at = _sweep_evaluator(
-        kind, np.repeat(ends - sizes, sizes), flat)
+    dq, dq_err, _ = _paired(_evaluate, list(grid))
+
+    def dq_at(xs, e):
+        # dQ at elements e of the grid, their swept parameter moved to xs
+        at = grid[:, e]
+        swept = kind[e]
+        at[swept, np.arange(e.size)] = np.where(swept == 0, np.abs(xs), xs)
+        return _paired(_evaluate, list(at))[0]
+
     x = np.concatenate(values)
     # crossings (threshold k, element i): a grid value exactly on its target
     # is one, a bracket [i, i]; a sign change within a grid brackets [i, i+1]
@@ -390,11 +350,11 @@ def threshold_maps(specs) -> list[SweepResult]:
     k, i = np.nonzero(hit)
     j = np.where(s[k, i] == 0.0, i, i + 1)
     roots = _illinois(
-        lambda xs, owner: (dq_at(xs, i[owner])[0] - t[k[owner], 0]).tolist(),
+        lambda xs, owner: (dq_at(xs, i[owner]) - t[k[owner], 0]).tolist(),
         x[i].tolist(), x[j].tolist(),
         (dq[i] - t[k, 0]).tolist(), (dq[j] - t[k, 0]).tolist())
     owner = np.searchsorted(ends, i, side="right")
-    flags = _regime_flags(*flat[1:])
+    flags = _regime_flags(*grid[1:])
     out = []
     for n, (spec, lo, hi) in enumerate(zip(specs, ends - sizes, ends)):
         mine = [(kx, root) for kx, root, o in zip(k, roots, owner) if o == n]

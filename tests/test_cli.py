@@ -5,11 +5,14 @@ import re
 import stat
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pairemit
 from pairemit import cli
 from pairemit.cli import (ConfigError, USAGE_ERROR, fmt, load_config, main)
+from pairemit.model import EmitterParams
+from pairemit.peak import delta_q_peak
 
 
 class TestConfig:
@@ -247,6 +250,42 @@ class TestCommands:
             == USAGE_ERROR
         assert "detector distance must be positive" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_peak_point_is_the_lone_peak(self, seed, tmp_path, capsys):
+        # the dQ(r = ...) line reads the point from the map's evaluation
+        params, r = EmitterParams(2.997e-3, 2.997e-3, 1.0), 100.0
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            delta, ec = (10.0 ** rng.uniform(-3.0, -2.0, 2)).tolist()
+            params = EmitterParams(delta, ec, float(rng.uniform(0.8, 2.0)))
+            r = float(10.0 ** rng.uniform(math.log10(50.0), 3.0))
+        assert main(["peak", "--delta", repr(params.abs_delta),
+                     "--ec", repr(params.ec), "--w", repr(params.w),
+                     "--r", repr(r), "--sweep-points", "5",
+                     "--output", str(tmp_path / "p.csv")]) == 0
+        want = delta_q_peak(params, r)
+        assert capsys.readouterr().out.splitlines()[0] == (
+            f"dQ(r = {r} lambda_F) = {want.delta_q:.6g}  "
+            f"regime {want.regime_ok}")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fig3", "--output", "{f}/fig3"], "cannot write {f}/fig3_delta.csv"),
+        (["params", "--output", "{f}/p.json"], "cannot write {f}/p.json"),
+        (["peak", "--output", "{f}/sub/p.csv"], "cannot write {f}/sub/p.csv"),
+        (["angular", "--theta-points", "1", "--cache-dir", "{f}/cache"],
+         "cannot create the cache directory {f}/cache")],
+        ids=["fig3", "params", "peak", "cache-dir"])
+    def test_unwritable_output_exit_2_names_the_path(self, argv, message,
+                                                     tmp_path, capsys):
+        # a file where the output path needs a directory
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main([a.format(f=blocker) for a in argv]) == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message.format(f=blocker)}: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [blocker]
 
     def test_peak_takes_command_line_range_under_other_sweep_param(
             self, tmp_path):

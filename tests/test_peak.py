@@ -349,24 +349,6 @@ class TestThresholdMapCounts:
         full = threshold_map(_fig3_spec("figure", param))
         assert total == sum(len(c) for c in full.crossings.values())
 
-    @pytest.mark.parametrize("param, params", [
-        ("w", EmitterParams(2.997e-3, 6.8e-3, 1.0)), ("r", PARAMS)])
-    def test_one_k1_call_where_the_ratio_is_fixed(self, monkeypatch, param,
-                                                   params):
-        # |Delta|/E_C does not move along a w or an r sweep: one K1 call
-        # serves the grid and every refinement step
-        calls = []
-
-        def counted(x):
-            calls.append(np.size(x))
-            return bessel_k1(x)
-
-        monkeypatch.setattr(peak, "bessel_k1", counted)
-        res = threshold_map(SweepSpec(base=params, r=R, param=param,
-                                      grid=tuple(_FIG3_PANELS[param])))
-        assert sum(len(c) for c in res.crossings.values()) > 0
-        assert calls == [1]
-
 
 def _oracle_map(spec: SweepSpec):
     """threshold_map with the public, fully checked delta_q_grid for the
@@ -616,7 +598,7 @@ class TestThresholdMapsCounts:
 
     def test_steps_are_the_lone_maps_in_lockstep(self, monkeypatch):
         # a step evaluates the open brackets of every panel together, and
-        # calls K1 only on the brackets of the delta and ec panels
+        # each evaluation calls K1 on its own elements
         hankel = _counting(monkeypatch, "hankel2_0")
         k1 = _counting(monkeypatch, "bessel_k1")
         lone = {}
@@ -624,39 +606,33 @@ class TestThresholdMapsCounts:
             hankel.clear()
             k1.clear()
             threshold_map(_fig3_spec("figure", param))
-            lone[param] = hankel[1:], k1[1:]
-        assert lone["w"][1] == lone["r"][1] == []
-        assert all(lone[p][1] for p in ("delta", "ec"))
+            assert k1 == hankel
+            lone[param] = hankel[1:]
         hankel.clear()
         k1.clear()
         threshold_maps([_fig3_spec("figure", p) for p in _FIG3_PANELS])
-        assert hankel[0] == 4 * 60 and k1[0] == 2 * 60 + 2
-
-        def summed(i):
-            return [sum(step) for step in itertools.zip_longest(
-                *(lone[p][i] for p in _FIG3_PANELS), fillvalue=0)]
-        assert hankel[1:] == summed(0)
-        assert k1[1:] == summed(1)
+        assert hankel[0] == 4 * 60 and k1 == hankel
+        assert hankel[1:] == [sum(step) for step in itertools.zip_longest(
+            *lone.values(), fillvalue=0)]
 
     def test_benchmark_bases_evaluation_counts(self, monkeypatch, tmp_path,
                                                capsys):
         # fig3's four panels share one grid evaluation and one refinement;
-        # peak evaluates its point and its lone r map
+        # peak's point and r map share theirs; every evaluation makes one
+        # K1 call, on the elements of its Hankel call
         evals = _counting(monkeypatch, "_evaluate")
+        hankel = _counting(monkeypatch, "hankel2_0")
         k1 = _counting(monkeypatch, "bessel_k1")
-        n, fig3, peaks = 200, 0, 0
+        n, counts = 200, {"fig3": 0, "peak": 0}
         for base in _benchmark_bases(n):
             flags = [x for f, v in zip(("--delta", "--ec", "--w", "--r"),
                                        base) for x in (f, repr(v))]
-            evals.clear()
-            assert cli.main(["fig3", *flags,
-                             "--output", str(tmp_path / "f")]) == 0
-            fig3 += len(evals)
-            evals.clear()
-            k1.clear()
-            assert cli.main(["peak", *flags,
-                             "--output", str(tmp_path / "p.csv")]) == 0
-            peaks += len(evals)
-            assert len(k1) == 2
-        assert fig3 / n <= 9.0
-        assert peaks / n <= 7.8
+            for command, out in (("fig3", "f"), ("peak", "p.csv")):
+                for record in (evals, hankel, k1):
+                    record.clear()
+                assert cli.main([command, *flags,
+                                 "--output", str(tmp_path / out)]) == 0
+                assert len(evals) == len(hankel) and k1 == hankel
+                counts[command] += len(evals)
+        assert counts["fig3"] / n <= 9.0
+        assert counts["peak"] / n <= 6.8

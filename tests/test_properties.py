@@ -1,5 +1,6 @@
-"""Property tests of rho2_and_Q over detector geometries (hypothesis)."""
+"""Property tests of the correlators over detector geometries (hypothesis)."""
 
+import cmath
 import math
 
 import pytest
@@ -84,3 +85,40 @@ def test_nonconvergence_message_repeats_from_the_cache():
     assert correlations._gamma_diag.cache_info().hits == 1
     assert messages == ["correlation quadrature did not converge: "
                         "gamma11, gamma22, gamma21"] * 2
+
+
+# (|Delta|, E_C, w) in the validated regime at every radius below: mu/E_C
+# >= 20, and r/(k_F w^2) >= 10 down to r = 50 lambda_F
+_IN_REGIME = st.tuples(st.floats(1e-3, 1e-2), st.floats(1e-3, 1e-2),
+                       st.floats(0.5, 0.85))
+
+
+def _at_radius(vec, r):
+    norm = math.hypot(*vec)
+    return tuple(r * c / norm for c in vec)
+
+
+# chi's nodes grow with r and, much faster, with |r1 - r2| (an energy line
+# oscillates with it): radii up to 300 lambda_F, 1 to 30 lambda_F apart,
+# keep a chi below about 0.1 s
+@settings(derandomize=True, max_examples=10, deadline=None, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(abs_delta_ec_w=_IN_REGIME, r1_vec=_POSITIONS, r2_vec=_POSITIONS,
+       r1=st.floats(50.0, 300.0), apart=st.floats(1.0, 30.0),
+       phase=st.floats(0.1, 2.0 * math.pi - 0.1))
+def test_chi_swap_symmetry_and_gap_phase(abs_delta_ec_w, r1_vec, r2_vec, r1,
+                                         apart, phase):
+    # two directions in no common plane with the z axis in general, at
+    # unequal radii
+    geom = DetectorGeometry(_at_radius(r1_vec, r1),
+                            _at_radius(r2_vec, r1 + apart))
+    abs_delta, ec, w = abs_delta_ec_w
+    spec = default_spec(0.03)
+    params = EmitterParams(abs_delta, ec, w)
+    res = correlations._chi_quad(geom, params, spec)
+    swapped = correlations._chi_quad(geom.swapped(), params, spec)
+    assert res.converged and swapped.converged
+    assert abs(res.value - swapped.value) <= res.err_est + swapped.err_est
+    turned = correlations._chi_quad(
+        geom, EmitterParams(abs_delta * cmath.exp(1j * phase), ec, w), spec)
+    assert abs(abs(turned.value) - abs(res.value)) <= 1e-12 * abs(res.value)

@@ -6,11 +6,14 @@
 Runs `pairemit fig3`, `peak` and `sweep` (over each of r, delta, ec and w)
 at the defaults and at 5 seeded bases, drawn with numpy's
 default_rng(2024) over the ranges of the `closed_form_maps` benchmark
-points, plus one `fig3` whose ec panel overflows.  Each case runs in its
-own directory OUTDIR/<base>/<command> with relative output paths; its exit
-code, stdout and stderr go to run.txt there.  The pairemit imported is the
-one first on sys.path, so running this on the sources of two checkouts and
-`diff -r` on the two directories compares their outputs byte for byte.
+points, plus the error paths: a `fig3` whose ec panel overflows, a `peak`
+whose point overflows, a `peak` at r = -1 and a `fig3` whose output path
+runs through a file.  Each case runs in its own directory
+OUTDIR/<base>/<command> with relative output paths; its exit code (or the
+exception that escaped main), stdout and stderr go to run.txt there.  The
+pairemit imported is the one first on sys.path, so running this on the
+sources of two checkouts and `diff -r` on the two directories compares
+their outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -62,6 +65,12 @@ def cases() -> dict[str, list[str]]:
     # the ec panel's Hankel factor overflows (exit 2)
     out["overflow/fig3"] = ["fig3", "--delta", "0.05", "--w", "200",
                             "--output", "fig3"]
+    # the point overflows, as does every value of the r map (exit 2)
+    out["overflow/peak"] = ["peak", "--delta", "0.05", "--w", "200",
+                            "--output", "peak.csv"]
+    out["bad_r/peak"] = ["peak", "--r", "-1", "--output", "peak.csv"]
+    # run() makes `blocked` a file, so the output cannot be written
+    out["unwritable/fig3"] = ["fig3", "--output", "blocked/fig3"]
     return out
 
 
@@ -71,12 +80,16 @@ def run(outdir: Path) -> None:
     for case, argv in cases().items():
         where = outdir / case
         where.mkdir(parents=True, exist_ok=True)
+        if "blocked/" in argv[-1]:
+            (where / "blocked").write_text("")
         out, err = io.StringIO(), io.StringIO()
         os.chdir(where)
         try:
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err):
                 rc = main(argv)
+        except Exception as exc:        # a traceback from the command line
+            rc = f"{type(exc).__name__}: {exc}"
         finally:
             os.chdir(home)
         (where / "run.txt").write_text(
