@@ -1,7 +1,7 @@
 """Coincidence statistics, entanglement content, and Bell thresholds of
 electron pairs field-emitted from a superconducting tip."""
 
-__version__ = "0.2.1"
+__version__ = "0.3.0"
 
 from .correlations import (CorrelationResult, DetectorGeometry,
                            farfield_amplitude, chi, gamma, rho2_and_Q)

@@ -3,7 +3,8 @@ classification, and the validation suite.
 
 Subcommands: params, angular, peak, fig3, classify, sweep, validate.
 Exit codes: 0 success, 1 validation failure, 2 usage/config error (an
-output path that cannot be written is one), 3 numerical non-convergence.
+output path that cannot be written, or whose last component is empty or
+'.', is one), 3 numerical non-convergence.
 
 Each subcommand takes ``--output`` and flags only for the settings it reads
 (``_COMMANDS``); any other flag is a usage error.  Configuration is
@@ -90,6 +91,11 @@ class RunConfig:
         return EmitterParams(delta=self.delta_over_mu, ec=self.ec_over_mu,
                              w=self.w_over_lambdaf)
 
+    @functools.cached_property
+    def config_hash(self) -> str:
+        """digest() of the configuration alone, made once per command."""
+        return self.digest()
+
     def digest(self, extra: dict | None = None) -> str:
         # the cache location is an execution detail: it stays out of the hash
         values = {k: v for k, v in self.values.items() if k != "cache_dir"}
@@ -172,11 +178,24 @@ class OutputError(OSError):
     """An output file or the cache directory cannot be written."""
 
 
+def _named(path: str | Path) -> Path:
+    """path as a Path; OutputError naming it if its last component is empty
+    or '.' (`--output .`, `--output out/`), so that it names a directory and
+    no file.  Checked on the string given, before Path drops a trailing
+    '/' or '/.'."""
+    if os.path.basename(os.fspath(path)) in ("", "."):
+        raise OutputError(f"cannot write {os.fspath(path)}: the output path "
+                          "names a directory, not a file")
+    return Path(path)
+
+
 def atomic_write(path: Path, text: str) -> None:
     """Write text to path through a fresh file in its directory and a rename,
     so a reader sees the old file or the whole new one.  The file is made
     0o666 less the umask, as open() makes it (mkstemp's are 0o600).  A path
-    that cannot be written raises OutputError naming it."""
+    that cannot be written, or whose last component names no file, raises
+    OutputError naming it."""
+    _named(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         while True:
@@ -287,8 +306,8 @@ def cmd_params(cfg: RunConfig, args) -> int:
     for k, v in report.items():
         print(f"{k:>22s} = {v}")
     if args.output:
-        atomic_write(Path(args.output), json.dumps(report, indent=2,
-                                                   sort_keys=True) + "\n")
+        atomic_write(_named(args.output), json.dumps(report, indent=2,
+                                                     sort_keys=True) + "\n")
     return 0
 
 
@@ -297,7 +316,7 @@ def _write_dataset(path: Path, header: str, rows: list[str], cfg: RunConfig,
     atomic_write(path, header + "\n" + "\n".join(rows) + "\n")
     meta = {
         "config": cfg.values,
-        "config_hash": cfg.digest(),
+        "config_hash": cfg.config_hash,
         "version": __version__,
     }
     meta.update(meta_extra)
@@ -312,7 +331,7 @@ def cmd_angular(cfg: RunConfig, args) -> int:
               cfg.ec_over_mu, cfg.w_over_lambdaf, cfg.rel_tol)
              for t in thetas]
     rows = _run_rows(tasks, RowCache(cfg.cache_dir))
-    path = Path(args.output or "angular.csv")
+    path = _named(args.output or "angular.csv")
     _write_dataset(path, "theta_rad,Q_normal,err_normal,Q_super,err_super",
                    rows, cfg, {"command": "angular"})
     print(f"wrote {path}")
@@ -365,7 +384,7 @@ _HEADER_SWEEP = ("param_value,Q_peak,err_est,regime_ok,classification,"
 def cmd_sweep(cfg: RunConfig, args) -> int:
     res = threshold_map(_sweep_spec(cfg, cfg.sweep_param, _sweep_grid(cfg)))
     rows, meta = _sweep_dataset(cfg, res)
-    path = Path(args.output or f"sweep_{cfg.sweep_param}.csv")
+    path = _named(args.output or f"sweep_{cfg.sweep_param}.csv")
     _write_dataset(path, _HEADER_SWEEP, rows, cfg,
                    {"command": "sweep", "sweep_param": cfg.sweep_param, **meta})
     print(f"wrote {path}")
@@ -388,7 +407,7 @@ def cmd_peak(cfg: RunConfig, args) -> int:
     point, res = threshold_maps([_sweep_spec(cfg, "r", [cfg.r_over_lambdaf]),
                                  _sweep_spec(cfg, "r", grid)])
     rows, meta = _sweep_dataset(cfg, res)
-    path = Path(args.output or "peak_r.csv")
+    path = _named(args.output or "peak_r.csv")
     _write_dataset(path, _HEADER_SWEEP, rows, cfg,
                    {"command": "peak", "sweep_param": "r", **meta})
     regime = {k: bool(v[0]) for k, v in point.regime_ok.items()}
@@ -401,6 +420,7 @@ def cmd_peak(cfg: RunConfig, args) -> int:
 def cmd_fig3(cfg: RunConfig, args) -> int:
     """Four threshold-map panels (|Delta|, E_C, w, r), evaluated together
     before any is written: a failing panel leaves no dataset."""
+    stem = _named(args.output or "fig3")
     n = cfg.fig3_points
     xi_lf = derive_params(cfg.params()).xi / (2 * math.pi)
     panels = {
@@ -411,7 +431,6 @@ def cmd_fig3(cfg: RunConfig, args) -> int:
     }
     results = threshold_maps([_sweep_spec(cfg, param, grid)
                               for param, grid in panels.items()])
-    stem = Path(args.output or "fig3")
     for param, res in zip(panels, results):
         rows, meta = _sweep_dataset(cfg, res)
         path = stem.parent / f"{stem.name}_{param}.csv"
@@ -447,7 +466,7 @@ def cmd_classify(cfg: RunConfig, args) -> int:
               + ", ".join(outside), file=sys.stderr)
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.output:
-        atomic_write(Path(args.output),
+        atomic_write(_named(args.output),
                      json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -465,7 +484,7 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     }
     print(json.dumps(summary, sort_keys=True))      # machine-readable line
     if args.output:
-        atomic_write(Path(args.output),
+        atomic_write(_named(args.output),
                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
     failed = [r.name for r in results if not r.passed]
     if failed:

@@ -41,6 +41,17 @@ node.  The u-lines of a sweep run in lockstep (quad.integrate_batch): one
 chi_f call gives every line's F(-omega) and F(+omega), and each refinement
 sweep of the batch is one chi_p call over the new panels of all its
 unconverged lines, each line converging on its own.
+
+Each u-line int P(u) du runs from u_lo to u_hi along a path in the complex
+u plane, not along the real segment (numerical steepest descent:
+Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44 (2006) 1026).  F carries
+the phase e^{i phi}, phi = sqrt(1+u) r1 + sqrt(1-u) r2, whose one
+stationary point is u* = (r1^2 - r2^2) / (r1^2 + r2^2); the path lies above
+the axis where phi' > 0 and below it where phi' < 0, crossing at u*, so on
+it e^{i phi} decays instead of oscillating, and a line's node count grows
+only with the logarithm of r, not with r or |r1 - r2|.  P is analytic
+between the path and the segment, so by Cauchy the value is the same, and
+the analytic log and i pi terms stay as they are (_u_path).
 """
 
 from __future__ import annotations
@@ -405,6 +416,101 @@ def _chi_u_window(params: EmitterParams, k: float, omega: float
     return lo, hi
 
 
+def _chi_path_height(w: float, k: float) -> float:
+    """Largest height of a u-line's contour off the real axis.
+
+    Off the axis the pair Gaussians grow: near u = 0, Re(expo + V) rises by
+    about w^2 k y^2 / 4 at height y (back to back; less at smaller angles),
+    so y <= 2 / (w sqrt k) keeps that growth within e^1 of the real axis.
+    Narrow tips (small w) stop at 0.5.
+    """
+    return min(0.5, 2.0 / (w * math.sqrt(k)))
+
+
+def _saddle(r1: float, r2: float) -> tuple[float, float]:
+    """The stationary point u* of the phase phi = a r1 + b r2 (a = sqrt(1+u),
+    b = sqrt(1-u); radii in k_F^-1), where r1 / a = r2 / b, and the scale
+    _u_path grades its nodes to: 2 / sqrt|phi''(u*)|, twice the width of
+    the saddle's Gaussian along the path, with |phi''(u*)| =
+    R^5 / (8 sqrt2 r1^2 r2^2), R^2 = r1^2 + r2^2."""
+    rr = r1 * r1 + r2 * r2
+    curvature = rr ** 2.5 / (8.0 * math.sqrt(2.0) * r1 * r1 * r2 * r2)
+    return (r1 * r1 - r2 * r2) / rr, 2.0 / math.sqrt(curvature)
+
+
+def _u_path(tau: np.ndarray, lo: np.ndarray, hi: np.ndarray, ustar: float,
+            scale: float, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A u-line's contour u(tau) and du/dtau.
+
+    The real part x = u* + scale sinh(tau) runs over [lo, hi] for tau in
+    _u_domain: nodes grade toward the saddle down to its width, so a
+    u-line's node count grows only with log r.  The height is
+    y = -h tanh((x - u*)/h) tanh^2((x - lo)/h) tanh^2((hi - x)/h): above the
+    axis left of u*, where phi' > 0, and below it right of u*, where
+    phi' < 0, so e^{i phi} decays on both sides; it crosses the axis at u*
+    at 45 degrees (when u* is more than h inside the window) and lies wholly
+    on the decaying side when u* is outside it.  |y| <= h, so the path
+    stays in the strip -1 < Re u < 1, clear of the branch points +-1.  The
+    squared end factors leave each end along the axis: where F carries
+    weight at an end (detectors less than 90 degrees apart), it then
+    oscillates over a stretch the first nodes can see, where a 45-degree
+    start would damp it within 1/phi' of the end.
+    """
+    x = np.clip(ustar + scale * np.sinh(tau), lo, hi)
+    ts = np.tanh((x - ustar) / h)
+    tl = np.tanh((x - lo) / h)
+    tr = np.tanh((hi - x) / h)
+    ends = tl * tl * tr * tr
+    y = -h * ts * ends
+    dy = 2.0 * ts * tl * tr * (tl * (1.0 - tr * tr) - (1.0 - tl * tl) * tr) \
+        - (1.0 - ts * ts) * ends
+    return x + 1j * y, (1.0 + 1j * dy) * (scale * np.cosh(tau))
+
+
+def _u_domain(lo: float, hi: float, ustar: float,
+              scale: float) -> tuple[float, float]:
+    """The tau interval of _u_path whose real part runs from lo to hi."""
+    return math.asinh((lo - ustar) / scale), math.asinh((hi - ustar) / scale)
+
+
+def _chi_u_lines(ks: list[float], omegas: list[float], wins: list,
+                 w: float, cos_theta: float, r1: float, r2: float,
+                 spec: QuadSpec) -> tuple[list[QuadResult], np.ndarray,
+                                          np.ndarray]:
+    """The pole-subtracted u-lines int P(u) du of the given (k, omega,
+    (u_lo, u_hi)), each along its contour, in one lockstep batch.
+
+    Returns the line results and every line's F(-omega) and F(+omega),
+    which one chi_f call gives.  By Cauchy each value is the real-line
+    integral from u_lo to u_hi: P is analytic between the two paths (its
+    poles at +-omega are subtracted, its branch points +-1 lie outside the
+    window, and sinh V / V is even in V).
+    """
+    om = np.array(omegas)
+    kk = np.array(ks)
+    los = np.array([lo for lo, _ in wins])
+    his = np.array([hi for _, hi in wins])
+    hs = np.array([_chi_path_height(w, k) for k in ks])
+    ustar, scale = _saddle(r1, r2)
+    fpm = kernels.chi_f(np.concatenate([-om, om]), np.concatenate([kk, kk]),
+                        w, cos_theta, r1, r2)
+    fm, fp = fpm[:len(ks)], fpm[len(ks):]
+
+    def p(tau: np.ndarray, owner: np.ndarray | None) -> np.ndarray:
+        j = 0 if owner is None else owner       # None: a single line
+        u, du = _u_path(tau, los[j], his[j], ustar, scale, hs[j])
+        return du * kernels.chi_p(u, fm[j], fp[j], om[j], kk[j], w,
+                                  cos_theta, r1, r2)
+
+    ends = [_u_domain(lo, hi, ustar, scale) for lo, hi in wins]
+    # quad's own name, not one bound in this module: a tracer that spans
+    # this module's quad names as correlator calls (perfbench) must not
+    # take a batch of u-lines for a correlator
+    results = quad.integrate_batch(p, [a for a, _ in ends],
+                                   [b for _, b in ends], spec)
+    return results, fm, fp
+
+
 def _chi_quad(geom: DetectorGeometry, params: EmitterParams,
               spec: QuadSpec, abs_floor: float = 0.0) -> QuadResult:
     """chi(2;1) at one detector geometry: an eps integral of u-lines.
@@ -437,7 +543,7 @@ def _chi_quad(geom: DetectorGeometry, params: EmitterParams,
         chi_f call for all their F(-omega) and F(+omega).
         """
         nonlocal evals, intervals, depth
-        nodes = []      # (index, eps, omega, k, u_lo, u_hi) of each u-line
+        nodes = []      # (index, eps, omega, k, (u_lo, u_hi)) of each u-line
         for i, e in enumerate(eps.tolist()):
             omega = math.sqrt(e * e + dabs * dabs)
             if omega >= OMEGA_CAP or omega == 0.0:
@@ -445,27 +551,14 @@ def _chi_quad(geom: DetectorGeometry, params: EmitterParams,
             k = math.sqrt(1.0 + e)
             win = _chi_u_window(params, k, omega)
             if win is not None:
-                nodes.append((i, e, omega, k, *win))
+                nodes.append((i, e, omega, k, win))
         out = np.zeros(eps.shape, np.complex128)
         if not nodes:
             return out
-        _, _, omegas, ks, u_los, u_his = map(list, zip(*nodes))
-        om = np.array(omegas)
-        kk = np.array(ks)
-        fpm = kernels.chi_f(np.concatenate([-om, om]),
-                            np.concatenate([kk, kk]), w, cos_theta, r1, r2)
-        fm, fp = fpm[:len(nodes)], fpm[len(nodes):]
-
-        def p(u: np.ndarray, owner: np.ndarray | None) -> np.ndarray:
-            j = 0 if owner is None else owner       # None: a single line
-            return kernels.chi_p(u, fm[j], fp[j], om[j], kk[j], w, cos_theta,
-                                 r1, r2)
-
-        # quad's own name, not one bound in this module: a tracer that
-        # spans this module's quad names as correlator calls (perfbench)
-        # must not take a batch of u-lines for a correlator
-        results = quad.integrate_batch(p, u_los, u_his, line_spec)
-        for (i, e, omega, k, u_lo, u_hi), res, fmi, fpi in zip(
+        _, _, omegas, ks, wins = zip(*nodes)
+        results, fm, fp = _chi_u_lines(list(ks), list(omegas), list(wins), w,
+                                       cos_theta, r1, r2, line_spec)
+        for (i, e, omega, k, (u_lo, u_hi)), res, fmi, fpi in zip(
                 nodes, results, fm, fp):
             # the first failed line in eps order names where chi failed
             if not res.converged:

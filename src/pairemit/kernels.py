@@ -6,7 +6,9 @@ kernels ``chi_f`` and ``chi_p`` come with the k-direction integral already
 done in closed form: both Gaussian form factors depend on the direction
 k-hat only through exp(v . k-hat), and int dOmega exp(v . k-hat) =
 4 pi sinh|v| / |v|, so they take the angle between the detectors instead
-of direction cosines.  ``BACKEND`` names the implementation; the benchmark
+of direction cosines.  ``chi_f`` and ``chi_p`` take complex u as well as
+real: chi integrates its energy lines along a contour in the complex u
+plane.  ``BACKEND`` names the implementation; the benchmark
 harness records it with every run, and calls ``warmup`` before timing.
 
 Inputs are in internal Fermi units (k_F = 1, mu = 1, m = 1/2); lengths here
@@ -64,7 +66,11 @@ def chi_f(u, k, w, cos_theta, r1, r2):
     outside.  The direction integral is 4 pi e^expo sinh V / V
     with expo = -w^2 (1 + k^2) and V = w^2 k |a n1 - b n2|, written as
     e^(expo + V) (1 - e^-2V) / (2V): expo + V <= 0, so nothing overflows,
-    and the last factor tends to 1 as V -> 0.
+    and the last factor tends to 1 as V -> 0.  u may be complex (a point
+    of chi's contour, inside the strip -1 < Re u < 1): the square roots
+    are then the principal branches, analytic in the strip, and V's branch
+    does not matter because sinh V / V is even; Re V >= 0 keeps e^-2V
+    bounded.
     """
     a = np.sqrt(1.0 + u)
     b = np.sqrt(1.0 - u)
@@ -72,8 +78,8 @@ def chi_f(u, k, w, cos_theta, r1, r2):
     vmag = (w * w * k) * np.sqrt((a - b) ** 2
                                  + 2.0 * a * b * (1.0 - cos_theta))
     expo = -(w * w) * (1.0 + k * k)
-    safe = np.where(vmag > 0.0, vmag, 1.0)
-    shell = np.where(vmag > 0.0, -np.expm1(-2.0 * safe) / (2.0 * safe), 1.0)
+    safe = np.where(vmag != 0.0, vmag, 1.0)
+    shell = np.where(vmag != 0.0, -np.expm1(-2.0 * safe) / (2.0 * safe), 1.0)
     return (8.0 * math.pi) * np.sqrt(a * b) * np.exp(expo + vmag) * shell \
         * np.exp(1j * (a * r1 + b * r2))
 

@@ -287,6 +287,48 @@ class TestCommands:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [blocker]
 
+    @pytest.mark.parametrize("argv, named", [
+        (["params", "--output", "."], "."),
+        (["fig3", "--output", "."], "."),
+        (["fig3", "--output", "sub/."], "sub/."),
+        (["peak", "--sweep-points", "3", "--output", "out/"], "out/")],
+        ids=["params", "fig3", "fig3-dot", "peak-slash"])
+    def test_output_naming_no_file_exit_2_names_the_path(
+            self, argv, named, tmp_path, monkeypatch, capsys):
+        # the output path's last component is empty or '.': it names a
+        # directory, so nothing is written, not even '_delta.csv' in it
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err == (f"error: cannot write {named}: the output path names "
+                       "a directory, not a file\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, digests", [
+        (["fig3"], 5), (["peak", "--sweep-points", "5"], 2)],
+        ids=["fig3", "peak"])
+    def test_configuration_hashed_once_per_command(
+            self, argv, digests, tmp_path, monkeypatch):
+        # one digest of the configuration, shared by every dataset's
+        # .meta.json, and one per threshold map for its rows' hash column
+        calls = []
+        sha256 = cli._sha256
+
+        def counting(payload):
+            calls.append(payload)
+            return sha256(payload)
+
+        monkeypatch.setattr(cli, "_sha256", counting)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        assert len(calls) == digests
+        config = [c for c in calls if set(c) == {"config", "version"}]
+        assert len(config) == 1
+        metas = sorted(tmp_path.glob("*.meta.json"))
+        assert metas and all(
+            json.loads(m.read_text())["config_hash"] == sha256(config[0])
+            for m in metas)
+
     def test_peak_takes_command_line_range_under_other_sweep_param(
             self, tmp_path):
         # one file serves `sweep` over w and `peak`: the file's range is w's,

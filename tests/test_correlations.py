@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 import pairemit.correlations as correlations
 import pairemit.kernels as kernels
@@ -290,18 +291,22 @@ class TestChi:
         with pytest.raises(NonConvergenceError) as info:
             chi(DetectorGeometry.from_r_theta(R, math.pi), SUPER, spec)
         # the u-lines of the sweep that raised: several failed, and the
-        # first of them in eps order is named, with its own result
-        u_los, u_his, lines = next(b for b in reversed(batches)
-                                   if len(b[2]) > 1)
+        # first of them in eps order is named, with its own result; a
+        # line's batch interval is its contour's parameter range
+        starts, stops, lines = next(b for b in reversed(batches)
+                                    if len(b[2]) > 1)
         failed = [j for j, res in enumerate(lines) if not res.converged]
         assert len(failed) > 1
         first = failed[0]
-        assert str(info.value).endswith(
-            f"u in [{u_los[first]!r}, {u_his[first]!r}]")
+        m = re.search(r"u in \[(\S+), (\S+)\]$", str(info.value))
+        geom = DetectorGeometry.from_r_theta(R, math.pi)
+        saddle = correlations._saddle(geom.r1_kf, geom.r2_kf)
+        assert correlations._u_domain(*map(float, m.groups()), *saddle) \
+            == (starts[first], stops[first])
         assert info.value.result is lines[first]
 
     @pytest.mark.parametrize("rel_tol, max_calls, nodes", [
-        (0.03, 12, 6_750), (1e-3, 40, 47_250)])
+        (0.03, 4, 1_350), (1e-3, 12, 9_450)])
     def test_kernel_calls_at_the_figure_point(self, monkeypatch, rel_tol,
                                               max_calls, nodes):
         # machine-independent counts: the u-lines of an eps sweep share
@@ -398,6 +403,191 @@ class TestChi:
         # directional convergence toward 2: shrinking the gap helps
         assert 1.0 < predicted_ratio(2e-3) < predicted_ratio(2e-4) \
             < predicted_ratio(2e-6) < 2.0
+
+
+# ---------------------------------------------------------------------------
+# chi's u-lines on their contour, against the real line
+
+
+def _real_line(k, omega, win, w, cos_theta, r1, r2, fm, fp):
+    """The oracle: the pole-subtracted u-line along the real segment, in 32
+    pieces, each with its own interval budget (a line that oscillates
+    thousands of times and ends next to a branch point needs them)."""
+    ends = np.linspace(*win, 33)
+    ends[[0, -1]] = win
+    total = 0.0
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        res = quad.integrate_1d(
+            lambda u: kernels.chi_p(u, fm, fp, omega, k, w, cos_theta, r1,
+                                    r2),
+            lo, hi, QuadSpec(rel_tol=1e-8, abs_tol=1e-300, max_depth=60))
+        assert res.converged
+        total += res.value
+    return total
+
+
+def _pair(r1, r2, polar, azimuth, theta, turn):
+    """Detectors at radii r1, r2 (lambda_F) theta apart: n1 from its polar
+    angles, n2 turned about n1 by `turn`, so that the two lie in no common
+    plane with the z axis in general."""
+    n1 = np.array([math.sin(polar) * math.cos(azimuth),
+                   math.sin(polar) * math.sin(azimuth), math.cos(polar)])
+    e1 = np.cross(n1, [0.0, 0.0, 1.0])
+    if np.linalg.norm(e1) < 1e-6:
+        e1 = np.array([1.0, 0.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(n1, e1)
+    n2 = math.cos(theta) * n1 + math.sin(theta) * (math.cos(turn) * e1
+                                                   + math.sin(turn) * e2)
+    return DetectorGeometry(tuple(r1 * n1), tuple(r2 * n2))
+
+
+def _real_line_u_lines(ks, omegas, wins, w, cos_theta, r1, r2, spec):
+    """The oracle of a whole chi: correlations._chi_u_lines along the real
+    segments [u_lo, u_hi], as chi ran before its contour."""
+    om, kk = np.array(omegas), np.array(ks)
+    fpm = kernels.chi_f(np.concatenate([-om, om]), np.concatenate([kk, kk]),
+                        w, cos_theta, r1, r2)
+    fm, fp = fpm[:len(ks)], fpm[len(ks):]
+
+    def p(u, owner):
+        j = 0 if owner is None else owner
+        return kernels.chi_p(u, fm[j], fp[j], om[j], kk[j], w, cos_theta,
+                             r1, r2)
+
+    return quad.integrate_batch(p, [lo for lo, _ in wins],
+                                [hi for _, hi in wins], spec), fm, fp
+
+
+def _contour_and_real_line(params, geom, eps_frac):
+    """One u-line (at eps = eps_frac times the eps cutoff) on its contour,
+    at the tolerance chi gives its lines at rel_tol 0.03, and the oracle;
+    None where the line's window is empty."""
+    eps = eps_frac * energy_cutoff(params)
+    omega = math.sqrt(eps * eps + params.abs_delta ** 2)
+    k = math.sqrt(1.0 + eps)
+    win = correlations._chi_u_window(params, k, omega)
+    if win is None:
+        return None
+    args = (params.w_kf, geom.cos_theta, geom.r1_kf, geom.r2_kf)
+    (res,), fm, fp = correlations._chi_u_lines(
+        [k], [omega], [win], *args, default_spec(0.03).tightened())
+    assert res.converged
+    return res, _real_line(k, omega, win, *args, fm[0], fp[0]), win
+
+
+_RADIUS = st.floats(50.0, 3000.0)
+_GAP = st.floats(1e-3, 1e-2)
+
+
+class TestChiContour:
+    @pytest.mark.parametrize("params, geom, eps_frac, where", [
+        # u* = -0.8, within h = 0.32 of the window's lower end -0.998
+        (SUPER, _pair(50.0, 150.0, 0.4, 1.0, math.pi - 0.2, 0.7), 0.0,
+         "near-end"),
+        # w = 2: the window is [-0.73, 0.73], and u* = 0.95 lies outside
+        (EmitterParams(5e-3, 5e-3, 2.0),
+         _pair(3000.0, 500.0, 1.2, 0.3, 2.6, 2.0), 0.5, "outside"),
+        # radii 50 and 1902 lambda_F, where a real-line chi took 45-98 s
+        (EmitterParams(7.1e-3, 1e-2, 0.74),
+         DetectorGeometry((0.0, 0.0, 50.0), (0.0, 0.0, -1902.0)), 0.0,
+         "near-end"),
+    ], ids=["u*-near-end", "u*-outside", "radii-50-1902"])
+    def test_saddle_at_and_beyond_the_window_ends(self, params, geom,
+                                                 eps_frac, where):
+        res, oracle, (lo, hi) = _contour_and_real_line(params, geom,
+                                                       eps_frac)
+        ustar, _ = correlations._saddle(geom.r1_kf, geom.r2_kf)
+        h = correlations._chi_path_height(
+            params.w_kf, math.sqrt(1.0 + eps_frac * energy_cutoff(params)))
+        if where == "outside":
+            assert not lo < ustar < hi
+        else:
+            assert lo < ustar < hi and min(ustar - lo, hi - ustar) < h
+        assert abs(res.value - oracle) <= res.err_est
+
+    # every example is an oracle line at rel_tol 1e-8; shrinking a failure
+    # would take minutes
+    @settings(derandomize=True, max_examples=40, deadline=None,
+              database=None, phases=(Phase.explicit, Phase.generate))
+    @given(abs_delta=_GAP, ec=_GAP, w=st.floats(0.5, 2.0), r1=_RADIUS,
+           r2=_RADIUS, polar=st.floats(0.0, math.pi),
+           azimuth=st.floats(0.0, 2.0 * math.pi),
+           theta=st.floats(2.0 * math.pi / 3.0, math.pi),
+           turn=st.floats(0.0, 2.0 * math.pi), eps_frac=st.floats(-1.0, 1.0))
+    def test_u_line_matches_the_real_line(self, abs_delta, ec, w, r1, r2,
+                                          polar, azimuth, theta, turn,
+                                          eps_frac):
+        # detectors at least 120 degrees apart, where chi carries weight:
+        # the pair Gaussians hold the integrand inside the u window.  Closer
+        # than about 90 degrees the integrand sits at the window's ends,
+        # next to the branch points +-1, where the contour's first nodes
+        # can miss it (see CHANGES.md); chi is e^-(w k_F)^2/2 or more below
+        # its back-to-back size there, under rho2_and_Q's floor
+        geom = _pair(r1, r2, polar, azimuth, theta, turn)
+        lines = _contour_and_real_line(EmitterParams(abs_delta, ec, w), geom,
+                                       eps_frac)
+        assume(lines is not None)
+        res, oracle, _ = lines
+        assert abs(res.value - oracle) <= res.err_est
+
+    @settings(derandomize=True, max_examples=6, deadline=None,
+              database=None, phases=(Phase.explicit, Phase.generate))
+    @given(abs_delta=_GAP, ec=_GAP, w=st.floats(0.5, 0.85),
+           r1=st.floats(50.0, 150.0), apart=st.floats(1.0, 30.0),
+           polar=st.floats(0.0, math.pi),
+           azimuth=st.floats(0.0, 2.0 * math.pi),
+           theta=st.floats(math.pi / 2.0, math.pi),
+           turn=st.floats(0.0, 2.0 * math.pi))
+    def test_chi_matches_the_real_line_chi(self, abs_delta, ec, w, r1, apart,
+                                           polar, azimuth, theta, turn):
+        # the whole chi, detectors at least 90 degrees apart, against chi
+        # with real-line u-lines at rel_tol 1e-8 (about 1 s each at these
+        # radii).  Where the detectors nearly coincide, chi's err_est reads
+        # low on the real line too (by 25 times at theta = 1e-7; see
+        # CHANGES.md)
+        geom = _pair(r1, r1 + apart, polar, azimuth, theta, turn)
+        params = EmitterParams(abs_delta, ec, w)
+        res = _chi_quad(geom, params, default_spec(0.03))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(correlations, "_chi_u_lines", _real_line_u_lines)
+            oracle = _chi_quad(geom, params, default_spec(1e-8))
+        assert res.converged and oracle.converged
+        assert abs(res.value - oracle.value) <= res.err_est
+
+    def test_nodes_per_u_line_do_not_grow_with_r(self, monkeypatch):
+        # figure parameters, back to back, rel_tol 0.03: on the real line
+        # chi took 25.6 times the nodes at r = 3000 that it took at
+        # r = 100; on the contour a u-line's nodes grade toward the saddle
+        lines = {}
+        batch = quad.integrate_batch
+        line_spec = default_spec(0.03).tightened()
+
+        def recording(f, a, b, spec):
+            res = batch(f, a, b, spec)
+            if spec == line_spec:       # u-lines, not the eps integral
+                lines[r] = lines.get(r, []) + res
+            return res
+
+        monkeypatch.setattr(quad, "integrate_batch", recording)
+        total = {}
+        for r in (100.0, 3000.0):
+            total[r] = _chi_quad(DetectorGeometry.from_r_theta(r, math.pi),
+                                 SUPER, default_spec(0.03)).evaluations
+        per_line = {r: sum(x.evaluations for x in v) / len(v)
+                    for r, v in lines.items()}
+        assert per_line[3000.0] <= 2.0 * per_line[100.0]
+        # the eps integral needs three times the u-lines at r = 3000: the
+        # pair residues' phase r omega^2 / 4 turns 17 rad over its window
+        assert len(lines[3000.0]) == 3 * len(lines[100.0])
+        assert total[3000.0] <= 6.0 * total[100.0]
+        # at the CLI's rel_tol the eps integral resolves that phase at
+        # r = 100 already, and chi's nodes stay within twice (real line:
+        # 47,430 and 600,330)
+        nodes = [_chi_quad(DetectorGeometry.from_r_theta(r, math.pi), SUPER,
+                           default_spec(1e-3)).evaluations
+                 for r in (100.0, 3000.0)]
+        assert nodes[1] <= 2.0 * nodes[0]
 
 
 class TestRho2AndQ:

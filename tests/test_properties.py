@@ -98,14 +98,19 @@ def _at_radius(vec, r):
     return tuple(r * c / norm for c in vec)
 
 
-# chi's nodes grow with r and, much faster, with |r1 - r2| (an energy line
-# oscillates with it): radii up to 300 lambda_F, 1 to 30 lambda_F apart,
-# keep a chi below about 0.1 s
+# on their contour chi's u-lines cost about as much at any r; its eps
+# integral still grows with |r1 - r2| (the pair residues' phase turns by
+# about omega |r1 - r2| / 2), to about 1 s at radii 50 and 1902 lambda_F,
+# and detectors a small angle apart at large radii take seconds a chi
+@pytest.mark.slow
 @settings(derandomize=True, max_examples=10, deadline=None, database=None,
           phases=(Phase.explicit, Phase.generate))
 @given(abs_delta_ec_w=_IN_REGIME, r1_vec=_POSITIONS, r2_vec=_POSITIONS,
-       r1=st.floats(50.0, 300.0), apart=st.floats(1.0, 30.0),
+       r1=st.floats(50.0, 3000.0), apart=st.floats(1.0, 2000.0),
        phase=st.floats(0.1, 2.0 * math.pi - 0.1))
+# radii 50 and 1902 lambda_F, where a real-line chi took 45-98 s
+@example(abs_delta_ec_w=(7.1e-3, 1e-2, 0.74), r1_vec=(0.0, 0.0, 1.0),
+         r2_vec=(0.0, 0.0, -1.0), r1=50.0, apart=1852.0, phase=1.0)
 def test_chi_swap_symmetry_and_gap_phase(abs_delta_ec_w, r1_vec, r2_vec, r1,
                                          apart, phase):
     # two directions in no common plane with the z axis in general, at
@@ -114,11 +119,14 @@ def test_chi_swap_symmetry_and_gap_phase(abs_delta_ec_w, r1_vec, r2_vec, r1,
                             _at_radius(r2_vec, r1 + apart))
     abs_delta, ec, w = abs_delta_ec_w
     spec = default_spec(0.03)
-    params = EmitterParams(abs_delta, ec, w)
+    # the turned gap's modulus can round 1 ulp away from abs_delta, which
+    # moves a chi that cancels to 1e-33 by 1e-12 of itself: both take it
+    turned_delta = abs_delta * cmath.exp(1j * phase)
+    params = EmitterParams(abs(turned_delta), ec, w)
     res = correlations._chi_quad(geom, params, spec)
     swapped = correlations._chi_quad(geom.swapped(), params, spec)
     assert res.converged and swapped.converged
     assert abs(res.value - swapped.value) <= res.err_est + swapped.err_est
     turned = correlations._chi_quad(
-        geom, EmitterParams(abs_delta * cmath.exp(1j * phase), ec, w), spec)
+        geom, EmitterParams(turned_delta, ec, w), spec)
     assert abs(abs(turned.value) - abs(res.value)) <= 1e-12 * abs(res.value)

@@ -6,14 +6,18 @@
 Runs `pairemit fig3`, `peak` and `sweep` (over each of r, delta, ec and w)
 at the defaults and at 5 seeded bases, drawn with numpy's
 default_rng(2024) over the ranges of the `closed_form_maps` benchmark
-points, plus the error paths: a `fig3` whose ec panel overflows, a `peak`
-whose point overflows, a `peak` at r = -1 and a `fig3` whose output path
-runs through a file.  Each case runs in its own directory
+points; the quadrature route: `classify --rel-tol 0.03` back to back at
+r = 100 and 1000 lambda_F and `angular --theta-points 5 --rel-tol 0.03`;
+plus the error paths: a `fig3` whose ec panel overflows, a `peak` whose
+point overflows, a `peak` at r = -1, a `fig3` whose output path runs
+through a file, and a `params` and a `fig3` whose output path is `.`.
+Each case runs in its own directory
 OUTDIR/<base>/<command> with relative output paths; its exit code (or the
 exception that escaped main), stdout and stderr go to run.txt there.  The
 pairemit imported is the one first on sys.path, so running this on the
 sources of two checkouts and `diff -r` on the two directories compares
-their outputs byte for byte.
+their outputs byte for byte (tools/compare_outputs.py does so, with the
+quadrature results compared within their error columns).
 """
 
 from __future__ import annotations
@@ -71,6 +75,17 @@ def cases() -> dict[str, list[str]]:
     out["bad_r/peak"] = ["peak", "--r", "-1", "--output", "peak.csv"]
     # run() makes `blocked` a file, so the output cannot be written
     out["unwritable/fig3"] = ["fig3", "--output", "blocked/fig3"]
+    # the output path names a directory, not a file (exit 2)
+    out["empty_name/params"] = ["params", "--output", "."]
+    out["empty_name/fig3"] = ["fig3", "--output", "."]
+    # the quadrature route: Q and its error estimate
+    for r in ("100", "1000"):
+        out[f"quadrature/classify_r{r}"] = [
+            "classify", "--r", r, "--theta", repr(math.pi), "--rel-tol",
+            "0.03", "--output", "classify.json"]
+    out["quadrature/angular"] = ["angular", "--theta-points", "5",
+                                 "--rel-tol", "0.03", "--output",
+                                 "angular.csv"]
     return out
 
 
