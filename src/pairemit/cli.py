@@ -16,9 +16,8 @@ significant digits; a JSON sidecar records the full configuration, its
 hash, the code version, and achieved error estimates.  All files are
 written atomically (temp file + rename), so interrupted runs never leave
 partial datasets, with the mode the umask gives a plain open.  Angular rows
-are cached by a hash of the row's own inputs and the code version, and
-reused bitwise; uncached rows run in a process pool sized by the usable
-CPUs (limit it with ``taskset``).
+are computed on every run, in a process pool sized by the usable CPUs (limit
+it with ``taskset``); the rows do not depend on the pool's size.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ _DEFAULTS = {
     "theta_max": math.pi,
     "theta_points": 25,
     "rel_tol": 1e-3,
-    "cache_dir": "",
     "sweep_param": "r",
     "sweep_min": 10.0,
     "sweep_max": 3.0e6,
@@ -97,9 +95,7 @@ class RunConfig:
         return self.digest()
 
     def digest(self, extra: dict | None = None) -> str:
-        # the cache location is an execution detail: it stays out of the hash
-        values = {k: v for k, v in self.values.items() if k != "cache_dir"}
-        payload = {"config": values, "version": __version__}
+        payload = {"config": self.values, "version": __version__}
         if extra:
             payload.update(extra)
         return _sha256(payload)
@@ -150,8 +146,6 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         if key not in _DEFAULTS:
             raise ConfigError(f"unknown override {key!r}")
         values[key] = val
-    if not values["cache_dir"]:
-        values["cache_dir"] = os.environ.get("PAIREMIT_CACHE_DIR", "")
     for key, val in values.items():
         if isinstance(val, float) and not math.isfinite(val):
             raise ConfigError(f"{key} must be finite, got {val}")
@@ -167,7 +161,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# formatting / atomic IO / cache
+# formatting / atomic IO
 # ---------------------------------------------------------------------------
 
 def fmt(x: float) -> str:
@@ -175,7 +169,7 @@ def fmt(x: float) -> str:
 
 
 class OutputError(OSError):
-    """An output file or the cache directory cannot be written."""
+    """An output file cannot be written."""
 
 
 def _named(path: str | Path) -> Path:
@@ -219,34 +213,6 @@ def atomic_write(path: Path, text: str) -> None:
         raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
-class RowCache:
-    """Row-level result cache keyed by a hash of each row's inputs."""
-
-    def __init__(self, root: str):
-        self.root = Path(root) if root else None
-        if self.root:
-            try:
-                self.root.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                raise OutputError(
-                    f"cannot create the cache directory {root}: {exc}") \
-                    from exc
-
-    def get(self, key: str) -> str | None:
-        if not self.root:
-            return None
-        p = self.root / f"{key}.row"
-        try:
-            return p.read_text()
-        except OSError:
-            return None
-
-    def put(self, key: str, row: str) -> None:
-        if not self.root:
-            return
-        atomic_write(self.root / f"{key}.row", row)
-
-
 # ---------------------------------------------------------------------------
 # row workers (top level: picklable for the process pool)
 # ---------------------------------------------------------------------------
@@ -261,30 +227,16 @@ def _angular_row(task) -> str:
                      fmt(q_s.Q), fmt(q_s.Q_err)])
 
 
-def _angular_key(task) -> str:
-    # _angular_row reads only its task, so no other config key enters
-    return _sha256({"cmd": "angular", "task": task, "version": __version__})
-
-
-def _run_rows(tasks, cache: RowCache) -> list[str]:
-    """Angular rows in grid order: cached rows are reused, the rest run in a
-    pool of min(uncached rows, usable CPUs) processes, or serially if 1."""
-    keys = [_angular_key(task) for task in tasks]
-    rows = [cache.get(key) for key in keys]
-    pending = [i for i, row in enumerate(rows) if row is None]
-    todo = [tasks[i] for i in pending]
+def _run_rows(tasks) -> list[str]:
+    """Angular rows in grid order, from a pool of min(rows, usable CPUs)
+    processes, or serially if that is 1."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    n_workers = min(len(todo), cpus)
+    n_workers = min(len(tasks), cpus)
     if n_workers > 1:
         with concurrent.futures.ProcessPoolExecutor(n_workers) as pool:
-            done = list(pool.map(_angular_row, todo))
-    else:
-        done = [_angular_row(task) for task in todo]
-    for i, row in zip(pending, done):
-        rows[i] = row
-        cache.put(keys[i], row)
-    return rows  # type: ignore[return-value]
+            return list(pool.map(_angular_row, tasks))
+    return [_angular_row(task) for task in tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +282,7 @@ def cmd_angular(cfg: RunConfig, args) -> int:
     tasks = [(float(t), cfg.r_over_lambdaf, cfg.delta_over_mu,
               cfg.ec_over_mu, cfg.w_over_lambdaf, cfg.rel_tol)
              for t in thetas]
-    rows = _run_rows(tasks, RowCache(cfg.cache_dir))
+    rows = _run_rows(tasks)
     path = _named(args.output or "angular.csv")
     _write_dataset(path, "theta_rad,Q_normal,err_normal,Q_super,err_super",
                    rows, cfg, {"command": "angular"})
@@ -503,7 +455,6 @@ _FLAGS = {
     "--r": dict(type=float, dest="r_over_lambdaf", help="r/lambda_F"),
     "--theta": dict(type=float, dest="theta", help="detector angle (rad)"),
     "--rel-tol": dict(type=float, dest="rel_tol"),
-    "--cache-dir": dict(dest="cache_dir"),
     "--theta-points": dict(type=int, dest="theta_points"),
     "--sweep-param": dict(dest="sweep_param",
                           choices=("delta", "ec", "w", "r")),
@@ -518,8 +469,7 @@ _SWEEP = (*_PARAMS, "--r", "--sweep-min", "--sweep-max", "--sweep-points")
 # each command with the flags of the settings it reads
 _COMMANDS = {
     "params": (cmd_params, _PARAMS),
-    "angular": (cmd_angular, (*_PARAMS, "--r", "--rel-tol", "--theta-points",
-                              "--cache-dir")),
+    "angular": (cmd_angular, (*_PARAMS, "--r", "--rel-tol", "--theta-points")),
     "peak": (cmd_peak, _SWEEP),
     "fig3": (cmd_fig3, (*_PARAMS, "--r")),
     "classify": (cmd_classify, (*_PARAMS, "--r", "--theta", "--rel-tol")),

@@ -91,8 +91,13 @@ class QuadSpec:
     max_depth: int = 48
 
     def __post_init__(self):
-        if self.rel_tol < 1e-12:
-            raise ValueError("rel_tol below 1e-12 is not supported")
+        # plain comparisons, false for NaN: tightened() builds one per level
+        if not 1e-12 <= self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be finite and at least 1e-12, "
+                             f"got {self.rel_tol}")
+        if not 0.0 <= self.abs_tol < math.inf:
+            raise ValueError("abs_tol must be non-negative and finite, "
+                             f"got {self.abs_tol}")
         if self.max_depth < 1:
             raise ValueError("max_depth must be positive")
 

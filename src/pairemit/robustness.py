@@ -34,8 +34,11 @@ class FluctuationSpec:
     samples: int = 21
 
     def __post_init__(self):
-        if self.sigma_w < 0.0 or self.sigma_r0 < 0.0:
-            raise ValueError("fluctuation sigmas must be non-negative")
+        for name in ("sigma_w", "sigma_r0"):
+            sigma = getattr(self, name)
+            if not 0.0 <= sigma < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, "
+                                 f"got {sigma}")
         if self.samples < 1:
             raise ValueError("quadrature order must be positive")
 

@@ -3,7 +3,7 @@ that ``pairemit validate`` runs, each printing a pass/fail line.
 
 The test ids are the check names.  The quadrature-path checks (validation
 ._SLOW, under a second together) carry the ``slow`` mark.  CLI determinism
-and caching are tested in tests/test_cli.py (TestDeterminismAndCache).
+is tested in tests/test_cli.py (TestDeterminism).
 """
 
 import pytest

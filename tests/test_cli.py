@@ -48,14 +48,6 @@ class TestConfig:
         cfg = load_config(str(p), {"delta_over_mu": 5e-3})
         assert cfg.delta_over_mu == 5e-3
 
-    def test_env_cache_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PAIREMIT_CACHE_DIR", str(tmp_path / "cc"))
-        cfg = load_config(None, {})
-        assert cfg.cache_dir == str(tmp_path / "cc")
-        # explicit flag wins over the environment
-        cfg = load_config(None, {"cache_dir": str(tmp_path / "dd")})
-        assert cfg.cache_dir == str(tmp_path / "dd")
-
     def test_negative_ratio_rejected(self):
         with pytest.raises(ConfigError):
             load_config(None, {"ec_over_mu": -1.0})
@@ -87,6 +79,26 @@ class TestConfig:
         assert err.startswith("config error: ") and "'workers'" in err
         assert not out.exists()
 
+    def test_cache_dir_key_rejected(self, tmp_path, capsys):
+        # angular computes every row; the row cache and its key are gone
+        p = tmp_path / "run.cfg"
+        p.write_text(f"cache_dir = {tmp_path / 'cache'}\n")
+        out = tmp_path / "angular.csv"
+        assert main(["angular", "--config", str(p), "--output", str(out)]) \
+            == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "'cache_dir'" in err
+        assert sorted(tmp_path.iterdir()) == [p]
+
+    def test_cache_dir_environment_not_read(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PAIREMIT_CACHE_DIR", str(tmp_path / "cache"))
+        assert "cache_dir" not in load_config(None, {}).values
+        out = tmp_path / "angular.csv"
+        assert main(["angular", "--theta-points", "1", "--rel-tol", "0.03",
+                     "--output", str(out)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["angular.csv", "angular.meta.json"]
+
     def test_fmt_17_significant_digits(self):
         s = fmt(1.0 / 3.0)
         assert s == "3.3333333333333331e-01"
@@ -104,8 +116,7 @@ class TestFlags:
         ("params", _BASE),
         ("fig3", _BASE | {"--r"}),
         ("classify", _BASE | {"--r", "--theta", "--rel-tol"}),
-        ("angular", _BASE | {"--r", "--rel-tol", "--theta-points",
-                             "--cache-dir"}),
+        ("angular", _BASE | {"--r", "--rel-tol", "--theta-points"}),
         ("peak", _SWEEP),
         ("sweep", _SWEEP | {"--sweep-param"}),
         ("validate", {"--quick"}),
@@ -118,10 +129,11 @@ class TestFlags:
     @pytest.mark.parametrize("argv", [
         ["fig3", "--rel-tol", "1e-9"],
         ["validate", "--quick", "--delta", "0.5"],
-        ["params", "--cache-dir", "zz"],
+        ["params", "--theta-points", "3"],
         ["angular", "--workers", "2"],
-    ], ids=["fig3-rel-tol", "validate-delta", "params-cache-dir",
-            "angular-workers"])
+        ["angular", "--cache-dir", "zz"],
+    ], ids=["fig3-rel-tol", "validate-delta", "params-theta-points",
+            "angular-workers", "angular-cache-dir"])
     def test_unread_flag_is_usage_error(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         assert main([*argv, "--output", str(out)]) == USAGE_ERROR
@@ -272,10 +284,8 @@ class TestCommands:
     @pytest.mark.parametrize("argv, message", [
         (["fig3", "--output", "{f}/fig3"], "cannot write {f}/fig3_delta.csv"),
         (["params", "--output", "{f}/p.json"], "cannot write {f}/p.json"),
-        (["peak", "--output", "{f}/sub/p.csv"], "cannot write {f}/sub/p.csv"),
-        (["angular", "--theta-points", "1", "--cache-dir", "{f}/cache"],
-         "cannot create the cache directory {f}/cache")],
-        ids=["fig3", "params", "peak", "cache-dir"])
+        (["peak", "--output", "{f}/sub/p.csv"], "cannot write {f}/sub/p.csv")],
+        ids=["fig3", "params", "peak"])
     def test_unwritable_output_exit_2_names_the_path(self, argv, message,
                                                      tmp_path, capsys):
         # a file where the output path needs a directory
@@ -518,9 +528,9 @@ def _pin_cpus(monkeypatch, n: int) -> None:
 
 
 @pytest.mark.slow
-class TestDeterminismAndCache:
-    def test_angular_bitwise_identical_across_workers_and_cache(
-            self, tmp_path, monkeypatch):
+class TestDeterminism:
+    def test_angular_bitwise_identical_across_workers(self, tmp_path,
+                                                      monkeypatch):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(
             "delta_over_mu = 0\n"          # normal state: fast rows
@@ -529,80 +539,12 @@ class TestDeterminismAndCache:
             "rel_tol = 1e-3\n"
         )
         # one CPU (serial) and two (a pool of 2) each compute every row
-        # into their own fresh cache; the last run is served from the
-        # one-CPU cache
-        runs = (("cpu1", 1, "cache1"), ("cpu2", 2, "cache2"),
-                ("cached", 2, "cache1"))
         outs = []
-        for name, cpus, cache in runs:
+        for cpus in (1, 2):
             _pin_cpus(monkeypatch, cpus)
-            out = tmp_path / f"angular_{name}.csv"
+            out = tmp_path / f"angular_cpu{cpus}.csv"
             rc = main(["angular", "--config", str(cfgfile),
-                       "--cache-dir", str(tmp_path / cache),
                        "--output", str(out)])
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]          # CPU count independent
-        assert outs[0] == outs[2]          # cached rerun bitwise identical
-        rows = sorted(p.name for p in (tmp_path / "cache1").iterdir())
-        assert len(rows) == 3              # one cached row per theta
-        assert rows == sorted(p.name for p in (tmp_path / "cache2").iterdir())
-
-
-class TestRowCache:
-    def test_rows_of_another_version_are_not_reused(self, tmp_path,
-                                                    monkeypatch):
-        import pairemit.cli as cli
-
-        def fake_row(label):
-            return lambda task: f"{task[0]!r},{label}"
-
-        _pin_cpus(monkeypatch, 1)          # a closure cannot go to a pool
-
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("theta_points = 2\ntheta_max = 1.0\n")
-        argv = ["angular", "--config", str(cfgfile),
-                "--cache-dir", str(tmp_path / "cache")]
-
-        def rows(label, version):
-            monkeypatch.setattr(cli, "_angular_row", fake_row(label))
-            monkeypatch.setattr(cli, "__version__", version)
-            out = tmp_path / f"{label}.csv"
-            assert main(argv + ["--output", str(out)]) == 0
-            return [ln.split(",")[-1]
-                    for ln in out.read_text().splitlines()[1:]]
-
-        real = cli.__version__
-        assert rows("stale", "0.1.0") == ["stale", "stale"]
-        assert rows("fresh", real) == ["fresh", "fresh"]
-        # same version: the cache is reused
-        assert rows("again", real) == ["fresh", "fresh"]
-
-    def test_rows_keyed_on_their_own_inputs(self, tmp_path, monkeypatch):
-        # the 3 thetas of a 3-point grid are bitwise among the 5 of a
-        # 5-point grid, and sweep_points is a key no angular row reads
-        import pairemit.cli as cli
-        real = cli._angular_row
-        computed = []
-
-        def counting(task):
-            computed.append(task[0])
-            return real(task)
-
-        monkeypatch.setattr(cli, "_angular_row", counting)
-        _pin_cpus(monkeypatch, 1)          # count in this process
-        other = tmp_path / "other.cfg"
-        other.write_text("sweep_points = 7\n")
-        base = ["angular", "--rel-tol", "0.03"]
-        cache = ["--cache-dir", str(tmp_path / "cache")]
-
-        def run(name, points, *extra):
-            out = tmp_path / f"{name}.csv"
-            assert main(base + ["--theta-points", str(points),
-                                "--output", str(out), *extra]) == 0
-            return out.read_bytes()
-
-        run("three", 3, *cache)
-        cached = run("five", 5, *cache, "--config", str(other))
-        assert computed[3:] == [math.pi / 4, 3 * math.pi / 4]
-        assert cached == run("uncached", 5)

@@ -130,3 +130,38 @@ def test_chi_swap_symmetry_and_gap_phase(abs_delta_ec_w, r1_vec, r2_vec, r1,
     turned = correlations._chi_quad(
         geom, EmitterParams(turned_delta, ec, w), spec)
     assert abs(abs(turned.value) - abs(res.value)) <= 1e-12 * abs(res.value)
+
+
+# two detector positions at unequal radii, in no common plane with the z
+# axis in general: gamma's phase turns with r1 - r2, so swapping the
+# detectors tests how each correlator depends on their order
+_SWAP = dict(derandomize=True, max_examples=6, deadline=None, database=None,
+             phases=(Phase.explicit, Phase.generate))
+
+
+def _unequal(r1_vec, r2_vec) -> DetectorGeometry:
+    geom = DetectorGeometry(r1_vec, r2_vec)
+    assume(abs(geom.r1 - geom.r2) >= 1.0)
+    return geom
+
+
+@settings(**_SWAP)
+@given(r1_vec=_POSITIONS, r2_vec=_POSITIONS)
+def test_gamma_hermitian(r1_vec, r2_vec):
+    geom = _unequal(r1_vec, r2_vec)
+    spec = default_spec(0.03)
+    res = correlations._gamma_quad(geom, PARAMS["super"], spec)
+    swapped = correlations._gamma_quad(geom.swapped(), PARAMS["super"], spec)
+    assert res.converged and swapped.converged
+    assert abs(swapped.value - res.value.conjugate()) \
+        <= res.err_est + swapped.err_est
+
+
+@settings(**_SWAP)
+@given(r1_vec=_POSITIONS, r2_vec=_POSITIONS)
+def test_Q_swap_invariant(r1_vec, r2_vec):
+    geom = _unequal(r1_vec, r2_vec)
+    spec = default_spec(0.03)
+    res = rho2_and_Q(geom, PARAMS["super"], spec)
+    swapped = rho2_and_Q(geom.swapped(), PARAMS["super"], spec)
+    assert abs(swapped.Q - res.Q) <= res.Q_err + swapped.Q_err

@@ -44,9 +44,21 @@ class TestIntegrate1D:
         with pytest.raises(ValueError):
             integrate_1d(lambda x: x, 0.0, math.inf)
 
-    def test_rel_tol_floor(self):
-        with pytest.raises(ValueError):
-            QuadSpec(rel_tol=1e-14)
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(rel_tol=1e-14), "rel_tol"),
+        (dict(rel_tol=math.inf), "rel_tol"),
+        (dict(rel_tol=math.nan), "rel_tol"),
+        (dict(abs_tol=-1e-14), "abs_tol"),
+        (dict(abs_tol=math.nan), "abs_tol"),
+        (dict(abs_tol=math.inf), "abs_tol"),
+    ], ids=["floor", "rel-inf", "rel-nan", "abs-negative", "abs-nan",
+            "abs-inf"])
+    def test_rel_tol_floor(self, kwargs, field):
+        # rel_tol = inf used to accept a first estimate whose err_est was
+        # 27 % of its value, a NaN tolerance to drop its test: each is
+        # rejected, naming its field
+        with pytest.raises(ValueError, match=field):
+            QuadSpec(**kwargs)
 
 
 class TestIntegrateNested:

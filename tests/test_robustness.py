@@ -149,8 +149,12 @@ def test_one_k1_call_bitwise_the_two_evaluations_it_replaces(monkeypatch,
 
 
 def test_bad_spec_rejected():
-    with pytest.raises(ValueError):
-        FluctuationSpec(sigma_w=-0.1)
+    # a NaN sigma used to return the unperturbed peak, an inf one to fail
+    # further down with a misleading message: each names its field
+    for field in ("sigma_w", "sigma_r0"):
+        for bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match=field):
+                FluctuationSpec(**{field: bad})
     with pytest.raises(ValueError):
         FluctuationSpec(samples=0)
 

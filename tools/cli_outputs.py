@@ -90,7 +90,6 @@ def cases() -> dict[str, list[str]]:
 
 
 def run(outdir: Path) -> None:
-    os.environ.pop("PAIREMIT_CACHE_DIR", None)
     home = Path.cwd()
     for case, argv in cases().items():
         where = outdir / case
