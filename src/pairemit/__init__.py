@@ -4,12 +4,12 @@ electron pairs field-emitted from a superconducting tip."""
 __version__ = "0.3.0"
 
 from .correlations import (CorrelationResult, DetectorGeometry,
-                           farfield_amplitude, chi, gamma, rho2_and_Q)
+                           farfield_amplitude, chi, rho2_and_Q)
 from .entanglement import WernerReport, werner_decompose
 from .model import (DerivedParams, EmitterParams, derive_params,
                     form_factors, pole_momentum)
 from .peak import (PeakResult, SweepResult, SweepSpec, angular_profile,
-                   delta_q_peak, threshold_map)
+                   delta_q_peak)
 from .quad import QuadResult, QuadSpec, integrate_1d, integrate_nested
 from .robustness import FluctuationSpec, averaged_peak
 
@@ -18,10 +18,10 @@ __all__ = [
     "EmitterParams", "DerivedParams",
     "derive_params", "form_factors", "pole_momentum",
     "DetectorGeometry", "CorrelationResult",
-    "farfield_amplitude", "gamma", "chi", "rho2_and_Q",
+    "farfield_amplitude", "chi", "rho2_and_Q",
     "WernerReport", "werner_decompose",
     "PeakResult", "SweepSpec", "SweepResult",
-    "delta_q_peak", "angular_profile", "threshold_map",
+    "delta_q_peak", "angular_profile",
     "FluctuationSpec", "averaged_peak",
     "QuadSpec", "QuadResult", "integrate_1d", "integrate_nested",
 ]

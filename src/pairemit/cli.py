@@ -43,7 +43,7 @@ from .entanglement import (Q_BELL_THRESHOLD, Q_ENTANGLEMENT_THRESHOLD,
                            werner_decompose)
 from .model import EmitterParams, derive_params
 from .peak import (DQ_BELL, DQ_ENTANGLEMENT, SweepResult, SweepSpec,
-                   threshold_map, threshold_maps)
+                   threshold_maps)
 from .validation import run_checks
 
 USAGE_ERROR = 2
@@ -334,7 +334,8 @@ _HEADER_SWEEP = ("param_value,Q_peak,err_est,regime_ok,classification,"
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    res = threshold_map(_sweep_spec(cfg, cfg.sweep_param, _sweep_grid(cfg)))
+    res, = threshold_maps([_sweep_spec(cfg, cfg.sweep_param,
+                                       _sweep_grid(cfg))])
     rows, meta = _sweep_dataset(cfg, res)
     path = _named(args.output or f"sweep_{cfg.sweep_param}.csv")
     _write_dataset(path, _HEADER_SWEEP, rows, cfg,

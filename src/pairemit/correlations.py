@@ -76,7 +76,6 @@ __all__ = [
     "UndefinedQError",
     "farfield_amplitude",
     "farfield_amplitude_direct",
-    "gamma",
     "chi",
     "rho2_and_Q",
     "energy_cutoff",
@@ -143,10 +142,6 @@ class DetectorGeometry:
         n1 = np.asarray(self.r1_vec) / self.r1
         n2 = np.asarray(self.r2_vec) / self.r2
         return max(-1.0, min(1.0, float(np.dot(n1, n2))))
-
-    @property
-    def theta(self) -> float:
-        return math.acos(self.cos_theta)
 
     @property
     def far_field(self) -> bool:
@@ -362,30 +357,6 @@ def _gamma_diag_at(r_kf: float, params: EmitterParams,
     return replace(g, value=g.value / r2, err_est=g.err_est / r2)
 
 
-def gamma(geom: DetectorGeometry, params: EmitterParams,
-          spec: QuadSpec | None = None) -> complex:
-    """One-particle correlation gamma(2;1) between the two detector points.
-
-    Gram-kernel form: positive on the diagonal, Hermitian under swapping the
-    detectors.  A diagonal geometry (r1_vec == r2_vec) reads the cached
-    G(params) / r^2.  Raises NonConvergenceError if the quadrature contract
-    fails.
-    """
-    if not geom.far_field:
-        warnings.warn("geometry below the far-field threshold "
-                      f"k_F r >= {REGIME_KFR}", stacklevel=2)
-    spec = spec or default_spec()
-    if geom.r1_vec == geom.r2_vec:
-        res = _gamma_diag_at(geom.r1_kf, params, spec)
-    else:
-        res = _gamma_quad(geom, params, spec)
-    if not res.converged:
-        raise NonConvergenceError(
-            "gamma quadrature did not converge in "
-            f"{_GAMMA_VARIABLES[res.fail_dim]}", res)
-    return res.value
-
-
 # ---------------------------------------------------------------------------
 # chi
 # ---------------------------------------------------------------------------
@@ -395,8 +366,10 @@ def _chi_u_window(params: EmitterParams, k: float, omega: float
     """Energy-line truncation: where either pair Gaussian carries weight.
 
     The detector-1 branch needs sqrt(1+u) within ~6/w of k, the detector-2
-    branch sqrt(1-u) likewise; the window spans both and always includes the
-    on-shell poles +-omega (with margin) when it is nonempty.
+    branch sqrt(1-u) likewise; None when the two have no common support.
+    A window it returns spans both, widened to hold the on-shell poles with
+    a margin of 0.02, within 1e-9 of the branch points +-1: for 0 < omega <
+    OMEGA_CAP that is lo < -omega < omega < hi.
     """
     w = params.w_kf
     pad = 6.0 / w
@@ -411,8 +384,6 @@ def _chi_u_window(params: EmitterParams, k: float, omega: float
     ulim = 1.0 - 1e-9
     lo = max(min(lo, -omega - 0.02), -ulim)
     hi = min(max(hi, omega + 0.02), ulim)
-    if lo >= hi:
-        return None
     return lo, hi
 
 
@@ -570,10 +541,9 @@ def _chi_quad(geom: DetectorGeometry, params: EmitterParams,
             depth = max(depth, res.max_depth)
             log_m = math.log(abs((u_hi + omega) / (u_lo + omega)))
             log_p = math.log(abs((omega - u_lo) / (omega - u_hi)))
-            res_m = 1j * math.pi if u_lo < -omega < u_hi else 0.0
-            res_p = 1j * math.pi if u_lo < omega < u_hi else 0.0
-            analytic = (fmi * (log_m + res_m) + fpi * (log_p + res_p)) \
-                / (2.0 * omega)
+            # the window holds both poles: each gives its i pi residue
+            analytic = (fmi * (log_m + 1j * math.pi)
+                        + fpi * (log_p + 1j * math.pi)) / (2.0 * omega)
             out[i] = 0.5 * k * (res.value + analytic)    # m k(eps) measure
         return out
 
@@ -631,6 +601,8 @@ def rho2_and_Q(geom: DetectorGeometry, params: EmitterParams,
     and G is one quadrature per (|Delta|, E_C, w, spec) and process, cached:
     gamma11 = G / r1^2 and gamma22 = gamma11 (r1 / r2)^2, each err_est
     scaled the same way.  Only gamma21 and chi are integrated per point.
+    Raises NonConvergenceError naming each part that failed, a gamma part
+    with the variable its quadrature stopped in.
     """
     spec = spec or default_spec()
     res11 = _gamma_diag_at(geom.r1_kf, params, spec)
@@ -655,7 +627,9 @@ def rho2_and_Q(geom: DetectorGeometry, params: EmitterParams,
 
     parts = {"gamma11": res11, "gamma22": res22, "gamma21": res21,
              "chi21": chi_res}
-    failed = [name for name, res in parts.items() if not res.converged]
+    failed = [name if name == "chi21"
+              else f"{name} in {_GAMMA_VARIABLES[res.fail_dim]}"
+              for name, res in parts.items() if not res.converged]
     if failed:
         raise NonConvergenceError("correlation quadrature did not converge: "
                                   + ", ".join(failed))

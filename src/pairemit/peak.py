@@ -27,8 +27,7 @@ from .specfun import bessel_k1, hankel2_0
 
 __all__ = [
     "PeakResult", "SweepSpec", "SweepResult",
-    "delta_q_peak", "delta_q_grid", "angular_profile", "threshold_map",
-    "threshold_maps",
+    "delta_q_peak", "delta_q_grid", "angular_profile", "threshold_maps",
     "DQ_ENTANGLEMENT", "DQ_BELL",
     "REGIME_MU_OVER_EC",
 ]
@@ -49,7 +48,6 @@ class PeakResult:
     """Closed-form peak height with regime flags."""
 
     delta_q: float
-    hankel_arg: complex
     regime_ok: dict
     lambda_warning: bool = False
     meta: dict = field(default_factory=dict)
@@ -111,8 +109,8 @@ def _hankel_terms(xi2, w, r) -> tuple[np.ndarray, np.ndarray]:
     return arg, second
 
 
-def _evaluate(ad, ec, w, r) -> tuple[np.ndarray, ...]:
-    """dQ, its error bound and z over checked columns with |Delta| > 0.  The
+def _evaluate(ad, ec, w, r) -> tuple[np.ndarray, np.ndarray]:
+    """dQ and its error bound over checked columns with |Delta| > 0.  The
     first element where the Hankel factor overflows raises ValueError
     naming it."""
     arg, second = _hankel_terms(pippard_length(ad) ** 2, w, r)
@@ -131,29 +129,29 @@ def _evaluate(ad, ec, w, r) -> tuple[np.ndarray, ...]:
     # propagated bound: the Hankel factor's error and twice K1's (K1^-2)
     rel = 2.0 * h2.est_error * np.abs(h2.value) \
         / np.maximum(diff, 1e-300) + 2.0 * k1_err
-    return dq, dq * rel, arg
+    return dq, dq * rel
 
 
-def _paired(f, cols) -> tuple[np.ndarray, ...]:
-    """f(*cols), dQ, its bound and z, on the elements with |Delta| > 0;
-    all three are 0 where Delta = 0 (no pairs)."""
+def _paired(f, cols) -> tuple[np.ndarray, np.ndarray]:
+    """f(*cols), dQ and its bound, on the elements with |Delta| > 0; both
+    are 0 where Delta = 0 (no pairs)."""
     if np.count_nonzero(cols[0]) == cols[0].size:
         return f(*cols)
     cols = np.broadcast_arrays(*cols)
     pair = cols[0] != 0.0
-    out = tuple(np.zeros(pair.shape, t) for t in (float, float, complex))
+    out = np.zeros(pair.shape), np.zeros(pair.shape)
     for o, v in zip(out, f(*(c[pair] for c in cols))):
         o[pair] = v
     return out
 
 
-def delta_q_grid(abs_delta, ec, w, r) -> tuple[np.ndarray, ...]:
-    """dQ, its error bound and the Hankel argument, elementwise over
-    |Delta|/mu, E_C/mu, w/lambda_F and r/lambda_F (scalars or 1-D arrays of
-    one length n).  dQ = 0 where Delta = 0 and inf where K1(|Delta|/E_C)^2
-    underflows.  The first element that is no valid EmitterParams with a
-    finite r > 0, has |Delta| < 0, or where the Hankel factor overflows,
-    raises ValueError naming it as that point alone would."""
+def delta_q_grid(abs_delta, ec, w, r) -> tuple[np.ndarray, np.ndarray]:
+    """dQ and its error bound, elementwise over |Delta|/mu, E_C/mu,
+    w/lambda_F and r/lambda_F (scalars or 1-D arrays of one length n).
+    dQ = 0 where Delta = 0 and inf where K1(|Delta|/E_C)^2 underflows.  The
+    first element that is no valid EmitterParams with a finite r > 0, has
+    |Delta| < 0, or where the Hankel factor overflows, raises ValueError
+    naming it as that point alone would."""
     return _paired(_evaluate, _columns(abs_delta, ec, w, r))
 
 
@@ -172,17 +170,15 @@ def delta_q_peak(params: EmitterParams, r: float) -> PeakResult:
                                                 params.w, r))
 
 
-def peak_result(params: EmitterParams, r: float, dq, dq_err,
-                arg) -> PeakResult:
+def peak_result(params: EmitterParams, r: float, dq, dq_err) -> PeakResult:
     """The PeakResult of delta_q_peak(params, r) from a delta_q_grid
-    evaluation (dQ, its bound, z) whose first element is at params and r.
+    evaluation (dQ and its bound) whose first element is at params and r.
     Lets a caller that evaluates more points with the same K1 (e.g.
     robustness.averaged_peak) build the unperturbed result from that one
     evaluation."""
     flags = _regime_flags(params.ec, params.w, r)
     return PeakResult(
         delta_q=float(dq[0]),
-        hankel_arg=complex(arg[0]),
         regime_ok={k: bool(v) for k, v in flags.items()},
         lambda_warning=params.w < 1.0,
         meta={"delta_q_err": float(dq_err[0])},
@@ -329,7 +325,7 @@ def threshold_maps(specs) -> list[SweepResult]:
                                      for c, v in zip(cols, values)])
                      for m in range(4)])
     kind = np.repeat([_SWEEPABLE.index(s.param) for s in specs], sizes)
-    dq, dq_err, _ = _paired(_evaluate, list(grid))
+    dq, dq_err = _paired(_evaluate, list(grid))
 
     def dq_at(xs, e):
         # dQ at elements e of the grid, their swept parameter moved to xs
@@ -368,8 +364,3 @@ def threshold_maps(specs) -> list[SweepResult]:
             delta_q_err=dq_err[lo:hi],
         ))
     return out
-
-
-def threshold_map(spec: SweepSpec) -> SweepResult:
-    """threshold_maps of one spec."""
-    return threshold_maps([spec])[0]

@@ -13,7 +13,6 @@ the result metadata.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -27,11 +26,10 @@ __all__ = ["FluctuationSpec", "averaged_peak"]
 
 @dataclass(frozen=True)
 class FluctuationSpec:
-    """Standard deviations (units of lambda_F) and quadrature order."""
+    """Standard deviations of w and r0, in units of lambda_F."""
 
     sigma_w: float = 0.0
     sigma_r0: float = 0.0
-    samples: int = 21
 
     def __post_init__(self):
         for name in ("sigma_w", "sigma_r0"):
@@ -39,18 +37,11 @@ class FluctuationSpec:
             if not 0.0 <= sigma < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite, "
                                  f"got {sigma}")
-        if self.samples < 1:
-            raise ValueError("quadrature order must be positive")
 
 
-@functools.cache
-def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights of an order, built once per process
-    and shared read-only."""
-    rule = np.polynomial.hermite.hermgauss(order)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
+# the Gauss-Hermite rule of every average, 21 nodes, shared read-only
+_NODES, _WEIGHTS = np.polynomial.hermite.hermgauss(21)
+_NODES.flags.writeable = _WEIGHTS.flags.writeable = False
 
 
 def averaged_peak(params: EmitterParams, r: float,
@@ -64,7 +55,7 @@ def averaged_peak(params: EmitterParams, r: float,
     if not 0.0 < r < math.inf:              # before dividing by it
         raise ValueError(
             f"detector distance must be positive and finite, got r = {r}")
-    nodes, weights = _hermgauss(fluct.samples)
+    nodes, weights = _NODES, _WEIGHTS
     norm = math.sqrt(math.pi)
     # transverse tip displacement -> misalignment dtheta = |r0_perp| / r,
     # from the two transverse components at the nodes
@@ -90,8 +81,8 @@ def averaged_peak(params: EmitterParams, r: float,
             )
         ws = np.concatenate((ws, w_nodes[keep]))
     # the unperturbed peak and the w nodes in one evaluation, one K1
-    dq, dq_err, arg = delta_q_grid(params.abs_delta, params.ec, ws, r)
-    base = peak_result(params, r, dq, dq_err, arg)
+    dq, dq_err = delta_q_grid(params.abs_delta, params.ec, ws, r)
+    base = peak_result(params, r, dq, dq_err)
     if fluct.sigma_w > 0.0:
         dq_w = float(np.sum(weights[keep] * dq[1:]) / np.sum(weights[keep]))
     else:
@@ -107,7 +98,6 @@ def averaged_peak(params: EmitterParams, r: float,
     frac = 0.0 if base.delta_q == 0.0 else 1.0 - dq_avg / base.delta_q
     return PeakResult(
         delta_q=dq_avg,
-        hankel_arg=base.hankel_arg,
         regime_ok=base.regime_ok,
         lambda_warning=base.lambda_warning,
         meta={

@@ -1,5 +1,5 @@
 """Special functions for the closed-form bunching peak: K1 on the positive
-real axis, and H0^(2) with J0 and Y0 under it.
+real axis and H0^(2) in the complex plane.
 
 Each public function takes a scalar or an array and returns a
 ``SpecfunResult`` (value and a conservative relative-error bound) of its
@@ -8,26 +8,25 @@ gives.  One dispatcher, ``_by_route``, sends each element to one of two
 fixed routes, switched at a frozen radius (``SERIES_RADIUS``, for K1
 ``K_SERIES_RADIUS``):
 
-* an ascending power series of fixed length inside, and
+* an ascending power series of fixed length inside (for H0^(2) the series
+  of J0 and Y0, H0^(2) = J0 - i Y0), and
 * a Watson integral on a fixed Gauss-Hermite rule beyond: ``_watson_k`` for
   K1, and for H0^(2) ``_hankel2_large``, the exact integral form of the
   Hankel asymptotic expansion, rotated to I0/K0 for 3 pi/8 < arg z <= 5 pi/8
-  and reflected through the origin beyond.  H0^(1)(z) = conj H0^(2)(conj z)
-  comes from the same route, and J0 = (H0^(1) + H0^(2))/2,
-  Y0 = (H0^(1) - H0^(2))/2i.
+  and reflected through the origin beyond.
 
 SERIES_RADIUS sits inside an annulus where both routes are accurate; their
 agreement there is asserted against a committed high-precision golden table.
 No arbitrary-precision arithmetic is used at run time.
 
-Validated domain: H0^(2), J0, Y0 on ``0 < |z| <= 1e3`` off the cut of Y0
-on the negative real axis; for ``hankel2_0`` with ``|z| <= SERIES_RADIUS``
-also ``Im z >= -HANKEL2_IM_GUARD``, below which H0^(2) is exponentially
-small against J0 and Y0 and the series loses relative digits (``est_error``
-grows accordingly).  K1 on ``x > 0``: its series is cancellation-limited
-near the switch (worst error 8.8e-14 at x = 3.97 against a 40-digit oracle,
-8.9e-16 on the Watson route).  Values beyond the double range underflow to
-zero or overflow.
+Validated domain: H0^(2) on ``0 < |z| <= 1e3``, the negative real axis
+taking the side its signed zero names; with ``|z| <= SERIES_RADIUS`` also
+``Im z >= -HANKEL2_IM_GUARD``, below which H0^(2) is exponentially small
+against J0 and Y0 and the series loses relative digits (``est_error`` grows
+accordingly).  K1 on ``x > 0``: its series is cancellation-limited near the
+switch (worst error 8.8e-14 at x = 3.97 against a 40-digit oracle, 8.9e-16
+on the Watson route).  Values beyond the double range underflow to zero or
+overflow.
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SpecfunResult", "bessel_j0", "bessel_y0", "bessel_k1", "hankel2_0",
-           "SERIES_RADIUS", "K_SERIES_RADIUS", "HANKEL2_IM_GUARD"]
+__all__ = ["SpecfunResult", "bessel_k1", "hankel2_0", "SERIES_RADIUS",
+           "K_SERIES_RADIUS", "HANKEL2_IM_GUARD"]
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -185,7 +184,7 @@ def _hankel2_large(z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# public Bessel/Hankel API
+# public K1/Hankel API
 # ---------------------------------------------------------------------------
 
 def _by_route(z: np.ndarray, radius: float, series, large) -> SpecfunResult:
@@ -205,27 +204,6 @@ def _by_route(z: np.ndarray, radius: float, series, large) -> SpecfunResult:
     if z.ndim == 0:
         return SpecfunResult(value.item(), err.item())
     return SpecfunResult(value, err)
-
-
-def _j0y0_large(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J0 and Y0 for |z| > SERIES_RADIUS, H0^(1)(z) = conj H0^(2)(conj z)."""
-    h1 = np.conj(_hankel2_large(np.conj(z)))
-    h2 = _hankel2_large(z)
-    return (h1 + h2) / 2.0, (h1 - h2) / 2j
-
-
-def bessel_j0(z) -> SpecfunResult:
-    """Bessel J0 for complex argument, elementwise."""
-    return _by_route(np.asarray(z, complex), SERIES_RADIUS,
-                     lambda zs: (_j0y0_series(zs)[0], _SERIES_BASE_ERR),
-                     lambda zl: (_j0y0_large(zl)[0], _LARGE_BASE_ERR))
-
-
-def bessel_y0(z) -> SpecfunResult:
-    """Bessel Y0 (principal branch, cut on (-inf, 0]), elementwise."""
-    return _by_route(np.asarray(z, complex), SERIES_RADIUS,
-                     lambda zs: (_j0y0_series(zs)[1], _SERIES_BASE_ERR),
-                     lambda zl: (_j0y0_large(zl)[1], _LARGE_BASE_ERR))
 
 
 def _hankel2_series(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -27,10 +27,9 @@ from .entanglement import (Q_BELL_THRESHOLD, Q_ENTANGLEMENT_THRESHOLD,
 from .model import EmitterParams, derive_params, pole_momentum
 from .peak import (DQ_BELL, DQ_ENTANGLEMENT, SweepSpec, angular_profile,
                    delta_q_grid, delta_q_peak, misalignment_tolerance,
-                   peak_envelope, threshold_map)
+                   peak_envelope, threshold_maps)
 from .quad import QuadSpec, integrate_1d
-from .specfun import (SpecfunResult, _hankel2_large, _j0y0_series,
-                      bessel_j0, bessel_k1, bessel_y0, hankel2_0)
+from .specfun import _hankel2_large, _hankel2_series, bessel_k1, hankel2_0
 
 __all__ = ["CheckResult", "CHECKS", "run_checks"]
 
@@ -62,10 +61,22 @@ def _load_goldens() -> list[tuple[str, complex, complex]]:
     return rows
 
 
-# golden-table tag -> the function it tabulates (K1 on the real axis)
-_GOLDEN_FUNCTIONS: dict[str, Callable[[complex], SpecfunResult]] = {
-    "k1": lambda z: bessel_k1(z.real), "j0": bessel_j0, "y0": bessel_y0,
-    "h2": hankel2_0}
+def _j0_y0(z: complex) -> tuple[complex, complex]:
+    """J0 and Y0 as the half sum and half difference of H0^(1)(z) =
+    conj H0^(2)(conj z) and H0^(2)(z)."""
+    h1 = hankel2_0(z.conjugate()).value.conjugate()
+    h2 = hankel2_0(z).value
+    return (h1 + h2) / 2.0, (h1 - h2) / 2j
+
+
+# golden-table tag -> the program's value of the function it tabulates: K1
+# on the real axis and H0^(2); a J0 or Y0 row checks H0^(2) at z and conj z
+_GOLDEN_FUNCTIONS: dict[str, Callable[[complex], complex]] = {
+    "k1": lambda z: bessel_k1(z.real).value,
+    "h2": lambda z: hankel2_0(z).value,
+    "j0": lambda z: _j0_y0(z)[0],
+    "y0": lambda z: _j0_y0(z)[1],
+}
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +133,14 @@ def check_werner_oracle() -> CheckResult:
 
 
 def check_specfun_goldens() -> CheckResult:
-    """K1, J0, Y0, H0^(2) against the committed high-precision table, and
-    the series and large-argument routes against each other on the annulus
-    |z| in [8, 12], |arg z| <= 0.4, where both are accurate."""
+    """K1 and H0^(2) (also through J0 and Y0) against the committed
+    high-precision table, and H0^(2)'s series and large-argument routes
+    against each other on the annulus |z| in [8, 12], |arg z| <= 0.4, where
+    both are accurate."""
     worst = 0.0
     worst_tag = ""
     for tag, z, ref in _load_goldens():
-        err = abs(_GOLDEN_FUNCTIONS[tag](z).value - ref) / abs(ref)
+        err = abs(_GOLDEN_FUNCTIONS[tag](z) - ref) / abs(ref)
         if err > worst:
             worst, worst_tag = err, tag
     ok = worst <= 1e-10
@@ -138,9 +150,9 @@ def check_specfun_goldens() -> CheckResult:
     i = np.arange(n)
     a = -0.4 + 0.8 * (i * 13 % n) / n
     z = (8.0 + 4.0 * i / (n - 1)) * (np.cos(a) + 1j * np.sin(a))
-    j0s, y0s = _j0y0_series(z)
     h2l = _hankel2_large(z)
-    overlap_worst = float(np.max(np.abs(j0s - 1j * y0s - h2l) / np.abs(h2l)))
+    overlap_worst = float(np.max(np.abs(_hankel2_series(z)[0] - h2l)
+                                 / np.abs(h2l)))
     ok = ok and overlap_worst <= 1e-9
     return CheckResult("specfun_goldens", ok,
                        detail + f"; overlap = {overlap_worst:.2e}")
@@ -212,7 +224,9 @@ def check_farfield_oracle() -> CheckResult:
     r = 200 lambda_F, w = 0.55 lambda_F, E_C = 0.12 mu.  The leading
     far-field correction is the wavefront curvature across the source,
     ~ w^2 k_F / r (0.9% here); E_C w_kf^2 = 1.4 > 1 keeps the defining
-    integral convergent so the direct evaluation exists at all.
+    integral convergent so the direct evaluation exists at all.  gamma's
+    kernel is v_k^2 m k A_k(r1) A_k*(r2) of this amplitude to 1e-12
+    (tests/test_correlations.py), so the check covers what gamma integrates.
     """
     params = EmitterParams(delta=DELTA_FIG, ec=0.12, w=0.55)
     omega = 0.01
@@ -317,7 +331,7 @@ def check_fig3_shapes() -> CheckResult:
     # nondecreasing in |Delta| over the weak-gap window
     spec = SweepSpec(base=base, r=R_FIG, param="delta",
                      grid=tuple(np.geomspace(1e-4, 1e-2, 40)))
-    res = threshold_map(spec)
+    res, = threshold_maps([spec])
     mono = bool(np.all(np.diff(res.delta_q) >= -1e-12))
     ok &= mono
     msgs.append(f"delta monotone: {mono}")

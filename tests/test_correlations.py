@@ -12,9 +12,9 @@ import pairemit.quad as quad
 from pairemit.correlations import (DetectorGeometry, NonConvergenceError,
                                    _chi_quad, default_spec, energy_cutoff,
                                    farfield_amplitude,
-                                   farfield_amplitude_direct, chi, gamma,
+                                   farfield_amplitude_direct, chi,
                                    rho2_and_Q)
-from pairemit.model import EmitterParams, pole_momentum, OutOfBandError
+from pairemit.model import MASS, EmitterParams, pole_momentum, OutOfBandError
 from pairemit.quad import QuadResult, QuadSpec
 
 DELTA = 2.997e-3
@@ -33,7 +33,7 @@ class TestGeometry:
         g = DetectorGeometry.from_r_theta(100.0, math.pi / 3)
         assert g.r1 == pytest.approx(100.0)
         assert g.r2 == pytest.approx(100.0)
-        assert g.theta == pytest.approx(math.pi / 3)
+        assert g.cos_theta == pytest.approx(0.5)
 
     def test_far_field_flag(self):
         # threshold is k_F r >= 50, i.e. r >= 50/(2 pi) lambda_F
@@ -84,31 +84,34 @@ class TestFarfieldAmplitude:
                                                (100.0, 120.0, math.pi - 0.3),
                                                (90.0, 130.0, 1.0)])
     def test_gamma_integrand_is_amplitude_product(self, r1, r2, theta):
-        # gamma's kernel is v_k^2 (k/2) A_k(r1) A_k*(r2), with A_k the
-        # amplitude that acceptance check farfield_oracle tests against its
-        # defining integral; k at angle alpha from the detector bisector z
-        n1 = np.array([math.sin(theta / 2), 0.0, math.cos(theta / 2)])
-        n2 = np.array([-math.sin(theta / 2), 0.0, math.cos(theta / 2)])
-        r1_kf, r2_kf = 2 * math.pi * r1, 2 * math.pi * r2
-        for eps in (-0.05, -0.01, -0.002, 0.0, 0.004):
+        # gamma's kernel times (pi/2) (2 pi)^-6 / (r1 r2) is
+        # v_k^2 A_k(r1) A_k*(r2) m k, with A_k the amplitude that acceptance
+        # check farfield_oracle tests against its defining integral: at the
+        # figure parameters and seeded (eps, k-hat) nodes, with the
+        # detectors turned off every axis by a seeded rotation
+        rng = np.random.default_rng(20081031)
+        turn = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        n1 = turn @ [math.sin(theta / 2), 0.0, math.cos(theta / 2)]
+        n2 = turn @ [-math.sin(theta / 2), 0.0, math.cos(theta / 2)]
+        bisector = turn @ [0.0, 0.0, 1.0]
+        geom = DetectorGeometry(tuple(r1 * n1), tuple(r2 * n2))
+        for _ in range(40):
+            eps = rng.uniform(-1.0, 1.0) * energy_cutoff(SUPER)
+            khat = rng.normal(size=3)
+            khat /= np.linalg.norm(khat)
             k = math.sqrt(1.0 + eps)
             omega = math.hypot(eps, DELTA)
-            vk2 = 0.5 * (1.0 - eps / omega)
-            for cosa in (1.0, 0.6, -0.4):
-                sina = math.sqrt(1.0 - cosa * cosa)
-                k_vec = k * np.array([sina * math.cos(0.7),
-                                      sina * math.sin(0.7), cosa])
-                kernel = kernels.gamma_integrand(
-                    np.zeros(1), eps, cosa, DELTA, SUPER.ec, SUPER.w_kf,
-                    r1_kf, r2_kf, math.cos(theta / 2),
-                    correlations.OMEGA_CAP)[0]
-                got = kernel * (math.pi / 2) * (2 * math.pi) ** -6 \
-                    / (r1_kf * r2_kf)
-                want = vk2 * (k / 2) \
-                    * farfield_amplitude(k_vec, r1 * n1, omega, SUPER) \
-                    * farfield_amplitude(k_vec, r2 * n2, omega,
-                                         SUPER).conjugate()
-                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            want = 0.5 * (1.0 - eps / omega) * MASS * k \
+                * farfield_amplitude(k * khat, geom.r1_vec, omega, SUPER) \
+                * farfield_amplitude(k * khat, geom.r2_vec, omega,
+                                     SUPER).conjugate()
+            kernel = kernels.gamma_integrand(
+                rng.uniform(0.0, math.pi, 3), eps, float(khat @ bisector),
+                DELTA, SUPER.ec, SUPER.w_kf, geom.r1_kf, geom.r2_kf,
+                math.cos(theta / 2), correlations.OMEGA_CAP)
+            got = kernel * (math.pi / 2) * (2 * math.pi) ** -6 \
+                / (geom.r1_kf * geom.r2_kf)
+            assert np.all(np.abs(got - want) <= 1e-12 * abs(want))
 
     def test_out_of_band_propagates(self):
         with pytest.raises(OutOfBandError):
@@ -121,25 +124,35 @@ class TestFarfieldAmplitude:
                                       np.array([0, 0, 200.0]), 0.01, SUPER)
 
 
+def _gamma_diag(r_vec, params=SUPER):
+    """gamma(r; r) as rho2_and_Q reads it: the cached G / r^2."""
+    r_kf = DetectorGeometry(r_vec, r_vec).r1_kf
+    return correlations._gamma_diag_at(r_kf, params, default_spec()).value
+
+
+def _gamma21(geom, params=SUPER):
+    """gamma(2;1) as rho2_and_Q integrates it (without its absolute floor)."""
+    return correlations._gamma_quad(geom, params, default_spec()).value
+
+
 class TestGamma:
     def test_diagonal_real_positive(self):
-        g = DetectorGeometry.from_r_theta(R, 0.0)
-        val = gamma(g, SUPER)
+        val = _gamma_diag(DetectorGeometry.from_r_theta(R, 0.0).r1_vec)
         assert val.imag == pytest.approx(0.0, abs=1e-18)
         assert val.real > 0.0
 
     def test_hermiticity_under_swap(self):
         geom = DetectorGeometry((0.0, 0.0, 90.0),
                                 (30.0, 0.0, 85.0))
-        a = gamma(geom, SUPER)
-        b = gamma(geom.swapped(), SUPER)
+        a = _gamma21(geom)
+        b = _gamma21(geom.swapped())
         assert abs(a - b.conjugate()) <= 1e-3 * abs(a)
 
     def test_cauchy_schwarz(self):
         geom = DetectorGeometry.from_r_theta(R, 0.3)
-        g11 = gamma(DetectorGeometry(geom.r1_vec, geom.r1_vec), SUPER).real
-        g22 = gamma(DetectorGeometry(geom.r2_vec, geom.r2_vec), SUPER).real
-        g21 = gamma(geom, SUPER)
+        g11 = _gamma_diag(geom.r1_vec).real
+        g22 = _gamma_diag(geom.r2_vec).real
+        g21 = _gamma21(geom)
         assert abs(g21) ** 2 <= g11 * g22 * (1.0 + 1e-6)
 
     def test_angular_localization_at_pi(self):
@@ -148,23 +161,38 @@ class TestGamma:
         assert abs(res.gamma21) <= 1e-3 * res.gamma11
 
     def test_far_field_warning(self):
-        with pytest.warns(UserWarning):
-            gamma(DetectorGeometry.from_r_theta(2.0, 0.1), NORMAL)
+        # below k_F r = 50 gamma's amplitudes warn, and a Q point is flagged
+        with pytest.warns(UserWarning, match="far-field form not controlled"):
+            farfield_amplitude(np.array([0.0, 0.0, 1.0]),
+                               np.array([0.0, 0.0, 2.0]), 0.01, NORMAL)
+        res = rho2_and_Q(DetectorGeometry.from_r_theta(2.0, 0.1), NORMAL)
+        assert not res.regime_flags["far_field"]
 
     def test_energy_cutoff_convergence(self, monkeypatch):
         # doubling the eps_k window moves the diagonal by less than 1%
-        geom = DetectorGeometry.from_r_theta(R, 0.0)
-        base = gamma(geom, SUPER).real
+        r_vec = DetectorGeometry.from_r_theta(R, 0.0).r1_vec
+        base = _gamma_diag(r_vec).real
         monkeypatch.setattr(correlations, "energy_cutoff", lambda p: min(
             2.0 * energy_cutoff(p), correlations._band_edge(p)))
-        wide = gamma(geom, SUPER).real
+        wide = _gamma_diag(r_vec).real
         assert abs(wide - base) < 0.01 * abs(base)
 
-    def test_nonconvergence_names_the_variable(self):
+    def test_nonconvergence_names_the_variable(self, monkeypatch):
+        # each gamma part that fails names the variable it stopped in
         spec = QuadSpec(rel_tol=1e-3, abs_tol=1e-300, max_depth=1)
         with pytest.raises(NonConvergenceError) as info:
-            gamma(DetectorGeometry.from_r_theta(R, 0.0), SUPER, spec)
-        assert str(info.value) == "gamma quadrature did not converge in eps"
+            rho2_and_Q(DetectorGeometry.from_r_theta(R, 0.0), SUPER, spec)
+        assert str(info.value) == ("correlation quadrature did not converge: "
+                                   "gamma11 in eps, gamma22 in eps, "
+                                   "gamma21 in eps")
+        for fail_dim, variable in enumerate(("eps", "cos alpha", "phi")):
+            monkeypatch.setattr(
+                correlations, "_gamma_quad",
+                lambda *a, **k: QuadResult(0j, 0.0, 0, False, fail_dim))
+            with pytest.raises(NonConvergenceError) as info:
+                rho2_and_Q(DetectorGeometry.from_r_theta(R, 0.3), NORMAL)
+            assert str(info.value) == ("correlation quadrature did not "
+                                       f"converge: gamma21 in {variable}")
 
     def test_energy_cutoff_value(self):
         assert energy_cutoff(SUPER) == pytest.approx(20 * DELTA)
@@ -262,6 +290,27 @@ class TestChi:
                         QuadSpec(rel_tol=1e-3, abs_tol=1e-300, max_depth=40))
         assert res.converged
         assert res.evaluations == nodes[0] > 0
+
+    def test_window_holds_both_poles(self):
+        # chi adds both poles' i pi residues to every u-line: each window
+        # must hold -omega and +omega, inside the branch points +-1
+        rng = np.random.default_rng(5)
+        held = 0
+        for _ in range(3000):
+            params = EmitterParams(10.0 ** rng.uniform(-4.0, -1.0),
+                                   10.0 ** rng.uniform(-4.0, -1.0),
+                                   rng.uniform(0.3, 5.0))
+            eps = rng.uniform(-1.0, 1.0)
+            omega = math.hypot(eps, params.abs_delta)
+            if omega >= correlations.OMEGA_CAP:
+                continue
+            win = correlations._chi_u_window(params, math.sqrt(1.0 + eps),
+                                             omega)
+            if win is not None:
+                lo, hi = win
+                assert -1.0 < lo < -omega < omega < hi < 1.0
+                held += 1
+        assert held > 1000
 
     def test_u_line_nonconvergence_is_located(self):
         spec = QuadSpec(rel_tol=1e-3, abs_tol=1e-300, max_depth=1)
@@ -620,8 +669,8 @@ class TestRho2AndQ:
         # times (r1 / r2)^2, at unequal radii too
         geom = DetectorGeometry((0.0, 0.0, 90.0), (30.0, 0.0, 85.0))
         res = rho2_and_Q(geom, SUPER)
-        g11 = gamma(DetectorGeometry(geom.r1_vec, geom.r1_vec), SUPER)
-        g22 = gamma(DetectorGeometry(geom.r2_vec, geom.r2_vec), SUPER)
+        g11 = _gamma_diag(geom.r1_vec)
+        g22 = _gamma_diag(geom.r2_vec)
         assert res.gamma11 == g11.real
         assert abs(res.gamma22 - g22.real) <= 1e-12 * g22.real
         assert res.err_est["gamma22"] / res.gamma22 == pytest.approx(
@@ -682,7 +731,8 @@ class TestRho2AndQ:
         with pytest.raises(NonConvergenceError) as info:
             rho2_and_Q(DetectorGeometry.from_r_theta(R, 0.3), SUPER, spec)
         assert str(info.value) == ("correlation quadrature did not converge: "
-                                   "gamma11, gamma22, gamma21")
+                                   "gamma11 in eps, gamma22 in eps, "
+                                   "gamma21 in eps")
 
     def test_nonconvergence_names_chi(self, monkeypatch):
         monkeypatch.setattr(correlations, "_chi_quad",

@@ -10,11 +10,16 @@ from pairemit import cli, peak
 from pairemit.model import EmitterParams, derive_params
 from pairemit.peak import (DQ_BELL, DQ_ENTANGLEMENT, SweepSpec,
                            angular_profile, delta_q_grid, delta_q_peak,
-                           peak_envelope, threshold_map, threshold_maps)
+                           peak_envelope, threshold_maps)
 from pairemit.specfun import bessel_k1, hankel2_0
 
 PARAMS = EmitterParams(delta=2.997e-3, ec=2.997e-3, w=1.0)
 R = 100.0
+
+
+def _lone_map(spec: SweepSpec):
+    """The map of one sweep alone, as `pairemit sweep` makes it."""
+    return threshold_maps([spec])[0]
 
 # frozen from the arbitrary-precision oracle evaluation of the closed form
 # at |Delta|/mu = 2.997e-3, E_C = |Delta|, w = lambda_F, r = 100 lambda_F
@@ -44,14 +49,14 @@ class TestDeltaQPeak:
         assert res.delta_q == pytest.approx(GOLDEN_DELTA_Q, rel=1e-9)
 
     def test_hankel_argument(self):
-        res = delta_q_peak(PARAMS, R)
         xi = derive_params(PARAMS).xi
+        arg, _ = peak._hankel_terms(xi * xi, PARAMS.w, R)
         w = PARAMS.w_kf
         r_kf = R * 2 * math.pi
         want = 1j * w * w / (math.pi**2 * xi**2) \
             - r_kf / (2 * math.pi**2 * xi**2)
-        assert res.hankel_arg == pytest.approx(want, rel=1e-14)
-        assert res.hankel_arg.real < 0 and res.hankel_arg.imag > 0
+        assert arg == pytest.approx(want, rel=1e-14)
+        assert arg.real < 0 and arg.imag > 0
 
     def test_normal_state_is_zero(self):
         res = delta_q_peak(EmitterParams(0.0, PARAMS.ec, PARAMS.w), R)
@@ -117,7 +122,7 @@ class TestDeltaQPeak:
                              ad[m:] / rng.uniform(3.7, 4.2, n - m)])
         w = rng.uniform(0.5, 4.0, n)
         r = logu(10.0, 3.0e6, n)
-        dq, dq_err, _ = delta_q_grid(ad, ec, w, r)
+        dq, dq_err = delta_q_grid(ad, ec, w, r)
         want = [_mp_delta_q(EmitterParams(*p[:3]), p[3])
                 for p in zip(ad, ec, w, r)]
         assert np.all(np.abs(dq - want) <= dq_err)
@@ -242,7 +247,7 @@ class TestThresholdMap:
     def test_delta_sweep_monotone_and_crossings(self):
         spec = SweepSpec(base=PARAMS, r=R, param="delta",
                          grid=tuple(np.geomspace(1e-4, 1e-2, 30)))
-        res = threshold_map(spec)
+        res = _lone_map(spec)
         assert np.all(np.diff(res.delta_q) >= -1e-12)
         assert len(res.crossings["entangled"]) == 1
         assert len(res.crossings["bell"]) == 1
@@ -293,13 +298,13 @@ def _point(spec: SweepSpec, value: float) -> tuple[EmitterParams, float]:
 class TestFig3Panels:
     def test_grid_matches_mpmath(self, base, param):
         spec = _fig3_spec(base, param)
-        res = threshold_map(spec)
+        res = _lone_map(spec)
         want = [_mp_delta_q(*_point(spec, v)) for v in res.values]
         np.testing.assert_allclose(res.delta_q, want, rtol=1e-9, atol=0.0)
 
     def test_crossings_bracket_their_thresholds(self, base, param):
         spec = _fig3_spec(base, param)
-        res = threshold_map(spec)
+        res = _lone_map(spec)
         for name, target in (("entangled", DQ_ENTANGLEMENT),
                              ("bell", DQ_BELL)):
             for c in res.crossings[name]:
@@ -317,13 +322,13 @@ class TestThresholdMapCounts:
             return hankel2_0(z)
 
         monkeypatch.setattr(peak, "hankel2_0", counted)
-        res = threshold_map(_fig3_spec("figure", "w"))
+        res = _lone_map(_fig3_spec("figure", "w"))
         assert res.crossings == {"entangled": [], "bell": []}
         assert sizes == [60]
         # with crossings: the grid call, then one call per refinement step
         # over the open brackets (two here)
         sizes.clear()
-        res = threshold_map(_fig3_spec("figure", "delta"))
+        res = _lone_map(_fig3_spec("figure", "delta"))
         assert sizes[0] == 60 and max(sizes[1:]) <= 2
 
     @pytest.mark.parametrize("param", sorted(_FIG3_PANELS))
@@ -342,19 +347,19 @@ class TestThresholdMapCounts:
         total = 0
         for lo, hi in zip(grid[:-1], grid[1:]):
             evals.clear()
-            res = threshold_map(_fig3_spec("figure", param, (lo, hi)))
+            res = _lone_map(_fig3_spec("figure", param, (lo, hi)))
             n = sum(len(c) for c in res.crossings.values())
             assert sum(evals) - 2 <= 10 * n
             total += n
-        full = threshold_map(_fig3_spec("figure", param))
+        full = _lone_map(_fig3_spec("figure", param))
         assert total == sum(len(c) for c in full.crossings.values())
 
 
 def _oracle_map(spec: SweepSpec):
-    """threshold_map with the public, fully checked delta_q_grid for the
-    grid and at every Illinois step: values, dQ, its bound, crossings."""
+    """The map of one sweep with the public, fully checked delta_q_grid for
+    the grid and at every Illinois step: values, dQ, its bound, crossings."""
     values = np.asarray(spec.grid, dtype=float)
-    dq, dq_err, _ = delta_q_grid(*peak._sweep_columns(spec, values))
+    dq, dq_err = delta_q_grid(*peak._sweep_columns(spec, values))
     t = np.array([[DQ_ENTANGLEMENT], [DQ_BELL]])
     s = np.sign(dq - t)
     k, i = np.nonzero((s == 0.0) | np.pad(s[:, :-1] * s[:, 1:] < 0.0,
@@ -432,12 +437,12 @@ def _assert_same_map(got, want) -> None:
 
 
 class TestRefinementOracle:
-    """threshold_map equals, bitwise, the map that evaluates the public
+    """A lone map equals, bitwise, the map that evaluates the public
     delta_q_grid at every refinement step."""
 
     @staticmethod
     def assert_as_oracle(spec: SweepSpec) -> None:
-        _assert_as_oracle(spec, threshold_map(spec))
+        _assert_as_oracle(spec, _lone_map(spec))
 
     @pytest.mark.parametrize("base", sorted(_ORACLE_BASES))
     @pytest.mark.parametrize("param", sorted(_FIG3_PANELS))
@@ -457,7 +462,7 @@ def _linear(ad, ec, w, r, **kw):
     """dQ = 1 - r/400, exactly 1/2 at r = 200, as peak._evaluate returns
     it."""
     dq = 1.0 - np.atleast_1d(r) / 400.0
-    return dq, np.zeros_like(dq), np.zeros(dq.shape, complex)
+    return dq, np.zeros_like(dq)
 
 
 # grids with and without the value r = 200, where _linear is 1/2
@@ -470,7 +475,7 @@ class TestExactThresholdHit:
     def test_grid_value_on_threshold_is_one_crossing(self, monkeypatch,
                                                      grid):
         monkeypatch.setattr(peak, "_evaluate", _linear)
-        res = threshold_map(SweepSpec(base=PARAMS, r=R, param="r", grid=grid))
+        res = _lone_map(SweepSpec(base=PARAMS, r=R, param="r", grid=grid))
         assert res.crossings == {"entangled": [200.0], "bell": []}
 
 
@@ -492,7 +497,7 @@ class TestThresholdMaps:
         results = threshold_maps(specs)
         assert len(results) == len(specs)
         for spec, res in zip(specs, results):
-            _assert_same_map(res, threshold_map(spec))
+            _assert_same_map(res, _lone_map(spec))
             _assert_as_oracle(spec, res)
 
     @pytest.mark.parametrize("base", sorted(_ORACLE_BASES))
@@ -530,7 +535,7 @@ class TestThresholdMaps:
 
     def test_no_bracket_spans_two_grids_of_the_closed_form(self):
         # two Delta grids on either side of the figure's entangled crossing
-        c = threshold_map(_fig3_spec("figure", "delta")).crossings[
+        c = _lone_map(_fig3_spec("figure", "delta")).crossings[
             "entangled"][0]
         specs = [_fig3_spec("figure", "delta", (c / 1.02, c / 1.01)),
                  _fig3_spec("figure", "delta", (c * 1.01, c * 1.02))]
@@ -539,7 +544,7 @@ class TestThresholdMaps:
         assert below[-1] * above[0] < 0.0
         for spec, res in zip(specs, results):
             assert res.crossings == {"entangled": [], "bell": []}
-            _assert_same_map(res, threshold_map(spec))
+            _assert_same_map(res, _lone_map(spec))
 
     @pytest.mark.parametrize("first, second",
                              itertools.permutations(sorted(_BAD_SPECS), 2))
@@ -548,7 +553,7 @@ class TestThresholdMaps:
         # are evaluated and the Hankel factor can overflow
         want = second if first == "hankel-overflow" else first
         with pytest.raises(ValueError) as alone:
-            threshold_map(_BAD_SPECS[want])
+            _lone_map(_BAD_SPECS[want])
         good = _fig3_spec("figure", "r")
         with pytest.raises(ValueError) as batch:
             threshold_maps([good, _BAD_SPECS[first], good,
@@ -605,7 +610,7 @@ class TestThresholdMapsCounts:
         for param in _FIG3_PANELS:
             hankel.clear()
             k1.clear()
-            threshold_map(_fig3_spec("figure", param))
+            _lone_map(_fig3_spec("figure", param))
             assert k1 == hankel
             lone[param] = hankel[1:]
         hankel.clear()

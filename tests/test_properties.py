@@ -84,7 +84,7 @@ def test_nonconvergence_message_repeats_from_the_cache():
         messages.append(str(info.value))
     assert correlations._gamma_diag.cache_info().hits == 1
     assert messages == ["correlation quadrature did not converge: "
-                        "gamma11, gamma22, gamma21"] * 2
+                        "gamma11 in eps, gamma22 in eps, gamma21 in eps"] * 2
 
 
 # (|Delta|, E_C, w) in the validated regime at every radius below: mu/E_C

@@ -21,20 +21,29 @@ def test_golden_table_coverage():
                          ids=[f"{t}_{i}" for i, (t, _, _) in enumerate(GOLDEN_ROWS)])
 def test_goldens(tag, z, ref):
     got = validation._GOLDEN_FUNCTIONS[tag](z)
-    assert abs(got.value - ref) <= 1e-10 * abs(ref)
+    assert abs(got - ref) <= 1e-10 * abs(ref)
+
+
+def _hankel1(z: complex) -> complex:
+    """H0^(1)(z) = conj H0^(2)(conj z)."""
+    return sf.hankel2_0(z.conjugate()).value.conjugate()
+
+
+def _hankel2(z: complex) -> complex:
+    return sf.hankel2_0(z).value
 
 
 def _wronskian_rel_err(z: complex) -> float:
-    """Relative error of W[J0, Y0] = J0 Y0' - J0' Y0 = 2/(pi z), with the
-    derivatives taken by central differences of J0 and Y0 themselves."""
+    """Relative error of W[H0^(1), H0^(2)] = H1 H2' - H1' H2 = -4i/(pi z),
+    with the derivatives taken by central differences of H0^(2) itself at
+    z and at conj z."""
     h = 1e-5 * min(1.0, abs(z))
 
     def d(fn):
-        return (fn(z + h).value - fn(z - h).value) / (2.0 * h)
+        return (fn(z + h) - fn(z - h)) / (2.0 * h)
 
-    wr = sf.bessel_j0(z).value * d(sf.bessel_y0) \
-        - d(sf.bessel_j0) * sf.bessel_y0(z).value
-    want = 2.0 / (math.pi * z)
+    wr = _hankel1(z) * d(_hankel2) - d(_hankel1) * _hankel2(z)
+    want = -4j / (math.pi * z)
     return abs(wr - want) / abs(want)
 
 
@@ -112,30 +121,27 @@ class TestHankel:
         assert _wronskian_rel_err(z) <= 5e-9
 
     def test_conjugation_symmetry(self):
-        # J0(conj z) = conj(J0(z)) on a grid off the real axis, inside the
-        # series disc: the large-argument route builds J0 from H0^(2)(z)
-        # and conj H0^(2)(conj z), which is symmetric by construction
+        # H0^(1)(z e^{i pi}) = -H0^(2)(z) with H0^(1) = conj H0^(2)(conj .)
+        # gives H0^(2)(z) = -conj H0^(2)(-conj z) in the lower half plane:
+        # z and its mirror image in the imaginary axis, on both routes and
+        # above the series disc's guard line
         rng = np.random.default_rng(3)
         for _ in range(40):
-            z = complex(rng.uniform(-6, 6), rng.uniform(0.1, 6))
-            a = sf.bessel_j0(z.conjugate()).value
-            b = sf.bessel_j0(z).value.conjugate()
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+            z = complex(rng.uniform(-12, 12), -rng.uniform(0.1, 1.9))
+            a = sf.hankel2_0(z).value
+            b = -sf.hankel2_0(-z.conjugate()).value.conjugate()
+            assert abs(a - b) <= 1e-12 * abs(a)
 
     @pytest.mark.parametrize("x", [3.0, 15.0, 200.0])
     def test_negative_real_axis_follows_the_signed_zero(self, x):
-        # J0 is even across the cut; Y0 and H0^(2) take the side that the
-        # sign of the zero imaginary part names, as cmath does
+        # H0^(2) takes the side that the sign of the zero imaginary part
+        # names, as cmath does
         mp = pytest.importorskip("mpmath")
         for side in (1.0, -1.0):
             z = complex(-x, math.copysign(0.0, side))
             with mp.workdps(30):
-                near = mp.mpc(-x, side * 1e-30)
-                wants = [complex(f(0, near)) for f in
-                         (mp.besselj, mp.bessely, mp.hankel2)]
-            for f, want in zip((sf.bessel_j0, sf.bessel_y0, sf.hankel2_0),
-                               wants):
-                assert abs(f(z).value - want) <= 1e-12 * abs(want)
+                want = complex(mp.hankel2(0, mp.mpc(-x, side * 1e-30)))
+            assert abs(sf.hankel2_0(z).value - want) <= 1e-12 * abs(want)
 
     def test_est_error_contract_inside_domain(self):
         # physics-regime arguments: est_error stays at the validated bound
@@ -180,10 +186,8 @@ def test_route_args_reach_every_wedge():
 class TestArrays:
     @pytest.mark.parametrize("fn, args, radius, kind", [
         (sf.hankel2_0, _ROUTE_ARGS, sf.SERIES_RADIUS, complex),
-        (sf.bessel_j0, _ROUTE_ARGS, sf.SERIES_RADIUS, complex),
-        (sf.bessel_y0, _ROUTE_ARGS, sf.SERIES_RADIUS, complex),
         (sf.bessel_k1, _K1_ARGS, sf.K_SERIES_RADIUS, float),
-    ], ids=["hankel2_0", "bessel_j0", "bessel_y0", "bessel_k1"])
+    ], ids=["hankel2_0", "bessel_k1"])
     def test_array_is_its_elements_bitwise(self, fn, args, radius, kind):
         z = np.array(args)
         assert 3 <= np.count_nonzero(np.abs(z) <= radius) < z.size - 3

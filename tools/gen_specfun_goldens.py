@@ -6,9 +6,11 @@ Writes src/pairemit/data/specfun_goldens.txt with one record per line,
 
     re(z), im(z), re(f), im(f), tag
 
-where tag is one of k1, j0, y0, h2.  The working precision is scaled with
-|Im z| so that the Hankel combination J0 - i Y0 is formed without
-cancellation loss in the reference itself.  Points are chosen
+where tag is one of k1, j0, y0, h2.  The program evaluates only K1 and
+H0^(2): it checks a j0 or y0 row as the half sum or half difference of
+H0^(1)(z) = conj H0^(2)(conj z) and H0^(2)(z).  The working precision is
+scaled with |Im z| so that the Hankel combination J0 - i Y0 is formed
+without cancellation loss in the reference itself.  Points are chosen
 deterministically to cover the argument ranges the peak formula produces
 over the documented CLI parameter ranges, the series/large-argument overlap
 annulus, and the positive real axis.
