@@ -40,31 +40,33 @@ from . import __version__
 from .correlations import (DetectorGeometry, NonConvergenceError,
                            UndefinedQError, default_spec, rho2_and_Q)
 from .entanglement import (Q_BELL_THRESHOLD, Q_ENTANGLEMENT_THRESHOLD,
-                           werner_decompose)
+                           classify, werner_decompose)
 from .model import EmitterParams, derive_params
-from .peak import (DQ_BELL, DQ_ENTANGLEMENT, SweepResult, SweepSpec,
-                   threshold_maps)
+from .peak import (_SWEEPABLE, DQ_BELL, DQ_ENTANGLEMENT, SweepResult,
+                   SweepSpec, threshold_maps)
 from .validation import run_checks
 
 USAGE_ERROR = 2
 NONCONVERGENCE_ERROR = 3
 
-_DEFAULTS = {
-    "delta_over_mu": 2.997e-3,
-    "ec_over_mu": 2.997e-3,
-    "w_over_lambdaf": 1.0,
-    "r_over_lambdaf": 100.0,
-    "theta": math.pi,
-    "theta_min": 0.0,
-    "theta_max": math.pi,
-    "theta_points": 25,
-    "rel_tol": 1e-3,
-    "sweep_param": "r",
-    "sweep_min": 10.0,
-    "sweep_max": 3.0e6,
-    "sweep_points": 60,
-    "sweep_log": True,
-    "fig3_points": 60,
+# every setting: its default, whose type parses the setting, and its
+# command-line flag (None: config file only) with the flag's help
+_SETTINGS = {
+    "delta_over_mu": (2.997e-3, "--delta", "|Delta|/mu"),
+    "ec_over_mu": (2.997e-3, "--ec", "E_C/mu"),
+    "w_over_lambdaf": (1.0, "--w", "w/lambda_F"),
+    "r_over_lambdaf": (100.0, "--r", "r/lambda_F"),
+    "theta": (math.pi, "--theta", "detector angle (rad)"),
+    "theta_min": (0.0, None, None),
+    "theta_max": (math.pi, None, None),
+    "theta_points": (25, "--theta-points", None),
+    "rel_tol": (1e-3, "--rel-tol", None),
+    "sweep_param": ("r", "--sweep-param", None),
+    "sweep_min": (10.0, "--sweep-min", None),
+    "sweep_max": (3.0e6, "--sweep-max", None),
+    "sweep_points": (60, "--sweep-points", None),
+    "sweep_log": (True, None, None),
+    "fig3_points": (60, None, None),
 }
 
 
@@ -107,7 +109,7 @@ class ConfigError(ValueError):
 
 def _coerce(key: str, raw: str):
     """Parse a config-file value as the type of the key's default."""
-    kind = type(_DEFAULTS[key])
+    kind = type(_SETTINGS[key][0])
     if kind is str:
         return raw
     if kind is bool:
@@ -124,7 +126,7 @@ def _coerce(key: str, raw: str):
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
-    values = dict(_DEFAULTS)
+    values = {key: default for key, (default, _, _) in _SETTINGS.items()}
     if path:
         try:
             text = Path(path).read_text()
@@ -137,13 +139,13 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{ln}: expected 'key = value'")
             key, raw = (s.strip() for s in line.split("=", 1))
-            if key not in _DEFAULTS:
+            if key not in _SETTINGS:
                 raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
             values[key] = _coerce(key, raw)
     for key, val in overrides.items():
         if val is None:
             continue
-        if key not in _DEFAULTS:
+        if key not in _SETTINGS:
             raise ConfigError(f"unknown override {key!r}")
         values[key] = val
     for key, val in values.items():
@@ -172,6 +174,11 @@ class OutputError(OSError):
     """An output file cannot be written."""
 
 
+def _json(obj) -> str:
+    """The JSON text of every file the CLI writes."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def _named(path: str | Path) -> Path:
     """path as a Path; OutputError naming it if its last component is empty
     or '.' (`--output .`, `--output out/`), so that it names a directory and
@@ -183,13 +190,13 @@ def _named(path: str | Path) -> Path:
     return Path(path)
 
 
-def atomic_write(path: Path, text: str) -> None:
+def atomic_write(path: str | Path, text: str) -> None:
     """Write text to path through a fresh file in its directory and a rename,
     so a reader sees the old file or the whole new one.  The file is made
     0o666 less the umask, as open() makes it (mkstemp's are 0o600).  A path
     that cannot be written, or whose last component names no file, raises
     OutputError naming it."""
-    _named(path)
+    path = _named(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         while True:
@@ -258,8 +265,7 @@ def cmd_params(cfg: RunConfig, args) -> int:
     for k, v in report.items():
         print(f"{k:>22s} = {v}")
     if args.output:
-        atomic_write(_named(args.output), json.dumps(report, indent=2,
-                                                     sort_keys=True) + "\n")
+        atomic_write(args.output, _json(report))
     return 0
 
 
@@ -272,8 +278,7 @@ def _write_dataset(path: Path, header: str, rows: list[str], cfg: RunConfig,
         "version": __version__,
     }
     meta.update(meta_extra)
-    atomic_write(path.with_suffix(".meta.json"),
-                 json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    atomic_write(path.with_suffix(".meta.json"), _json(meta))
 
 
 def cmd_angular(cfg: RunConfig, args) -> int:
@@ -298,14 +303,6 @@ def _sweep_grid(cfg: RunConfig):
     return np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_points)
 
 
-def _classify_dq(dq: float) -> str:
-    if dq > DQ_BELL:
-        return "bell_violating"
-    if dq > DQ_ENTANGLEMENT:
-        return "entangled"
-    return "separable"
-
-
 def _sweep_spec(cfg: RunConfig, param: str, grid) -> SweepSpec:
     return SweepSpec(base=cfg.params(), r=cfg.r_over_lambdaf, param=param,
                      grid=tuple(float(g) for g in grid))
@@ -317,7 +314,8 @@ def _sweep_dataset(cfg: RunConfig,
     hash12 = cfg.digest({"cmd": "threshold_map", "param": res.param})[:12]
     regime_ok = np.logical_and.reduce(list(res.regime_ok.values()))
     rows = [",".join([fmt(v), fmt(1.0 + dq), fmt(err), "1" if ok else "0",
-                      _classify_dq(dq), hash12, __version__])
+                      classify(dq, DQ_ENTANGLEMENT, DQ_BELL), hash12,
+                      __version__])
             for v, dq, err, ok in zip(res.values.tolist(),
                                       res.delta_q.tolist(),
                                       res.delta_q_err.tolist(),
@@ -351,7 +349,7 @@ def cmd_peak(cfg: RunConfig, args) -> int:
     else:
         # the configured range is another parameter's: r takes the range
         # given on the command line, or else the default one
-        ends = {key: _DEFAULTS[key] if getattr(args, key) is None
+        ends = {key: _SETTINGS[key][0] if getattr(args, key) is None
                 else getattr(args, key) for key in ("sweep_min", "sweep_max")}
         grid = _sweep_grid(RunConfig({**cfg.values, **ends,
                                       "sweep_log": True}))
@@ -417,10 +415,10 @@ def cmd_classify(cfg: RunConfig, args) -> int:
     if outside:
         print("warning: outside the validated regime: "
               + ", ".join(outside), file=sys.stderr)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    text = _json(report)
+    print(text, end="")
     if args.output:
-        atomic_write(_named(args.output),
-                     json.dumps(report, indent=2, sort_keys=True) + "\n")
+        atomic_write(args.output, text)
     return 0
 
 
@@ -437,8 +435,7 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     }
     print(json.dumps(summary, sort_keys=True))      # machine-readable line
     if args.output:
-        atomic_write(_named(args.output),
-                     json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        atomic_write(args.output, _json(summary))
     failed = [r.name for r in results if not r.passed]
     if failed:
         print(f"FAILED checks: {', '.join(failed)}")
@@ -448,21 +445,6 @@ def cmd_validate(cfg: RunConfig, args) -> int:
 
 
 # ---------------------------------------------------------------------------
-
-_FLAGS = {
-    "--delta": dict(type=float, dest="delta_over_mu", help="|Delta|/mu"),
-    "--ec": dict(type=float, dest="ec_over_mu", help="E_C/mu"),
-    "--w": dict(type=float, dest="w_over_lambdaf", help="w/lambda_F"),
-    "--r": dict(type=float, dest="r_over_lambdaf", help="r/lambda_F"),
-    "--theta": dict(type=float, dest="theta", help="detector angle (rad)"),
-    "--rel-tol": dict(type=float, dest="rel_tol"),
-    "--theta-points": dict(type=int, dest="theta_points"),
-    "--sweep-param": dict(dest="sweep_param",
-                          choices=("delta", "ec", "w", "r")),
-    "--sweep-min": dict(type=float, dest="sweep_min"),
-    "--sweep-max": dict(type=float, dest="sweep_max"),
-    "--sweep-points": dict(type=int, dest="sweep_points"),
-}
 
 _PARAMS = ("--delta", "--ec", "--w")
 _SWEEP = (*_PARAMS, "--r", "--sweep-min", "--sweep-max", "--sweep-points")
@@ -488,6 +470,8 @@ def _parser() -> argparse.ArgumentParser:
         description="Coincidence statistics and entanglement thresholds of "
                     "electron pairs field-emitted from a superconducting tip",
     )
+    setting = {flag: (key, default, help_)
+               for key, (default, flag, help_) in _SETTINGS.items() if flag}
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags) in _COMMANDS.items():
         sub = subs.add_parser(name)
@@ -495,7 +479,10 @@ def _parser() -> argparse.ArgumentParser:
             sub.add_argument("--config", help="key = value configuration file")
         sub.add_argument("--output", help="output path (CSV/JSON per command)")
         for flag in flags:
-            sub.add_argument(flag, **_FLAGS[flag])
+            key, default, help_ = setting[flag]
+            sub.add_argument(
+                flag, dest=key, type=type(default), help=help_,
+                choices=_SWEEPABLE if key == "sweep_param" else None)
     subs.choices["validate"].add_argument(
         "--quick", action="store_true",
         help="skip the slow quadrature-path checks")
@@ -507,7 +494,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    overrides = {k: getattr(args, k, None) for k in _DEFAULTS}
+    overrides = {k: getattr(args, k, None) for k in _SETTINGS}
     try:
         cfg = load_config(getattr(args, "config", None), overrides)
     except ConfigError as exc:

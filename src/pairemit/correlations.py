@@ -639,11 +639,9 @@ def rho2_and_Q(geom: DetectorGeometry, params: EmitterParams,
     rho2 = 4.0 * g22 * g11 - 2.0 * abs(g21) ** 2 + 2.0 * abs(x21) ** 2
     q = rho2 / (rho1_1 * rho1_2)
 
-    far_field = geom.far_field
     r_min = min(geom.r1_kf, geom.r2_kf)
     flags = {
-        "far_field": far_field,
-        "chi_kfr_ok": far_field,
+        "far_field": geom.far_field,
         "chi_spread_ok": r_min / params.w_kf ** 2 >= REGIME_SPREAD,
     }
     return CorrelationResult(

@@ -23,6 +23,7 @@ from .correlations import CorrelationResult
 
 __all__ = [
     "WernerReport",
+    "classify",
     "werner_decompose",
     "werner_density_matrix",
     "concurrence_from_density_matrix",
@@ -52,12 +53,21 @@ class WernerReport:
     classification: str        # separable | entangled | bell_violating
 
 
-def werner_decompose(corr: CorrelationResult) -> WernerReport:
-    """Decompose the measured correlators into the Werner form.
+def classify(value: float, entangled: float, bell: float) -> str:
+    """separable, entangled or bell_violating: value against the
+    entanglement and Bell thresholds of its quantity.  A value exactly on a
+    threshold falls to the lower class: conservative claims."""
+    if value > bell:
+        return "bell_violating"
+    if value > entangled:
+        return "entangled"
+    return "separable"
 
-    Boundary values are assigned to the lower class (separable at exactly
-    p = 1/3, entangled at exactly p = 1/sqrt(2)): conservative claims.
-    """
+
+def werner_decompose(corr: CorrelationResult) -> WernerReport:
+    """Decompose the measured correlators into the Werner form, classified
+    on p (separable at exactly p = 1/3, entangled at exactly
+    p = 1/sqrt(2))."""
     a = corr.gamma22 * corr.gamma11 - abs(corr.gamma21) ** 2
     b = 2.0 * (abs(corr.gamma21) ** 2 + abs(corr.chi21) ** 2)
     norm = 4.0 * a + b
@@ -67,14 +77,8 @@ def werner_decompose(corr: CorrelationResult) -> WernerReport:
     p = b / norm
     concurrence = max(0.0, (3.0 * p - 1.0) / 2.0)
     chsh = 2.0 * math.sqrt(2.0) * p
-    if p > _P_BELL:
-        cls = "bell_violating"
-    elif p > _P_ENTANGLED:
-        cls = "entangled"
-    else:
-        cls = "separable"
     return WernerReport(a=a, b=b, p=p, concurrence=concurrence, chsh=chsh,
-                        classification=cls)
+                        classification=classify(p, _P_ENTANGLED, _P_BELL))
 
 
 def werner_density_matrix(a: float, b: float) -> np.ndarray:

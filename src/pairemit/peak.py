@@ -8,9 +8,10 @@ k_F r >> 1, mu >> E_C, r/(k_F w^2) >> 1, is
              - 4 L e^{i r/(2 pi^2 k_F xi^2)} / (pi sqrt(i r / (k_F w^2))) |^2
 
 with xi the Pippard length and L a smooth bounded function of w taken as 1
-for w >= lambda_F (below that a validity flag is raised rather than
-modelling it).  The regime conditions carry documented numeric cutoffs
-(k_F r >= 50, mu/E_C >= 20, r/(k_F w^2) >= 10), surfaced as flags.
+for w >= lambda_F; below that L is not modelled.  The validity conditions
+carry documented numeric cutoffs, surfaced as regime flags: kfr_large
+(k_F r >= 50), ec_small (mu/E_C >= 20), spread_large (r/(k_F w^2) >= 10)
+and w_large (w >= lambda_F).
 """
 
 from __future__ import annotations
@@ -49,17 +50,17 @@ class PeakResult:
 
     delta_q: float
     regime_ok: dict
-    lambda_warning: bool = False
     meta: dict = field(default_factory=dict)
 
 
 def _regime_flags(ec, w, r) -> dict:
-    """The three regime conditions, elementwise over E_C, w and r."""
+    """The four validity conditions, elementwise over E_C, w and r."""
     r_kf = r * LAMBDA_F
     return {
         "kfr_large": r_kf >= REGIME_KFR,
         "ec_small": 1.0 / ec >= REGIME_MU_OVER_EC,
         "spread_large": r_kf / (w * LAMBDA_F) ** 2 >= REGIME_SPREAD,
+        "w_large": w >= 1.0,            # L = 1 holds from w = lambda_F up
     }
 
 
@@ -166,23 +167,18 @@ def delta_q_peak(params: EmitterParams, r: float) -> PeakResult:
     _HANKEL_IM_MAX, e.g. w >~ 2000 lambda_F at the figure gap).  The
     length-1 case of the grid evaluation.
     """
-    return peak_result(params, r, *delta_q_grid(params.abs_delta, params.ec,
-                                                params.w, r))
+    dq = delta_q_grid(params.abs_delta, params.ec, params.w, r)[0]
+    return peak_result(params, r, dq)
 
 
-def peak_result(params: EmitterParams, r: float, dq, dq_err) -> PeakResult:
-    """The PeakResult of delta_q_peak(params, r) from a delta_q_grid
-    evaluation (dQ and its bound) whose first element is at params and r.
-    Lets a caller that evaluates more points with the same K1 (e.g.
-    robustness.averaged_peak) build the unperturbed result from that one
-    evaluation."""
+def peak_result(params: EmitterParams, r: float, dq) -> PeakResult:
+    """The PeakResult of delta_q_peak(params, r) from a delta_q_grid dQ
+    column whose first element is at params and r.  Lets a caller that
+    evaluates more points with the same K1 (e.g. robustness.averaged_peak)
+    build the unperturbed result from that one evaluation."""
     flags = _regime_flags(params.ec, params.w, r)
-    return PeakResult(
-        delta_q=float(dq[0]),
-        regime_ok={k: bool(v) for k, v in flags.items()},
-        lambda_warning=params.w < 1.0,
-        meta={"delta_q_err": float(dq_err[0])},
-    )
+    return PeakResult(delta_q=float(dq[0]),
+                      regime_ok={k: bool(v) for k, v in flags.items()})
 
 
 def peak_envelope(params: EmitterParams, r) -> np.ndarray | float:
@@ -265,7 +261,7 @@ class SweepResult:
     delta_q: np.ndarray
     regime_ok: dict               # flag name -> bool array over values
     crossings: dict               # threshold name -> list of crossing values
-    delta_q_err: np.ndarray | None = None
+    delta_q_err: np.ndarray
 
 
 def _sweep_columns(spec: SweepSpec, values) -> list:

@@ -81,8 +81,8 @@ def averaged_peak(params: EmitterParams, r: float,
             )
         ws = np.concatenate((ws, w_nodes[keep]))
     # the unperturbed peak and the w nodes in one evaluation, one K1
-    dq, dq_err = delta_q_grid(params.abs_delta, params.ec, ws, r)
-    base = peak_result(params, r, dq, dq_err)
+    dq = delta_q_grid(params.abs_delta, params.ec, ws, r)[0]
+    base = peak_result(params, r, dq)
     if fluct.sigma_w > 0.0:
         dq_w = float(np.sum(weights[keep] * dq[1:]) / np.sum(weights[keep]))
     else:
@@ -99,7 +99,6 @@ def averaged_peak(params: EmitterParams, r: float,
     return PeakResult(
         delta_q=dq_avg,
         regime_ok=base.regime_ok,
-        lambda_warning=base.lambda_warning,
         meta={
             "unperturbed_delta_q": base.delta_q,
             "fractional_degradation": frac,

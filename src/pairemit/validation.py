@@ -1,11 +1,12 @@
 """Acceptance-check registry shared by the CLI validate command and pytest.
 
 CHECKS is the one list of acceptance checks: ``pairemit validate`` runs it,
-and tests/test_acceptance.py turns each entry into one test.  Each check
-returns a CheckResult; the registry is ordered, and the checks in _SLOW
-(the quadrature-path ones, under a second together) are the ones that
-``validate --quick`` and ``pytest -m "not slow"`` skip.  Tolerances here are
-frozen acceptance values, not tunables.
+and tests/test_acceptance.py turns each entry into one test.  An entry is
+the check's name, the check, and whether it is slow: the quadrature-path
+checks (under a second together), which ``validate --quick`` and
+``pytest -m "not slow"`` skip.  Each check returns (passed, detail), and
+run_checks makes the CheckResult.  Tolerances here are frozen acceptance
+values, not tunables.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    seconds: float = 0.0        # wall time, filled in by run_checks
+    seconds: float              # wall time
 
 
 def _load_goldens() -> list[tuple[str, complex, complex]]:
@@ -83,7 +84,7 @@ _GOLDEN_FUNCTIONS: dict[str, Callable[[complex], complex]] = {
 # 1. threshold algebra
 # ---------------------------------------------------------------------------
 
-def check_threshold_algebra() -> CheckResult:
+def check_threshold_algebra() -> tuple[bool, str]:
     """With gamma21 = 0, p = (Q-1)/Q to 1e-12 (Q = 3/2 -> 1/3, the Bell
     threshold -> 1/sqrt(2)), and the Werner class read from p agrees with
     the one read from Q against the Q thresholds."""
@@ -112,10 +113,10 @@ def check_threshold_algebra() -> CheckResult:
     detail = f"max |p error| = {worst:.2e}"
     if disagree:
         detail += "; class from p disagrees: " + ", ".join(disagree)
-    return CheckResult("threshold_algebra", ok, detail)
+    return ok, detail
 
 
-def check_werner_oracle() -> CheckResult:
+def check_werner_oracle() -> tuple[bool, str]:
     """Concurrence formula vs direct two-qubit concurrence, 1000 random (a,b)."""
     rng = np.random.default_rng(20090422)
     worst = 0.0
@@ -129,10 +130,10 @@ def check_werner_oracle() -> CheckResult:
         direct = concurrence_from_density_matrix(werner_density_matrix(a, b))
         worst = max(worst, abs(formula - direct))
     ok = worst <= 1e-12
-    return CheckResult("werner_oracle", ok, f"max |concurrence diff| = {worst:.2e}")
+    return ok, f"max |concurrence diff| = {worst:.2e}"
 
 
-def check_specfun_goldens() -> CheckResult:
+def check_specfun_goldens() -> tuple[bool, str]:
     """K1 and H0^(2) (also through J0 and Y0) against the committed
     high-precision table, and H0^(2)'s series and large-argument routes
     against each other on the annulus |z| in [8, 12], |arg z| <= 0.4, where
@@ -154,11 +155,10 @@ def check_specfun_goldens() -> CheckResult:
     overlap_worst = float(np.max(np.abs(_hankel2_series(z)[0] - h2l)
                                  / np.abs(h2l)))
     ok = ok and overlap_worst <= 1e-9
-    return CheckResult("specfun_goldens", ok,
-                       detail + f"; overlap = {overlap_worst:.2e}")
+    return ok, detail + f"; overlap = {overlap_worst:.2e}"
 
 
-def check_quad_basics() -> CheckResult:
+def check_quad_basics() -> tuple[bool, str]:
     """Elementary integrals with analytic values, each converged."""
     cases = [
         (integrate_1d(lambda x: x * x, 0.0, 1.0), 1.0 / 3.0, 1e-12),
@@ -173,15 +173,14 @@ def check_quad_basics() -> CheckResult:
     converged = all(res.converged for res, _, _ in cases)
     ok = converged and all(err <= tol for (_, _, tol), err in zip(cases, errs))
     detail = f"worst rel err = {max(errs):.2e}"
-    return CheckResult("quad_basics", ok,
-                       detail if converged else detail + "; not converged")
+    return ok, detail if converged else detail + "; not converged"
 
 
 # ---------------------------------------------------------------------------
 # quadrature-path checks (slow)
 # ---------------------------------------------------------------------------
 
-def check_normal_antibunching() -> CheckResult:
+def check_normal_antibunching() -> tuple[bool, str]:
     """Normal state: Q -> 1/2 at coincident detectors, -> 1 when separated."""
     p0 = EmitterParams(delta=0.0, ec=DELTA_FIG, w=1.0)
     q_coinc = rho2_and_Q(DetectorGeometry.from_r_theta(R_FIG, 0.0), p0).Q
@@ -189,13 +188,11 @@ def check_normal_antibunching() -> CheckResult:
     q_far = rho2_and_Q(DetectorGeometry.from_r_theta(R_FIG, math.pi / 2), p0).Q
     ok = abs(q_coinc - 0.5) <= 0.01 and abs(q_close - 0.5) <= 0.01 \
         and abs(q_far - 1.0) <= 0.02
-    return CheckResult(
-        "normal_antibunching", ok,
-        f"Q(0) = {q_coinc:.4f}, Q(0.01) = {q_close:.4f}, "
-        f"Q(pi/2) = {q_far:.4f}")
+    return ok, (f"Q(0) = {q_coinc:.4f}, Q(0.01) = {q_close:.4f}, "
+                f"Q(pi/2) = {q_far:.4f}")
 
 
-def check_chi_null_symmetry_phase() -> CheckResult:
+def check_chi_null_symmetry_phase() -> tuple[bool, str]:
     """chi = 0 at Delta = 0; detector-swap symmetry; gap-phase invariance."""
     geom = DetectorGeometry(
         tuple(np.array([0.6, 0.0, 0.8]) * 90.0),
@@ -211,13 +208,11 @@ def check_chi_null_symmetry_phase() -> CheckResult:
     x_c = chi(geom, p2)
     phase_err = abs(abs(x_c) - abs(x_a)) / abs(x_a)
     ok = x_null == 0.0 and swap_err <= 2e-2 and phase_err <= 1e-10
-    return CheckResult(
-        "chi_null_symmetry_phase", ok,
-        f"chi(D=0) = {abs(x_null):.1e}, swap rel diff = {swap_err:.2e}, "
-        f"phase rel diff = {phase_err:.2e}")
+    return ok, (f"chi(D=0) = {abs(x_null):.1e}, swap rel diff = "
+                f"{swap_err:.2e}, phase rel diff = {phase_err:.2e}")
 
 
-def check_farfield_oracle() -> CheckResult:
+def check_farfield_oracle() -> tuple[bool, str]:
     """Far-field amplitude vs direct evaluation of its defining integral.
 
     Documented oracle configuration: k parallel to r, omega = 0.01 mu,
@@ -236,11 +231,10 @@ def check_farfield_oracle() -> CheckResult:
     a_dir = farfield_amplitude_direct(k_vec, r_vec, omega, params)
     err = abs(a_far - a_dir) / abs(a_dir)
     ok = err <= 0.02
-    return CheckResult("farfield_oracle", ok,
-                       f"relative difference = {err:.3e} (<= 2e-2)")
+    return ok, f"relative difference = {err:.3e} (<= 2e-2)"
 
 
-def check_peak_cross_validation() -> CheckResult:
+def check_peak_cross_validation() -> tuple[bool, str]:
     """Quadrature-path Q(r, pi) vs the closed-form 1 + dQ, within 25%.
 
     Documented configuration: |Delta|/mu = 2.997e-3 (xi = 33.8 lambda_F),
@@ -252,17 +246,15 @@ def check_peak_cross_validation() -> CheckResult:
     closed = delta_q_peak(PARAMS_FIG, R_FIG).delta_q
     ratio = res.Q / (1.0 + closed)
     ok = abs(ratio - 1.0) <= 0.25
-    return CheckResult(
-        "peak_cross_validation", ok,
-        f"Q_quad = {res.Q:.3f}, 1+dQ_closed = {1 + closed:.3f}, "
-        f"ratio = {ratio:.3f}")
+    return ok, (f"Q_quad = {res.Q:.3f}, 1+dQ_closed = {1 + closed:.3f}, "
+                f"ratio = {ratio:.3f}")
 
 
 # ---------------------------------------------------------------------------
 # closed-form checks
 # ---------------------------------------------------------------------------
 
-def check_decay_law() -> CheckResult:
+def check_decay_law() -> tuple[bool, str]:
     """Power-law fit of the peak envelope over r in [10, 100] k_F xi^2.
 
     The envelope is the smooth curve through the oscillation maxima of
@@ -279,12 +271,11 @@ def check_decay_law() -> CheckResult:
                          rs_d)[0] / peak_envelope(PARAMS_FIG, rs_d)
     is_envelope = bool(np.max(ratio) <= 1.0 + 1e-9) and np.max(ratio) > 0.95
     ok = abs(slope - (-1.0)) <= 0.15 and is_envelope
-    return CheckResult("decay_law", ok,
-                       f"envelope exponent = {slope:.3f} (want -1.0 +- 0.15); "
-                       f"envelope bounds and touches dQ: {is_envelope}")
+    return ok, (f"envelope exponent = {slope:.3f} (want -1.0 +- 0.15); "
+                f"envelope bounds and touches dQ: {is_envelope}")
 
 
-def check_decay_law_asymptotic() -> CheckResult:
+def check_decay_law_asymptotic() -> tuple[bool, str]:
     """Companion diagnostic: the same fit where the Hankel asymptotics hold.
 
     Window chosen so the Hankel argument spans [10, 100] (i.e. r in
@@ -297,11 +288,10 @@ def check_decay_law_asymptotic() -> CheckResult:
     env = peak_envelope(PARAMS_FIG, rs)
     slope = float(np.polyfit(np.log(rs), np.log(env), 1)[0])
     ok = abs(slope - (-1.0)) <= 0.15
-    return CheckResult("decay_law_asymptotic", ok,
-                       f"envelope exponent = {slope:.3f} (want -1.0 +- 0.15)")
+    return ok, f"envelope exponent = {slope:.3f} (want -1.0 +- 0.15)"
 
 
-def check_angular_envelope() -> CheckResult:
+def check_angular_envelope() -> tuple[bool, str]:
     """The envelope at the misalignment tolerance is e^{-1/2} to 1e-3
     relative (the small-angle expansion behind the tolerance is off by
     2.6e-4 at the figure w); monotone falloff."""
@@ -311,11 +301,10 @@ def check_angular_envelope() -> CheckResult:
     thetas = np.linspace(math.pi, math.pi / 2, 200)
     monotone = bool(np.all(np.diff(angular_profile(thetas, PARAMS_FIG)) <= 0))
     ok = err <= 1e-3 and monotone
-    return CheckResult("angular_envelope", ok,
-                       f"|env/e^-1/2 - 1| = {err:.2e}, monotone = {monotone}")
+    return ok, f"|env/e^-1/2 - 1| = {err:.2e}, monotone = {monotone}"
 
 
-def check_fig3_shapes() -> CheckResult:
+def check_fig3_shapes() -> tuple[bool, str]:
     """Shape suite of the threshold maps (closed form)."""
     base = PARAMS_FIG
     msgs = []
@@ -361,39 +350,36 @@ def check_fig3_shapes() -> CheckResult:
     below = bool(np.all(dq < DQ_ENTANGLEMENT))
     ok &= (n_max >= 3) and below
     msgs.append(f"r-panel: {n_max} maxima, below threshold = {below}")
-    return CheckResult("fig3_shapes", bool(ok), "; ".join(msgs))
+    return bool(ok), "; ".join(msgs)
 
 
-_SLOW = {"normal_antibunching", "chi_null_symmetry_phase", "farfield_oracle",
-         "peak_cross_validation"}
-
-CHECKS: list[tuple[str, Callable[[], CheckResult]]] = [
-    ("threshold_algebra", check_threshold_algebra),
-    ("werner_oracle", check_werner_oracle),
-    ("specfun_goldens", check_specfun_goldens),
-    ("quad_basics", check_quad_basics),
-    ("normal_antibunching", check_normal_antibunching),
-    ("chi_null_symmetry_phase", check_chi_null_symmetry_phase),
-    ("farfield_oracle", check_farfield_oracle),
-    ("peak_cross_validation", check_peak_cross_validation),
-    ("decay_law", check_decay_law),
-    ("decay_law_asymptotic", check_decay_law_asymptotic),
-    ("angular_envelope", check_angular_envelope),
-    ("fig3_shapes", check_fig3_shapes),
+# (name, check, slow)
+CHECKS: list[tuple[str, Callable[[], tuple[bool, str]], bool]] = [
+    ("threshold_algebra", check_threshold_algebra, False),
+    ("werner_oracle", check_werner_oracle, False),
+    ("specfun_goldens", check_specfun_goldens, False),
+    ("quad_basics", check_quad_basics, False),
+    ("normal_antibunching", check_normal_antibunching, True),
+    ("chi_null_symmetry_phase", check_chi_null_symmetry_phase, True),
+    ("farfield_oracle", check_farfield_oracle, True),
+    ("peak_cross_validation", check_peak_cross_validation, True),
+    ("decay_law", check_decay_law, False),
+    ("decay_law_asymptotic", check_decay_law_asymptotic, False),
+    ("angular_envelope", check_angular_envelope, False),
+    ("fig3_shapes", check_fig3_shapes, False),
 ]
 
 
 def run_checks(skip_slow: bool = False) -> list[CheckResult]:
     results = []
-    for name, fn in CHECKS:
-        if skip_slow and name in _SLOW:
+    for name, fn, slow in CHECKS:
+        if skip_slow and slow:
             continue
         t0 = time.perf_counter()
         try:
-            res = fn()
-            passed, detail = bool(res.passed), str(res.detail)
+            passed, detail = fn()
         except Exception as exc:            # a crashed check is a failure
             passed, detail = False, f"raised {exc!r}"
-        results.append(CheckResult(name, passed, detail,
+        results.append(CheckResult(name, bool(passed), str(detail),
                                    time.perf_counter() - t0))
     return results

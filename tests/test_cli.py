@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pairemit
 from pairemit import cli
 from pairemit.cli import (ConfigError, USAGE_ERROR, fmt, load_config, main)
 from pairemit.model import EmitterParams
-from pairemit.peak import delta_q_peak
+from pairemit.peak import DQ_BELL, DQ_ENTANGLEMENT, delta_q_peak
 
 
 class TestConfig:
@@ -156,6 +157,22 @@ _BENCH_FLAGS = ["--delta", "0.002997", "--ec", "0.002997", "--w", "1.0",
                 "--r", "100.0"]
 
 
+def _seeded(seed: int | None) -> tuple[EmitterParams, float]:
+    """The figure point (seed None), or a base and r drawn over the ranges
+    of the closed_form_maps benchmark points."""
+    if seed is None:
+        return EmitterParams(2.997e-3, 2.997e-3, 1.0), 100.0
+    rng = np.random.default_rng(seed)
+    delta, ec = (10.0 ** rng.uniform(-3.0, -2.0, 2)).tolist()
+    params = EmitterParams(delta, ec, float(rng.uniform(0.8, 2.0)))
+    return params, float(10.0 ** rng.uniform(math.log10(50.0), 3.0))
+
+
+def _flags(params: EmitterParams, r: float) -> list[str]:
+    return ["--delta", repr(params.abs_delta), "--ec", repr(params.ec),
+            "--w", repr(params.w), "--r", repr(r)]
+
+
 class TestCommands:
     def test_params(self, tmp_path, capsys):
         out = tmp_path / "params.json"
@@ -266,15 +283,8 @@ class TestCommands:
     @pytest.mark.parametrize("seed", [None, 1, 2])
     def test_peak_point_is_the_lone_peak(self, seed, tmp_path, capsys):
         # the dQ(r = ...) line reads the point from the map's evaluation
-        params, r = EmitterParams(2.997e-3, 2.997e-3, 1.0), 100.0
-        if seed is not None:
-            rng = np.random.default_rng(seed)
-            delta, ec = (10.0 ** rng.uniform(-3.0, -2.0, 2)).tolist()
-            params = EmitterParams(delta, ec, float(rng.uniform(0.8, 2.0)))
-            r = float(10.0 ** rng.uniform(math.log10(50.0), 3.0))
-        assert main(["peak", "--delta", repr(params.abs_delta),
-                     "--ec", repr(params.ec), "--w", repr(params.w),
-                     "--r", repr(r), "--sweep-points", "5",
+        params, r = _seeded(seed)
+        assert main(["peak", *_flags(params, r), "--sweep-points", "5",
                      "--output", str(tmp_path / "p.csv")]) == 0
         want = delta_q_peak(params, r)
         assert capsys.readouterr().out.splitlines()[0] == (
@@ -424,6 +434,74 @@ class TestCommands:
         assert rc == 1
         assert "specfun_goldens" in capsys.readouterr().out.split(
             "FAILED checks:")[-1]
+
+
+# sweep ranges of the four parameters, those of fig3's panels
+_SWEEP_RANGES = {"delta": ("1e-4", "1e-2"), "ec": ("3e-4", "3e-2"),
+                 "w": ("0.5", "4"), "r": ("10", "3e6")}
+_CLASSES = ("separable", "entangled", "bell_violating")
+# the threshold between class k and class k + 1, and its dQ
+_THRESHOLDS = (("entangled", DQ_ENTANGLEMENT), ("bell", DQ_BELL))
+
+
+@pytest.fixture(scope="module", params=[None, 1, 2],
+                ids=["default", "seed1", "seed2"])
+def threshold_datasets(request, tmp_path_factory):
+    """fig3's four panels and a sweep over each parameter at one base
+    (seed 1 has w < lambda_F): the base w and, per dataset, its swept
+    parameter, rows and crossings."""
+    params, r = _seeded(request.param)
+    out = tmp_path_factory.mktemp("maps")
+    assert main(["fig3", *_flags(params, r), "--output",
+                 str(out / "fig3")]) == 0
+    paths = [out / f"fig3_{p}.csv" for p in _SWEEP_RANGES]
+    for param, (lo, hi) in _SWEEP_RANGES.items():
+        paths.append(out / f"sweep_{param}.csv")
+        assert main(["sweep", *_flags(params, r), "--sweep-param", param,
+                     "--sweep-min", lo, "--sweep-max", hi,
+                     "--output", str(paths[-1])]) == 0
+    datasets = []
+    for path in paths:
+        meta = json.loads(path.with_suffix(".meta.json").read_text())
+        with path.open() as fh:
+            datasets.append((meta["sweep_param"], list(csv.DictReader(fh)),
+                             meta["crossings"]))
+    return params.w, datasets
+
+
+class TestThresholdDatasets:
+    def test_class_changes_bracket_the_crossings(self, threshold_datasets):
+        # neighbouring rows on the two sides of a threshold bracket one of
+        # its crossings, and each crossing lies in such a bracket or on a
+        # row exactly at the threshold
+        brackets_seen = 0
+        for param, rows, crossings in threshold_datasets[1]:
+            x = [float(row["param_value"]) for row in rows]
+            level = [_CLASSES.index(row["classification"]) for row in rows]
+            for k, (name, dq) in enumerate(_THRESHOLDS):
+                brackets = [sorted(x[i:i + 2]) for i in range(len(x) - 1)
+                            if min(level[i:i + 2]) <= k < max(level[i:i + 2])]
+                on = [v for v, row in zip(x, rows)
+                      if float(row["Q_peak"]) == 1.0 + dq]
+                for lo, hi in brackets:
+                    assert any(lo <= c <= hi for c in crossings[name]), \
+                        (param, name, lo, hi, crossings[name])
+                for c in crossings[name]:
+                    assert c in on or any(lo <= c <= hi
+                                          for lo, hi in brackets), \
+                        (param, name, c)
+                brackets_seen += len(brackets)
+        assert brackets_seen > 0
+
+    def test_rows_below_lambda_f_are_outside_the_regime(self,
+                                                        threshold_datasets):
+        # L = 1 is not modelled below w = lambda_F
+        base_w, datasets = threshold_datasets
+        below = [row["regime_ok"] for param, rows, _ in datasets
+                 for row in rows
+                 if (float(row["param_value"]) if param == "w"
+                     else base_w) < 1.0]
+        assert below and set(below) == {"0"}
 
 
 class TestOneParserPerProcess:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pairemit.correlations import CorrelationResult
-from pairemit.entanglement import (Q_BELL_THRESHOLD, werner_decompose,
-                                   werner_density_matrix)
+from pairemit.entanglement import (Q_BELL_THRESHOLD, classify,
+                                   werner_decompose, werner_density_matrix)
 
 
 def make_corr(g11=1.0, g22=1.0, g21=0.0, chi=0.0):
@@ -75,3 +75,14 @@ def test_density_matrix_properties():
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
     assert np.allclose(rho, rho.conj().T)
     assert np.all(np.linalg.eigvalsh(rho) >= -1e-14)
+
+
+@pytest.mark.parametrize("entangled, bell", [(1.0 / 3.0, 1.0 / math.sqrt(2.0)),
+                                             (0.5, math.sqrt(2.0) + 1.0)],
+                         ids=["p", "dQ"])
+def test_classify_boundaries_fall_to_the_lower_class(entangled, bell):
+    up = [math.nextafter(t, math.inf) for t in (entangled, bell)]
+    assert [classify(x, entangled, bell)
+            for x in (0.0, entangled, up[0], bell, up[1], math.inf)] \
+        == ["separable", "separable", "entangled", "entangled",
+            "bell_violating", "bell_violating"]

@@ -150,17 +150,21 @@ class TestDeltaQPeak:
     def test_regime_flags(self):
         res = delta_q_peak(PARAMS, R)
         assert res.regime_ok == {"kfr_large": True, "ec_small": True,
-                                 "spread_large": True}
+                                 "spread_large": True, "w_large": True}
         near = delta_q_peak(PARAMS, 5.0)        # k_F r = 31 < 50
         assert not near.regime_ok["kfr_large"]
         assert not near.regime_ok["spread_large"]
         wide_ec = delta_q_peak(EmitterParams(PARAMS.delta, 0.2, PARAMS.w), R)
         assert not wide_ec.regime_ok["ec_small"]
 
-    def test_lambda_warning_below_lambda_f(self):
-        assert delta_q_peak(EmitterParams(PARAMS.delta, PARAMS.ec, 0.5),
-                            R).lambda_warning
-        assert not delta_q_peak(PARAMS, R).lambda_warning
+    def test_w_large_flag_below_lambda_f(self):
+        # L = 1 is not modelled below w = lambda_F (PARAMS has w = 1)
+        narrow = delta_q_peak(EmitterParams(PARAMS.delta, PARAMS.ec,
+                                            math.nextafter(1.0, 0.0)), R)
+        assert not narrow.regime_ok["w_large"]
+        assert [k for k, ok in narrow.regime_ok.items() if not ok] \
+            == ["w_large"]
+        assert delta_q_peak(PARAMS, R).regime_ok["w_large"]
 
     def test_oscillation_spacing_matches_hankel_phase(self):
         # maxima spacing of dQ(r) at large r follows the asymptotic phase

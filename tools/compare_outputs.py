@@ -10,13 +10,16 @@ Passes (exit 0) when
   a .meta.json, and the `config_hash` and `version` columns of a CSV;
 - every `classify` Q and every `angular` Q (normal and superconducting)
   differs between A and B by no more than the sum of their two error
-  columns (`Q_err_est`; `err_normal`, `err_super`);
-- every case exits as it did in the other directory, except the cases
-  named with --changed, whose behaviour is meant to differ: their files
-  are listed, not compared.
+  columns (`Q_err_est`; `err_normal`, `err_super`), and what `classify`
+  reads off its point is equal: `geometry`, `regime_flags` and
+  `werner.classification`;
+- every case exits as it did in the other directory and writes the same
+  stderr, and every closed-form case the same stdout (a quadrature case's
+  stdout prints Q, which is compared in its output file instead);
+- except the cases named with --changed, whose behaviour is meant to
+  differ: their files are listed, not compared.
 
-The .meta.json of an `angular` dataset is compared like a closed-form one;
-run.txt is compared by its exit line only (its stdout prints Q too).
+The .meta.json of an `angular` dataset is compared like a closed-form one.
 Every difference is printed, and so is every masked field that differs.
 """
 
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import re
 import sys
@@ -35,9 +39,28 @@ MASKED_COLUMNS = ("config_hash", "version")
 QUAD_COLUMNS = (("Q_normal", "err_normal"), ("Q_super", "err_super"))
 
 
-def _exit_line(run: Path) -> str:
-    m = re.search(r"^exit: (.*)$", run.read_text(), re.M)
-    return m.group(1) if m else "?"
+def _run_parts(run: Path) -> dict:
+    """The exit line, stdout and stderr that a case's run.txt records."""
+    m = re.search(r"^exit: ([^\n]*)\n--- stdout\n(.*?)--- stderr\n(.*)\Z",
+                  run.read_text(), re.M | re.S)
+    return dict(zip(("exit", "stdout", "stderr"),
+                    m.groups() if m else ("?", "?", "?")))
+
+
+def _first_difference(ta: str, tb: str) -> str:
+    """The first line, with its end, in which two different texts differ
+    (None past the end of one)."""
+    la, lb = next((la, lb) for la, lb in itertools.zip_longest(
+        ta.splitlines(True), tb.splitlines(True)) if la != lb)
+    return f"{la!r} against {lb!r}"
+
+
+def _classified(doc: dict) -> dict:
+    """What `classify` reads off its point, compared exactly."""
+    return {"geometry": doc.get("geometry"),
+            "regime_flags": doc.get("regime_flags"),
+            "werner.classification":
+                doc.get("werner", {}).get("classification")}
 
 
 def _masked_csv(text: str) -> tuple[list[list[str]], set[str]]:
@@ -56,10 +79,14 @@ def _masked_meta(text: str) -> tuple[dict, dict]:
 
 
 def _quadrature(path: Path, a: Path, b: Path, problems: list) -> None:
-    """Q within the sum of the two error columns (classify and angular)."""
+    """Q within the sum of the two error columns (classify and angular),
+    classify's other readings equal."""
     if path.suffix == ".json":
         qa, qb = (json.loads((d / path).read_text()) for d in (a, b))
         pairs = [(qa["Q"], qa["Q_err_est"], qb["Q"], qb["Q_err_est"])]
+        ca, cb = _classified(qa), _classified(qb)
+        problems.extend(f"{path}: {k} {ca[k]!r} against {cb[k]!r}"
+                        for k in ca if ca[k] != cb[k])
     else:
         ra, rb = (list(csv.DictReader(io.StringIO((d / path).read_text())))
                   for d in (a, b))
@@ -87,7 +114,8 @@ def compare(a: Path, b: Path, changed: set[str]) -> list[str]:
         if not all(r.exists() for r in runs):
             problems.append(f"{case}: run in one directory only")
             continue
-        exits = [_exit_line(r) for r in runs]
+        parts = [_run_parts(r) for r in runs]
+        exits = [p["exit"] for p in parts]
         files = [{p.relative_to(d) for p in (d / case).rglob("*")
                   if p.is_file() and p.name != "run.txt"} for d in (a, b)]
         if str(case) in changed:
@@ -97,6 +125,12 @@ def compare(a: Path, b: Path, changed: set[str]) -> list[str]:
             continue
         if exits[0] != exits[1]:
             problems.append(f"{case}: exit {exits[0]} against {exits[1]}")
+        streams = ["stderr"] if case.parts[0] == "quadrature" \
+            else ["stdout", "stderr"]
+        problems.extend(
+            f"{case}/run.txt: {s} differs, first at " + _first_difference(
+                parts[0][s], parts[1][s])
+            for s in streams if parts[0][s] != parts[1][s])
         for only, d in ((files[0] - files[1], a), (files[1] - files[0], b)):
             for p in sorted(only):
                 problems.append(f"{p}: only in {d}")
