@@ -23,7 +23,6 @@ it with ``taskset``); the rows do not depend on the pool's size.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import functools
 import hashlib
@@ -44,7 +43,6 @@ from .entanglement import (Q_BELL_THRESHOLD, Q_ENTANGLEMENT_THRESHOLD,
 from .model import EmitterParams, derive_params
 from .peak import (_SWEEPABLE, DQ_BELL, DQ_ENTANGLEMENT, SweepResult,
                    SweepSpec, threshold_maps)
-from .validation import run_checks
 
 USAGE_ERROR = 2
 NONCONVERGENCE_ERROR = 3
@@ -241,6 +239,7 @@ def _run_rows(tasks) -> list[str]:
             else os.cpu_count() or 1)
     n_workers = min(len(tasks), cpus)
     if n_workers > 1:
+        import concurrent.futures       # here: no other command loads it
         with concurrent.futures.ProcessPoolExecutor(n_workers) as pool:
             return list(pool.map(_angular_row, tasks))
     return [_angular_row(task) for task in tasks]
@@ -423,6 +422,7 @@ def cmd_classify(cfg: RunConfig, args) -> int:
 
 
 def cmd_validate(cfg: RunConfig, args) -> int:
+    from .validation import run_checks  # here: no other command loads it
     results = run_checks(skip_slow=args.quick)
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}"

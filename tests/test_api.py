@@ -1,7 +1,11 @@
-"""Every name a module exports through __all__ must exist in it."""
+"""Every name a module exports through __all__ must exist in it, and a
+process loads only the modules it uses."""
 
 import importlib
+import json
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +33,31 @@ def test_package_version_is_read_from_the_module():
     assert raw["dynamic"] == ["version"] and "version" not in raw
     assert pyproject.read_configuration(path)["project"]["version"] \
         == pairemit.__version__
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The modules a fresh interpreter holds after running code, which
+    finds pairemit where this test imported it from."""
+    src = str(Path(pairemit.__file__).resolve().parents[1])
+    script = (f"import sys; sys.path.insert(0, {src!r})\n{code}\n"
+              "import json; print(json.dumps(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True, timeout=120)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_loads_no_module_of_it():
+    loaded = _loaded_after("import pairemit")
+    assert "pairemit" in loaded
+    assert [m for m in loaded if m.startswith("pairemit.")] == []
+
+
+def test_closed_form_commands_load_neither_checks_nor_pool(tmp_path):
+    # params and fig3 run neither the validation checks nor a process pool
+    loaded = _loaded_after(
+        "from pairemit import cli\n"
+        "assert cli.main(['params']) == 0\n"
+        f"assert cli.main(['fig3', '--output', {str(tmp_path / 'f')!r}]) == 0")
+    assert "pairemit.peak" in loaded
+    assert "pairemit.validation" not in loaded
+    assert "concurrent.futures" not in loaded

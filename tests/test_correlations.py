@@ -30,10 +30,13 @@ def _warm():
 
 class TestGeometry:
     def test_from_r_theta(self):
-        g = DetectorGeometry.from_r_theta(100.0, math.pi / 3)
-        assert g.r1 == pytest.approx(100.0)
-        assert g.r2 == pytest.approx(100.0)
-        assert g.cos_theta == pytest.approx(0.5)
+        # 2 pi - theta mirrors the pair in z: the same radii and angle, the
+        # only geometry Q reads
+        for theta in (math.pi / 3, 5 * math.pi / 3):
+            g = DetectorGeometry.from_r_theta(100.0, theta)
+            assert g.r1 == pytest.approx(100.0)
+            assert g.r2 == pytest.approx(100.0)
+            assert g.cos_theta == pytest.approx(0.5)
 
     def test_far_field_flag(self):
         # threshold is k_F r >= 50, i.e. r >= 50/(2 pi) lambda_F

@@ -158,3 +158,70 @@ def test_changed_cases_are_listed_not_compared(tmp_path, capsys):
                                  "--changed", "quadrature/classify_r100",
                                  "--changed", "quadrature/angular"]) == 0
     assert "changed default/fig3: exit 0 -> 0" in capsys.readouterr().out
+
+
+# (file, old, new): edits of one field each
+_REGIME_OK = ("default/fig3/fig3_delta.csv", ",1,separable,", ",0,separable,")
+_Q_PEAK = ("default/fig3/fig3_delta.csv", "1.0319756325464462e+00",
+           "1.0319756325464463e+00")
+_CROSSING = ("default/fig3/fig3_delta.meta.json", '"bell": []',
+             '"bell": [0.5]')
+_STDOUT = ("default/fig3/run.txt", "wrote fig3_delta.csv\n",
+           "wrote fig3_delta.csv\nmore\n")
+_FAR_FIELD = ("quadrature/classify_r100/classify.json", '"far_field": true',
+              '"far_field": false')
+_CLASS = ("quadrature/classify_r100/classify.json",
+          '"classification": "entangled"', '"classification": "separable"')
+_Q_SUPER = ("quadrature/angular/angular.csv", ",2.5,", ",9.0,")
+_Q_CLASSIFY = ("quadrature/classify_r100/classify.json", '"Q": 2.5',
+               '"Q": 9.0')
+
+
+def _compare_edited(tmp_path: Path, edits, changed: str) -> int:
+    b = _outputs()
+    for path, old, new in edits:
+        assert old in b[path]
+        b[path] = b[path].replace(old, new)
+    a_dir, b_dir = (_write(tmp_path / d, o) for d, o in (("a", _outputs()),
+                                                         ("b", b)))
+    return compare_outputs.main([str(a_dir), str(b_dir),
+                                 "--changed", changed])
+
+
+@pytest.mark.parametrize("edits, changed", [
+    ([_REGIME_OK], "default/fig3:regime_ok"),
+    ([_REGIME_OK, _CROSSING], "default/fig3:crossings,regime_ok"),
+    ([_FAR_FIELD], "quadrature/classify_r100:regime_flags.far_field"),
+    ([_Q_SUPER], "quadrature/angular:Q_super"),
+    ([_Q_CLASSIFY], "quadrature/classify_r100:Q"),
+], ids=["csv_column", "column_and_meta_field", "nested_json_field",
+        "quadrature_column", "quadrature_q"])
+def test_changed_names_are_masked_in_their_case(tmp_path, capsys, edits,
+                                                changed):
+    assert _compare_edited(tmp_path, edits, changed) == 0
+    case = changed.partition(":")[0]
+    assert f"changed {case}: masking" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edits, changed, fail", [
+    ([_REGIME_OK, _Q_PEAK], "default/fig3:regime_ok",
+     "default/fig3/fig3_delta.csv: differs outside the columns "
+     "('config_hash', 'version', 'regime_ok')"),
+    ([_REGIME_OK], "quadrature/angular:regime_ok",
+     "default/fig3/fig3_delta.csv: differs outside the columns "
+     "('config_hash', 'version')"),
+    ([_CROSSING], "default/fig3:regime_ok",
+     "default/fig3/fig3_delta.meta.json: differs outside "
+     "('version', 'config_hash', 'regime_ok')"),
+    ([_STDOUT], "default/fig3:regime_ok",
+     "default/fig3/run.txt: stdout differs"),
+    ([_FAR_FIELD, _CLASS], "quadrature/classify_r100:regime_flags.far_field",
+     "quadrature/classify_r100/classify.json: werner.classification"),
+], ids=["unnamed_column", "another_case", "unnamed_meta_field", "stdout",
+        "unnamed_json_field"])
+def test_an_unnamed_change_in_a_changed_case_exits_1(tmp_path, capsys, edits,
+                                                     changed, fail):
+    # the names mask what they name, in their case, and nothing else
+    assert _compare_edited(tmp_path, edits, changed) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL {fail}" in out and "1 difference(s)" in out

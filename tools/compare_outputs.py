@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare two directories written by tools/cli_outputs.py.
 
-    python tools/compare_outputs.py A B [--changed CASE ...]
+    python tools/compare_outputs.py A B [--changed CASE[:NAME,...] ...]
 
 Passes (exit 0) when
 - every closed-form dataset (the CSV and .meta.json files of fig3, peak and
@@ -16,8 +16,12 @@ Passes (exit 0) when
 - every case exits as it did in the other directory and writes the same
   stderr, and every closed-form case the same stdout (a quadrature case's
   stdout prints Q, which is compared in its output file instead);
-- except the cases named with --changed, whose behaviour is meant to
-  differ: their files are listed, not compared.
+- except what --changed names as meant to differ.  `--changed CASE:NAME,...`
+  masks, in that case only, the named CSV columns and JSON fields (a
+  dotted name such as `regime_flags.far_field` reaches into a nested
+  object) of the .meta.json, CSV and classify.json files, as `version` and
+  `config_hash` are masked, and compares everything else; `--changed CASE`
+  alone lists the case's files and compares none of them.
 
 The .meta.json of an `angular` dataset is compared like a closed-form one.
 Every difference is printed, and so is every masked field that differs.
@@ -32,6 +36,7 @@ import itertools
 import json
 import re
 import sys
+from collections.abc import Collection
 from pathlib import Path
 
 MASKED_KEYS = ("version", "config_hash")
@@ -63,27 +68,40 @@ def _classified(doc: dict) -> dict:
                 doc.get("werner", {}).get("classification")}
 
 
-def _masked_csv(text: str) -> tuple[list[list[str]], set[str]]:
+def _masked_csv(text: str, columns: Collection[str]
+                ) -> tuple[list[list[str]], set[str]]:
+    """The rows without the given columns, and the names of those present."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows:
         return rows, set()
-    keep = [i for i, name in enumerate(rows[0]) if name not in MASKED_COLUMNS]
-    masked = {name for name in rows[0] if name in MASKED_COLUMNS}
+    keep = [i for i, name in enumerate(rows[0]) if name not in columns]
+    masked = {name for name in rows[0] if name in columns}
     return [[row[i] for i in keep] for row in rows], masked
 
 
-def _masked_meta(text: str) -> tuple[dict, dict]:
-    meta = json.loads(text)
-    return ({k: v for k, v in meta.items() if k not in MASKED_KEYS},
-            {k: meta.get(k) for k in MASKED_KEYS})
+def _masked_json(text: str, keys: Collection[str]) -> tuple[dict, dict]:
+    """The document without the given keys (a dotted key reaches into
+    nested objects), and each key's value (None where it is absent)."""
+    rest = json.loads(text)
+    values = {}
+    for key in keys:
+        *outer, last = key.split(".")
+        node = rest
+        for part in outer:
+            node = node.get(part) if isinstance(node, dict) else None
+        values[key] = node.pop(last, None) if isinstance(node, dict) else None
+    return rest, values
 
 
-def _quadrature(path: Path, a: Path, b: Path, problems: list) -> None:
+def _quadrature(path: Path, a: Path, b: Path, masked: set[str],
+                problems: list) -> None:
     """Q within the sum of the two error columns (classify and angular),
-    classify's other readings equal."""
+    classify's other readings equal; the masked names are left out."""
     if path.suffix == ".json":
-        qa, qb = (json.loads((d / path).read_text()) for d in (a, b))
-        pairs = [(qa["Q"], qa["Q_err_est"], qb["Q"], qb["Q_err_est"])]
+        qa, qb = (_masked_json((d / path).read_text(), masked)[0]
+                  for d in (a, b))
+        pairs = [] if {"Q", "Q_err_est"} & masked else \
+            [(qa["Q"], qa["Q_err_est"], qb["Q"], qb["Q_err_est"])]
         ca, cb = _classified(qa), _classified(qb)
         problems.extend(f"{path}: {k} {ca[k]!r} against {cb[k]!r}"
                         for k in ca if ca[k] != cb[k])
@@ -94,7 +112,8 @@ def _quadrature(path: Path, a: Path, b: Path, problems: list) -> None:
             problems.append(f"{path}: {len(ra)} rows against {len(rb)}")
             return
         pairs = [(float(x[q]), float(x[e]), float(y[q]), float(y[e]))
-                 for x, y in zip(ra, rb) for q, e in QUAD_COLUMNS]
+                 for x, y in zip(ra, rb) for q, e in QUAD_COLUMNS
+                 if not {q, e} & masked]
     for qa, ea, qb, eb in pairs:
         qa, ea, qb, eb = map(float, (qa, ea, qb, eb))
         if abs(qa - qb) > ea + eb:
@@ -105,7 +124,10 @@ def _quadrature(path: Path, a: Path, b: Path, problems: list) -> None:
                   f"|dQ| = {abs(qa - qb):.3g} <= {ea + eb:.3g}")
 
 
-def compare(a: Path, b: Path, changed: set[str]) -> list[str]:
+def compare(a: Path, b: Path, changed: set[str],
+            fields: dict[str, set[str]]) -> list[str]:
+    """Every difference between A and B outside the cases in changed and
+    the names that fields gives a case."""
     problems: list[str] = []
     cases = sorted({p.parent.relative_to(a) for p in a.rglob("run.txt")}
                    | {p.parent.relative_to(b) for p in b.rglob("run.txt")})
@@ -123,6 +145,9 @@ def compare(a: Path, b: Path, changed: set[str]) -> list[str]:
                   f"{sorted(map(str, files[0]))} -> "
                   f"{sorted(map(str, files[1]))}")
             continue
+        named = fields.get(str(case), set())
+        if named:
+            print(f"changed {case}: masking {sorted(named)}")
         if exits[0] != exits[1]:
             problems.append(f"{case}: exit {exits[0]} against {exits[1]}")
         streams = ["stderr"] if case.parts[0] == "quadrature" \
@@ -137,20 +162,23 @@ def compare(a: Path, b: Path, changed: set[str]) -> list[str]:
         for path in sorted(files[0] & files[1]):
             ta, tb = ((d / path).read_text() for d in (a, b))
             if path.name.endswith(".meta.json"):
-                (ma, ka), (mb, kb) = _masked_meta(ta), _masked_meta(tb)
+                keys = (*MASKED_KEYS, *sorted(named))
+                (ma, ka), (mb, kb) = (_masked_json(t, keys) for t in (ta, tb))
                 if ma != mb:
-                    problems.append(f"{path}: differs outside {MASKED_KEYS}")
+                    problems.append(f"{path}: differs outside {keys}")
                 elif ka != kb:
                     print(f"masked {path}: " + ", ".join(
-                        f"{k} {ka[k]} -> {kb[k]}" for k in MASKED_KEYS
+                        f"{k} {ka[k]} -> {kb[k]}" for k in keys
                         if ka[k] != kb[k]))
             elif path.parts[0] == "quadrature":     # classify.json, Q rows
-                _quadrature(path, a, b, problems)
+                _quadrature(path, a, b, named, problems)
             elif path.suffix == ".csv":
-                (ca, na), (cb, _) = _masked_csv(ta), _masked_csv(tb)
+                columns = (*MASKED_COLUMNS, *sorted(named))
+                (ca, na), (cb, _) = (_masked_csv(t, columns)
+                                     for t in (ta, tb))
                 if ca != cb:
                     problems.append(f"{path}: differs outside the columns "
-                                    f"{MASKED_COLUMNS}")
+                                    f"{columns}")
                 elif ta != tb:
                     print(f"masked {path}: columns {sorted(na)}")
             elif ta != tb:
@@ -163,11 +191,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("a", type=Path)
     parser.add_argument("b", type=Path)
     parser.add_argument("--changed", action="append", default=[],
-                        metavar="CASE",
+                        metavar="CASE[:NAME,...]",
                         help="a case (e.g. empty_name/fig3) whose behaviour "
-                             "is meant to differ")
+                             "is meant to differ, or the CSV columns and "
+                             "JSON fields of a case that are meant to "
+                             "differ (e.g. default/fig3:regime_ok)")
     args = parser.parse_args(argv)
-    problems = compare(args.a, args.b, set(args.changed))
+    changed, fields = set(), {}
+    for spec in args.changed:
+        case, _, names = spec.partition(":")
+        if names:
+            fields.setdefault(case, set()).update(names.split(","))
+        else:
+            changed.add(case)
+    problems = compare(args.a, args.b, changed, fields)
     for p in problems:
         print(f"FAIL {p}")
     print(f"{len(problems)} difference(s)")
