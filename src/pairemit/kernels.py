@@ -34,10 +34,9 @@ def gamma_integrand(phi, eps, cosa, dabs, ec, w, r1, r2, cth2, omega_cap):
     bisector component, so the integrand is azimuth-independent.  Includes
     the radial measure m k(eps) and the occupation/tunneling weights.
     """
-    out = np.zeros(phi.shape, np.complex128)
     omega = math.sqrt(eps * eps + dabs * dabs)
     if omega >= omega_cap:
-        return out
+        return np.zeros(phi.shape, np.complex128)
     k = math.sqrt(1.0 + eps)
     p = math.sqrt(1.0 - omega)
     if omega == 0.0:
@@ -51,8 +50,7 @@ def gamma_integrand(phi, eps, cosa, dabs, ec, w, r1, r2, cth2, omega_cap):
         * math.exp(-(w * w) * (p * p + k * k - 2.0 * p * k * cth2 * cosa))
     )
     phase = complex(math.cos(p * (r1 - r2)), math.sin(p * (r1 - r2)))
-    out[:] = weight * phase
-    return out
+    return np.full(phi.shape, weight * phase, np.complex128)
 
 
 def chi_f(u, k, w, cos_theta, r1, r2):

@@ -14,6 +14,15 @@ lockstep: each sweep evaluates the new panels of every unconverged line in
 one call, while each line keeps its own panels, tolerance test and budget,
 so its result is bitwise the one it gets alone.  ``integrate_1d`` is the
 batch of one, and ``integrate_nested`` recurses through it.
+
+First-panel rule: most integrals (the inner levels of a nested one) end on
+their first panel, so the first sweep's values are tested before any
+per-line panel list is built.  A line that converges there costs its share
+of one integrand call, two 1-D dot products and one ``QuadResult``; a line
+that does not is bisected from those values and never evaluated again.
+Every first panel, alone or in a batch, is reduced by the same 1-D code
+(``_first_panel``), and every later sweep by per-line blocks, so a lone
+line stays bitwise its batch self.
 """
 
 from __future__ import annotations
@@ -139,6 +148,26 @@ class QuadResult:
         )
 
 
+def _nodes(ls, rs) -> tuple[np.ndarray, np.ndarray]:
+    """K15 abscissae (m x 15) of the panels [ls, rs], and their half-widths."""
+    m = len(ls)
+    ends = np.array([*ls, *rs])
+    c = 0.5 * (ends[:m] + ends[m:])
+    h = 0.5 * (ends[m:] - ends[:m])
+    return c[:, None] + h[:, None] * _XGK, h
+
+
+def _first_panel(fv: np.ndarray, h: float) -> tuple[complex, float]:
+    """K15 value and |K15 - G7| error estimate of one panel of half-width
+    ``h`` from its 15 node values (a 1-D array): two dot products, scaled
+    on Python scalars.  Every line's first panel is reduced here, alone or
+    in a batch, so a lone line is bitwise its batch self by construction.
+    The error keeps ``np.abs``: Python's ``abs`` can round it differently.
+    """
+    k15 = h * complex(fv @ _WGK)
+    return k15, float(np.abs(k15 - h * complex(fv[_GAUSS_IDX] @ _WG)))
+
+
 def _panels(f: Callable, ls: list, rs: list, owner: np.ndarray | None,
             stops: list[int]) -> tuple[list, list]:
     """K15 values and |K15 - G7| error estimates of the panels [ls, rs].
@@ -148,19 +177,10 @@ def _panels(f: Callable, ls: list, rs: list, owner: np.ndarray | None,
     its line makes in a batch of its own, never as rows of a larger
     product: OpenBLAS can round a row differently depending on the rows
     around it (the Gauss product over numpy's Fortran-ordered column
-    selection does), and a lone row is a dot product.
+    selection does).
     """
     m = len(ls)
-    if m == 1:      # most integrals end on their first panel: set up in floats
-        c = 0.5 * (ls[0] + rs[0])
-        h = 0.5 * (rs[0] - ls[0])
-        xs = (c + h * _XGK)[None, :]
-    else:
-        ends = np.array(ls + rs)
-        ls, rs = ends[:m], ends[m:]
-        c = 0.5 * (ls + rs)
-        h = 0.5 * (rs - ls)
-        xs = c[:, None] + h[:, None] * _XGK
+    xs, h = _nodes(ls, rs)
     fv = np.asarray(f(xs.ravel(), owner), dtype=np.complex128)
     fv = fv.reshape(xs.shape)
     fg = fv[:, _GAUSS_IDX]          # Fortran-ordered, as numpy makes it
@@ -194,6 +214,13 @@ def integrate_batch(f: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
     a batch of its own, whatever lines share its sweeps.  Non-convergence is
     reported per line through ``converged=False`` with the best available
     estimate, never silently.
+
+    First-panel rule: the first sweep's values are tested before any panel
+    list is built.  A line that converges there costs its share of one
+    integrand call, two dot products and one ``QuadResult``; a line that
+    does not is bisected from those values, never evaluated again.  Its
+    first panel goes through the same 1-D reduction (``_first_panel``)
+    whether the line runs alone or in a batch, which keeps it bitwise.
     """
     n = len(a)
     if len(b) != n:
@@ -203,52 +230,48 @@ def integrate_batch(f: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
             raise ValueError(f"need finite a < b, got [{lo}, {hi}]")
     if n == 0:
         return []
-    lefts = [[lo] for lo in a]
-    rights = [[hi] for hi in b]
-    depths = [[0] for _ in range(n)]
-    evals = [15] * n
-    owner = None if n == 1 else np.repeat(np.arange(n), 15)
-    vs, es = _panels(f, list(a), list(b), owner, list(range(1, n + 1)))
-    vals = [[v] for v in vs]
-    errs = [[e] for e in es]
-    results: list[QuadResult] = [None] * n
-    active = range(n)
+    if n == 1:
+        h = float(0.5 * (b[0] - a[0]))
+        fv = f(0.5 * (a[0] + b[0]) + h * _XGK, None)
+        firsts = [_first_panel(np.asarray(fv, dtype=np.complex128), h)]
+    else:
+        xs, h = _nodes(a, b)
+        fv = f(xs.ravel(), np.repeat(np.arange(n), 15))
+        fv = np.asarray(fv, dtype=np.complex128).reshape(n, 15)
+        firsts = [_first_panel(row, hj) for row, hj in zip(fv, h.tolist())]
 
-    while active:
+    results: list[QuadResult] = [None] * n
+    lefts, rights, depths, vals, errs, evals = {}, {}, {}, {}, {}, {}
+    plans = []          # (line, panels to bisect, their midpoints)
+    for j, (v, e) in enumerate(firsts):
+        tol = max(spec.abs_tol, spec.rel_tol * abs(v))
+        if not tol < e < math.inf:
+            # converged, or an error no bisection is chosen for (NaN, inf)
+            # 0 + v is the one-panel sum as sum() forms it below
+            results[j] = QuadResult(0 + v, e, 15, e <= tol, -1, 1, 0)
+            continue
+        # a lone panel over its tolerance is always bisected (the rule below)
+        lefts[j], rights[j], depths[j] = [a[j]], [b[j]], [0]
+        vals[j], errs[j], evals[j] = [v], [e], 15
+        plans.append((j, [0], [0.5 * (a[j] + b[j])]))
+
+    while plans:
         ls: list = []
         rs: list = []
-        plans = []          # (line, panels to bisect, their midpoints)
-        for j in active:
-            vj, ej, dj = vals[j], errs[j], depths[j]
-            total = complex(sum(vj))        # position order: deterministic
-            tot_err = float(sum(ej))
-            tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-            refine = []
-            if tot_err > tol:
-                cut = max(0.25 * max(ej), tol / (2.0 * len(ej)))
-                refine = [i for i, e in enumerate(ej)
-                          if e > cut and dj[i] < spec.max_depth]
-            if not refine or len(ej) + len(refine) > _MAX_INTERVALS:
-                results[j] = QuadResult(total, tot_err, evals[j],
-                                        tot_err <= tol, -1, len(ej), max(dj))
-                continue
+        for j, refine, mids in plans:
             lj, rj = lefts[j], rights[j]
-            mids = [0.5 * (lj[i] + rj[i]) for i in refine]
             for i, m in zip(refine, mids):
                 ls += (lj[i], m)
                 rs += (m, rj[i])
-            plans.append((j, refine, mids))
-        if not plans:
-            break
         if n == 1:
             stops = [len(ls)]
+            owner = None
         else:
             sizes = [2 * len(refine) for _, refine, _ in plans]
             stops = np.cumsum(sizes).tolist()
             owner = np.repeat([j for j, _, _ in plans],
                               [15 * s for s in sizes])
         nv, ne = _panels(f, ls, rs, owner, stops)
-        active = []
         start = 0
         for j, refine, mids in plans:
             evals[j] += 30 * len(refine)
@@ -266,7 +289,24 @@ def integrate_batch(f: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
                 vj[i:i + 1] = nv[c:c + 2]
                 ej[i:i + 1] = ne[c:c + 2]
             start += 2 * len(refine)
-            active.append(j)
+
+        swept, plans = plans, []
+        for j, _, _ in swept:
+            vj, ej, dj = vals[j], errs[j], depths[j]
+            total = complex(sum(vj))        # position order: deterministic
+            tot_err = float(sum(ej))
+            tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+            refine = []
+            if tot_err > tol:
+                cut = max(0.25 * max(ej), tol / (2.0 * len(ej)))
+                refine = [i for i, e in enumerate(ej)
+                          if e > cut and dj[i] < spec.max_depth]
+            if not refine or len(ej) + len(refine) > _MAX_INTERVALS:
+                results[j] = QuadResult(total, tot_err, evals[j],
+                                        tot_err <= tol, -1, len(ej), max(dj))
+                continue
+            lj, rj = lefts[j], rights[j]
+            plans.append((j, refine, [0.5 * (lj[i] + rj[i]) for i in refine]))
     return results
 
 

@@ -59,8 +59,12 @@ _K1_SERIES_ERR = 2e-13
 
 # Fixed Gauss-Hermite rule for the Watson integrals (t = s^2 substitution of
 # the weight e^-t t^-1/2).  200 nodes keeps every region below _LARGE_BASE_ERR.
+# hermgauss returns exactly mirrored nodes and weights, and the integrands
+# depend on the node only through t, so only the 100 nodes s > 0 are kept:
+# _gh_sum mirrors their terms back into the full rule.
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(200)
-_GH_T = _GH_NODES * _GH_NODES
+_GH_T = _GH_NODES[100:] * _GH_NODES[100:]
+_GH_W = _GH_WEIGHTS[100:]
 
 # Fixed length of the ascending series, k = 1 ... 32: on |z| <= SERIES_RADIUS
 # its terms fall below 1e-28 of the largest one by k = 32.
@@ -122,10 +126,17 @@ def _k1_series(x: np.ndarray) -> tuple[np.ndarray, float]:
 # large-argument route: Watson integrals on a fixed Gauss-Hermite rule
 # ---------------------------------------------------------------------------
 
+def _gh_sum(half: np.ndarray) -> np.ndarray:
+    """The 200-node Gauss-Hermite sum over the last axis, from the terms of
+    the nodes s > 0 (those of s < 0 are the same, in reverse order): the
+    same 200 terms summed in node order, so bitwise the full rule's sum."""
+    return np.sum(np.concatenate([half[..., ::-1], half], axis=-1), axis=-1)
+
+
 def _watson_h2(z: np.ndarray) -> np.ndarray:
     """H0^(2)(z) by its exact integral form, -pi < arg z < pi/2 (1-D)."""
     t2z = 1j * _GH_T / (2.0 * z[:, None])
-    integral = np.sum(_GH_WEIGHTS / np.sqrt(1.0 - t2z), axis=-1)
+    integral = _gh_sum(_GH_W / np.sqrt(1.0 - t2z))
     return (
         np.sqrt(2.0 / (math.pi * z))
         * np.exp(-1j * (z - math.pi / 4.0))
@@ -138,10 +149,10 @@ def _watson_k(nu: int, z):
     """K_nu(z) for nu in {0, 1}, Re z > 0, by the Watson integral."""
     t2z = _GH_T / (2.0 * np.asarray(z)[..., None])
     if nu == 0:
-        integral = np.sum(_GH_WEIGHTS / np.sqrt(1.0 + t2z), axis=-1)
+        integral = _gh_sum(_GH_W / np.sqrt(1.0 + t2z))
         gamma_factor = math.sqrt(math.pi)
     else:
-        integral = np.sum(_GH_WEIGHTS * _GH_T * np.sqrt(1.0 + t2z), axis=-1)
+        integral = _gh_sum(_GH_W * _GH_T * np.sqrt(1.0 + t2z))
         gamma_factor = math.sqrt(math.pi) / 2.0
     return np.sqrt(math.pi / (2.0 * z)) * np.exp(-z) * integral / gamma_factor
 

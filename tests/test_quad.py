@@ -225,6 +225,54 @@ class TestIntegrateBatch:
             integrate_batch(lambda xs, owner: xs, [0.0, 1.0], [1.0])
 
 
+class TestFirstPanel:
+    """The first sweep's values are tested before any panel list exists."""
+
+    def test_line_at_its_tolerance_converges_on_its_first_panel(self):
+        wave = lambda xs: np.cos(20.0 * xs)
+        # rel_tol = 1 accepts the first panel: its err_est is that panel's
+        probe = integrate_1d(wave, 0.0, 1.0,
+                             QuadSpec(rel_tol=1.0, abs_tol=0.0))
+        assert probe.evaluations == 15 and probe.err_est > 0.0
+        spec = QuadSpec(rel_tol=1e-12, abs_tol=probe.err_est)
+        alone = integrate_1d(wave, 0.0, 1.0, spec)
+        # error == tolerance converges: one panel, 15 evaluations
+        assert alone == QuadResult(probe.value, probe.err_est, 15, True,
+                                   intervals=1, max_depth=0)
+
+        def f(xs, owner):
+            return np.where(owner == 0, wave(xs), np.sqrt(np.abs(xs - 0.3)))
+
+        beside = integrate_batch(f, [0.0, 0.0], [1.0, 1.0], spec)
+        assert beside[0] == alone
+        assert beside[1].evaluations > 15
+
+    @pytest.mark.parametrize("f, nodes", [
+        (lambda xs: 1.0 + xs, [15]),
+        (np.abs, [15, 30]),
+        (lambda xs: np.abs(xs - 0.5), [15, 30, 30]),
+    ], ids=["one-sweep", "two-sweeps", "three-sweeps"])
+    def test_each_sweep_is_one_call_and_no_node_is_evaluated_twice(
+            self, f, nodes):
+        # kinks on bisection points: each half is linear, exact on its
+        # panels, so the sweep count is known
+        calls = []
+
+        def counted(xs):
+            calls.append(len(xs))
+            return f(xs)
+
+        res = integrate_1d(counted, -1.0, 1.0, QuadSpec(rel_tol=1e-10))
+        assert res.converged
+        assert calls == nodes
+        assert res.evaluations == sum(nodes)
+
+    def test_zero_integrand_with_zero_abs_tol(self):
+        res = integrate_1d(np.zeros_like, 0.0, 1.0, QuadSpec(abs_tol=0.0))
+        assert res == QuadResult(0j, 0.0, 15, True, intervals=1, max_depth=0)
+        assert type(res.value) is complex and type(res.err_est) is float
+
+
 class TestTelemetry:
     def test_intervals_and_depth_follow_the_bisections(self):
         res = integrate_1d(lambda x: np.cos(17 * x) / (1.0 + x * x), 0.0,

@@ -183,6 +183,53 @@ def test_route_args_reach_every_wedge():
     assert np.any(arg > 5 * np.pi / 8) and np.any(arg == -np.pi)
 
 
+# the Watson integrals on the full 200-node rule, term for term as specfun
+# wrote them before it kept only the nodes s > 0
+_GH_S, _GH_W = np.polynomial.hermite.hermgauss(200)
+_GH_T = _GH_S * _GH_S
+
+
+def _watson_h2_full(z):
+    t2z = 1j * _GH_T / (2.0 * z[:, None])
+    integral = np.sum(_GH_W / np.sqrt(1.0 - t2z), axis=-1)
+    return (np.sqrt(2.0 / (math.pi * z)) * np.exp(-1j * (z - math.pi / 4.0))
+            / math.sqrt(math.pi) * integral)
+
+
+def _watson_k_full(nu, z):
+    t2z = _GH_T / (2.0 * np.asarray(z)[..., None])
+    if nu == 0:
+        integral = np.sum(_GH_W / np.sqrt(1.0 + t2z), axis=-1)
+        gamma_factor = math.sqrt(math.pi)
+    else:
+        integral = np.sum(_GH_W * _GH_T * np.sqrt(1.0 + t2z), axis=-1)
+        gamma_factor = math.sqrt(math.pi) / 2.0
+    return np.sqrt(math.pi / (2.0 * z)) * np.exp(-z) * integral / gamma_factor
+
+
+def test_watson_half_rule_is_bitwise_the_full_rule(monkeypatch):
+    # hermgauss mirrors its nodes and weights exactly, so the 100 terms of
+    # s > 0, mirrored, are the 200 terms of the full rule in node order
+    assert np.array_equal(_GH_S[:100], -_GH_S[:99:-1])
+    assert np.array_equal(_GH_W[:100], _GH_W[:99:-1])
+    rng = np.random.default_rng(20)
+    z = rng.uniform(9.01, 700.0, 3000) \
+        * np.exp(1j * rng.uniform(-math.pi, math.pi, 3000))
+    z = np.concatenate([z, [complex(-50.0, -0.0), -9.5 - 0j]])
+    arg = np.angle(z)
+    rotated = (arg > 3 * np.pi / 8) & (arg <= 5 * np.pi / 8)
+    assert np.count_nonzero(rotated) >= 100     # I0/K0 wedge
+    assert np.count_nonzero(arg > 5 * np.pi / 8) >= 100     # reflected
+    assert np.count_nonzero(~rotated & (arg <= 5 * np.pi / 8)) >= 100
+    x = np.concatenate([rng.uniform(sf.K_SERIES_RADIUS, 700.0, 3000),
+                        [np.nextafter(sf.K_SERIES_RADIUS, 5.0)]])
+    got_h, got_k = sf.hankel2_0(z).value, sf.bessel_k1(x).value
+    monkeypatch.setattr(sf, "_watson_h2", _watson_h2_full)
+    monkeypatch.setattr(sf, "_watson_k", _watson_k_full)
+    assert got_h.tobytes() == sf.hankel2_0(z).value.tobytes()
+    assert got_k.tobytes() == sf.bessel_k1(x).value.tobytes()
+
+
 class TestArrays:
     @pytest.mark.parametrize("fn, args, radius, kind", [
         (sf.hankel2_0, _ROUTE_ARGS, sf.SERIES_RADIUS, complex),
