@@ -17,7 +17,9 @@ hash, the code version, and achieved error estimates.  All files are
 written atomically (temp file + rename), so interrupted runs never leave
 partial datasets, with the mode the umask gives a plain open.  Angular rows
 are computed on every run, in a process pool sized by the usable CPUs (limit
-it with ``taskset``); the rows do not depend on the pool's size.
+it with ``taskset``); the rows do not depend on the pool's size.  Each
+command imports the modules it uses when it runs: ``params`` loads only
+``model``, and the closed-form commands (peak, fig3, sweep) no quadrature.
 """
 
 from __future__ import annotations
@@ -29,20 +31,18 @@ import hashlib
 import json
 import math
 import os
-import secrets
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .correlations import (DetectorGeometry, NonConvergenceError,
-                           UndefinedQError, default_spec, rho2_and_Q)
-from .entanglement import (Q_BELL_THRESHOLD, Q_ENTANGLEMENT_THRESHOLD,
-                           classify, werner_decompose)
-from .model import EmitterParams, derive_params
-from .peak import (_SWEEPABLE, DQ_BELL, DQ_ENTANGLEMENT, SweepResult,
-                   SweepSpec, threshold_maps)
+from .model import (SWEEPABLE, EmitterParams, NonConvergenceError,
+                    UndefinedQError, derive_params)
+
+if TYPE_CHECKING:       # each command imports what it runs when it runs
+    from .peak import SweepResult, SweepSpec
 
 USAGE_ERROR = 2
 NONCONVERGENCE_ERROR = 3
@@ -188,25 +188,40 @@ def _named(path: str | Path) -> Path:
     return Path(path)
 
 
+def _fresh_file(path: Path) -> tuple[int, str]:
+    """A new empty file beside path under a random name, open for writing:
+    its descriptor and its name."""
+    while True:
+        tmp = f"{path}.tmp{os.urandom(4).hex()}"
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                           0o666), tmp
+        except FileExistsError:
+            continue
+
+
 def atomic_write(path: str | Path, text: str) -> None:
     """Write text to path through a fresh file in its directory and a rename,
     so a reader sees the old file or the whole new one.  The file is made
-    0o666 less the umask, as open() makes it (mkstemp's are 0o600).  A path
-    that cannot be written, or whose last component names no file, raises
-    OutputError naming it."""
+    0o666 less the umask, as open() makes it (mkstemp's are 0o600), and its
+    directory where that is missing.  A path that cannot be written, or
+    whose last component names no file, raises OutputError naming it."""
     path = _named(path)
+    data = memoryview(text.encode())
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        while True:
-            tmp = path.with_name(f"{path.name}.tmp{secrets.token_hex(4)}")
-            try:
-                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-                break
-            except FileExistsError:
-                continue
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+            fd, tmp = _fresh_file(path)
+        except OSError:
+            # a missing directory: make it and try again; where it cannot be
+            # made, the error names the part of the path that blocks it
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = _fresh_file(path)
+        try:
+            try:
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -223,6 +238,7 @@ def atomic_write(path: str | Path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _angular_row(task) -> str:
+    from .correlations import DetectorGeometry, default_spec, rho2_and_Q
     theta, r, delta, ec, w, rel_tol = task
     spec = default_spec(rel_tol)
     geom = DetectorGeometry.from_r_theta(r, theta)
@@ -303,6 +319,7 @@ def _sweep_grid(cfg: RunConfig):
 
 
 def _sweep_spec(cfg: RunConfig, param: str, grid) -> SweepSpec:
+    from .peak import SweepSpec
     return SweepSpec(base=cfg.params(), r=cfg.r_over_lambdaf, param=param,
                      grid=tuple(float(g) for g in grid))
 
@@ -310,6 +327,9 @@ def _sweep_spec(cfg: RunConfig, param: str, grid) -> SweepSpec:
 def _sweep_dataset(cfg: RunConfig,
                    res: SweepResult) -> tuple[list[str], dict]:
     """CSV rows and .meta.json fields of a computed sweep."""
+    from .entanglement import (Q_BELL_THRESHOLD, Q_ENTANGLEMENT_THRESHOLD,
+                               classify)
+    from .peak import DQ_BELL, DQ_ENTANGLEMENT
     hash12 = cfg.digest({"cmd": "threshold_map", "param": res.param})[:12]
     regime_ok = np.logical_and.reduce(list(res.regime_ok.values()))
     rows = [",".join([fmt(v), fmt(1.0 + dq), fmt(err), "1" if ok else "0",
@@ -331,6 +351,7 @@ _HEADER_SWEEP = ("param_value,Q_peak,err_est,regime_ok,classification,"
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
+    from .peak import threshold_maps
     res, = threshold_maps([_sweep_spec(cfg, cfg.sweep_param,
                                        _sweep_grid(cfg))])
     rows, meta = _sweep_dataset(cfg, res)
@@ -343,6 +364,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 def cmd_peak(cfg: RunConfig, args) -> int:
     """Peak height along an r sweep at the configured parameters."""
+    from .peak import threshold_maps
     if cfg.sweep_param == "r":
         grid = _sweep_grid(cfg)
     else:
@@ -370,6 +392,7 @@ def cmd_peak(cfg: RunConfig, args) -> int:
 def cmd_fig3(cfg: RunConfig, args) -> int:
     """Four threshold-map panels (|Delta|, E_C, w, r), evaluated together
     before any is written: a failing panel leaves no dataset."""
+    from .peak import threshold_maps
     stem = _named(args.output or "fig3")
     n = cfg.fig3_points
     xi_lf = derive_params(cfg.params()).xi / (2 * math.pi)
@@ -393,6 +416,8 @@ def cmd_fig3(cfg: RunConfig, args) -> int:
 
 def cmd_classify(cfg: RunConfig, args) -> int:
     """Correlators and Werner report at one detector geometry (quadrature)."""
+    from .correlations import DetectorGeometry, default_spec, rho2_and_Q
+    from .entanglement import werner_decompose
     geom = DetectorGeometry.from_r_theta(cfg.r_over_lambdaf, cfg.theta)
     corr = rho2_and_Q(geom, cfg.params(), default_spec(cfg.rel_tol))
     rep = werner_decompose(corr)
@@ -482,7 +507,7 @@ def _parser() -> argparse.ArgumentParser:
             key, default, help_ = setting[flag]
             sub.add_argument(
                 flag, dest=key, type=type(default), help=help_,
-                choices=_SWEEPABLE if key == "sweep_param" else None)
+                choices=SWEEPABLE if key == "sweep_param" else None)
     subs.choices["validate"].add_argument(
         "--quick", action="store_true",
         help="skip the slow quadrature-path checks")

@@ -66,7 +66,8 @@ import numpy as np
 
 from . import kernels, quad
 from .model import (LAMBDA_F, MASS, REGIME_KFR, REGIME_SPREAD, EmitterParams,
-                    form_factors, pole_momentum)
+                    NonConvergenceError, UndefinedQError, form_factors,
+                    pole_momentum)
 from .quad import QuadResult, QuadSpec, integrate_1d, integrate_nested
 
 __all__ = [
@@ -90,18 +91,6 @@ OMEGA_CAP = 0.999999
 # Gaussian-support truncations (energy windows, angular caps) cut where the
 # form-factor weight is below e^-18; the bias bound enters err_est.
 TRUNCATION_BIAS_REL = math.exp(-18.0)
-
-
-class NonConvergenceError(RuntimeError):
-    """Adaptive quadrature failed to meet its tolerance contract."""
-
-    def __init__(self, msg: str, result: QuadResult | None = None):
-        super().__init__(msg)
-        self.result = result
-
-
-class UndefinedQError(ZeroDivisionError):
-    """One-particle density vanished; the normalized coincidence is undefined."""
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .correlations import CorrelationResult
+if TYPE_CHECKING:       # annotations only: classify loads no quadrature
+    from .correlations import CorrelationResult
 
 __all__ = [
     "WernerReport",

@@ -1,4 +1,5 @@
-"""Physical parameters, derived scales, tunneling form factors, emission pole.
+"""Physical parameters, derived scales, tunneling form factors, emission pole,
+and the package's error types.
 
 Unit convention (fixed throughout the package): hbar = 1, k_F = 1, mu = 1,
 hence m = 1/2, lambda_F = 2 pi, and the normal-state dispersion is
@@ -11,12 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from .quad import QuadResult
+
 __all__ = [
-    "KF", "MU", "MASS", "LAMBDA_F", "REGIME_KFR", "REGIME_SPREAD",
-    "EmitterParams", "DerivedParams", "OutOfBandError",
+    "KF", "MU", "MASS", "LAMBDA_F", "REGIME_KFR", "REGIME_SPREAD", "SWEEPABLE",
+    "EmitterParams", "DerivedParams", "OutOfBandError", "NonConvergenceError",
+    "UndefinedQError",
     "derive_params", "pippard_length", "form_factors", "pole_momentum",
 ]
 
@@ -30,9 +36,24 @@ LAMBDA_F = 2.0 * math.pi
 REGIME_KFR = 50.0
 REGIME_SPREAD = 10.0
 
+# the inputs a parameter sweep can vary: |Delta|, E_C, w and r
+SWEEPABLE = ("delta", "ec", "w", "r")
+
 
 class OutOfBandError(ValueError):
     """Quasiparticle energy at or above mu: no propagating emission pole."""
+
+
+class NonConvergenceError(RuntimeError):
+    """Adaptive quadrature failed to meet its tolerance contract."""
+
+    def __init__(self, msg: str, result: QuadResult | None = None):
+        super().__init__(msg)
+        self.result = result
+
+
+class UndefinedQError(ZeroDivisionError):
+    """One-particle density vanished; the normalized coincidence is undefined."""
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (LAMBDA_F, MU, REGIME_KFR, REGIME_SPREAD, EmitterParams,
-                    pippard_length)
+from .model import (LAMBDA_F, MU, REGIME_KFR, REGIME_SPREAD, SWEEPABLE,
+                    EmitterParams, pippard_length)
 from .specfun import bessel_k1, hankel2_0
 
 __all__ = [
@@ -230,9 +230,6 @@ def misalignment_tolerance(params: EmitterParams) -> float:
 # parameter sweeps / threshold maps
 # ---------------------------------------------------------------------------
 
-_SWEEPABLE = ("delta", "ec", "w", "r")
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid over one parameter with the others held at the base values."""
@@ -243,8 +240,8 @@ class SweepSpec:
     grid: tuple[float, ...]
 
     def __post_init__(self):
-        if self.param not in _SWEEPABLE:
-            raise ValueError(f"sweep parameter must be one of {_SWEEPABLE}")
+        if self.param not in SWEEPABLE:
+            raise ValueError(f"sweep parameter must be one of {SWEEPABLE}")
         if len(self.grid) == 0:
             raise ValueError("empty sweep grid")
         g = np.asarray(self.grid, dtype=float)
@@ -314,21 +311,14 @@ def threshold_maps(specs) -> list[SweepResult]:
     if not specs:
         return []
     values = [np.asarray(s.grid, dtype=float) for s in specs]
-    cols = [_columns(*_sweep_columns(s, v)) for s, v in zip(specs, values)]
     sizes = [v.size for v in values]
     ends = np.cumsum(sizes)
-    grid = np.stack([np.concatenate([np.broadcast_to(c[m], v.shape)
-                                     for c, v in zip(cols, values)])
-                     for m in range(4)])
-    kind = np.repeat([_SWEEPABLE.index(s.param) for s in specs], sizes)
+    grid = np.empty((4, ends[-1]))      # |Delta|, E_C, w, r of each element
+    for spec, v, lo, hi in zip(specs, values, ends - sizes, ends):
+        for row, c in zip(grid, _columns(*_sweep_columns(spec, v))):
+            row[lo:hi] = c
+    kind = np.repeat([SWEEPABLE.index(s.param) for s in specs], sizes)
     dq, dq_err = _paired(_evaluate, list(grid))
-
-    def dq_at(xs, e):
-        # dQ at elements e of the grid, their swept parameter moved to xs
-        at = grid[:, e]
-        swept = kind[e]
-        at[swept, np.arange(e.size)] = np.where(swept == 0, np.abs(xs), xs)
-        return _paired(_evaluate, list(at))[0]
 
     x = np.concatenate(values)
     # crossings (threshold k, element i): a grid value exactly on its target
@@ -341,10 +331,20 @@ def threshold_maps(specs) -> list[SweepResult]:
     hit[:, :-1] |= step
     k, i = np.nonzero(hit)
     j = np.where(s[k, i] == 0.0, i, i + 1)
-    roots = _illinois(
-        lambda xs, owner: (dq_at(xs, i[owner]) - t[k[owner], 0]).tolist(),
-        x[i].tolist(), x[j].tolist(),
-        (dq[i] - t[k, 0]).tolist(), (dq[j] - t[k, 0]).tolist())
+    # each bracket's grid columns, swept row and target
+    at_i, kind_i, target = grid[:, i], kind[i], t[k, 0]
+
+    def excess(xs, owner):
+        # dQ - target at brackets owner, their swept parameter moved to xs
+        owner = np.array(owner)
+        at = at_i[:, owner]
+        swept = kind_i[owner]
+        at[swept, np.arange(owner.size)] = np.where(swept == 0, np.abs(xs),
+                                                    xs)
+        return (_paired(_evaluate, list(at))[0] - target[owner]).tolist()
+
+    roots = _illinois(excess, x[i].tolist(), x[j].tolist(),
+                      (dq[i] - target).tolist(), (dq[j] - target).tolist())
     owner = np.searchsorted(ends, i, side="right")
     flags = _regime_flags(*grid[1:])
     out = []

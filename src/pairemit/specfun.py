@@ -59,16 +59,89 @@ _K1_SERIES_ERR = 2e-13
 
 # Fixed Gauss-Hermite rule for the Watson integrals (t = s^2 substitution of
 # the weight e^-t t^-1/2).  200 nodes keeps every region below _LARGE_BASE_ERR.
-# hermgauss returns exactly mirrored nodes and weights, and the integrands
-# depend on the node only through t, so only the 100 nodes s > 0 are kept:
-# _gh_sum mirrors their terms back into the full rule.
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(200)
-_GH_T = _GH_NODES[100:] * _GH_NODES[100:]
-_GH_W = _GH_WEIGHTS[100:]
+# numpy's hermgauss(200) returns exactly mirrored nodes and weights, and the
+# integrands depend on the node only through t, so only its 100 nodes s > 0
+# and their weights are kept, committed here (a test checks them against
+# hermgauss bitwise): _gh_sum mirrors their terms back into the full rule.
+_GH_S = np.array([
+    0.0784419039174208, 0.2353305267258213, 0.3922335982981664,
+    0.5491607639635989, 0.7061216883124085, 0.863126062963396,
+    1.0201836143944953, 1.1773041118552332, 1.3344973753799918,
+    1.4917732839215188, 1.6491417836246947, 1.8066128962612529,
+    1.9641967278469104, 2.121903477463271, 2.2797434463078634,
+    2.4377270469968213, 2.5958648131459716, 2.7541674092575477,
+    2.9126456409412915, 3.071310465500502, 3.230173002915508,
+    3.389244547259216, 3.548536578581765, 3.70806077530396,
+    3.8678290271620566, 4.027853448749714, 4.188146393706468,
+    4.348720469606022, 4.509588553602011, 4.670763808893703,
+    4.832259702079436, 4.994090021471522, 5.156268896452903,
+    5.318810817963144, 5.481730660209469, 5.645043703707577,
+    5.808765659767065, 5.972912696547549, 6.137501466824152,
+    6.302549137615144, 6.468073421840371, 6.634092612196868,
+    6.800625617458123, 6.967692001426046, 7.135312024790252,
+    7.303506690178222, 7.472297790712723, 7.641707962430267,
+    7.8117607409569425, 7.982480622886646, 8.153893132362484,
+    8.326024893426121, 8.498903708773607, 8.672558645641239,
+    8.847020129643674, 9.022320047500836, 9.198491859723555,
+    9.375570724483644, 9.55359363407682, 9.732599565601927, 9.912629647733798,
+    10.09372734576829, 10.275938667476474, 10.459312392733537,
+    10.643900330402786, 10.829757606576079, 11.016942989025184,
+    11.205519253636432, 11.395553599726043, 11.587118122520339,
+    11.78029035280524, 11.975153875897131, 12.171799044787127,
+    12.370323805730497, 12.570834658918322, 12.773447782488505,
+    12.97829035543407, 13.185502124544026, 13.39523727320802,
+    13.607666666938064, 13.822980573565543, 14.041391987855553,
+    14.263140734648264, 14.4884985875727, 14.717775731247299,
+    14.951329028681464, 15.189572756961194, 15.432992784892866,
+    15.682165658809753, 15.937784868895722, 16.200697936792103,
+    16.47196038876288, 16.75291719139818, 17.04533115109215,
+    17.351596779550405, 17.675122529961925, 18.021081501173164,
+    18.398096565132175, 18.822895980564734, 19.339248667911406,
+])
+_GH_W = np.array([
+    0.1559222423301015, 0.148441582412264, 0.13453811804030963,
+    0.1160825434897398, 0.09534645394062184, 0.07454821205701585,
+    0.055480282207965935, 0.03929860922773385, 0.026492061401888416,
+    0.016994637481980174, 0.010373317514240955, 0.006023924591982334,
+    0.003327655135811797, 0.0017483531042482624, 0.0008735370978955664,
+    0.00041497155710760124, 0.00018739476963178586, 8.042850652862717e-05,
+    3.28005348758722e-05, 1.2707753950971203e-05, 4.6759044289058526e-06,
+    1.6336412605786964e-06, 5.417767732073121e-07, 1.7050141340095836e-07,
+    5.090301396174621e-08, 1.4411972185135888e-08, 3.868267375326292e-09,
+    9.839283266947777e-10, 2.3708105480598853e-10, 5.409294184513384e-11,
+    1.16818014681726e-11, 2.3867692880554957e-12, 4.611464450181758e-13,
+    8.421347687181376e-14, 1.4528301518028433e-14, 2.3664867578675387e-15,
+    3.6375048888813206e-16, 5.2729781171462646e-17, 7.204297214984686e-18,
+    9.27103366865576e-19, 1.1229742763724282e-19, 1.2794012136496613e-20,
+    1.3699807056156688e-21, 1.3776941782202437e-22, 1.3000662756922755e-23,
+    1.150214592803182e-24, 9.532377303866974e-26, 7.393015541203477e-27,
+    5.360543607765585e-28, 3.63002931830541e-29, 2.293242400336963e-30,
+    1.3499836949240687e-31, 7.39639697440111e-33, 3.7667945724830275e-34,
+    1.780743042880958e-35, 7.803588629246191e-37, 3.165219812079646e-38,
+    1.186441590241696e-39, 4.102982841560355e-41, 1.3067728287009244e-42,
+    3.8259457909116295e-44, 1.0276815273317143e-45, 2.527257046485393e-47,
+    5.677333922420747e-49, 1.1622901525796815e-50, 2.1630323514163613e-52,
+    3.649379637346944e-54, 5.565840672543444e-56, 7.649924767009678e-58,
+    9.444063985630934e-60, 1.043489431686158e-61, 1.027959483059678e-63,
+    8.991246650429484e-66, 6.95131373693484e-68, 4.7271089337314284e-70,
+    2.8125155025097183e-72, 1.4555888776596832e-74, 6.511128536147907e-77,
+    2.499751483723222e-79, 8.173111897178622e-82, 2.256221537546064e-84,
+    5.208320623530135e-87, 9.945830920168708e-90, 1.552065257977179e-92,
+    1.95197893981302e-95, 1.947273237670335e-98, 1.5127860735228294e-101,
+    8.95778902364364e-105, 3.9416969861690425e-108, 1.250389473861829e-111,
+    2.7559362749421044e-115, 4.032032711720662e-119, 3.695754511204447e-123,
+    1.968469252981512e-127, 5.504926004965079e-132, 7.004906964699935e-137,
+    3.2706601333381056e-142, 3.930595849572358e-148, 6.171630370186441e-155,
+    2.2290934962806232e-163,
+])
+_GH_T = _GH_S * _GH_S
+_GH_IT = 1j * _GH_T
+_GH_WT = _GH_W * _GH_T
 
 # Fixed length of the ascending series, k = 1 ... 32: on |z| <= SERIES_RADIUS
 # its terms fall below 1e-28 of the largest one by k = 32.
 _K = np.arange(1.0, 33.0)[:, None]
+_K2 = _K * _K
 _HARMONIC = np.cumsum(1.0 / _K, axis=0)
 
 # K1's series, k = 0 ... 31, in powers of q = x^2/4: c_k = 1/(k! (k+1)!) and
@@ -96,15 +169,19 @@ def _j0y0_series(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     elementwise over a 1-D array: the terms k = 0 ... 32 as running products
     of -z^2/(4 k^2), each sum accumulated from k = 0 upwards."""
     q = z * z / -4.0
-    f = np.empty((_K.size + 1, z.size), dtype=complex)
-    f[0] = 1.0
-    f[1:].real = q.real / (_K * _K)         # componentwise, as q / k^2 rounds
-    f[1:].imag = q.imag / (_K * _K)
-    term = np.cumprod(f, axis=0)            # (-z^2/4)^k / (k!)^2
-    j0 = np.cumsum(term, axis=0)[-1]
-    # (-1)^{k+1} H_k (z^2/4)^k / (k!)^2  ==  -term * H_k
-    ysum = -np.cumsum(term[1:] * _HARMONIC, axis=0)[-1]
-    y0 = (2.0 / math.pi) * ((np.log(0.5 * z) + EULER_GAMMA) * j0 + ysum)
+    term = np.empty((_K.size + 1, z.size), dtype=complex)
+    term[0] = 1.0
+    # q / k^2 componentwise, as q's parts round: a complex array's float
+    # view holds each element's real and imaginary parts side by side
+    np.divide(q.view(float), _K2, out=term[1:].view(float))
+    np.multiply.accumulate(term, axis=0, out=term)  # (-z^2/4)^k / (k!)^2
+    acc = term.cumsum(0)
+    j0 = acc[-1]
+    # (-1)^{k+1} H_k (z^2/4)^k / (k!)^2  ==  -term * H_k, so Y0 subtracts
+    # the sum of term * H_k (accumulated in the rows above J0's)
+    hsum = np.multiply(term[1:], _HARMONIC, out=acc[:-1])
+    np.add.accumulate(hsum, axis=0, out=hsum)
+    y0 = (2.0 / math.pi) * ((np.log(0.5 * z) + EULER_GAMMA) * j0 - hsum[-1])
     return j0, y0
 
 
@@ -135,7 +212,7 @@ def _gh_sum(half: np.ndarray) -> np.ndarray:
 
 def _watson_h2(z: np.ndarray) -> np.ndarray:
     """H0^(2)(z) by its exact integral form, -pi < arg z < pi/2 (1-D)."""
-    t2z = 1j * _GH_T / (2.0 * z[:, None])
+    t2z = _GH_IT / (2.0 * z[:, None])
     integral = _gh_sum(_GH_W / np.sqrt(1.0 - t2z))
     return (
         np.sqrt(2.0 / (math.pi * z))
@@ -152,7 +229,7 @@ def _watson_k(nu: int, z):
         integral = _gh_sum(_GH_W / np.sqrt(1.0 + t2z))
         gamma_factor = math.sqrt(math.pi)
     else:
-        integral = _gh_sum(_GH_W * _GH_T * np.sqrt(1.0 + t2z))
+        integral = _gh_sum(_GH_WT * np.sqrt(1.0 + t2z))
         gamma_factor = math.sqrt(math.pi) / 2.0
     return np.sqrt(math.pi / (2.0 * z)) * np.exp(-z) * integral / gamma_factor
 
@@ -202,9 +279,7 @@ def _by_route(z: np.ndarray, radius: float, series, large) -> SpecfunResult:
     """Elementwise over the array z: series(zs) on |z| <= radius, large(zl)
     beyond, each giving (value, est_error) on a 1-D array; a 0-d z gives a
     Python scalar value and a float est_error, an array arrays of its shape.
-    z = 0, the series' logarithmic singularity, raises."""
-    if np.count_nonzero(z) < z.size:
-        raise ValueError("argument z = 0 hits the logarithmic singularity")
+    Its callers reject the arguments that their series cannot take."""
     small = np.abs(z) <= radius
     n_small = np.count_nonzero(small)
     value, err = np.empty_like(z), np.empty(z.shape)
@@ -229,9 +304,13 @@ def hankel2_0(z) -> SpecfunResult:
     Dual-route evaluation: ascending series for ``|z| <= SERIES_RADIUS``,
     Watson-integral route beyond.  The est_error grows below the lower-half
     guard line ``Im z = -HANKEL2_IM_GUARD`` in the series region, where the
-    result is cancellation-limited.
+    result is cancellation-limited.  z = 0, the series' logarithmic
+    singularity, raises ValueError.
     """
-    return _by_route(np.asarray(z, complex), SERIES_RADIUS, _hankel2_series,
+    z = np.asarray(z, complex)
+    if np.count_nonzero(z) < z.size:
+        raise ValueError("argument z = 0 hits the logarithmic singularity")
+    return _by_route(z, SERIES_RADIUS, _hankel2_series,
                      lambda zl: (_hankel2_large(zl), _LARGE_BASE_ERR))
 
 

@@ -52,8 +52,23 @@ def test_importing_the_package_loads_no_module_of_it():
     assert [m for m in loaded if m.startswith("pairemit.")] == []
 
 
+def test_importing_the_cli_loads_no_numpy_polynomial():
+    # specfun commits its Gauss-Hermite rule instead of building it
+    loaded = _loaded_after("from pairemit import cli")
+    assert "pairemit.cli" in loaded
+    assert not [m for m in loaded if m.startswith("numpy.polynomial")]
+
+
+def test_params_loads_only_model():
+    loaded = _loaded_after("from pairemit import cli\n"
+                           "assert cli.main(['params']) == 0")
+    assert [m for m in loaded if m.startswith("pairemit")] \
+        == ["pairemit", "pairemit.cli", "pairemit.model"]
+
+
 def test_closed_form_commands_load_neither_checks_nor_pool(tmp_path):
-    # params and fig3 run neither the validation checks nor a process pool
+    # params and fig3 run neither the validation checks nor a process pool,
+    # nor the quadrature route
     loaded = _loaded_after(
         "from pairemit import cli\n"
         "assert cli.main(['params']) == 0\n"
@@ -61,3 +76,5 @@ def test_closed_form_commands_load_neither_checks_nor_pool(tmp_path):
     assert "pairemit.peak" in loaded
     assert "pairemit.validation" not in loaded
     assert "concurrent.futures" not in loaded
+    for name in ("correlations", "quad", "kernels"):
+        assert f"pairemit.{name}" not in loaded

@@ -532,6 +532,25 @@ class TestOneParserPerProcess:
                 == (tmp_path / "fresh" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("error, label", [
+    ("NonConvergenceError", "quadrature non-convergence"),
+    ("UndefinedQError", "undefined Q")])
+def test_quadrature_failures_exit_3(monkeypatch, capsys, error, label):
+    # main maps the quadrature route's errors to exit 3; it takes their
+    # classes from model, the very ones correlations raises
+    from pairemit import correlations, model
+    cls = getattr(model, error)
+    assert getattr(correlations, error) is cls
+
+    def failing(cfg, args):
+        raise cls("no value")
+
+    monkeypatch.setitem(cli._COMMANDS, "params",
+                        (failing, cli._COMMANDS["params"][1]))
+    assert main(["params"]) == cli.NONCONVERGENCE_ERROR
+    assert capsys.readouterr().err == f"{label}: no value\n"
+
+
 class TestAtomicWrite:
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_files_honour_the_umask(self, tmp_path, capsys, umask, mode):
@@ -548,6 +567,25 @@ class TestAtomicWrite:
         assert (tmp_path / "sub" / "x.txt").read_text() == "y\n"
         assert sorted(f.name for f in tmp_path.rglob("*")) \
             == ["p.csv", "p.meta.json", "sub", "x.txt"]
+
+    def test_missing_directories_are_made(self, tmp_path):
+        cli.atomic_write(tmp_path / "a" / "b" / "x.txt", "\u00b5 x\n")
+        assert (tmp_path / "a" / "b" / "x.txt").read_bytes() \
+            == "\u00b5 x\n".encode()
+        assert [f.name for f in (tmp_path / "a" / "b").iterdir()] == ["x.txt"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        (tmp_path / "x.txt").write_text("old\n")
+
+        def full(fd, data):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "write", full)
+        with pytest.raises(cli.OutputError, match="No space left"):
+            cli.atomic_write(tmp_path / "x.txt", "new\n")
+        monkeypatch.undo()
+        assert [f.name for f in tmp_path.iterdir()] == ["x.txt"]
+        assert (tmp_path / "x.txt").read_text() == "old\n"
 
 
 def _small_cfg(tmp_path) -> Path:

@@ -207,6 +207,14 @@ def _watson_k_full(nu, z):
     return np.sqrt(math.pi / (2.0 * z)) * np.exp(-z) * integral / gamma_factor
 
 
+def test_committed_rule_is_bitwise_hermgauss():
+    # specfun commits the nodes s > 0 of hermgauss(200) and their weights,
+    # so that importing it runs no hermgauss and loads no numpy.polynomial
+    assert sf._GH_S.tobytes() == _GH_S[100:].tobytes()
+    assert sf._GH_W.tobytes() == _GH_W[100:].tobytes()
+    assert sf._GH_T.tobytes() == (_GH_S[100:] * _GH_S[100:]).tobytes()
+
+
 def test_watson_half_rule_is_bitwise_the_full_rule(monkeypatch):
     # hermgauss mirrors its nodes and weights exactly, so the 100 terms of
     # s > 0, mirrored, are the 200 terms of the full rule in node order

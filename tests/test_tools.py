@@ -225,3 +225,34 @@ def test_an_unnamed_change_in_a_changed_case_exits_1(tmp_path, capsys, edits,
     assert _compare_edited(tmp_path, edits, changed) == 1
     out = capsys.readouterr().out
     assert f"FAIL {fail}" in out and "1 difference(s)" in out
+
+
+def test_a_new_case_the_base_rejects_is_reported_not_compared(tmp_path,
+                                                              capsys):
+    # A's command line rejected the case's arguments, so cli_outputs.py ran
+    # it in B only and listed it in A/skipped.txt
+    a = {**_outputs(), "skipped.txt": "default/new_cmd\n"}
+    b = {**_outputs(), "default/new_cmd/run.txt": _run("new-cmd")}
+    assert _compare(tmp_path, a, b) == 0
+    out = capsys.readouterr().out
+    assert "new  default/new_cmd: A's command line rejects its arguments" \
+        in out
+
+
+@pytest.mark.parametrize("skipped", ["", "default/other\n"])
+def test_a_case_run_in_one_directory_only_exits_1(tmp_path, capsys, skipped):
+    a = {**_outputs(), "skipped.txt": skipped}
+    b = {**_outputs(), "default/new_cmd/run.txt": _run("new-cmd")}
+    assert _compare(tmp_path, a, b) == 1
+    assert "FAIL default/new_cmd: run in one directory only" \
+        in capsys.readouterr().out
+
+
+def test_cli_outputs_skips_what_the_command_line_rejects():
+    path = _PATH.parent / "cli_outputs.py"
+    spec = importlib.util.spec_from_file_location("cli_outputs", path)
+    cli_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_outputs)
+    assert all(map(cli_outputs.accepted, cli_outputs.cases().values()))
+    assert not cli_outputs.accepted(["fig3", "--no-such-flag", "1"])
+    assert not cli_outputs.accepted(["no-such-command"])

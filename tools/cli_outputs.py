@@ -17,7 +17,10 @@ exception that escaped main), stdout and stderr go to run.txt there.  The
 pairemit imported is the one first on sys.path, so running this on the
 sources of two checkouts and `diff -r` on the two directories compares
 their outputs byte for byte (tools/compare_outputs.py does so, with the
-quadrature results compared within their error columns).
+quadrature results compared within their error columns).  A case whose
+arguments the imported pairemit's parser rejects (a flag or command that
+an older checkout lacks) is not run: it is listed in OUTDIR/skipped.txt,
+which is written on every run.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pairemit.cli import main
+from pairemit.cli import _parser, main
 
 # sweep ranges of the four sweep parameters
 SWEEPS = {
@@ -89,9 +92,23 @@ def cases() -> dict[str, list[str]]:
     return out
 
 
+def accepted(argv: list[str]) -> bool:
+    """Whether the imported pairemit's command line takes argv."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            _parser().parse_args(argv)
+    except SystemExit:
+        return False
+    return True
+
+
 def run(outdir: Path) -> None:
     home = Path.cwd()
+    skipped = []
     for case, argv in cases().items():
+        if not accepted(argv):
+            skipped.append(case)
+            continue
         where = outdir / case
         where.mkdir(parents=True, exist_ok=True)
         if "blocked/" in argv[-1]:
@@ -109,6 +126,8 @@ def run(outdir: Path) -> None:
         (where / "run.txt").write_text(
             f"argv: {' '.join(argv)}\nexit: {rc}\n--- stdout\n"
             f"{out.getvalue()}--- stderr\n{err.getvalue()}")
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "skipped.txt").write_text("".join(f"{c}\n" for c in skipped))
 
 
 if __name__ == "__main__":

@@ -16,6 +16,9 @@ Passes (exit 0) when
 - every case exits as it did in the other directory and writes the same
   stderr, and every closed-form case the same stdout (a quadrature case's
   stdout prints Q, which is compared in its output file instead);
+- except the cases that A did not run because its command line rejects
+  their arguments (listed in A/skipped.txt): such a case, new in B, is
+  reported and not compared;
 - except what --changed names as meant to differ.  `--changed CASE:NAME,...`
   masks, in that case only, the named CSV columns and JSON fields (a
   dotted name such as `regime_flags.far_field` reaches into a nested
@@ -131,8 +134,13 @@ def compare(a: Path, b: Path, changed: set[str],
     problems: list[str] = []
     cases = sorted({p.parent.relative_to(a) for p in a.rglob("run.txt")}
                    | {p.parent.relative_to(b) for p in b.rglob("run.txt")})
+    skipped = a / "skipped.txt"
+    new = set(skipped.read_text().split()) if skipped.exists() else set()
     for case in cases:
         runs = [d / case / "run.txt" for d in (a, b)]
+        if str(case) in new and not runs[0].exists():
+            print(f"new  {case}: A's command line rejects its arguments")
+            continue
         if not all(r.exists() for r in runs):
             problems.append(f"{case}: run in one directory only")
             continue
