@@ -27,20 +27,25 @@ are the on-shell pair residues; the numerically evaluated principal value
 carries the off-shell background (including the Fermi-surface stationary
 phase responsible for the slow oscillatory decay of the bunching peak).
 
+Every correlator reads a geometry as the two distances r1, r2 and the
+cosine of the angle between the detectors (DetectorGeometry), and both
+assemble their eps integrals alike (_eps_integral): two half-windows split
+at eps = 0, an absolute floor on the value turned into the halves'
+abs_tol, and the window's truncation bias added to err_est.
+
 gamma runs as nested adaptive quadrature over (eps_k, k-hat) with Gaussian
 truncation of the angular cap.  On the diagonal the phase e^{i p_k (r1 - r2)}
 is 1, so gamma(r; r) = G(params) / r^2.  G is integrated once per
 (|Delta|, E_C, w, spec) in a process, at unit radius and cos(theta/2) = 1
-exactly, and kept in a small bounded cache (_gamma_diag); every diagonal
-of every Q point is G scaled by 1 / r^2, whatever point asked first.  In
-chi the k-hat integral is analytic: F depends on k-hat only through
-exp(v . k-hat), v = w^2 k (a n1 - b n2), and int dOmega exp(v . k-hat) =
-4 pi sinh|v| / |v| (kernels.chi_f), so chi is one adaptive eps integral
-whose integrand, at each sweep's eps nodes, is one adaptive u-line per
-node.  The u-lines of a sweep run in lockstep (quad.integrate_batch): one
-chi_f call gives every line's F(-omega) and F(+omega), and each refinement
-sweep of the batch is one chi_p call over the new panels of all its
-unconverged lines, each line converging on its own.
+exactly, and kept in a small bounded cache (_gamma_diag).  In chi the k-hat
+integral is analytic: F depends on k-hat only through exp(v . k-hat),
+v = w^2 k (a n1 - b n2), and int dOmega exp(v . k-hat) = 4 pi sinh|v| / |v|
+(kernels.chi_f), so chi is one adaptive eps integral whose integrand is
+one adaptive u-line per eps node.  A sweep's nodes get their omega, k and
+u windows as arrays, and their u-lines run in lockstep
+(quad.integrate_batch): one chi_f call gives every line's F(-omega) and
+F(+omega), and each refinement sweep of the batch is one chi_p call over
+the new panels of all its unconverged lines, each converging on its own.
 
 Each u-line int P(u) du runs from u_lo to u_hi along a path in the complex
 u plane, not along the real segment (numerical steepest descent:
@@ -71,16 +76,9 @@ from .model import (LAMBDA_F, MASS, REGIME_KFR, REGIME_SPREAD, EmitterParams,
 from .quad import QuadResult, QuadSpec, integrate_1d, integrate_nested
 
 __all__ = [
-    "DetectorGeometry",
-    "CorrelationResult",
-    "NonConvergenceError",
-    "UndefinedQError",
-    "farfield_amplitude",
-    "farfield_amplitude_direct",
-    "chi",
-    "rho2_and_Q",
-    "energy_cutoff",
-    "default_spec",
+    "DetectorGeometry", "CorrelationResult", "NonConvergenceError",
+    "UndefinedQError", "farfield_amplitude", "farfield_amplitude_direct",
+    "chi", "rho2_and_Q", "energy_cutoff", "default_spec",
 ]
 
 TWO_PI_M6 = (2.0 * math.pi) ** -6
@@ -95,54 +93,45 @@ TRUNCATION_BIAS_REL = math.exp(-18.0)
 
 @dataclass(frozen=True)
 class DetectorGeometry:
-    """Two detector positions, stored as 3-vectors in units of lambda_F."""
+    """Two detectors as a Q point reads them: their distances r1 and r2
+    from the tip (lambda_F) and the cosine of the angle between their
+    directions."""
 
-    r1_vec: tuple[float, float, float]
-    r2_vec: tuple[float, float, float]
+    r1: float
+    r2: float
+    cos_theta: float
 
     @classmethod
     def from_r_theta(cls, r: float, theta: float) -> "DetectorGeometry":
         """Equal-radius reduction: both detectors at distance r (lambda_F),
-        separated by the angle theta, in the x-z plane."""
-        half = 0.5 * theta
-        n1 = (math.sin(half), 0.0, math.cos(half))
-        n2 = (-math.sin(half), 0.0, math.cos(half))
-        return cls(tuple(r * c for c in n1), tuple(r * c for c in n2))
+        separated by the angle theta."""
+        return cls(r, r, math.cos(theta))
 
-    @property
-    def r1(self) -> float:
-        return float(np.linalg.norm(self.r1_vec))
-
-    @property
-    def r2(self) -> float:
-        return float(np.linalg.norm(self.r2_vec))
-
-    @property
-    def r1_kf(self) -> float:
-        return self.r1 * LAMBDA_F
-
-    @property
-    def r2_kf(self) -> float:
-        return self.r2 * LAMBDA_F
-
-    @property
-    def cos_theta(self) -> float:
-        """Cosine of the angle between the two detector directions."""
-        n1 = np.asarray(self.r1_vec) / self.r1
-        n2 = np.asarray(self.r2_vec) / self.r2
-        return max(-1.0, min(1.0, float(np.dot(n1, n2))))
-
-    @property
-    def far_field(self) -> bool:
-        return min(self.r1_kf, self.r2_kf) >= REGIME_KFR
+    @classmethod
+    def from_vectors(cls, r1_vec, r2_vec) -> "DetectorGeometry":
+        """Detectors at two positions, 3-vectors in units of lambda_F."""
+        v1 = np.asarray(r1_vec, dtype=float)
+        v2 = np.asarray(r2_vec, dtype=float)
+        r1 = float(np.linalg.norm(v1))
+        r2 = float(np.linalg.norm(v2))
+        _check_distances(r1, r2)        # before normalising by them
+        cos_theta = float(np.dot(v1 / r1, v2 / r2))
+        return cls(r1, r2, max(-1.0, min(1.0, cos_theta)))
 
     def swapped(self) -> "DetectorGeometry":
-        return DetectorGeometry(self.r2_vec, self.r1_vec)
+        return DetectorGeometry(self.r2, self.r1, self.cos_theta)
 
     def __post_init__(self):
-        if not (0.0 < self.r1 < math.inf and 0.0 < self.r2 < math.inf):
-            raise ValueError("detector distances must be positive and finite,"
-                             f" got r1 = {self.r1}, r2 = {self.r2}")
+        _check_distances(self.r1, self.r2)
+        if not -1.0 <= self.cos_theta <= 1.0:
+            raise ValueError("cos_theta must lie in [-1, 1], "
+                             f"got {self.cos_theta}")
+
+
+def _check_distances(r1: float, r2: float) -> None:
+    if not (0.0 < r1 < math.inf and 0.0 < r2 < math.inf):
+        raise ValueError("detector distances must be positive and finite,"
+                         f" got r1 = {r1}, r2 = {r2}")
 
 
 @dataclass
@@ -291,13 +280,33 @@ _GAMMA_VARIABLES = ("eps", "cos alpha", "phi")
 _DIAG_CACHE_SIZE = 16
 
 
+def _eps_integral(integrate, pref: complex, ecut: float, spec: QuadSpec,
+                  abs_floor: float) -> QuadResult:
+    """pref times an eps integral over [-ecut, ecut], as gamma and chi
+    assemble theirs.
+
+    ``integrate(lo, hi, spec)`` integrates one half-window; the two halves
+    split at eps = 0, where the coherence factors turn.  abs_floor, an
+    absolute tolerance on the final value, becomes the halves' abs_tol in
+    integrand units, and err_est adds the truncation bias of the window.
+    """
+    scale = abs(pref)
+    spec = replace(spec, abs_tol=max(spec.abs_tol, abs_floor / scale))
+    total = QuadResult(0.0, 0.0, 0, True)
+    for lo, hi in ((-ecut, 0.0), (0.0, ecut)):
+        total = total + integrate(lo, hi, spec)
+    err = scale * total.err_est \
+        + TRUNCATION_BIAS_REL * abs(pref * total.value)
+    return replace(total, value=pref * total.value, err_est=err)
+
+
 def _gamma_quad(geom: DetectorGeometry, params: EmitterParams,
                 spec: QuadSpec, abs_floor: float = 0.0) -> QuadResult:
     """gamma(2;1) at one detector geometry, by one nested quadrature."""
     cth2 = math.sqrt(max(0.0, 0.5 * (1.0 + geom.cos_theta)))
-    return _gamma_core(cth2, geom.r1_kf, geom.r2_kf, params.abs_delta,
-                       params.ec, params.w_kf, energy_cutoff(params), spec,
-                       abs_floor)
+    return _gamma_core(cth2, geom.r1 * LAMBDA_F, geom.r2 * LAMBDA_F,
+                       params.abs_delta, params.ec, params.w_kf,
+                       energy_cutoff(params), spec, abs_floor)
 
 
 def _gamma_core(cth2: float, r1: float, r2: float, dabs: float, ec: float,
@@ -306,21 +315,17 @@ def _gamma_core(cth2: float, r1: float, r2: float, dabs: float, ec: float,
     """gamma from scalars: cth2 = cos(theta/2), radii in k_F^-1, the
     emitter's |Delta|, E_C and w_kf, and the eps window half-width ecut."""
     cosa_lo = _gamma_cosa_window(w, cth2)
-    pref = (math.pi / 2.0) * TWO_PI_M6 / (r1 * r2) * 2.0   # phi parity doubling
-    # translate an absolute tolerance on the final value into integrand units
-    spec = replace(spec, abs_tol=max(spec.abs_tol, abs_floor / pref))
 
     def f(eps, cosa, phis):
         return kernels.gamma_integrand(phis, eps, cosa, dabs, ec, w,
                                        r1, r2, cth2, OMEGA_CAP)
 
-    total = QuadResult(0.0, 0.0, 0, True)
-    for lo, hi in ((-ecut, 0.0), (0.0, ecut)):
-        res = integrate_nested(f, [(lo, hi), (cosa_lo, 1.0), (0.0, math.pi)],
-                               spec)
-        total = total + res
-    err = pref * total.err_est + TRUNCATION_BIAS_REL * abs(pref * total.value)
-    return replace(total, value=pref * total.value, err_est=err)
+    def half(lo: float, hi: float, s: QuadSpec) -> QuadResult:
+        return integrate_nested(f, [(lo, hi), (cosa_lo, 1.0), (0.0, math.pi)],
+                                s)
+
+    pref = (math.pi / 2.0) * TWO_PI_M6 / (r1 * r2) * 2.0   # phi parity doubling
+    return _eps_integral(half, pref, ecut, spec, abs_floor)
 
 
 @functools.lru_cache(maxsize=_DIAG_CACHE_SIZE)
@@ -328,11 +333,11 @@ def _gamma_diag(dabs: float, ec: float, w: float, ecut: float,
                 spec: QuadSpec) -> QuadResult:
     """G = r^2 gamma(r; r), the diagonal at unit radius (k_F^-1).
 
-    cth2 is exactly 1.0, not read from a caller's geometry: a diagonal's
-    cos_theta can round to 1 - 4e-16, and a value cached from it would
-    depend on which point asked first.  ecut = energy_cutoff(params) is in
-    the key, so a changed eps window is a new entry, never a stale one.
-    Callers must not mutate the result.
+    cth2 is exactly 1.0, not read from a caller's geometry: a geometry
+    built from vectors can have cos_theta = 1 - 4e-16 on its diagonal, and
+    a value cached from it would depend on which point asked first.
+    ecut = energy_cutoff(params) is in the key, so a changed eps window is
+    a new entry, never a stale one.  Callers must not mutate the result.
     """
     return _gamma_core(1.0, 1.0, 1.0, dabs, ec, w, ecut, spec)
 
@@ -350,41 +355,39 @@ def _gamma_diag_at(r_kf: float, params: EmitterParams,
 # chi
 # ---------------------------------------------------------------------------
 
-def _chi_u_window(params: EmitterParams, k: float, omega: float
-                  ) -> tuple[float, float] | None:
-    """Energy-line truncation: where either pair Gaussian carries weight.
+def _chi_u_window(w: float, k: np.ndarray, omega: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Energy-line truncations (u_lo, u_hi) of the given (k, omega), and
+    which of them hold a line, elementwise.
 
     The detector-1 branch needs sqrt(1+u) within ~6/w of k, the detector-2
-    branch sqrt(1-u) likewise; None when the two have no common support.
-    A window it returns spans both, widened to hold the on-shell poles with
-    a margin of 0.02, within 1e-9 of the branch points +-1: for 0 < omega <
-    OMEGA_CAP that is lo < -omega < omega < hi.
+    branch sqrt(1-u) likewise; a window is empty where the two have no
+    common support.  A window that holds a line spans both, widened to
+    hold the on-shell poles with a margin of 0.02, within 1e-9 of the
+    branch points +-1: for 0 < omega < OMEGA_CAP that is
+    lo < -omega < omega < hi.
     """
-    w = params.w_kf
     pad = 6.0 / w
-    lo_a = (max(k - pad, 0.0)) ** 2 - 1.0
-    hi_a = (k + pad) ** 2 - 1.0
-    lo_b = 1.0 - (k + pad) ** 2
-    hi_b = 1.0 - (max(k - pad, 0.0)) ** 2
-    lo = max(lo_a, lo_b)
-    hi = min(hi_a, hi_b)
-    if lo >= hi:
-        return None     # the two Gaussians have no common support
+    near = np.maximum(k - pad, 0.0) ** 2
+    far = (k + pad) ** 2
+    lo = np.maximum(near - 1.0, 1.0 - far)
+    hi = np.minimum(far - 1.0, 1.0 - near)
+    held = lo < hi
     ulim = 1.0 - 1e-9
-    lo = max(min(lo, -omega - 0.02), -ulim)
-    hi = min(max(hi, omega + 0.02), ulim)
-    return lo, hi
+    lo = np.maximum(np.minimum(lo, -omega - 0.02), -ulim)
+    hi = np.minimum(np.maximum(hi, omega + 0.02), ulim)
+    return lo, hi, held
 
 
-def _chi_path_height(w: float, k: float) -> float:
-    """Largest height of a u-line's contour off the real axis.
+def _chi_path_height(w: float, k: np.ndarray) -> np.ndarray:
+    """Largest height of each u-line's contour off the real axis.
 
     Off the axis the pair Gaussians grow: near u = 0, Re(expo + V) rises by
     about w^2 k y^2 / 4 at height y (back to back; less at smaller angles),
     so y <= 2 / (w sqrt k) keeps that growth within e^1 of the real axis.
     Narrow tips (small w) stop at 0.5.
     """
-    return min(0.5, 2.0 / (w * math.sqrt(k)))
+    return np.minimum(0.5, 2.0 / (w * np.sqrt(k)))
 
 
 def _saddle(r1: float, r2: float) -> tuple[float, float]:
@@ -427,48 +430,42 @@ def _u_path(tau: np.ndarray, lo: np.ndarray, hi: np.ndarray, ustar: float,
     return x + 1j * y, (1.0 + 1j * dy) * (scale * np.cosh(tau))
 
 
-def _u_domain(lo: float, hi: float, ustar: float,
-              scale: float) -> tuple[float, float]:
-    """The tau interval of _u_path whose real part runs from lo to hi."""
-    return math.asinh((lo - ustar) / scale), math.asinh((hi - ustar) / scale)
+def _u_domain(lo: np.ndarray, hi: np.ndarray, ustar: float,
+              scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The tau intervals of _u_path whose real parts run from lo to hi."""
+    return np.arcsinh((lo - ustar) / scale), np.arcsinh((hi - ustar) / scale)
 
 
-def _chi_u_lines(ks: list[float], omegas: list[float], wins: list,
-                 w: float, cos_theta: float, r1: float, r2: float,
-                 spec: QuadSpec) -> tuple[list[QuadResult], np.ndarray,
-                                          np.ndarray]:
-    """The pole-subtracted u-lines int P(u) du of the given (k, omega,
-    (u_lo, u_hi)), each along its contour, in one lockstep batch.
+def _chi_u_lines(k: np.ndarray, omega: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray, w: float, cos_theta: float, r1: float,
+                 r2: float, spec: QuadSpec) -> tuple[list[QuadResult],
+                                                     np.ndarray, np.ndarray]:
+    """The pole-subtracted u-lines int P(u) du of the given k, omega and
+    windows [lo, hi], each along its contour, in one lockstep batch.
 
     Returns the line results and every line's F(-omega) and F(+omega),
     which one chi_f call gives.  By Cauchy each value is the real-line
-    integral from u_lo to u_hi: P is analytic between the two paths (its
+    integral from lo to hi: P is analytic between the two paths (its
     poles at +-omega are subtracted, its branch points +-1 lie outside the
     window, and sinh V / V is even in V).
     """
-    om = np.array(omegas)
-    kk = np.array(ks)
-    los = np.array([lo for lo, _ in wins])
-    his = np.array([hi for _, hi in wins])
-    hs = np.array([_chi_path_height(w, k) for k in ks])
+    h = _chi_path_height(w, k)
     ustar, scale = _saddle(r1, r2)
-    fpm = kernels.chi_f(np.concatenate([-om, om]), np.concatenate([kk, kk]),
-                        w, cos_theta, r1, r2)
-    fm, fp = fpm[:len(ks)], fpm[len(ks):]
+    fpm = kernels.chi_f(np.concatenate([-omega, omega]),
+                        np.concatenate([k, k]), w, cos_theta, r1, r2)
+    fm, fp = fpm[:len(k)], fpm[len(k):]
 
     def p(tau: np.ndarray, owner: np.ndarray | None) -> np.ndarray:
         j = 0 if owner is None else owner       # None: a single line
-        u, du = _u_path(tau, los[j], his[j], ustar, scale, hs[j])
-        return du * kernels.chi_p(u, fm[j], fp[j], om[j], kk[j], w,
+        u, du = _u_path(tau, lo[j], hi[j], ustar, scale, h[j])
+        return du * kernels.chi_p(u, fm[j], fp[j], omega[j], k[j], w,
                                   cos_theta, r1, r2)
 
-    ends = [_u_domain(lo, hi, ustar, scale) for lo, hi in wins]
+    a, b = _u_domain(lo, hi, ustar, scale)
     # quad's own name, not one bound in this module: a tracer that spans
     # this module's quad names as correlator calls (perfbench) must not
     # take a batch of u-lines for a correlator
-    results = quad.integrate_batch(p, [a for a, _ in ends],
-                                   [b for _, b in ends], spec)
-    return results, fm, fp
+    return quad.integrate_batch(p, a.tolist(), b.tolist(), spec), fm, fp
 
 
 def _chi_quad(geom: DetectorGeometry, params: EmitterParams,
@@ -483,67 +480,68 @@ def _chi_quad(geom: DetectorGeometry, params: EmitterParams,
     node in eps order within its sweep.
     """
     cos_theta = geom.cos_theta
-    r1 = geom.r1_kf
-    r2 = geom.r2_kf
+    r1 = geom.r1 * LAMBDA_F
+    r2 = geom.r2 * LAMBDA_F
     dabs = params.abs_delta
     w = params.w_kf
-    ecut = energy_cutoff(params)
-
-    pref = complex(params.delta) * (-0.25j) * TWO_PI_M6 / (r1 * r2)
-    spec = replace(spec, abs_tol=max(spec.abs_tol, abs_floor / abs(pref)))
-    line_spec = spec.tightened()
     # over every u-line: kernel nodes (F(+-omega) and the line's chi_p
     # nodes), final panels and the deepest bisection
     evals = intervals = depth = 0
 
-    def f(eps: np.ndarray) -> np.ndarray:
+    def f(eps: np.ndarray, line_spec: QuadSpec) -> np.ndarray:
         """m k(eps) times the energy-line integral over u, at every eps node.
 
-        The u-lines of all eps nodes run in one lockstep batch, with one
-        chi_f call for all their F(-omega) and F(+omega).
+        The u-lines of all eps nodes whose window holds one run in one
+        lockstep batch, with one chi_f call for all their F(-omega) and
+        F(+omega).
         """
         nonlocal evals, intervals, depth
-        nodes = []      # (index, eps, omega, k, (u_lo, u_hi)) of each u-line
-        for i, e in enumerate(eps.tolist()):
-            omega = math.sqrt(e * e + dabs * dabs)
-            if omega >= OMEGA_CAP or omega == 0.0:
-                continue
-            k = math.sqrt(1.0 + e)
-            win = _chi_u_window(params, k, omega)
-            if win is not None:
-                nodes.append((i, e, omega, k, win))
+        omega = np.sqrt(eps * eps + dabs * dabs)
+        k = np.sqrt(1.0 + eps)
+        lo, hi, held = _chi_u_window(w, k, omega)
+        line = held & (omega < OMEGA_CAP) & (omega != 0.0)
         out = np.zeros(eps.shape, np.complex128)
-        if not nodes:
+        if not line.any():
             return out
-        _, _, omegas, ks, wins = zip(*nodes)
-        results, fm, fp = _chi_u_lines(list(ks), list(omegas), list(wins), w,
-                                       cos_theta, r1, r2, line_spec)
-        for (i, e, omega, k, (u_lo, u_hi)), res, fmi, fpi in zip(
-                nodes, results, fm, fp):
+        eps, omega, k, lo, hi = (x[line] for x in (eps, omega, k, lo, hi))
+        results, fm, fp = _chi_u_lines(k, omega, lo, hi, w, cos_theta, r1,
+                                       r2, line_spec)
+        for i, res in enumerate(results):
             # the first failed line in eps order names where chi failed
             if not res.converged:
                 raise NonConvergenceError(
-                    f"chi u-line did not converge at eps = {e!r}, "
-                    f"u in [{u_lo!r}, {u_hi!r}]", res)
+                    f"chi u-line did not converge at eps = {float(eps[i])!r}"
+                    f", u in [{float(lo[i])!r}, {float(hi[i])!r}]", res)
             evals += 2 + res.evaluations
             intervals += res.intervals
             depth = max(depth, res.max_depth)
-            log_m = math.log(abs((u_hi + omega) / (u_lo + omega)))
-            log_p = math.log(abs((omega - u_lo) / (omega - u_hi)))
-            # the window holds both poles: each gives its i pi residue
-            analytic = (fmi * (log_m + 1j * math.pi)
-                        + fpi * (log_p + 1j * math.pi)) / (2.0 * omega)
-            out[i] = 0.5 * k * (res.value + analytic)    # m k(eps) measure
+        log_m = np.log(np.abs((hi + omega) / (lo + omega)))
+        log_p = np.log(np.abs((omega - lo) / (omega - hi)))
+        # the window holds both poles: each gives its i pi residue
+        analytic = (fm * (log_m + 1j * math.pi)
+                    + fp * (log_p + 1j * math.pi)) / (2.0 * omega)
+        values = np.array([res.value for res in results])
+        out[line] = 0.5 * k * (values + analytic)       # m k(eps) measure
         return out
 
-    total = QuadResult(0.0, 0.0, 0, True)
-    for lo, hi in ((-ecut, 0.0), (0.0, ecut)):
-        total = total + integrate_1d(f, lo, hi, spec)
-    err = abs(pref) * total.err_est \
-        + TRUNCATION_BIAS_REL * abs(pref) * abs(total.value)
-    return QuadResult(pref * total.value, err, evals, total.converged, -1,
-                      total.intervals + intervals,
-                      max(total.max_depth, depth))
+    def half(lo: float, hi: float, s: QuadSpec) -> QuadResult:
+        line_spec = s.tightened()
+        return integrate_1d(lambda eps: f(eps, line_spec), lo, hi, s)
+
+    pref = complex(params.delta) * (-0.25j) * TWO_PI_M6 / (r1 * r2)
+    total = _eps_integral(half, pref, energy_cutoff(params), spec, abs_floor)
+    return replace(total, evaluations=evals, fail_dim=-1,
+                   intervals=total.intervals + intervals,
+                   max_depth=max(total.max_depth, depth))
+
+
+def _regime_flags(geom: DetectorGeometry, params: EmitterParams) -> dict:
+    """The validity conditions of the quadrature route at the nearer
+    detector: far_field, k_F r >= REGIME_KFR, and chi_spread_ok, wave-packet
+    spreading r / (k_F w^2) >= REGIME_SPREAD."""
+    r_min = min(geom.r1, geom.r2) * LAMBDA_F
+    return {"far_field": r_min >= REGIME_KFR,
+            "chi_spread_ok": r_min / params.w_kf ** 2 >= REGIME_SPREAD}
 
 
 def chi(geom: DetectorGeometry, params: EmitterParams,
@@ -551,8 +549,9 @@ def chi(geom: DetectorGeometry, params: EmitterParams,
     """Equal-time pair amplitude chi(2;1).
 
     Proportional to the gap (exactly zero in the normal state) and symmetric
-    under exchanging the two detectors.  Warns when the far-field /
-    wave-packet-spreading regime conditions are not met.
+    under exchanging the two detectors.  Warns, naming each false regime
+    flag of rho2_and_Q, when the far-field / wave-packet-spreading
+    conditions are not met.
 
     Checked domain: its error estimate (rho2_and_Q's err_est["chi21"]) is
     tested only for detectors 90 degrees or more apart.  Nearer than that
@@ -563,14 +562,10 @@ def chi(geom: DetectorGeometry, params: EmitterParams,
     """
     if params.abs_delta == 0.0:
         return 0.0 + 0.0j
-    r_min = min(geom.r1_kf, geom.r2_kf)
-    if r_min < REGIME_KFR:
-        warnings.warn(f"k_F r = {r_min:.1f} < {REGIME_KFR}: chi outside "
-                      "its validated regime", stacklevel=2)
-    spread = r_min / params.w_kf ** 2
-    if spread < REGIME_SPREAD:
-        warnings.warn(f"r/(k_F w^2) = {spread:.1f} < {REGIME_SPREAD}: chi "
-                      "outside its validated regime", stacklevel=2)
+    outside = [n for n, ok in _regime_flags(geom, params).items() if not ok]
+    if outside:
+        warnings.warn("chi outside its validated regime: "
+                      + ", ".join(outside), stacklevel=2)
     res = _chi_quad(geom, params, spec or default_spec())
     if not res.converged:      # a u-line that fails raises where it fails
         raise NonConvergenceError("chi eps integral did not converge", res)
@@ -594,8 +589,9 @@ def rho2_and_Q(geom: DetectorGeometry, params: EmitterParams,
     with the variable its quadrature stopped in.
     """
     spec = spec or default_spec()
-    res11 = _gamma_diag_at(geom.r1_kf, params, spec)
-    scale = (geom.r1_kf / geom.r2_kf) ** 2
+    r1 = geom.r1 * LAMBDA_F
+    res11 = _gamma_diag_at(r1, params, spec)
+    scale = (r1 / (geom.r2 * LAMBDA_F)) ** 2
     res22 = replace(res11, value=scale * res11.value,
                     err_est=scale * res11.err_est)
     g11 = res11.value.real
@@ -626,15 +622,9 @@ def rho2_and_Q(geom: DetectorGeometry, params: EmitterParams,
     rho1_1 = 2.0 * g11
     rho1_2 = 2.0 * g22
     rho2 = 4.0 * g22 * g11 - 2.0 * abs(g21) ** 2 + 2.0 * abs(x21) ** 2
-    q = rho2 / (rho1_1 * rho1_2)
-
-    r_min = min(geom.r1_kf, geom.r2_kf)
-    flags = {
-        "far_field": geom.far_field,
-        "chi_spread_ok": r_min / params.w_kf ** 2 >= REGIME_SPREAD,
-    }
     return CorrelationResult(
         gamma11=g11, gamma22=g22, gamma21=g21, chi21=x21,
-        rho1_1=rho1_1, rho1_2=rho1_2, rho2=rho2, Q=q, regime_flags=flags,
+        rho1_1=rho1_1, rho1_2=rho1_2, rho2=rho2,
+        Q=rho2 / (rho1_1 * rho1_2), regime_flags=_regime_flags(geom, params),
         err_est={name: res.err_est for name, res in parts.items()},
     )

@@ -9,7 +9,7 @@ with a = g22 g11 - |g21|^2 and b = 2 (|g21|^2 + |chi21|^2); the trace
 Werner state with singlet weight p = b / (4a + b): entangled for p > 1/3
 (concurrence (3p-1)/2), CHSH-violating for p > 1/sqrt(2) (optimal CHSH
 value 2 sqrt(2) p).  When g21 = 0 the identity p = (Q-1)/Q maps the
-thresholds to Q = 3/2 and Q = sqrt(2)/(sqrt(2)-1).
+thresholds to Q = 3/2 and Q = 1/(1 - 1/sqrt(2)) = 2 + sqrt(2).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 Q_ENTANGLEMENT_THRESHOLD = 1.5
-Q_BELL_THRESHOLD = math.sqrt(2.0) / (math.sqrt(2.0) - 1.0)   # ~3.414
+Q_BELL_THRESHOLD = 2.0 + math.sqrt(2.0)       # correctly rounded, ~3.414
 
 _P_ENTANGLED = 1.0 / 3.0
 _P_BELL = 1.0 / math.sqrt(2.0)

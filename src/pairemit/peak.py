@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .entanglement import Q_BELL_THRESHOLD, Q_ENTANGLEMENT_THRESHOLD
 from .model import (LAMBDA_F, MU, REGIME_KFR, REGIME_SPREAD, SWEEPABLE,
                     EmitterParams, pippard_length)
 from .specfun import bessel_k1, hankel2_0
@@ -33,9 +34,10 @@ __all__ = [
     "REGIME_MU_OVER_EC",
 ]
 
-# dQ thresholds equivalent to Q = 3/2 and Q = sqrt(2)/(sqrt(2)-1)
-DQ_ENTANGLEMENT = 0.5
-DQ_BELL = math.sqrt(2.0) + 1.0
+# dQ thresholds equivalent to Q = 3/2 and Q = 2 + sqrt(2): 0.5 and
+# 1 + sqrt(2), each exact as its Q threshold minus 1
+DQ_ENTANGLEMENT = Q_ENTANGLEMENT_THRESHOLD - 1.0
+DQ_BELL = Q_BELL_THRESHOLD - 1.0
 
 REGIME_MU_OVER_EC = 20.0
 

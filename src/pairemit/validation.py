@@ -93,17 +93,22 @@ def check_threshold_algebra() -> tuple[bool, str]:
     for q, p_want in ((1.2, 1.0 / 6.0), (Q_ENTANGLEMENT_THRESHOLD, 1.0 / 3.0),
                       (2.0, 0.5), (Q_BELL_THRESHOLD, 1.0 / math.sqrt(2.0)),
                       (5.0, 0.8)):
-        # correlators with gamma21 = 0 and |chi|^2 from Q = 1 + |chi|^2/(2 g g)
+        # correlators with gamma21 = 0 and |chi|^2 from Q = 1 + |chi|^2/(2 g g),
+        # and their own Q, formed as rho2_and_Q forms it: sqrt((q - 1) 2)
+        # can square back 1 ulp off, which moves Q off q (at the Bell
+        # threshold, 1 ulp above it)
         g = 1.0
-        chi2 = (q - 1.0) * 2.0 * g * g
+        chi = math.sqrt((q - 1.0) * 2.0 * g * g)
+        rho2 = 4.0 * g * g + 2.0 * abs(chi) ** 2
         corr = CorrelationResult(
-            gamma11=g, gamma22=g, gamma21=0.0, chi21=math.sqrt(chi2),
-            rho1_1=2 * g, rho1_2=2 * g, rho2=4 * g * g + 2 * chi2, Q=q)
+            gamma11=g, gamma22=g, gamma21=0.0, chi21=chi, rho1_1=2 * g,
+            rho1_2=2 * g, rho2=rho2, Q=rho2 / (4.0 * g * g))
         rep = werner_decompose(corr)
-        worst = max(worst, abs(rep.p - p_want), abs(rep.p - (q - 1.0) / q))
-        if q > Q_BELL_THRESHOLD:
+        worst = max(worst, abs(rep.p - p_want),
+                    abs(rep.p - (corr.Q - 1.0) / corr.Q))
+        if corr.Q > Q_BELL_THRESHOLD:
             from_q = "bell_violating"
-        elif q > Q_ENTANGLEMENT_THRESHOLD:
+        elif corr.Q > Q_ENTANGLEMENT_THRESHOLD:
             from_q = "entangled"
         else:
             from_q = "separable"
@@ -194,10 +199,10 @@ def check_normal_antibunching() -> tuple[bool, str]:
 
 def check_chi_null_symmetry_phase() -> tuple[bool, str]:
     """chi = 0 at Delta = 0; detector-swap symmetry; gap-phase invariance."""
-    geom = DetectorGeometry(
-        tuple(np.array([0.6, 0.0, 0.8]) * 90.0),
-        tuple(np.array([-0.595, 0.1, -0.79]) / np.linalg.norm([-0.595, 0.1, -0.79]) * 110.0),
-    )
+    geom = DetectorGeometry.from_vectors(
+        np.array([0.6, 0.0, 0.8]) * 90.0,
+        np.array([-0.595, 0.1, -0.79]) / np.linalg.norm([-0.595, 0.1, -0.79])
+        * 110.0)
     p0 = EmitterParams(delta=0.0, ec=DELTA_FIG, w=1.0)
     x_null = chi(geom, p0)
     p1 = EmitterParams(delta=DELTA_FIG, ec=DELTA_FIG, w=1.0)

@@ -59,6 +59,13 @@ def test_importing_the_cli_loads_no_numpy_polynomial():
     assert not [m for m in loaded if m.startswith("numpy.polynomial")]
 
 
+def test_importing_robustness_loads_no_numpy_polynomial():
+    # robustness commits its Gauss-Hermite rule instead of building it
+    loaded = _loaded_after("from pairemit import robustness")
+    assert "pairemit.robustness" in loaded
+    assert not [m for m in loaded if m.startswith("numpy.polynomial")]
+
+
 def test_params_loads_only_model():
     loaded = _loaded_after("from pairemit import cli\n"
                            "assert cli.main(['params']) == 0")

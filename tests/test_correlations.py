@@ -14,7 +14,8 @@ from pairemit.correlations import (DetectorGeometry, NonConvergenceError,
                                    farfield_amplitude,
                                    farfield_amplitude_direct, chi,
                                    rho2_and_Q)
-from pairemit.model import MASS, EmitterParams, pole_momentum, OutOfBandError
+from pairemit.model import (LAMBDA_F, MASS, EmitterParams, OutOfBandError,
+                            pole_momentum)
 from pairemit.quad import QuadResult, QuadSpec
 
 DELTA = 2.997e-3
@@ -38,27 +39,78 @@ class TestGeometry:
             assert g.r2 == pytest.approx(100.0)
             assert g.cos_theta == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("r, theta", [(100.0, 2.0), (55.0, 0.3),
+                                          (137.3, math.pi)])
+    def test_from_r_theta_stores_r_and_cos_theta_exactly(self, r, theta):
+        g = DetectorGeometry.from_r_theta(r, theta)
+        assert (g.r1, g.r2, g.cos_theta) == (r, r, math.cos(theta))
+
+    def test_from_vectors_matches_the_vector_geometry(self):
+        # acceptance check 5's non-coplanar pair: the radii and cosine the
+        # geometry computed from its stored vectors at version 0.3.0
+        geom = DetectorGeometry.from_vectors(
+            CHECK5_N1 * 90.0,
+            np.array([-0.595, 0.1, -0.79]) / np.linalg.norm([-0.595, 0.1,
+                                                             -0.79]) * 110.0)
+        for got, want in ((geom.r1, 90.0), (geom.r2, 109.99999999999999),
+                          (geom.cos_theta, -0.994925009649501)):
+            assert abs(got - want) <= math.ulp(want)
+        assert geom.swapped() == DetectorGeometry(geom.r2, geom.r1,
+                                                  geom.cos_theta)
+
     def test_far_field_flag(self):
         # threshold is k_F r >= 50, i.e. r >= 50/(2 pi) lambda_F
-        assert DetectorGeometry.from_r_theta(10.0, 0.1).far_field
-        assert not DetectorGeometry.from_r_theta(5.0, 0.1).far_field
+        flags = correlations._regime_flags
+        assert flags(DetectorGeometry.from_r_theta(10.0, 0.1),
+                     NORMAL)["far_field"]
+        assert not flags(DetectorGeometry.from_r_theta(5.0, 0.1),
+                         NORMAL)["far_field"]
 
     def test_positive_distances(self):
-        with pytest.raises(ValueError):
-            DetectorGeometry((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+        with pytest.raises(ValueError,
+                           match="positive and finite, got r1 = 0.0, r2 = 1.0"):
+            DetectorGeometry.from_vectors((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+        with pytest.raises(ValueError, match="positive and finite, got "
+                                             "r1 = 100.0, r2 = -1.0"):
+            DetectorGeometry(100.0, -1.0, 0.5)
 
     @pytest.mark.parametrize("geom, named", [
         (lambda: DetectorGeometry.from_r_theta(math.nan, 1.0),
-         "r1 = nan, r2 = nan"),
+         "positive and finite, got r1 = nan, r2 = nan"),
         (lambda: DetectorGeometry.from_r_theta(100.0, math.nan),
-         "r1 = nan, r2 = nan"),
-        (lambda: DetectorGeometry((0.0, 0.0, 1.0), (0.0, 0.0, math.inf)),
-         "r1 = 1.0, r2 = inf"),
-    ], ids=["r-nan", "theta-nan", "r2-inf"])
+         r"cos_theta must lie in \[-1, 1\], got nan"),
+        (lambda: DetectorGeometry.from_vectors((0.0, 0.0, 1.0),
+                                               (0.0, 0.0, math.inf)),
+         "positive and finite, got r1 = 1.0, r2 = inf"),
+        (lambda: DetectorGeometry.from_vectors((math.nan, 0.0, 1.0),
+                                               (0.0, 0.0, 1.0)),
+         "positive and finite, got r1 = nan, r2 = 1.0"),
+    ], ids=["r-nan", "theta-nan", "r2-inf", "r1-vector-nan"])
     def test_non_finite_distances_rejected(self, geom, named):
-        with pytest.raises(ValueError,
-                           match=f"positive and finite, got {named}"):
+        with pytest.raises(ValueError, match=named):
             geom()
+
+    @pytest.mark.parametrize("cos_theta", [1.0 + 2e-16, -1.5])
+    def test_cos_theta_outside_its_range_rejected(self, cos_theta):
+        with pytest.raises(ValueError, match=r"cos_theta must lie in "
+                                             rf"\[-1, 1\], got {cos_theta!r}"):
+            DetectorGeometry(100.0, 100.0, cos_theta)
+
+    def test_from_r_theta_point_takes_no_norm(self, monkeypatch):
+        # a Q point reads (r1, r2, cos_theta) as stored: no vector norms
+        norms = []
+        norm = np.linalg.norm
+
+        def counting(*args, **kwargs):
+            norms.append(args)
+            return norm(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        rho2_and_Q(DetectorGeometry.from_r_theta(R, math.pi), SUPER,
+                   default_spec(0.03))
+        assert norms == []
+        DetectorGeometry.from_vectors((0.0, 0.0, 1.0), (0.0, 1.0, 0.0))
+        assert len(norms) == 2          # the wrapper sees from_vectors' two
 
 
 class TestFarfieldAmplitude:
@@ -97,7 +149,8 @@ class TestFarfieldAmplitude:
         n1 = turn @ [math.sin(theta / 2), 0.0, math.cos(theta / 2)]
         n2 = turn @ [-math.sin(theta / 2), 0.0, math.cos(theta / 2)]
         bisector = turn @ [0.0, 0.0, 1.0]
-        geom = DetectorGeometry(tuple(r1 * n1), tuple(r2 * n2))
+        geom = DetectorGeometry.from_vectors(r1 * n1, r2 * n2)
+        r1_kf, r2_kf = geom.r1 * LAMBDA_F, geom.r2 * LAMBDA_F
         for _ in range(40):
             eps = rng.uniform(-1.0, 1.0) * energy_cutoff(SUPER)
             khat = rng.normal(size=3)
@@ -105,15 +158,15 @@ class TestFarfieldAmplitude:
             k = math.sqrt(1.0 + eps)
             omega = math.hypot(eps, DELTA)
             want = 0.5 * (1.0 - eps / omega) * MASS * k \
-                * farfield_amplitude(k * khat, geom.r1_vec, omega, SUPER) \
-                * farfield_amplitude(k * khat, geom.r2_vec, omega,
+                * farfield_amplitude(k * khat, r1 * n1, omega, SUPER) \
+                * farfield_amplitude(k * khat, r2 * n2, omega,
                                      SUPER).conjugate()
             kernel = kernels.gamma_integrand(
                 rng.uniform(0.0, math.pi, 3), eps, float(khat @ bisector),
-                DELTA, SUPER.ec, SUPER.w_kf, geom.r1_kf, geom.r2_kf,
+                DELTA, SUPER.ec, SUPER.w_kf, r1_kf, r2_kf,
                 math.cos(theta / 2), correlations.OMEGA_CAP)
             got = kernel * (math.pi / 2) * (2 * math.pi) ** -6 \
-                / (geom.r1_kf * geom.r2_kf)
+                / (r1_kf * r2_kf)
             assert np.all(np.abs(got - want) <= 1e-12 * abs(want))
 
     def test_out_of_band_propagates(self):
@@ -127,10 +180,11 @@ class TestFarfieldAmplitude:
                                       np.array([0, 0, 200.0]), 0.01, SUPER)
 
 
-def _gamma_diag(r_vec, params=SUPER):
-    """gamma(r; r) as rho2_and_Q reads it: the cached G / r^2."""
-    r_kf = DetectorGeometry(r_vec, r_vec).r1_kf
-    return correlations._gamma_diag_at(r_kf, params, default_spec()).value
+def _gamma_diag(r, params=SUPER):
+    """gamma(r; r) as rho2_and_Q reads it: the cached G / r^2 (r in
+    lambda_F)."""
+    return correlations._gamma_diag_at(r * LAMBDA_F, params,
+                                       default_spec()).value
 
 
 def _gamma21(geom, params=SUPER):
@@ -140,21 +194,21 @@ def _gamma21(geom, params=SUPER):
 
 class TestGamma:
     def test_diagonal_real_positive(self):
-        val = _gamma_diag(DetectorGeometry.from_r_theta(R, 0.0).r1_vec)
+        val = _gamma_diag(R)
         assert val.imag == pytest.approx(0.0, abs=1e-18)
         assert val.real > 0.0
 
     def test_hermiticity_under_swap(self):
-        geom = DetectorGeometry((0.0, 0.0, 90.0),
-                                (30.0, 0.0, 85.0))
+        geom = DetectorGeometry.from_vectors((0.0, 0.0, 90.0),
+                                             (30.0, 0.0, 85.0))
         a = _gamma21(geom)
         b = _gamma21(geom.swapped())
         assert abs(a - b.conjugate()) <= 1e-3 * abs(a)
 
     def test_cauchy_schwarz(self):
         geom = DetectorGeometry.from_r_theta(R, 0.3)
-        g11 = _gamma_diag(geom.r1_vec).real
-        g22 = _gamma_diag(geom.r2_vec).real
+        g11 = _gamma_diag(geom.r1).real
+        g22 = _gamma_diag(geom.r2).real
         g21 = _gamma21(geom)
         assert abs(g21) ** 2 <= g11 * g22 * (1.0 + 1e-6)
 
@@ -173,11 +227,10 @@ class TestGamma:
 
     def test_energy_cutoff_convergence(self, monkeypatch):
         # doubling the eps_k window moves the diagonal by less than 1%
-        r_vec = DetectorGeometry.from_r_theta(R, 0.0).r1_vec
-        base = _gamma_diag(r_vec).real
+        base = _gamma_diag(R).real
         monkeypatch.setattr(correlations, "energy_cutoff", lambda p: min(
             2.0 * energy_cutoff(p), correlations._band_edge(p)))
-        wide = _gamma_diag(r_vec).real
+        wide = _gamma_diag(R).real
         assert abs(wide - base) < 0.01 * abs(base)
 
     def test_nonconvergence_names_the_variable(self, monkeypatch):
@@ -307,13 +360,56 @@ class TestChi:
             omega = math.hypot(eps, params.abs_delta)
             if omega >= correlations.OMEGA_CAP:
                 continue
-            win = correlations._chi_u_window(params, math.sqrt(1.0 + eps),
-                                             omega)
-            if win is not None:
-                lo, hi = win
+            lo, hi, nonempty = correlations._chi_u_window(
+                params.w_kf, math.sqrt(1.0 + eps), omega)
+            if nonempty:
                 assert -1.0 < lo < -omega < omega < hi < 1.0
                 held += 1
         assert held > 1000
+
+    def test_sweep_arrays_match_the_per_node_formulas(self):
+        # an eps sweep computes its u windows, contour heights and tau
+        # domains as arrays; the per-node formulas they replaced are the
+        # reference.  Heights bitwise; windows within one rounding of the
+        # largest square they subtract, (k + 6/w)^2 (Python's x ** 2 is
+        # C pow, which can round x * x 1 ulp off, numpy's is not); tau
+        # domains within 4 ulp (numpy's arcsinh and math.asinh round
+        # differently)
+        def window(w, k, omega):
+            pad = 6.0 / w
+            lo = max(max(k - pad, 0.0) ** 2 - 1.0, 1.0 - (k + pad) ** 2)
+            hi = min((k + pad) ** 2 - 1.0, 1.0 - max(k - pad, 0.0) ** 2)
+            if lo >= hi:
+                return None
+            ulim = 1.0 - 1e-9
+            return (max(min(lo, -omega - 0.02), -ulim),
+                    min(max(hi, omega + 0.02), ulim))
+
+        rng = np.random.default_rng(7)
+        held = 0
+        for _ in range(40):
+            w = rng.uniform(0.3, 5.0) * LAMBDA_F
+            eps = rng.uniform(-0.95, 0.95, 50)
+            omega = np.sqrt(eps * eps + 10.0 ** rng.uniform(-8.0, -2.0))
+            k = np.sqrt(1.0 + eps)
+            lo, hi, nonempty = correlations._chi_u_window(w, k, omega)
+            tol = np.spacing((k + 6.0 / w) ** 2)
+            for i, (ki, oi) in enumerate(zip(k.tolist(), omega.tolist())):
+                want = window(w, ki, oi)
+                assert bool(nonempty[i]) == (want is not None)
+                assert want is None or max(abs(lo[i] - want[0]),
+                                           abs(hi[i] - want[1])) <= tol[i]
+            assert correlations._chi_path_height(w, k).tolist() \
+                == [min(0.5, 2.0 / (w * math.sqrt(x))) for x in k.tolist()]
+            ustar, scale = correlations._saddle(*rng.uniform(300.0, 2e4, 2))
+            for got, ends in zip(correlations._u_domain(lo, hi, ustar, scale),
+                                 (lo, hi)):
+                want = np.array([math.asinh((x - ustar) / scale)
+                                 for x in ends.tolist()])
+                assert np.all(np.abs(got - want)
+                              <= 4.0 * np.spacing(np.abs(want)))
+            held += int(nonempty.sum())
+        assert 200 < held < 40 * 50
 
     def test_u_line_nonconvergence_is_located(self):
         spec = QuadSpec(rel_tol=1e-3, abs_tol=1e-300, max_depth=1)
@@ -352,7 +448,7 @@ class TestChi:
         first = failed[0]
         m = re.search(r"u in \[(\S+), (\S+)\]$", str(info.value))
         geom = DetectorGeometry.from_r_theta(R, math.pi)
-        saddle = correlations._saddle(geom.r1_kf, geom.r2_kf)
+        saddle = correlations._saddle(geom.r1 * LAMBDA_F, geom.r2 * LAMBDA_F)
         assert correlations._u_domain(*map(float, m.groups()), *saddle) \
             == (starts[first], stops[first])
         assert info.value.result is lines[first]
@@ -412,7 +508,7 @@ class TestChi:
         # chi(r1, r2) = chi(r2, r1) at unequal radii and off-axis angles
         n2 = np.array([-0.6, 0.15, -0.785])
         n2 /= np.linalg.norm(n2)
-        geom = DetectorGeometry((0.0, 0.0, 90.0), tuple(105.0 * n2))
+        geom = DetectorGeometry.from_vectors((0.0, 0.0, 90.0), 105.0 * n2)
         a = chi(geom, SUPER)
         b = chi(geom.swapped(), SUPER)
         assert abs(a - b) <= 2e-2 * abs(a)
@@ -491,24 +587,22 @@ def _pair(r1, r2, polar, azimuth, theta, turn):
     e2 = np.cross(n1, e1)
     n2 = math.cos(theta) * n1 + math.sin(theta) * (math.cos(turn) * e1
                                                    + math.sin(turn) * e2)
-    return DetectorGeometry(tuple(r1 * n1), tuple(r2 * n2))
+    return DetectorGeometry.from_vectors(r1 * n1, r2 * n2)
 
 
-def _real_line_u_lines(ks, omegas, wins, w, cos_theta, r1, r2, spec):
+def _real_line_u_lines(k, omega, lo, hi, w, cos_theta, r1, r2, spec):
     """The oracle of a whole chi: correlations._chi_u_lines along the real
-    segments [u_lo, u_hi], as chi ran before its contour."""
-    om, kk = np.array(omegas), np.array(ks)
-    fpm = kernels.chi_f(np.concatenate([-om, om]), np.concatenate([kk, kk]),
-                        w, cos_theta, r1, r2)
-    fm, fp = fpm[:len(ks)], fpm[len(ks):]
+    segments [lo, hi], as chi ran before its contour."""
+    fpm = kernels.chi_f(np.concatenate([-omega, omega]),
+                        np.concatenate([k, k]), w, cos_theta, r1, r2)
+    fm, fp = fpm[:len(k)], fpm[len(k):]
 
     def p(u, owner):
         j = 0 if owner is None else owner
-        return kernels.chi_p(u, fm[j], fp[j], om[j], kk[j], w, cos_theta,
+        return kernels.chi_p(u, fm[j], fp[j], omega[j], k[j], w, cos_theta,
                              r1, r2)
 
-    return quad.integrate_batch(p, [lo for lo, _ in wins],
-                                [hi for _, hi in wins], spec), fm, fp
+    return quad.integrate_batch(p, lo.tolist(), hi.tolist(), spec), fm, fp
 
 
 def _contour_and_real_line(params, geom, eps_frac):
@@ -518,14 +612,16 @@ def _contour_and_real_line(params, geom, eps_frac):
     eps = eps_frac * energy_cutoff(params)
     omega = math.sqrt(eps * eps + params.abs_delta ** 2)
     k = math.sqrt(1.0 + eps)
-    win = correlations._chi_u_window(params, k, omega)
-    if win is None:
+    lo, hi, held = correlations._chi_u_window(params.w_kf, k, omega)
+    if not held:
         return None
-    args = (params.w_kf, geom.cos_theta, geom.r1_kf, geom.r2_kf)
+    args = (params.w_kf, geom.cos_theta, geom.r1 * LAMBDA_F,
+            geom.r2 * LAMBDA_F)
     (res,), fm, fp = correlations._chi_u_lines(
-        [k], [omega], [win], *args, default_spec(0.03).tightened())
+        *(np.array([x]) for x in (k, omega, lo, hi)), *args,
+        default_spec(0.03).tightened())
     assert res.converged
-    return res, _real_line(k, omega, win, *args, fm[0], fp[0]), win
+    return res, _real_line(k, omega, (lo, hi), *args, fm[0], fp[0]), (lo, hi)
 
 
 _RADIUS = st.floats(50.0, 3000.0)
@@ -542,14 +638,16 @@ class TestChiContour:
          _pair(3000.0, 500.0, 1.2, 0.3, 2.6, 2.0), 0.5, "outside"),
         # radii 50 and 1902 lambda_F, where a real-line chi took 45-98 s
         (EmitterParams(7.1e-3, 1e-2, 0.74),
-         DetectorGeometry((0.0, 0.0, 50.0), (0.0, 0.0, -1902.0)), 0.0,
+         DetectorGeometry.from_vectors((0.0, 0.0, 50.0), (0.0, 0.0, -1902.0)),
+         0.0,
          "near-end"),
     ], ids=["u*-near-end", "u*-outside", "radii-50-1902"])
     def test_saddle_at_and_beyond_the_window_ends(self, params, geom,
                                                  eps_frac, where):
         res, oracle, (lo, hi) = _contour_and_real_line(params, geom,
                                                        eps_frac)
-        ustar, _ = correlations._saddle(geom.r1_kf, geom.r2_kf)
+        ustar, _ = correlations._saddle(geom.r1 * LAMBDA_F,
+                                        geom.r2 * LAMBDA_F)
         h = correlations._chi_path_height(
             params.w_kf, math.sqrt(1.0 + eps_frac * energy_cutoff(params)))
         if where == "outside":
@@ -669,10 +767,11 @@ class TestRho2AndQ:
     def test_gamma22_is_gamma11_rescaled(self):
         # gamma(r; r) = G / r^2: detector 2's diagonal is detector 1's
         # times (r1 / r2)^2, at unequal radii too
-        geom = DetectorGeometry((0.0, 0.0, 90.0), (30.0, 0.0, 85.0))
+        geom = DetectorGeometry.from_vectors((0.0, 0.0, 90.0),
+                                             (30.0, 0.0, 85.0))
         res = rho2_and_Q(geom, SUPER)
-        g11 = _gamma_diag(geom.r1_vec)
-        g22 = _gamma_diag(geom.r2_vec)
+        g11 = _gamma_diag(geom.r1)
+        g22 = _gamma_diag(geom.r2)
         assert res.gamma11 == g11.real
         assert abs(res.gamma22 - g22.real) <= 1e-12 * g22.real
         assert res.err_est["gamma22"] / res.gamma22 == pytest.approx(

@@ -27,11 +27,14 @@ def test_entanglement_boundary():
 
 
 def test_chsh_boundary():
+    # a state on the Bell boundary to the bit, p = 1/sqrt(2): |chi|^2 =
+    # 2 (Q - 1) at the threshold Q = 2 + sqrt(2); sqrt(2 (Q - 1)) squares
+    # back 1 ulp above that, the float below it onto it
     q = Q_BELL_THRESHOLD
-    chi = math.sqrt((q - 1.0) * 2.0)
+    chi = math.nextafter(math.sqrt((q - 1.0) * 2.0), 0.0)
     corr = make_corr(chi=chi)
     rep = werner_decompose(corr)
-    assert rep.p == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+    assert rep.p == 1.0 / math.sqrt(2.0)
     assert rep.chsh == pytest.approx(2.0, abs=1e-12)
     assert rep.classification == "entangled"        # boundary -> lower class
 

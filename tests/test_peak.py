@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from pairemit import cli, peak
+from pairemit.entanglement import (Q_BELL_THRESHOLD,
+                                   Q_ENTANGLEMENT_THRESHOLD)
 from pairemit.model import EmitterParams, derive_params
 from pairemit.peak import (DQ_BELL, DQ_ENTANGLEMENT, SweepSpec,
                            angular_profile, delta_q_grid, delta_q_peak,
@@ -266,10 +268,14 @@ class TestThresholdMap:
 
     def test_threshold_constants(self):
         assert DQ_ENTANGLEMENT == 0.5
-        assert DQ_BELL == pytest.approx(math.sqrt(2.0) + 1.0, rel=1e-15)
-        # dQ thresholds equivalent to Q = 3/2 and Q = sqrt2/(sqrt2-1)
-        assert 1.0 + DQ_BELL == pytest.approx(
-            math.sqrt(2.0) / (math.sqrt(2.0) - 1.0), rel=1e-12)
+        assert DQ_BELL == math.sqrt(2.0) + 1.0
+        # dQ thresholds equivalent to Q = 3/2 and Q = 1/(1 - 1/sqrt2):
+        # each Q threshold is 1 plus its dQ threshold exactly, so a sweep's
+        # .meta.json reports the Q_bell its crossings are located at
+        assert 1.0 + DQ_ENTANGLEMENT == Q_ENTANGLEMENT_THRESHOLD == 1.5
+        assert 1.0 + DQ_BELL == Q_BELL_THRESHOLD == 2.0 + math.sqrt(2.0)
+        assert Q_BELL_THRESHOLD == pytest.approx(
+            math.sqrt(2.0) / (math.sqrt(2.0) - 1.0), rel=1e-15)
 
 
 # the four panels of `pairemit fig3` at its default fig3_points = 60, at the

@@ -10,7 +10,7 @@ from hypothesis import (Phase, assume, example, given, settings,
 from pairemit import correlations
 from pairemit.correlations import (DetectorGeometry, NonConvergenceError,
                                    default_spec, rho2_and_Q)
-from pairemit.model import EmitterParams
+from pairemit.model import LAMBDA_F, EmitterParams
 from pairemit.quad import QuadSpec
 
 DELTA = 2.997e-3
@@ -28,7 +28,8 @@ PARAMS = {"normal": EmitterParams(delta=0.0, ec=DELTA, w=1.0),
 def test_unequal_radii_invariants(name, r1, r2, theta):
     assume(abs(r1 - r2) >= 1.0)
     s, c = math.sin(0.5 * theta), math.cos(0.5 * theta)
-    geom = DetectorGeometry((r1 * s, 0.0, r1 * c), (-r2 * s, 0.0, r2 * c))
+    geom = DetectorGeometry.from_vectors((r1 * s, 0.0, r1 * c),
+                                         (-r2 * s, 0.0, r2 * c))
     res = rho2_and_Q(geom, PARAMS[name], default_spec(0.03))
     assert res.rho2 >= 0.0
     assert abs(res.gamma21) ** 2 <= res.gamma11 * res.gamma22 * (1.0 + 1e-6)
@@ -42,10 +43,11 @@ def _polar_vec(r, polar, azimuth):
             r * math.sin(polar) * math.sin(azimuth), r * math.cos(polar))
 
 
-# detector positions: the CLI's mirrored pairs and arbitrary directions
+# detector positions: those of the CLI's mirrored pairs, at polar angle
+# theta / 2 in the x-z plane, and arbitrary directions
 _R = st.floats(50.0, 3000.0)
 _POSITIONS = st.one_of(
-    st.builds(lambda r, t: DetectorGeometry.from_r_theta(r, t).r1_vec,
+    st.builds(lambda r, t: _polar_vec(r, 0.5 * t, 0.0),
               _R, st.floats(0.0, 2.0 * math.pi)),
     st.builds(_polar_vec, _R, st.floats(0.0, math.pi),
               st.floats(0.0, 2.0 * math.pi)))
@@ -56,14 +58,15 @@ _POSITIONS = st.one_of(
           phases=(Phase.explicit, Phase.generate))
 @given(r_vec=_POSITIONS)
 # its diagonal's cos_theta rounds to 1 - 3e-16
-@example(r_vec=DetectorGeometry.from_r_theta(100.0, 2.0).r1_vec)
+@example(r_vec=_polar_vec(100.0, 1.0, 0.0))
 def test_cached_diagonal_matches_uncached_quadrature(name, r_vec):
     # the cache integrates at unit radius and cos(theta/2) = 1 exactly; a
     # geometry's own cos_theta can round to 1 - 2e-16, which moves the
     # value by about 1e-14 relative
-    geom = DetectorGeometry(r_vec, r_vec)
+    geom = DetectorGeometry.from_vectors(r_vec, r_vec)
     spec = default_spec(0.03)
-    cached = correlations._gamma_diag_at(geom.r1_kf, PARAMS[name], spec)
+    cached = correlations._gamma_diag_at(geom.r1 * LAMBDA_F, PARAMS[name],
+                                         spec)
     direct = correlations._gamma_quad(geom, PARAMS[name], spec)
     assert cached.value.real == pytest.approx(direct.value.real, rel=1e-13,
                                               abs=0.0)
@@ -115,8 +118,8 @@ def test_chi_swap_symmetry_and_gap_phase(abs_delta_ec_w, r1_vec, r2_vec, r1,
                                          apart, phase):
     # two directions in no common plane with the z axis in general, at
     # unequal radii
-    geom = DetectorGeometry(_at_radius(r1_vec, r1),
-                            _at_radius(r2_vec, r1 + apart))
+    geom = DetectorGeometry.from_vectors(_at_radius(r1_vec, r1),
+                                         _at_radius(r2_vec, r1 + apart))
     abs_delta, ec, w = abs_delta_ec_w
     spec = default_spec(0.03)
     # the turned gap's modulus can round 1 ulp away from abs_delta, which
@@ -140,7 +143,7 @@ _SWAP = dict(derandomize=True, max_examples=6, deadline=None, database=None,
 
 
 def _unequal(r1_vec, r2_vec) -> DetectorGeometry:
-    geom = DetectorGeometry(r1_vec, r2_vec)
+    geom = DetectorGeometry.from_vectors(r1_vec, r2_vec)
     assume(abs(geom.r1 - geom.r2) >= 1.0)
     return geom
 

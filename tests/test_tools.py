@@ -203,6 +203,28 @@ def test_changed_names_are_masked_in_their_case(tmp_path, capsys, edits,
     assert f"changed {case}: masking" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("changed, code", [
+    ("*:crossings,regime_ok", 0),
+    ("default/*:crossings,regime_ok", 0),
+    ("quadrature/*:crossings,regime_ok", 1),
+], ids=["every_case", "matching_cases", "no_matching_case"])
+def test_a_case_pattern_masks_the_names_in_every_case_it_matches(
+        tmp_path, capsys, changed, code):
+    # `*` matches across `/`, so one line masks a field in every case
+    assert _compare_edited(tmp_path, [_REGIME_OK, _CROSSING], changed) == code
+    out = capsys.readouterr().out
+    assert ("changed default/fig3: masking ['crossings', 'regime_ok']"
+            in out) == (code == 0)
+
+
+def test_a_case_pattern_lists_every_case_it_matches(tmp_path, capsys):
+    assert _compare_edited(tmp_path, [_Q_SUPER, _Q_CLASSIFY],
+                           "quadrature/*") == 0
+    out = capsys.readouterr().out
+    assert "changed quadrature/angular: exit 0 -> 0" in out
+    assert "changed quadrature/classify_r100: exit 0 -> 0" in out
+
+
 @pytest.mark.parametrize("edits, changed, fail", [
     ([_REGIME_OK, _Q_PEAK], "default/fig3:regime_ok",
      "default/fig3/fig3_delta.csv: differs outside the columns "

@@ -24,7 +24,9 @@ Passes (exit 0) when
   dotted name such as `regime_flags.far_field` reaches into a nested
   object) of the .meta.json, CSV and classify.json files, as `version` and
   `config_hash` are masked, and compares everything else; `--changed CASE`
-  alone lists the case's files and compares none of them.
+  alone lists the case's files and compares none of them.  CASE is an
+  fnmatch pattern (`*` also matches `/`): `*:thresholds.Q_bell` masks that
+  field in every case.
 
 The .meta.json of an `angular` dataset is compared like a closed-form one.
 Every difference is printed, and so is every masked field that differs.
@@ -40,6 +42,7 @@ import json
 import re
 import sys
 from collections.abc import Collection
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 MASKED_KEYS = ("version", "config_hash")
@@ -129,8 +132,9 @@ def _quadrature(path: Path, a: Path, b: Path, masked: set[str],
 
 def compare(a: Path, b: Path, changed: set[str],
             fields: dict[str, set[str]]) -> list[str]:
-    """Every difference between A and B outside the cases in changed and
-    the names that fields gives a case."""
+    """Every difference between A and B outside the cases that a pattern
+    in changed matches and the names that fields gives a matching case
+    pattern."""
     problems: list[str] = []
     cases = sorted({p.parent.relative_to(a) for p in a.rglob("run.txt")}
                    | {p.parent.relative_to(b) for p in b.rglob("run.txt")})
@@ -148,12 +152,13 @@ def compare(a: Path, b: Path, changed: set[str],
         exits = [p["exit"] for p in parts]
         files = [{p.relative_to(d) for p in (d / case).rglob("*")
                   if p.is_file() and p.name != "run.txt"} for d in (a, b)]
-        if str(case) in changed:
+        if any(fnmatchcase(str(case), p) for p in changed):
             print(f"changed {case}: exit {exits[0]} -> {exits[1]}; files "
                   f"{sorted(map(str, files[0]))} -> "
                   f"{sorted(map(str, files[1]))}")
             continue
-        named = fields.get(str(case), set())
+        named = set().union(*(names for p, names in fields.items()
+                               if fnmatchcase(str(case), p)))
         if named:
             print(f"changed {case}: masking {sorted(named)}")
         if exits[0] != exits[1]:
@@ -203,7 +208,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="a case (e.g. empty_name/fig3) whose behaviour "
                              "is meant to differ, or the CSV columns and "
                              "JSON fields of a case that are meant to "
-                             "differ (e.g. default/fig3:regime_ok)")
+                             "differ (e.g. default/fig3:regime_ok); CASE is "
+                             "an fnmatch pattern (e.g. '*:thresholds.Q_bell')")
     args = parser.parse_args(argv)
     changed, fields = set(), {}
     for spec in args.changed:
