@@ -70,9 +70,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels, quad
-from .model import (LAMBDA_F, MASS, REGIME_KFR, REGIME_SPREAD, EmitterParams,
+from .model import (LAMBDA_F, MASS, REGIME_KFR, EmitterParams,
                     NonConvergenceError, UndefinedQError, form_factors,
-                    pole_momentum)
+                    pole_momentum, regime_flags)
 from .quad import QuadResult, QuadSpec, integrate_1d, integrate_nested
 
 __all__ = [
@@ -89,6 +89,9 @@ OMEGA_CAP = 0.999999
 # Gaussian-support truncations (energy windows, angular caps) cut where the
 # form-factor weight is below e^-18; the bias bound enters err_est.
 TRUNCATION_BIAS_REL = math.exp(-18.0)
+
+# the model.regime_flags this route reports, taken at the nearer detector
+_REGIME_FLAGS = ("kfr_large", "spread_large")
 
 
 @dataclass(frozen=True)
@@ -136,18 +139,36 @@ def _check_distances(r1: float, r2: float) -> None:
 
 @dataclass
 class CorrelationResult:
-    """All correlation quantities for one detector geometry."""
+    """The four correlators of one detector geometry, as rho2_and_Q
+    integrates them, with its regime flags and per-correlator err_est.
+    The one-particle densities rho1_1 = 2 gamma11 and rho1_2 = 2 gamma22,
+    rho2 and Q are derived from the correlators."""
 
     gamma11: float
     gamma22: float
     gamma21: complex
     chi21: complex
-    rho1_1: float
-    rho1_2: float
-    rho2: float
-    Q: float
     regime_flags: dict = field(default_factory=dict)
     err_est: dict = field(default_factory=dict)
+
+    @property
+    def rho1_1(self) -> float:
+        return 2.0 * self.gamma11
+
+    @property
+    def rho1_2(self) -> float:
+        return 2.0 * self.gamma22
+
+    @property
+    def rho2(self) -> float:
+        """Two-particle distribution 4 g22 g11 - 2 |g21|^2 + 2 |chi21|^2."""
+        return 4.0 * self.gamma22 * self.gamma11 \
+            - 2.0 * abs(self.gamma21) ** 2 + 2.0 * abs(self.chi21) ** 2
+
+    @property
+    def Q(self) -> float:
+        """Normalized coincidence rho2 / (rho1(1) rho1(2))."""
+        return self.rho2 / (self.rho1_1 * self.rho1_2)
 
     @property
     def Q_err(self) -> float:
@@ -535,23 +556,14 @@ def _chi_quad(geom: DetectorGeometry, params: EmitterParams,
                    max_depth=max(total.max_depth, depth))
 
 
-def _regime_flags(geom: DetectorGeometry, params: EmitterParams) -> dict:
-    """The validity conditions of the quadrature route at the nearer
-    detector: far_field, k_F r >= REGIME_KFR, and chi_spread_ok, wave-packet
-    spreading r / (k_F w^2) >= REGIME_SPREAD."""
-    r_min = min(geom.r1, geom.r2) * LAMBDA_F
-    return {"far_field": r_min >= REGIME_KFR,
-            "chi_spread_ok": r_min / params.w_kf ** 2 >= REGIME_SPREAD}
-
-
 def chi(geom: DetectorGeometry, params: EmitterParams,
         spec: QuadSpec | None = None) -> complex:
     """Equal-time pair amplitude chi(2;1).
 
     Proportional to the gap (exactly zero in the normal state) and symmetric
     under exchanging the two detectors.  Warns, naming each false regime
-    flag of rho2_and_Q, when the far-field / wave-packet-spreading
-    conditions are not met.
+    flag of rho2_and_Q (kfr_large, spread_large at the nearer detector),
+    when the far-field / wave-packet-spreading conditions are not met.
 
     Checked domain: its error estimate (rho2_and_Q's err_est["chi21"]) is
     tested only for detectors 90 degrees or more apart.  Nearer than that
@@ -562,7 +574,8 @@ def chi(geom: DetectorGeometry, params: EmitterParams,
     """
     if params.abs_delta == 0.0:
         return 0.0 + 0.0j
-    outside = [n for n, ok in _regime_flags(geom, params).items() if not ok]
+    flags = regime_flags(params.ec, params.w, min(geom.r1, geom.r2))
+    outside = [n for n in _REGIME_FLAGS if not flags[n]]
     if outside:
         warnings.warn("chi outside its validated regime: "
                       + ", ".join(outside), stacklevel=2)
@@ -578,15 +591,14 @@ def chi(geom: DetectorGeometry, params: EmitterParams,
 
 def rho2_and_Q(geom: DetectorGeometry, params: EmitterParams,
                spec: QuadSpec | None = None) -> CorrelationResult:
-    """Two-particle distribution and normalized coincidence for one geometry.
-
-    rho2 = 4 g22 g11 - 2 |g21|^2 + 2 |chi21|^2,  Q = rho2 / (rho1(2) rho1(1))
-    with rho1 = 2 gamma_diag.  The diagonal is gamma(r; r) = G(params) / r^2,
-    and G is one quadrature per (|Delta|, E_C, w, spec) and process, cached:
-    gamma11 = G / r1^2 and gamma22 = gamma11 (r1 / r2)^2, each err_est
-    scaled the same way.  Only gamma21 and chi are integrated per point.
-    Raises NonConvergenceError naming each part that failed, a gamma part
-    with the variable its quadrature stopped in.
+    """The four correlators of one geometry, from which CorrelationResult
+    derives rho2 = 4 g22 g11 - 2 |g21|^2 + 2 |chi21|^2 and Q = rho2 /
+    (rho1(2) rho1(1)), rho1 = 2 gamma_diag.  The diagonal is gamma(r; r) =
+    G(params) / r^2, and G is one quadrature per (|Delta|, E_C, w, spec)
+    and process, cached: gamma11 = G / r1^2 and gamma22 = gamma11
+    (r1 / r2)^2, each err_est scaled the same way.  Only gamma21 and chi
+    are integrated per point.  Raises NonConvergenceError naming each part
+    that failed, a gamma part with the variable its quadrature stopped in.
     """
     spec = spec or default_spec()
     r1 = geom.r1 * LAMBDA_F
@@ -603,12 +615,10 @@ def rho2_and_Q(geom: DetectorGeometry, params: EmitterParams,
     # so geometries where they are negligibly small converge quickly
     floor = 1e-8 * math.sqrt(g11 * g22)
     res21 = _gamma_quad(geom, params, spec, abs_floor=floor)
-    g21 = res21.value
 
     chi_res = QuadResult(0.0, 0.0, 0, True)
     if params.abs_delta != 0.0:
         chi_res = _chi_quad(geom, params, spec, abs_floor=floor)
-    x21 = chi_res.value
 
     parts = {"gamma11": res11, "gamma22": res22, "gamma21": res21,
              "chi21": chi_res}
@@ -619,12 +629,9 @@ def rho2_and_Q(geom: DetectorGeometry, params: EmitterParams,
         raise NonConvergenceError("correlation quadrature did not converge: "
                                   + ", ".join(failed))
 
-    rho1_1 = 2.0 * g11
-    rho1_2 = 2.0 * g22
-    rho2 = 4.0 * g22 * g11 - 2.0 * abs(g21) ** 2 + 2.0 * abs(x21) ** 2
+    flags = regime_flags(params.ec, params.w, min(geom.r1, geom.r2))
     return CorrelationResult(
-        gamma11=g11, gamma22=g22, gamma21=g21, chi21=x21,
-        rho1_1=rho1_1, rho1_2=rho1_2, rho2=rho2,
-        Q=rho2 / (rho1_1 * rho1_2), regime_flags=_regime_flags(geom, params),
+        gamma11=g11, gamma22=g22, gamma21=res21.value, chi21=chi_res.value,
+        regime_flags={n: flags[n] for n in _REGIME_FLAGS},
         err_est={name: res.err_est for name, res in parts.items()},
     )

@@ -1,15 +1,15 @@
-"""Hot integrand kernels, in NumPy.
+"""Integrand kernels of the correlators, in NumPy.
 
-The correlation engine spends essentially all of its time evaluating the
-functions in this module on quadrature-node arrays.  The pair-amplitude
-kernels ``chi_f`` and ``chi_p`` come with the k-direction integral already
-done in closed form: both Gaussian form factors depend on the direction
-k-hat only through exp(v . k-hat), and int dOmega exp(v . k-hat) =
+The correlators evaluate these on quadrature-node arrays: about a quarter of
+a back-to-back Q point under cProfile, most of the rest quad's Python.  The
+pair-amplitude kernels ``chi_f`` and ``chi_p`` come with the k-direction
+integral done in closed form: both Gaussian form factors depend on k-hat
+only through exp(v . k-hat), and int dOmega exp(v . k-hat) =
 4 pi sinh|v| / |v|, so they take the angle between the detectors instead
 of direction cosines.  ``chi_f`` and ``chi_p`` take complex u as well as
 real: chi integrates its energy lines along a contour in the complex u
-plane.  ``BACKEND`` names the implementation; the benchmark
-harness records it with every run, and calls ``warmup`` before timing.
+plane.  ``BACKEND`` names the implementation; the benchmark harness
+records it with every run, and calls ``warmup`` before timing.
 
 Inputs are in internal Fermi units (k_F = 1, mu = 1, m = 1/2); lengths here
 are k_F^-1, energies are units of mu.
@@ -106,8 +106,8 @@ def warmup() -> None:
     """Evaluate every kernel once on a small input.
 
     The kernels are plain NumPy, with chi's k-direction integral analytic,
-    so there is nothing to compile; callers run this before timed or pooled
-    work so that first-call costs (NumPy dispatch) fall outside it.
+    so there is nothing to compile; the benchmark harness runs this before
+    it times, so that first-call costs (NumPy dispatch) fall outside.
     """
     phi = np.zeros(2)
     u = np.array([-0.1, 0.1])

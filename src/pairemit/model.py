@@ -21,8 +21,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "KF", "MU", "MASS", "LAMBDA_F", "REGIME_KFR", "REGIME_SPREAD", "SWEEPABLE",
-    "EmitterParams", "DerivedParams", "OutOfBandError", "NonConvergenceError",
-    "UndefinedQError",
+    "REGIME_MU_OVER_EC", "EmitterParams", "DerivedParams", "OutOfBandError",
+    "NonConvergenceError", "UndefinedQError", "regime_flags",
     "derive_params", "pippard_length", "form_factors", "pole_momentum",
 ]
 
@@ -31,10 +31,11 @@ MU = 1.0
 MASS = 0.5           # from k_F = sqrt(2 m mu) = 1 with mu = 1
 LAMBDA_F = 2.0 * math.pi
 
-# Numeric cutoffs of the paper's far-field (k_F r >> 1) and wave-packet
-# spreading (r / (k_F w^2) >> 1) conditions, shared by both routes.
+# Numeric cutoffs of the paper's validity conditions k_F r >> 1,
+# r / (k_F w^2) >> 1 and mu >> E_C, shared by both routes (regime_flags).
 REGIME_KFR = 50.0
 REGIME_SPREAD = 10.0
+REGIME_MU_OVER_EC = 20.0
 
 # the inputs a parameter sweep can vary: |Delta|, E_C, w and r
 SWEEPABLE = ("delta", "ec", "w", "r")
@@ -153,6 +154,20 @@ def form_factors(p_vec: np.ndarray, k_vec: np.ndarray,
     eps_p = pmag * pmag - MU
     h = math.sqrt(pmag / MASS) * math.exp(0.5 * eps_p / params.ec)
     return g, h, h * g
+
+
+def regime_flags(ec, w, r) -> dict:
+    """The paper's four validity conditions, elementwise over E_C/mu,
+    w/lambda_F and r/lambda_F (scalars or arrays), against the REGIME_
+    cutoffs; w_large is w >= lambda_F, from where the closed form's L = 1
+    holds."""
+    r_kf = r * LAMBDA_F
+    return {
+        "kfr_large": r_kf >= REGIME_KFR,
+        "ec_small": 1.0 / ec >= REGIME_MU_OVER_EC,
+        "spread_large": r_kf / (w * LAMBDA_F) ** 2 >= REGIME_SPREAD,
+        "w_large": w >= 1.0,
+    }
 
 
 def pole_momentum(omega_k: float) -> float:

@@ -11,7 +11,7 @@ with xi the Pippard length and L a smooth bounded function of w taken as 1
 for w >= lambda_F; below that L is not modelled.  The validity conditions
 carry documented numeric cutoffs, surfaced as regime flags: kfr_large
 (k_F r >= 50), ec_small (mu/E_C >= 20), spread_large (r/(k_F w^2) >= 10)
-and w_large (w >= lambda_F).
+and w_large (w >= lambda_F), by model.regime_flags.
 """
 
 from __future__ import annotations
@@ -23,23 +23,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entanglement import Q_BELL_THRESHOLD, Q_ENTANGLEMENT_THRESHOLD
-from .model import (LAMBDA_F, MU, REGIME_KFR, REGIME_SPREAD, SWEEPABLE,
-                    EmitterParams, pippard_length)
+from .model import (LAMBDA_F, MU, SWEEPABLE, EmitterParams, pippard_length,
+                    regime_flags)
 from .specfun import bessel_k1, hankel2_0
 
 __all__ = [
     "PeakResult", "SweepSpec", "SweepResult",
     "delta_q_peak", "delta_q_grid", "angular_profile", "threshold_maps",
     "DQ_ENTANGLEMENT", "DQ_BELL",
-    "REGIME_MU_OVER_EC",
 ]
 
 # dQ thresholds equivalent to Q = 3/2 and Q = 2 + sqrt(2): 0.5 and
 # 1 + sqrt(2), each exact as its Q threshold minus 1
 DQ_ENTANGLEMENT = Q_ENTANGLEMENT_THRESHOLD - 1.0
 DQ_BELL = Q_BELL_THRESHOLD - 1.0
-
-REGIME_MU_OVER_EC = 20.0
 
 # |H0^(2)(z)|^2 grows as e^{2 Im z}: past Im z = log(max double)/2 the
 # squared Hankel factor of dQ has no double-precision value
@@ -53,17 +50,6 @@ class PeakResult:
     delta_q: float
     regime_ok: dict
     meta: dict = field(default_factory=dict)
-
-
-def _regime_flags(ec, w, r) -> dict:
-    """The four validity conditions, elementwise over E_C, w and r."""
-    r_kf = r * LAMBDA_F
-    return {
-        "kfr_large": r_kf >= REGIME_KFR,
-        "ec_small": 1.0 / ec >= REGIME_MU_OVER_EC,
-        "spread_large": r_kf / (w * LAMBDA_F) ** 2 >= REGIME_SPREAD,
-        "w_large": w >= 1.0,            # L = 1 holds from w = lambda_F up
-    }
 
 
 def _columns(abs_delta, ec, w, r) -> list[np.ndarray]:
@@ -178,7 +164,7 @@ def peak_result(params: EmitterParams, r: float, dq) -> PeakResult:
     column whose first element is at params and r.  Lets a caller that
     evaluates more points with the same K1 (e.g. robustness.averaged_peak)
     build the unperturbed result from that one evaluation."""
-    flags = _regime_flags(params.ec, params.w, r)
+    flags = regime_flags(params.ec, params.w, r)
     return PeakResult(delta_q=float(dq[0]),
                       regime_ok={k: bool(v) for k, v in flags.items()})
 
@@ -348,7 +334,7 @@ def threshold_maps(specs) -> list[SweepResult]:
     roots = _illinois(excess, x[i].tolist(), x[j].tolist(),
                       (dq[i] - target).tolist(), (dq[j] - target).tolist())
     owner = np.searchsorted(ends, i, side="right")
-    flags = _regime_flags(*grid[1:])
+    flags = regime_flags(*grid[1:])
     out = []
     for n, (spec, lo, hi) in enumerate(zip(specs, ends - sizes, ends)):
         mine = [(kx, root) for kx, root, o in zip(k, roots, owner) if o == n]

@@ -2,8 +2,8 @@
 
 The driver is a Gauss-Kronrod 7/15 rule with global worst-first refinement.
 All intervals pending refinement in a sweep are bisected together and their
-nodes evaluated in a single vectorized call, so integrands backed by compiled
-kernels amortize their call overhead.  Interval bookkeeping, refinement
+nodes evaluated in a single vectorized call, so a NumPy integrand pays its
+per-call overhead once a sweep.  Interval bookkeeping, refinement
 selection, and the final summation are all in left-to-right position order,
 which makes results bitwise reproducible for a fixed spec regardless of how
 many worker threads the caller uses elsewhere.  Endpoints must be finite:
@@ -184,17 +184,13 @@ def _panels(f: Callable, ls: list, rs: list, owner: np.ndarray | None,
     fv = np.asarray(f(xs.ravel(), owner), dtype=np.complex128)
     fv = fv.reshape(xs.shape)
     fg = fv[:, _GAUSS_IDX]          # Fortran-ordered, as numpy makes it
-    if len(stops) == 1:
-        k15 = fv @ _WGK
-        g7 = fg @ _WG
-    else:
-        k15 = np.empty(m, np.complex128)
-        g7 = np.empty(m, np.complex128)
-        start = 0
-        for stop in stops:
-            k15[start:stop] = fv[start:stop] @ _WGK
-            g7[start:stop] = fg[start:stop] @ _WG
-            start = stop
+    k15 = np.empty(m, np.complex128)
+    g7 = np.empty(m, np.complex128)
+    start = 0
+    for stop in stops:
+        k15[start:stop] = fv[start:stop] @ _WGK
+        g7[start:stop] = fg[start:stop] @ _WG
+        start = stop
     k15 = h * k15
     return k15.tolist(), np.abs(k15 - h * g7).tolist()
 

@@ -93,16 +93,11 @@ def check_threshold_algebra() -> tuple[bool, str]:
     for q, p_want in ((1.2, 1.0 / 6.0), (Q_ENTANGLEMENT_THRESHOLD, 1.0 / 3.0),
                       (2.0, 0.5), (Q_BELL_THRESHOLD, 1.0 / math.sqrt(2.0)),
                       (5.0, 0.8)):
-        # correlators with gamma21 = 0 and |chi|^2 from Q = 1 + |chi|^2/(2 g g),
-        # and their own Q, formed as rho2_and_Q forms it: sqrt((q - 1) 2)
-        # can square back 1 ulp off, which moves Q off q (at the Bell
-        # threshold, 1 ulp above it)
-        g = 1.0
-        chi = math.sqrt((q - 1.0) * 2.0 * g * g)
-        rho2 = 4.0 * g * g + 2.0 * abs(chi) ** 2
-        corr = CorrelationResult(
-            gamma11=g, gamma22=g, gamma21=0.0, chi21=chi, rho1_1=2 * g,
-            rho1_2=2 * g, rho2=rho2, Q=rho2 / (4.0 * g * g))
+        # correlators g11 = g22 = 1, gamma21 = 0 and |chi|^2 from
+        # Q = 1 + |chi|^2 / 2; sqrt((q - 1) 2) can square back 1 ulp off, so
+        # the check reads their own Q (at the Bell threshold, 1 ulp above q)
+        corr = CorrelationResult(gamma11=1.0, gamma22=1.0, gamma21=0.0,
+                                 chi21=math.sqrt((q - 1.0) * 2.0))
         rep = werner_decompose(corr)
         worst = max(worst, abs(rep.p - p_want),
                     abs(rep.p - (corr.Q - 1.0) / corr.Q))

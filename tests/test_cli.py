@@ -393,7 +393,7 @@ class TestCommands:
         assert "classification: " in captured.out
         flags = json.loads(out.read_text())["regime_flags"]
         false = {k for k, ok in flags.items() if not ok}
-        assert false
+        assert false == {"kfr_large", "spread_large"}
         head, named = captured.err.rsplit(": ", 1)
         assert head == "warning: outside the validated regime"
         assert named.endswith("\n") and named.count("\n") == 1

@@ -9,13 +9,15 @@ from hypothesis import Phase, assume, given, settings, strategies as st
 import pairemit.correlations as correlations
 import pairemit.kernels as kernels
 import pairemit.quad as quad
-from pairemit.correlations import (DetectorGeometry, NonConvergenceError,
+from pairemit.correlations import (CorrelationResult, DetectorGeometry,
+                                   NonConvergenceError,
                                    _chi_quad, default_spec, energy_cutoff,
                                    farfield_amplitude,
                                    farfield_amplitude_direct, chi,
                                    rho2_and_Q)
 from pairemit.model import (LAMBDA_F, MASS, EmitterParams, OutOfBandError,
-                            pole_momentum)
+                            pole_momentum, regime_flags)
+from pairemit.peak import delta_q_peak
 from pairemit.quad import QuadResult, QuadSpec
 
 DELTA = 2.997e-3
@@ -60,11 +62,8 @@ class TestGeometry:
 
     def test_far_field_flag(self):
         # threshold is k_F r >= 50, i.e. r >= 50/(2 pi) lambda_F
-        flags = correlations._regime_flags
-        assert flags(DetectorGeometry.from_r_theta(10.0, 0.1),
-                     NORMAL)["far_field"]
-        assert not flags(DetectorGeometry.from_r_theta(5.0, 0.1),
-                         NORMAL)["far_field"]
+        assert regime_flags(NORMAL.ec, NORMAL.w, 10.0)["kfr_large"]
+        assert not regime_flags(NORMAL.ec, NORMAL.w, 5.0)["kfr_large"]
 
     def test_positive_distances(self):
         with pytest.raises(ValueError,
@@ -223,7 +222,7 @@ class TestGamma:
             farfield_amplitude(np.array([0.0, 0.0, 1.0]),
                                np.array([0.0, 0.0, 2.0]), 0.01, NORMAL)
         res = rho2_and_Q(DetectorGeometry.from_r_theta(2.0, 0.1), NORMAL)
-        assert not res.regime_flags["far_field"]
+        assert not res.regime_flags["kfr_large"]
 
     def test_energy_cutoff_convergence(self, monkeypatch):
         # doubling the eps_k window moves the diagonal by less than 1%
@@ -761,8 +760,8 @@ class TestRho2AndQ:
     def test_rho2_nonnegative_and_flags(self):
         res = rho2_and_Q(DetectorGeometry.from_r_theta(R, math.pi), SUPER)
         assert res.rho2 >= 0.0
-        assert res.regime_flags == {"far_field": True,
-                                    "chi_spread_ok": True}
+        assert res.regime_flags == {"kfr_large": True,
+                                    "spread_large": True}
 
     def test_gamma22_is_gamma11_rescaled(self):
         # gamma(r; r) = G / r^2: detector 2's diagonal is detector 1's
@@ -776,6 +775,36 @@ class TestRho2AndQ:
         assert abs(res.gamma22 - g22.real) <= 1e-12 * g22.real
         assert res.err_est["gamma22"] / res.gamma22 == pytest.approx(
             res.err_est["gamma11"] / res.gamma11, rel=1e-12)
+
+    @pytest.mark.parametrize("params", [
+        SUPER, EmitterParams(delta=DELTA, ec=DELTA, w=2.0)],
+        ids=["inside", "spread_small"])
+    def test_flags_are_the_closed_forms_at_pi(self, params):
+        # both routes read the paper's conditions alike: back to back at
+        # r = 100, w = 2 lambda_F has r / (k_F w^2) = 4, below 10
+        res = rho2_and_Q(DetectorGeometry.from_r_theta(R, math.pi), params,
+                         default_spec(0.03))
+        closed = delta_q_peak(params, R).regime_ok
+        assert res.regime_flags == {n: closed[n]
+                                    for n in ("kfr_large", "spread_large")}
+        assert res.regime_flags["spread_large"] == (params.w == 1.0)
+
+    def test_result_from_its_four_correlators(self):
+        # a result built from a point's correlators and err_est alone
+        # reproduces its rho2, Q and Q_err bitwise, and its densities, rho2
+        # and Q are the assembly formulas written out below, to the bit
+        res = rho2_and_Q(DetectorGeometry.from_r_theta(R, math.pi - 0.2),
+                         SUPER, default_spec(0.03))
+        g11, g22, g21, x21 = res.gamma11, res.gamma22, res.gamma21, res.chi21
+        built = CorrelationResult(gamma11=g11, gamma22=g22, gamma21=g21,
+                                  chi21=x21, err_est=res.err_est)
+        assert (built.rho2, built.Q, built.Q_err) \
+            == (res.rho2, res.Q, res.Q_err)
+        rho1_1, rho1_2 = 2.0 * g11, 2.0 * g22
+        rho2 = 4.0 * g22 * g11 - 2.0 * abs(g21) ** 2 + 2.0 * abs(x21) ** 2
+        assert (built.rho1_1, built.rho1_2, built.rho2, built.Q) \
+            == (rho1_1, rho1_2, rho2, rho2 / (rho1_1 * rho1_2))
+        assert abs(g21) > 0.0 and abs(x21) > 0.0
 
     def test_one_diagonal_quadrature_per_params(self, monkeypatch):
         # the diagonal G is integrated once per (|Delta|, E_C, w, spec):

@@ -9,11 +9,8 @@ from pairemit.entanglement import (Q_BELL_THRESHOLD, classify,
 
 
 def make_corr(g11=1.0, g22=1.0, g21=0.0, chi=0.0):
-    rho2 = 4 * g22 * g11 - 2 * abs(g21) ** 2 + 2 * abs(chi) ** 2
-    return CorrelationResult(
-        gamma11=g11, gamma22=g22, gamma21=g21, chi21=chi,
-        rho1_1=2 * g11, rho1_2=2 * g22, rho2=rho2,
-        Q=rho2 / (4 * g11 * g22))
+    return CorrelationResult(gamma11=g11, gamma22=g22, gamma21=g21,
+                             chi21=chi)
 
 
 def test_entanglement_boundary():

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from pairemit.model import (MASS, EmitterParams, OutOfBandError,
-                            derive_params, form_factors, pole_momentum)
+from pairemit.model import (LAMBDA_F, MASS, REGIME_KFR, REGIME_MU_OVER_EC,
+                            REGIME_SPREAD, EmitterParams, OutOfBandError,
+                            derive_params, form_factors, pole_momentum,
+                            regime_flags)
 
 
 def test_pippard_length_identity():
@@ -113,3 +115,22 @@ class TestPoleMomentum:
         omegas = np.linspace(0.0, 0.99, 50)
         ps = [pole_momentum(float(o)) for o in omegas]
         assert all(a > b for a, b in zip(ps, ps[1:]))
+
+
+def test_regime_flags_on_arrays_are_the_scalar_flags():
+    # points at and near each cutoff, on either side of it, so every flag
+    # is true at some and false at others
+    r_on = REGIME_KFR / LAMBDA_F
+    ec = np.array([1.0 / REGIME_MU_OVER_EC, 0.049, 0.051, 1e-3, 1e-3, 1e-3])
+    w = np.array([1.0, math.nextafter(1.0, 0.0), 2.0, 0.5, 1.0, 1.0])
+    r = np.array([r_on, math.nextafter(r_on, 0.0), 100.0,
+                  REGIME_SPREAD * 0.25 * LAMBDA_F, 7.0, 1e4])
+    flags = regime_flags(ec, w, r)
+    assert list(flags) == ["kfr_large", "ec_small", "spread_large",
+                           "w_large"]
+    for name, got in flags.items():
+        assert got.dtype == bool
+        want = [regime_flags(float(e), float(x), float(d))[name]
+                for e, x, d in zip(ec, w, r)]
+        assert got.tolist() == want
+        assert 0 < sum(want) < len(want)

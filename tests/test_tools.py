@@ -47,11 +47,11 @@ def _outputs(version: str = "0.3.0", config_hash: str = "9e1aba173106",
         "default/fig3/fig3_delta.meta.json": json.dumps(meta, indent=2),
         "quadrature/classify_r100/run.txt": _run(
             "classify --r 100", f"Q = {q:.6f}\n",
-            "warning: outside the validated regime: chi_spread_ok\n"),
+            "warning: outside the validated regime: spread_large\n"),
         "quadrature/classify_r100/classify.json": json.dumps(
             {"Q": q, "Q_err_est": q_err,
              "geometry": {"r_over_lambdaf": 100.0, "theta_rad": 3.14},
-             "regime_flags": {"chi_spread_ok": False, "far_field": True},
+             "regime_flags": {"kfr_large": True, "spread_large": False},
              "werner": {"classification": "entangled", "p": 0.6}}),
         "quadrature/angular/run.txt": _run("angular --theta-points 2"),
         "quadrature/angular/angular.csv":
@@ -114,8 +114,8 @@ def test_q_further_apart_than_its_error_columns_exits_1(tmp_path, capsys,
 
 @pytest.mark.parametrize("old, new", [
     ('"theta_rad": 3.14', '"theta_rad": 3.15'),                 # geometry
-    ('"far_field": true', '"far_field": false'),                # a flag
-    ('"chi_spread_ok": false, ', ''),                           # a lost flag
+    ('"kfr_large": true', '"kfr_large": false'),                # a flag
+    ('"kfr_large": true, ', ''),                                # a lost flag
     ('"classification": "entangled"',
      '"classification": "bell_violating"'),                     # the class
 ], ids=["geometry", "regime_flag", "lost_regime_flag", "classification"])
@@ -168,8 +168,8 @@ _CROSSING = ("default/fig3/fig3_delta.meta.json", '"bell": []',
              '"bell": [0.5]')
 _STDOUT = ("default/fig3/run.txt", "wrote fig3_delta.csv\n",
            "wrote fig3_delta.csv\nmore\n")
-_FAR_FIELD = ("quadrature/classify_r100/classify.json", '"far_field": true',
-              '"far_field": false')
+_KFR_LARGE = ("quadrature/classify_r100/classify.json", '"kfr_large": true',
+              '"kfr_large": false')
 _CLASS = ("quadrature/classify_r100/classify.json",
           '"classification": "entangled"', '"classification": "separable"')
 _Q_SUPER = ("quadrature/angular/angular.csv", ",2.5,", ",9.0,")
@@ -191,7 +191,7 @@ def _compare_edited(tmp_path: Path, edits, changed: str) -> int:
 @pytest.mark.parametrize("edits, changed", [
     ([_REGIME_OK], "default/fig3:regime_ok"),
     ([_REGIME_OK, _CROSSING], "default/fig3:crossings,regime_ok"),
-    ([_FAR_FIELD], "quadrature/classify_r100:regime_flags.far_field"),
+    ([_KFR_LARGE], "quadrature/classify_r100:regime_flags.kfr_large"),
     ([_Q_SUPER], "quadrature/angular:Q_super"),
     ([_Q_CLASSIFY], "quadrature/classify_r100:Q"),
 ], ids=["csv_column", "column_and_meta_field", "nested_json_field",
@@ -237,7 +237,7 @@ def test_a_case_pattern_lists_every_case_it_matches(tmp_path, capsys):
      "('version', 'config_hash', 'regime_ok')"),
     ([_STDOUT], "default/fig3:regime_ok",
      "default/fig3/run.txt: stdout differs"),
-    ([_FAR_FIELD, _CLASS], "quadrature/classify_r100:regime_flags.far_field",
+    ([_KFR_LARGE, _CLASS], "quadrature/classify_r100:regime_flags.kfr_large",
      "quadrature/classify_r100/classify.json: werner.classification"),
 ], ids=["unnamed_column", "another_case", "unnamed_meta_field", "stdout",
         "unnamed_json_field"])

@@ -21,7 +21,7 @@ Passes (exit 0) when
   reported and not compared;
 - except what --changed names as meant to differ.  `--changed CASE:NAME,...`
   masks, in that case only, the named CSV columns and JSON fields (a
-  dotted name such as `regime_flags.far_field` reaches into a nested
+  dotted name such as `regime_flags.kfr_large` reaches into a nested
   object) of the .meta.json, CSV and classify.json files, as `version` and
   `config_hash` are masked, and compares everything else; `--changed CASE`
   alone lists the case's files and compares none of them.  CASE is an
