@@ -68,11 +68,6 @@ _SETTINGS = {
 }
 
 
-def _sha256(payload: dict) -> str:
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()) \
-        .hexdigest()
-
-
 @dataclasses.dataclass
 class RunConfig:
     """Resolved run configuration (defaults < config file < flags)."""
@@ -91,14 +86,12 @@ class RunConfig:
 
     @functools.cached_property
     def config_hash(self) -> str:
-        """digest() of the configuration alone, made once per command."""
-        return self.digest()
-
-    def digest(self, extra: dict | None = None) -> str:
+        """SHA-256 of the configuration and the code version, made once per
+        command: every .meta.json carries it, every CSV row its first 12
+        characters."""
         payload = {"config": self.values, "version": __version__}
-        if extra:
-            payload.update(extra)
-        return _sha256(payload)
+        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()) \
+            .hexdigest()
 
 
 class ConfigError(ValueError):
@@ -330,7 +323,7 @@ def _sweep_dataset(cfg: RunConfig,
     from .entanglement import (Q_BELL_THRESHOLD, Q_ENTANGLEMENT_THRESHOLD,
                                classify)
     from .peak import DQ_BELL, DQ_ENTANGLEMENT
-    hash12 = cfg.digest({"cmd": "threshold_map", "param": res.param})[:12]
+    hash12 = cfg.config_hash[:12]
     regime_ok = np.logical_and.reduce(list(res.regime_ok.values()))
     rows = [",".join([fmt(v), fmt(1.0 + dq), fmt(err), "1" if ok else "0",
                       classify(dq, DQ_ENTANGLEMENT, DQ_BELL), hash12,
@@ -395,7 +388,7 @@ def cmd_fig3(cfg: RunConfig, args) -> int:
     from .peak import threshold_maps
     stem = _named(args.output or "fig3")
     n = cfg.fig3_points
-    xi_lf = derive_params(cfg.params()).xi / (2 * math.pi)
+    xi_lf = derive_params(cfg.params()).xi_over_lambda_f
     panels = {
         "delta": np.geomspace(1e-4, 1e-2, n),
         "ec": np.geomspace(3e-4, 3e-2, n),

@@ -220,7 +220,7 @@ def farfield_amplitude(k_vec: np.ndarray, r_vec: np.ndarray, omega_k: float,
     r_vec = np.asarray(r_vec, dtype=float) * LAMBDA_F
     k_vec = np.asarray(k_vec, dtype=float)
     r = float(np.linalg.norm(r_vec))
-    if r < REGIME_KFR:
+    if not regime_flags(params.ec, params.w, r / LAMBDA_F)["kfr_large"]:
         warnings.warn(f"k_F r = {r:.1f} < {REGIME_KFR}: far-field form "
                       "not controlled", stacklevel=2)
     p_k = pole_momentum(omega_k)
@@ -342,6 +342,9 @@ def _gamma_core(cth2: float, r1: float, r2: float, dabs: float, ec: float,
                                        r1, r2, cth2, OMEGA_CAP)
 
     def half(lo: float, hi: float, s: QuadSpec) -> QuadResult:
+        if dabs == 0.0 and lo == 0.0:
+            # normal state: v_k^2 = (1 - eps/omega)/2 is exactly 0 on eps > 0
+            return QuadResult(0j, 0.0, 0, True)
         return integrate_nested(f, [(lo, hi), (cosa_lo, 1.0), (0.0, math.pi)],
                                 s)
 
@@ -476,8 +479,7 @@ def _chi_u_lines(k: np.ndarray, omega: np.ndarray, lo: np.ndarray,
                         np.concatenate([k, k]), w, cos_theta, r1, r2)
     fm, fp = fpm[:len(k)], fpm[len(k):]
 
-    def p(tau: np.ndarray, owner: np.ndarray | None) -> np.ndarray:
-        j = 0 if owner is None else owner       # None: a single line
+    def p(tau: np.ndarray, j: np.ndarray) -> np.ndarray:
         u, du = _u_path(tau, lo[j], hi[j], ustar, scale, h[j])
         return du * kernels.chi_p(u, fm[j], fp[j], omega[j], k[j], w,
                                   cos_theta, r1, r2)

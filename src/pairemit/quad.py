@@ -85,6 +85,11 @@ _WG = np.array([
     0.1294849661688696932706114326790820,
 ], dtype=np.complex128)
 
+# the line index of a lone line's first panel, shared read-only, so that
+# path allocates no index array
+_OWNER0 = np.zeros(15, dtype=np.intp)
+_OWNER0.flags.writeable = False
+
 # interval budget of one integral (each line of a batch has its own), and
 # the tolerance factor of each nesting level inward
 _MAX_INTERVALS = 20000
@@ -168,7 +173,7 @@ def _first_panel(fv: np.ndarray, h: float) -> tuple[complex, float]:
     return k15, float(np.abs(k15 - h * complex(fv[_GAUSS_IDX] @ _WG)))
 
 
-def _panels(f: Callable, ls: list, rs: list, owner: np.ndarray | None,
+def _panels(f: Callable, ls: list, rs: list, owner: np.ndarray,
             stops: list[int]) -> tuple[list, list]:
     """K15 values and |K15 - G7| error estimates of the panels [ls, rs].
 
@@ -195,7 +200,7 @@ def _panels(f: Callable, ls: list, rs: list, owner: np.ndarray | None,
     return k15.tolist(), np.abs(k15 - h * g7).tolist()
 
 
-def integrate_batch(f: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
+def integrate_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                     a: Sequence[float], b: Sequence[float],
                     spec: QuadSpec = QuadSpec()) -> list[QuadResult]:
     """Adaptive integrals of one vectorized integrand over the lines [a, b].
@@ -203,7 +208,8 @@ def integrate_batch(f: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
     Line ``j`` runs over the finite ``[a[j], b[j]]``.  Each sweep evaluates
     the new panels of every unconverged line in one call ``f(xs, owner)``:
     ``xs`` is a 1D float64 array of abscissae and ``owner[i]`` the index of
-    the line node ``xs[i]`` belongs to, or ``None`` when there is one line.
+    the line node ``xs[i]`` belongs to (all 0 for a lone line), which ``f``
+    must not modify.
     ``f`` must return an array of the same length (real or complex).  Each
     line keeps its own panels, depths, tolerance test, worst-first
     selection and interval budget, so its result is bitwise what it gets in
@@ -228,7 +234,7 @@ def integrate_batch(f: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
         return []
     if n == 1:
         h = float(0.5 * (b[0] - a[0]))
-        fv = f(0.5 * (a[0] + b[0]) + h * _XGK, None)
+        fv = f(0.5 * (a[0] + b[0]) + h * _XGK, _OWNER0)
         firsts = [_first_panel(np.asarray(fv, dtype=np.complex128), h)]
     else:
         xs, h = _nodes(a, b)
@@ -259,14 +265,9 @@ def integrate_batch(f: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
             for i, m in zip(refine, mids):
                 ls += (lj[i], m)
                 rs += (m, rj[i])
-        if n == 1:
-            stops = [len(ls)]
-            owner = None
-        else:
-            sizes = [2 * len(refine) for _, refine, _ in plans]
-            stops = np.cumsum(sizes).tolist()
-            owner = np.repeat([j for j, _, _ in plans],
-                              [15 * s for s in sizes])
+        sizes = [2 * len(refine) for _, refine, _ in plans]
+        stops = np.cumsum(sizes).tolist()
+        owner = np.repeat([j for j, _, _ in plans], [15 * s for s in sizes])
         nv, ne = _panels(f, ls, rs, owner, stops)
         start = 0
         for j, refine, mids in plans:

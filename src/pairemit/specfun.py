@@ -20,13 +20,13 @@ agreement there is asserted against a committed high-precision golden table.
 No arbitrary-precision arithmetic is used at run time.
 
 Validated domain: H0^(2) on ``0 < |z| <= 1e3``, the negative real axis
-taking the side its signed zero names; with ``|z| <= SERIES_RADIUS`` also
-``Im z >= -HANKEL2_IM_GUARD``, below which H0^(2) is exponentially small
-against J0 and Y0 and the series loses relative digits (``est_error`` grows
-accordingly).  K1 on ``x > 0``: its series is cancellation-limited near the
-switch (worst error 8.8e-14 at x = 3.97 against a 40-digit oracle, 8.9e-16
-on the Watson route).  Values beyond the double range underflow to zero or
-overflow.
+taking the side its signed zero names.  Below the real axis in the series
+disc H0^(2) is about e^{2 Im z} smaller than J0 and Y0, and the series
+loses relative digits to that cancellation: its ``est_error`` carries the
+factor e^{-2 Im z}, continuously, from the axis down.  K1 on ``x > 0``:
+its series is cancellation-limited near the switch (worst error 8.8e-14
+at x = 3.97 against a 40-digit oracle, 8.9e-16 on the Watson route).
+Values beyond the double range underflow to zero or overflow.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["SpecfunResult", "bessel_k1", "hankel2_0", "SERIES_RADIUS",
-           "K_SERIES_RADIUS", "HANKEL2_IM_GUARD"]
+           "K_SERIES_RADIUS"]
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -46,10 +46,6 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 # 9.0 sits inside the tested overlap annulus |z| in [8, 12].
 SERIES_RADIUS = 9.0
 K_SERIES_RADIUS = 4.0
-
-# Below Im z = -guard the series route for H0^(2) loses relative accuracy to
-# cancellation (the function is ~e^{2 Im z} smaller than J0, Y0 there).
-HANKEL2_IM_GUARD = 2.0
 
 # Baseline relative-error bounds of the routes, measured against a
 # 40+-digit oracle on dense grids over the validated domain and rounded up.
@@ -302,10 +298,10 @@ def hankel2_0(z) -> SpecfunResult:
     """Hankel function H0^(2)(z) = J0(z) - i Y0(z), elementwise over an array.
 
     Dual-route evaluation: ascending series for ``|z| <= SERIES_RADIUS``,
-    Watson-integral route beyond.  The est_error grows below the lower-half
-    guard line ``Im z = -HANKEL2_IM_GUARD`` in the series region, where the
-    result is cancellation-limited.  z = 0, the series' logarithmic
-    singularity, raises ValueError.
+    Watson-integral route beyond.  In the series region below the real
+    axis the result is cancellation-limited, and est_error grows with it,
+    by the factor e^{-2 Im z}.  z = 0, the series' logarithmic singularity,
+    raises ValueError.
     """
     z = np.asarray(z, complex)
     if np.count_nonzero(z) < z.size:

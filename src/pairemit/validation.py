@@ -23,8 +23,8 @@ from .correlations import (CorrelationResult, DetectorGeometry, chi,
                            farfield_amplitude, farfield_amplitude_direct,
                            rho2_and_Q)
 from .entanglement import (Q_BELL_THRESHOLD, Q_ENTANGLEMENT_THRESHOLD,
-                           concurrence_from_density_matrix, werner_decompose,
-                           werner_density_matrix)
+                           classify, concurrence_from_density_matrix,
+                           werner_decompose, werner_density_matrix)
 from .model import EmitterParams, derive_params, pole_momentum
 from .peak import (DQ_BELL, DQ_ENTANGLEMENT, SweepSpec, angular_profile,
                    delta_q_grid, delta_q_peak, misalignment_tolerance,
@@ -101,12 +101,7 @@ def check_threshold_algebra() -> tuple[bool, str]:
         rep = werner_decompose(corr)
         worst = max(worst, abs(rep.p - p_want),
                     abs(rep.p - (corr.Q - 1.0) / corr.Q))
-        if corr.Q > Q_BELL_THRESHOLD:
-            from_q = "bell_violating"
-        elif corr.Q > Q_ENTANGLEMENT_THRESHOLD:
-            from_q = "entangled"
-        else:
-            from_q = "separable"
+        from_q = classify(corr.Q, Q_ENTANGLEMENT_THRESHOLD, Q_BELL_THRESHOLD)
         if rep.classification != from_q:
             disagree.append(f"Q = {q:.4g}: {rep.classification} != {from_q}")
     ok = worst <= 1e-12 and not disagree

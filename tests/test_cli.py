@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import json
 import math
 import os
 import re
 import stat
+import types
 from pathlib import Path
 
 import numpy as np
@@ -324,30 +326,37 @@ class TestCommands:
                        "a directory, not a file\n")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("argv, digests", [
-        (["fig3"], 5), (["peak", "--sweep-points", "5"], 2)],
-        ids=["fig3", "peak"])
+    @pytest.mark.parametrize("argv", [
+        ["fig3"], ["peak", "--sweep-points", "5"],
+        ["sweep", "--sweep-param", "w", "--sweep-min", "0.5", "--sweep-max",
+         "2", "--sweep-points", "4"]], ids=["fig3", "peak", "sweep"])
     def test_configuration_hashed_once_per_command(
-            self, argv, digests, tmp_path, monkeypatch):
-        # one digest of the configuration, shared by every dataset's
-        # .meta.json, and one per threshold map for its rows' hash column
+            self, argv, tmp_path, monkeypatch):
+        # one SHA-256 of the configuration and version: every dataset's
+        # .meta.json carries it, each of its rows the first 12 characters
         calls = []
-        sha256 = cli._sha256
 
-        def counting(payload):
-            calls.append(payload)
-            return sha256(payload)
+        def counting(data):
+            calls.append(json.loads(data))
+            return hashlib.sha256(data)
 
-        monkeypatch.setattr(cli, "_sha256", counting)
+        monkeypatch.setattr(cli, "hashlib",
+                            types.SimpleNamespace(sha256=counting))
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 0
-        assert len(calls) == digests
-        config = [c for c in calls if set(c) == {"config", "version"}]
-        assert len(config) == 1
-        metas = sorted(tmp_path.glob("*.meta.json"))
-        assert metas and all(
-            json.loads(m.read_text())["config_hash"] == sha256(config[0])
-            for m in metas)
+        assert len(calls) == 1
+        want = hashlib.sha256(json.dumps(calls[0], sort_keys=True).encode())
+        csvs = sorted(tmp_path.glob("*.csv"))
+        assert len(csvs) == (4 if argv == ["fig3"] else 1)
+        for path in csvs:
+            meta = json.loads(path.with_suffix(".meta.json").read_text())
+            assert calls[0] == {"config": meta["config"],
+                                "version": pairemit.__version__}
+            assert meta["config_hash"] == want.hexdigest()
+            header, *rows = path.read_text().splitlines()
+            col = header.split(",").index("config_hash")
+            assert rows and {row.split(",")[col] for row in rows} == {
+                meta["config_hash"][:12]}
 
     def test_peak_takes_command_line_range_under_other_sweep_param(
             self, tmp_path):

@@ -254,6 +254,68 @@ class TestGamma:
         wide = EmitterParams(delta=0.0, ec=0.2, w=1.0)
         assert energy_cutoff(wide) <= 0.95
 
+    def test_normal_state_skips_the_empty_half_window(self, monkeypatch):
+        # with Delta = 0, v_k^2 = (1 - eps/omega)/2 is exactly 0 on eps > 0:
+        # neither the diagonal nor gamma21 evaluates the kernel there
+        seen = []
+        real = kernels.gamma_integrand
+
+        def spy(phi, eps, *rest):
+            seen.append(eps)
+            return real(phi, eps, *rest)
+
+        monkeypatch.setattr(kernels, "gamma_integrand", spy)
+        correlations._gamma_diag.cache_clear()
+        rho2_and_Q(DetectorGeometry.from_r_theta(R, 2.0), NORMAL,
+                   default_spec(0.03))
+        assert seen and max(seen) < 0.0
+        seen.clear()
+        rho2_and_Q(DetectorGeometry.from_r_theta(R, 2.0), SUPER,
+                   default_spec(0.03))
+        assert max(seen) > 0.0
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("params", [
+        SUPER, NORMAL, EmitterParams(delta=0.01, ec=0.05, w=0.6)],
+        ids=["figure", "normal", "wide-filter"])
+    def test_gamma_against_mpmath(self, params):
+        # the kernel sees k-hat only through exp(c cos alpha), c = 2 w^2 p k
+        # cos(theta/2), so its sphere integral is 2 pi 2 sinh(c)/c and gamma
+        # is one eps integral: at 30 digits, over the same eps window (its
+        # truncation is err_est's separate bias term), within err_est of
+        # the quadrature with no floor, off and on the diagonal
+        mp = pytest.importorskip("mpmath")
+        dabs, ec, w = params.abs_delta, params.ec, params.w_kf
+        ecut = energy_cutoff(params)
+
+        def oracle(r1, r2, cth2):
+            # gamma = int d3k v_k^2 A_k(r1) A_k*(r2), A_k(r) = sqrt(pi/2)
+            # 2m h(p) g(p rhat - k) e^{ipr}/r, d3k = m k deps dOmega
+            def f(eps):
+                omega = mp.sqrt(eps * eps + dabs * dabs)
+                k, p = mp.sqrt(1 + eps), mp.sqrt(1 - omega)
+                vk2 = (1 - eps / omega) / 2 if omega else mp.mpf(0.5)
+                c = 2 * w * w * p * k * cth2
+                sphere = 2 * mp.pi * (2 * mp.sinh(c) / c if c else 2)
+                h2 = 2 * p * mp.exp(-omega / ec)         # (p/m) e^(eps_p/E_C)
+                gg = (2 * mp.pi) ** -6 * mp.exp(-w * w * (p * p + k * k))
+                return (MASS * k * vk2 * (mp.pi / 2) * h2 * gg * sphere
+                        * mp.expj(p * (r1 - r2)) / (r1 * r2))
+            with mp.workdps(30):
+                return complex(mp.quad(f, sorted({-ecut, -dabs, 0.0, dabs,
+                                                  ecut})))
+
+        spec = default_spec()
+        diag = correlations._gamma_diag(dabs, ec, w, ecut, spec)
+        assert abs(diag.value - oracle(1.0, 1.0, 1.0)) <= diag.err_est
+        for theta in (math.pi, 2.5, 1.0, 0.0):
+            for r2 in (R, 1.3 * R):
+                geom = DetectorGeometry(R, r2, math.cos(theta))
+                got = correlations._gamma_quad(geom, params, spec)
+                cth2 = math.sqrt(max(0.0, 0.5 * (1.0 + geom.cos_theta)))
+                want = oracle(R * LAMBDA_F, r2 * LAMBDA_F, cth2)
+                assert abs(got.value - want) <= got.err_est
+
 
 def _direction_f(u, k, w, n1, n2, r1, r2, khat):
     """Pair energy-line function at one k direction (before the angular
@@ -596,8 +658,7 @@ def _real_line_u_lines(k, omega, lo, hi, w, cos_theta, r1, r2, spec):
                         np.concatenate([k, k]), w, cos_theta, r1, r2)
     fm, fp = fpm[:len(k)], fpm[len(k):]
 
-    def p(u, owner):
-        j = 0 if owner is None else owner
+    def p(u, j):
         return kernels.chi_p(u, fm[j], fp[j], omega[j], k[j], w, cos_theta,
                              r1, r2)
 

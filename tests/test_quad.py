@@ -111,8 +111,7 @@ def _batch_integrand(lines):
     freq, kind, kink = (np.array(col) for col in list(zip(*lines))[:3])
 
     def f(xs, owner):
-        j = 0 if owner is None else owner
-        return _family(xs, freq[j], kind[j], kink[j])
+        return _family(xs, freq[owner], kind[owner], kink[owner])
     return f
 
 
@@ -148,7 +147,7 @@ class TestIntegrateBatch:
         calls = []
 
         def f(xs, owner):
-            calls.append(owner)
+            calls.append((len(xs), owner))
             return _batch_integrand(lines)(xs, owner)
 
         got = integrate_batch(f, [ln[3] for ln in lines],
@@ -158,9 +157,13 @@ class TestIntegrateBatch:
         # intervals and max_depth all bitwise
         assert got == [_alone(ln, spec, sweeps) for ln in lines]
         # lockstep: one integrand call per sweep, as many sweeps as the
-        # slowest line needs alone; one line is called without an owner
+        # slowest line needs alone; every call, a lone line's too, gets
+        # each node's line index, the lines in order
         assert len(calls) == max(sweeps)
-        assert all((o is None) == (len(lines) == 1) for o in calls)
+        for m, owner in calls:
+            assert owner.dtype.kind == "i" and owner.shape == (m,)
+            assert 0 <= owner[0] and owner[-1] < len(lines)
+            assert np.all(np.diff(owner) >= 0)
 
     @_BATCH_SETTINGS
     @given(lines=st.lists(_LINE, min_size=2, max_size=8), spec=_SPEC,
@@ -206,9 +209,8 @@ class TestIntegrateBatch:
         coef = np.array([data.draw(st.floats(-2.0, 2.0)) for _ in range(n)])
 
         def f(xs, owner):
-            j = 0 if owner is None else owner
-            return np.where(j == bad, 1.0 / np.sqrt(np.abs(xs) + 1e-300),
-                            coef[j] * xs ** 5 + 1.0)
+            return np.where(owner == bad, 1.0 / np.sqrt(np.abs(xs) + 1e-300),
+                            coef[owner] * xs ** 5 + 1.0)
 
         spec = QuadSpec(rel_tol=1e-10, max_depth=1)
         got = integrate_batch(f, [0.0] * n, [1.0] * n, spec)
@@ -216,6 +218,22 @@ class TestIntegrateBatch:
         assert got[bad].max_depth == 1 and got[bad].intervals == 2
         assert got[bad] == integrate_1d(
             lambda xs: 1.0 / np.sqrt(np.abs(xs) + 1e-300), 0.0, 1.0, spec)
+
+    def test_lone_line_gets_its_index_on_every_sweep(self):
+        # the first panel's index is shared read-only; later sweeps' are
+        # the line's own, all 0 like it
+        calls = []
+
+        def f(xs, owner):
+            calls.append((len(xs), owner))
+            return np.abs(xs - 0.3)
+
+        res = integrate_batch(f, [0.0], [1.0], QuadSpec(rel_tol=1e-10))
+        assert res[0].converged and len(calls) > 2
+        for m, owner in calls:
+            assert isinstance(owner, np.ndarray) and owner.dtype.kind == "i"
+            assert owner.shape == (m,) and not owner.any()
+        assert not calls[0][1].flags.writeable
 
     def test_empty_batch(self):
         assert integrate_batch(lambda xs, owner: xs, [], []) == []

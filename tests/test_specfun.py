@@ -124,7 +124,8 @@ class TestHankel:
         # H0^(1)(z e^{i pi}) = -H0^(2)(z) with H0^(1) = conj H0^(2)(conj .)
         # gives H0^(2)(z) = -conj H0^(2)(-conj z) in the lower half plane:
         # z and its mirror image in the imaginary axis, on both routes and
-        # above the series disc's guard line
+        # within 2 of the real axis, where the series loses at most e^4 to
+        # cancellation
         rng = np.random.default_rng(3)
         for _ in range(40):
             z = complex(rng.uniform(-12, 12), -rng.uniform(0.1, 1.9))
@@ -156,9 +157,10 @@ class TestHankel:
 
 
 # one argument in each route and wedge of hankel2_0: the series disc (with
-# Im z < -HANKEL2_IM_GUARD among them), the plain Watson wedge
-# -pi < arg z <= 3 pi/8, the rotated wedge 3 pi/8 < arg z <= 5 pi/8, the
-# reflected wedge beyond, and both sides of the cut on the negative axis
+# Im z < -2, where its cancellation is e^4 or worse, among them), the plain
+# Watson wedge -pi < arg z <= 3 pi/8, the rotated wedge 3 pi/8 < arg z <=
+# 5 pi/8, the reflected wedge beyond, and both sides of the cut on the
+# negative axis
 _ROUTE_ARGS = [
     0.7 + 0.2j, -7e-4 + 9e-5j, 3.0 - 6.0j, -2.0 - 4.0j, 8.9 + 0.1j,
     15.0 + 3.0j, 20.0 - 5.0j, -30.0 - 2.0j, 12.0 * np.exp(0.3j),
