@@ -7,9 +7,10 @@ output path that cannot be written, or whose last component is empty or
 '.', is one), 3 numerical non-convergence.
 
 Each subcommand takes ``--output`` and flags only for the settings it reads
-(``_COMMANDS``); any other flag is a usage error.  Configuration is
-line-oriented ``key = value`` text ('#' comments) that accepts every known key,
-so one file can serve several commands; unknown keys are rejected.
+(``_COMMANDS``); any other flag is a usage error.  Every setting has one flag.
+Configuration is line-oriented ``key = value`` text ('#' comments) that
+accepts every setting by its key, so one file can serve several commands;
+unknown keys are rejected.
 Precedence: command-line flags > config file > defaults.
 CSV outputs carry a header row and floats in scientific notation with 17
 significant digits; a JSON sidecar records the full configuration, its
@@ -38,8 +39,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .model import (SWEEPABLE, EmitterParams, NonConvergenceError,
-                    UndefinedQError, derive_params)
+from .model import (PARAMS_FIG, R_FIG, SWEEPABLE, EmitterParams,
+                    NonConvergenceError, UndefinedQError, derive_params)
 
 if TYPE_CHECKING:       # each command imports what it runs when it runs
     from .peak import SweepResult, SweepSpec
@@ -48,23 +49,19 @@ USAGE_ERROR = 2
 NONCONVERGENCE_ERROR = 3
 
 # every setting: its default, whose type parses the setting, and its
-# command-line flag (None: config file only) with the flag's help
+# command-line flag with the flag's help
 _SETTINGS = {
-    "delta_over_mu": (2.997e-3, "--delta", "|Delta|/mu"),
-    "ec_over_mu": (2.997e-3, "--ec", "E_C/mu"),
-    "w_over_lambdaf": (1.0, "--w", "w/lambda_F"),
-    "r_over_lambdaf": (100.0, "--r", "r/lambda_F"),
+    "delta_over_mu": (PARAMS_FIG.delta, "--delta", "|Delta|/mu"),
+    "ec_over_mu": (PARAMS_FIG.ec, "--ec", "E_C/mu"),
+    "w_over_lambdaf": (PARAMS_FIG.w, "--w", "w/lambda_F"),
+    "r_over_lambdaf": (R_FIG, "--r", "r/lambda_F"),
     "theta": (math.pi, "--theta", "detector angle (rad)"),
-    "theta_min": (0.0, None, None),
-    "theta_max": (math.pi, None, None),
     "theta_points": (25, "--theta-points", None),
     "rel_tol": (1e-3, "--rel-tol", None),
     "sweep_param": ("r", "--sweep-param", None),
     "sweep_min": (10.0, "--sweep-min", None),
     "sweep_max": (3.0e6, "--sweep-max", None),
     "sweep_points": (60, "--sweep-points", None),
-    "sweep_log": (True, None, None),
-    "fig3_points": (60, None, None),
 }
 
 
@@ -101,15 +98,6 @@ class ConfigError(ValueError):
 def _coerce(key: str, raw: str):
     """Parse a config-file value as the type of the key's default."""
     kind = type(_SETTINGS[key][0])
-    if kind is str:
-        return raw
-    if kind is bool:
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"bad boolean for {key}: {raw!r}")
     try:
         return kind(raw)
     except ValueError as exc:
@@ -146,10 +134,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     # basic invariants
     if cfg.delta_over_mu < 0 or cfg.ec_over_mu <= 0 or cfg.w_over_lambdaf <= 0:
         raise ConfigError("physical ratios must be positive (delta may be 0)")
-    if cfg.theta_points < 1 or cfg.sweep_points < 1 or cfg.fig3_points < 2:
+    if cfg.theta_points < 1 or cfg.sweep_points < 1:
         raise ConfigError("grids need at least one point")
-    if cfg.theta_max <= cfg.theta_min and cfg.theta_points > 1:
-        raise ConfigError("theta grid must be strictly increasing")
     return cfg
 
 
@@ -290,8 +276,9 @@ def _write_dataset(path: Path, header: str, rows: list[str], cfg: RunConfig,
 
 
 def cmd_angular(cfg: RunConfig, args) -> int:
-    """Q(theta) datasets for the normal and superconducting emitter."""
-    thetas = np.linspace(cfg.theta_min, cfg.theta_max, cfg.theta_points)
+    """Q(theta) datasets for the normal and superconducting emitter, theta
+    over [0, pi]."""
+    thetas = np.linspace(0.0, math.pi, cfg.theta_points)
     tasks = [(float(t), cfg.r_over_lambdaf, cfg.delta_over_mu,
               cfg.ec_over_mu, cfg.w_over_lambdaf, cfg.rel_tol)
              for t in thetas]
@@ -303,12 +290,11 @@ def cmd_angular(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _sweep_grid(cfg: RunConfig):
-    if cfg.sweep_log:
-        if cfg.sweep_min <= 0:
-            raise ConfigError("log grid needs positive sweep_min")
-        return np.geomspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_points)
-    return np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_points)
+def _sweep_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """n log-spaced values from lo to hi."""
+    if lo <= 0:
+        raise ConfigError("log grid needs positive sweep_min")
+    return np.geomspace(lo, hi, n)
 
 
 def _sweep_spec(cfg: RunConfig, param: str, grid) -> SweepSpec:
@@ -345,8 +331,8 @@ _HEADER_SWEEP = ("param_value,Q_peak,err_est,regime_ok,classification,"
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     from .peak import threshold_maps
-    res, = threshold_maps([_sweep_spec(cfg, cfg.sweep_param,
-                                       _sweep_grid(cfg))])
+    grid = _sweep_grid(cfg.sweep_min, cfg.sweep_max, cfg.sweep_points)
+    res, = threshold_maps([_sweep_spec(cfg, cfg.sweep_param, grid)])
     rows, meta = _sweep_dataset(cfg, res)
     path = _named(args.output or f"sweep_{cfg.sweep_param}.csv")
     _write_dataset(path, _HEADER_SWEEP, rows, cfg,
@@ -358,15 +344,13 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 def cmd_peak(cfg: RunConfig, args) -> int:
     """Peak height along an r sweep at the configured parameters."""
     from .peak import threshold_maps
-    if cfg.sweep_param == "r":
-        grid = _sweep_grid(cfg)
-    else:
+    ends = [cfg.sweep_min, cfg.sweep_max]
+    if cfg.sweep_param != "r":
         # the configured range is another parameter's: r takes the range
         # given on the command line, or else the default one
-        ends = {key: _SETTINGS[key][0] if getattr(args, key) is None
-                else getattr(args, key) for key in ("sweep_min", "sweep_max")}
-        grid = _sweep_grid(RunConfig({**cfg.values, **ends,
-                                      "sweep_log": True}))
+        ends = [_SETTINGS[key][0] if getattr(args, key) is None
+                else getattr(args, key) for key in ("sweep_min", "sweep_max")]
+    grid = _sweep_grid(*ends, cfg.sweep_points)
     # the point at --r goes first, so it is checked before the map and
     # before anything is written; one evaluation serves both
     point, res = threshold_maps([_sweep_spec(cfg, "r", [cfg.r_over_lambdaf]),
@@ -385,19 +369,12 @@ def cmd_peak(cfg: RunConfig, args) -> int:
 def cmd_fig3(cfg: RunConfig, args) -> int:
     """Four threshold-map panels (|Delta|, E_C, w, r), evaluated together
     before any is written: a failing panel leaves no dataset."""
-    from .peak import threshold_maps
+    from .peak import FIG3_PANELS, threshold_maps
     stem = _named(args.output or "fig3")
-    n = cfg.fig3_points
     xi_lf = derive_params(cfg.params()).xi_over_lambda_f
-    panels = {
-        "delta": np.geomspace(1e-4, 1e-2, n),
-        "ec": np.geomspace(3e-4, 3e-2, n),
-        "w": np.linspace(0.5, 4.0, n),
-        "r": np.geomspace(10.0, 3.0e6, n),
-    }
     results = threshold_maps([_sweep_spec(cfg, param, grid)
-                              for param, grid in panels.items()])
-    for param, res in zip(panels, results):
+                              for param, grid in FIG3_PANELS.items()])
+    for param, res in zip(FIG3_PANELS, results):
         rows, meta = _sweep_dataset(cfg, res)
         path = stem.parent / f"{stem.name}_{param}.csv"
         _write_dataset(path, _HEADER_SWEEP, rows, cfg,
@@ -489,7 +466,7 @@ def _parser() -> argparse.ArgumentParser:
                     "electron pairs field-emitted from a superconducting tip",
     )
     setting = {flag: (key, default, help_)
-               for key, (default, flag, help_) in _SETTINGS.items() if flag}
+               for key, (default, flag, help_) in _SETTINGS.items()}
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags) in _COMMANDS.items():
         sub = subs.add_parser(name)

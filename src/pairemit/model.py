@@ -21,9 +21,10 @@ if TYPE_CHECKING:
 
 __all__ = [
     "KF", "MU", "MASS", "LAMBDA_F", "REGIME_KFR", "REGIME_SPREAD", "SWEEPABLE",
-    "REGIME_MU_OVER_EC", "EmitterParams", "DerivedParams", "OutOfBandError",
-    "NonConvergenceError", "UndefinedQError", "regime_flags",
-    "derive_params", "pippard_length", "form_factors", "pole_momentum",
+    "REGIME_MU_OVER_EC", "EmitterParams", "PARAMS_FIG", "R_FIG",
+    "DerivedParams", "OutOfBandError", "NonConvergenceError",
+    "UndefinedQError", "regime_flags", "derive_params", "pippard_length",
+    "form_factors", "pole_momentum",
 ]
 
 KF = 1.0
@@ -93,6 +94,12 @@ class EmitterParams:
     def w_kf(self) -> float:
         """Emitting-region size in k_F^-1 units."""
         return self.w * LAMBDA_F
+
+
+# the figure point: |Delta| = E_C = 2.997e-3 mu (xi = 33.8 lambda_F),
+# w = lambda_F, detectors at r = 100 lambda_F; the CLI's defaults
+PARAMS_FIG = EmitterParams(delta=2.997e-3, ec=2.997e-3, w=1.0)
+R_FIG = 100.0
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .model import (LAMBDA_F, MU, SWEEPABLE, EmitterParams, pippard_length,
 from .specfun import bessel_k1, hankel2_0
 
 __all__ = [
-    "PeakResult", "SweepSpec", "SweepResult",
+    "PeakResult", "SweepSpec", "SweepResult", "FIG3_PANELS",
     "delta_q_peak", "delta_q_grid", "angular_profile", "threshold_maps",
     "DQ_ENTANGLEMENT", "DQ_BELL",
 ]
@@ -235,6 +235,15 @@ class SweepSpec:
         g = np.asarray(self.grid, dtype=float)
         if not (np.all(np.diff(g) > 0) or np.all(np.diff(g) < 0)):
             raise ValueError("sweep grid must be strictly monotone")
+
+
+# the four panels of `pairemit fig3`: each swept parameter's 60-value grid
+FIG3_PANELS = {
+    "delta": tuple(np.geomspace(1e-4, 1e-2, 60)),
+    "ec": tuple(np.geomspace(3e-4, 3e-2, 60)),
+    "w": tuple(np.linspace(0.5, 4.0, 60)),
+    "r": tuple(np.geomspace(10.0, 3.0e6, 60)),
+}
 
 
 @dataclass

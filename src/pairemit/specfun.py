@@ -234,12 +234,19 @@ def _i0_periodic(y: complex) -> complex:
     """I0(y) via (1/pi) int_0^pi e^{y cos t} dt, |arg y| <= pi/8.
 
     Midpoint rule on the periodic-analytic integrand; node count grows with
-    |y| (deterministic function of the argument), scaled to avoid overflow.
+    |y| (deterministic function of the argument), scaled to avoid overflow:
+    the mean of e^{y cos t - Re y} times e^{Re y}; past Re y = 709, where
+    e^{Re y} nears the largest double, times e^{Re y / 2} twice, so that
+    only an I0(y) past the double range overflows (with NumPy's warning).
     """
     n = 64 + 4 * int(math.ceil(abs(y)))
     t = (np.arange(n) + 0.5) * (math.pi / n)
     re = y.real
-    return cmath.exp(re) * complex(np.mean(np.exp(y * np.cos(t) - re)))
+    mean = complex(np.mean(np.exp(y * np.cos(t) - re)))
+    if re <= 709.0:
+        return cmath.exp(re) * mean
+    half = np.exp(0.5 * re)
+    return complex(half * mean * half)
 
 
 def _hankel2_large(z: np.ndarray) -> np.ndarray:

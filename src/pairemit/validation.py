@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Callable
 
@@ -25,19 +25,14 @@ from .correlations import (CorrelationResult, DetectorGeometry, chi,
 from .entanglement import (Q_BELL_THRESHOLD, Q_ENTANGLEMENT_THRESHOLD,
                            classify, concurrence_from_density_matrix,
                            werner_decompose, werner_density_matrix)
-from .model import EmitterParams, derive_params, pole_momentum
-from .peak import (DQ_BELL, DQ_ENTANGLEMENT, SweepSpec, angular_profile,
-                   delta_q_grid, delta_q_peak, misalignment_tolerance,
-                   peak_envelope, threshold_maps)
+from .model import PARAMS_FIG, R_FIG, derive_params, pole_momentum
+from .peak import (DQ_BELL, DQ_ENTANGLEMENT, FIG3_PANELS, SweepSpec,
+                   angular_profile, delta_q_grid, delta_q_peak,
+                   misalignment_tolerance, peak_envelope, threshold_maps)
 from .quad import QuadSpec, integrate_1d
 from .specfun import _hankel2_large, _hankel2_series, bessel_k1, hankel2_0
 
 __all__ = ["CheckResult", "CHECKS", "run_checks"]
-
-# reference parameters: reconstruction of the figure regime
-DELTA_FIG = 2.997e-3
-PARAMS_FIG = EmitterParams(delta=DELTA_FIG, ec=DELTA_FIG, w=1.0)
-R_FIG = 100.0
 
 
 @dataclass
@@ -177,7 +172,7 @@ def check_quad_basics() -> tuple[bool, str]:
 
 def check_normal_antibunching() -> tuple[bool, str]:
     """Normal state: Q -> 1/2 at coincident detectors, -> 1 when separated."""
-    p0 = EmitterParams(delta=0.0, ec=DELTA_FIG, w=1.0)
+    p0 = replace(PARAMS_FIG, delta=0.0)
     q_coinc = rho2_and_Q(DetectorGeometry.from_r_theta(R_FIG, 0.0), p0).Q
     q_close = rho2_and_Q(DetectorGeometry.from_r_theta(R_FIG, 0.01), p0).Q
     q_far = rho2_and_Q(DetectorGeometry.from_r_theta(R_FIG, math.pi / 2), p0).Q
@@ -193,14 +188,12 @@ def check_chi_null_symmetry_phase() -> tuple[bool, str]:
         np.array([0.6, 0.0, 0.8]) * 90.0,
         np.array([-0.595, 0.1, -0.79]) / np.linalg.norm([-0.595, 0.1, -0.79])
         * 110.0)
-    p0 = EmitterParams(delta=0.0, ec=DELTA_FIG, w=1.0)
-    x_null = chi(geom, p0)
-    p1 = EmitterParams(delta=DELTA_FIG, ec=DELTA_FIG, w=1.0)
-    x_a = chi(geom, p1)
-    x_b = chi(geom.swapped(), p1)
+    x_null = chi(geom, replace(PARAMS_FIG, delta=0.0))
+    x_a = chi(geom, PARAMS_FIG)
+    x_b = chi(geom.swapped(), PARAMS_FIG)
     swap_err = abs(x_a - x_b) / max(abs(x_a), 1e-300)
-    p2 = EmitterParams(delta=DELTA_FIG * np.exp(1.3j), ec=DELTA_FIG, w=1.0)
-    x_c = chi(geom, p2)
+    rotated = replace(PARAMS_FIG, delta=PARAMS_FIG.delta * np.exp(1.3j))
+    x_c = chi(geom, rotated)
     phase_err = abs(abs(x_c) - abs(x_a)) / abs(x_a)
     ok = x_null == 0.0 and swap_err <= 2e-2 and phase_err <= 1e-10
     return ok, (f"chi(D=0) = {abs(x_null):.1e}, swap rel diff = "
@@ -218,7 +211,7 @@ def check_farfield_oracle() -> tuple[bool, str]:
     kernel is v_k^2 m k A_k(r1) A_k*(r2) of this amplitude to 1e-12
     (tests/test_correlations.py), so the check covers what gamma integrates.
     """
-    params = EmitterParams(delta=DELTA_FIG, ec=0.12, w=0.55)
+    params = replace(PARAMS_FIG, ec=0.12, w=0.55)
     omega = 0.01
     r_vec = np.array([0.0, 0.0, 200.0])            # lambda_F units
     k_vec = np.array([0.0, 0.0, pole_momentum(omega)])
@@ -232,9 +225,9 @@ def check_farfield_oracle() -> tuple[bool, str]:
 def check_peak_cross_validation() -> tuple[bool, str]:
     """Quadrature-path Q(r, pi) vs the closed-form 1 + dQ, within 25%.
 
-    Documented configuration: |Delta|/mu = 2.997e-3 (xi = 33.8 lambda_F),
-    E_C = |Delta|, w = lambda_F, r = 100 lambda_F; deep in all three regime
-    conditions (k_F r = 628, mu/E_C = 334, r/k_F w^2 = 15.9).
+    Documented configuration: the figure point (PARAMS_FIG at R_FIG, xi =
+    33.8 lambda_F); deep in all three regime conditions (k_F r = 628,
+    mu/E_C = 334, r/k_F w^2 = 15.9).
     """
     res = rho2_and_Q(DetectorGeometry.from_r_theta(R_FIG, math.pi),
                      PARAMS_FIG)
@@ -312,10 +305,9 @@ def check_fig3_shapes() -> tuple[bool, str]:
     ok &= cond
     msgs.append(f"EC halving: {dq0:.3f} -> {dq_half:.3f}")
 
-    # nondecreasing in |Delta| over the weak-gap window
-    spec = SweepSpec(base=base, r=R_FIG, param="delta",
-                     grid=tuple(np.geomspace(1e-4, 1e-2, 40)))
-    res, = threshold_maps([spec])
+    # nondecreasing in |Delta| over fig3's weak-gap panel
+    res, = threshold_maps([SweepSpec(base=base, r=R_FIG, param="delta",
+                                     grid=FIG3_PANELS["delta"])])
     mono = bool(np.all(np.diff(res.delta_q) >= -1e-12))
     ok &= mono
     msgs.append(f"delta monotone: {mono}")

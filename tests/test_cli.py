@@ -14,24 +14,24 @@ import pytest
 import pairemit
 from pairemit import cli
 from pairemit.cli import (ConfigError, USAGE_ERROR, fmt, load_config, main)
-from pairemit.model import EmitterParams
-from pairemit.peak import DQ_BELL, DQ_ENTANGLEMENT, delta_q_peak
+from pairemit.model import PARAMS_FIG, R_FIG, EmitterParams
+from pairemit.peak import DQ_BELL, DQ_ENTANGLEMENT, FIG3_PANELS, delta_q_peak
 
 
 class TestConfig:
     def test_defaults(self):
         cfg = load_config(None, {})
-        assert cfg.delta_over_mu == pytest.approx(2.997e-3)
+        assert (cfg.params(), cfg.r_over_lambdaf) == (PARAMS_FIG, R_FIG)
         assert "workers" not in cfg.values
 
     def test_file_parsing(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("# comment\ndelta_over_mu = 1e-3\n  theta_points =  4 \n"
-                     "sweep_log = false\n")
+                     "sweep_param = w\n")
         cfg = load_config(str(p), {})
         assert cfg.delta_over_mu == 1e-3
         assert cfg.theta_points == 4
-        assert cfg.sweep_log is False
+        assert cfg.sweep_param == "w"
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -57,8 +57,8 @@ class TestConfig:
 
     def test_non_finite_file_value_rejected(self, tmp_path):
         p = tmp_path / "run.cfg"
-        p.write_text("theta_max = inf\n")
-        with pytest.raises(ConfigError, match="theta_max"):
+        p.write_text("r_over_lambdaf = inf\n")
+        with pytest.raises(ConfigError, match="r_over_lambdaf"):
             load_config(str(p), {})
 
     @pytest.mark.parametrize("flags, key", [
@@ -91,6 +91,22 @@ class TestConfig:
             == USAGE_ERROR
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "'cache_dir'" in err
+        assert sorted(tmp_path.iterdir()) == [p]
+
+    @pytest.mark.parametrize("command, line", [
+        ("angular", "theta_min = 0.01"), ("angular", "theta_max = 1.0"),
+        ("sweep", "sweep_log = false"), ("fig3", "fig3_points = 8")])
+    def test_retired_key_rejected(self, command, line, tmp_path, capsys):
+        # every setting has a flag: angular runs theta over [0, pi], sweeps
+        # are log-spaced and fig3's panels have 60 points, with no key
+        p = tmp_path / "run.cfg"
+        p.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(p), "--output", str(out)]) \
+            == USAGE_ERROR
+        err = capsys.readouterr().err
+        key = line.split(" =")[0]
+        assert err.startswith("config error: ") and f"'{key}'" in err
         assert sorted(tmp_path.iterdir()) == [p]
 
     def test_cache_dir_environment_not_read(self, tmp_path, monkeypatch):
@@ -143,6 +159,12 @@ class TestFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_every_setting_has_one_flag_that_a_command_reads(self):
+        flags = [flag for _, flag, _ in cli._SETTINGS.values()]
+        assert len(set(flags)) == len(flags) == 11
+        assert set(flags) == {flag for _, read in cli._COMMANDS.values()
+                              for flag in read}
+
     def test_readme_flag_table_matches_the_commands(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         rows = re.findall(r"^\| `(\w+)` \| (`--[^|]*`) \|$",
@@ -163,7 +185,7 @@ def _seeded(seed: int | None) -> tuple[EmitterParams, float]:
     """The figure point (seed None), or a base and r drawn over the ranges
     of the closed_form_maps benchmark points."""
     if seed is None:
-        return EmitterParams(2.997e-3, 2.997e-3, 1.0), 100.0
+        return PARAMS_FIG, R_FIG
     rng = np.random.default_rng(seed)
     delta, ec = (10.0 ** rng.uniform(-3.0, -2.0, 2)).tolist()
     params = EmitterParams(delta, ec, float(rng.uniform(0.8, 2.0)))
@@ -244,12 +266,13 @@ class TestCommands:
 
     def test_fig3_panels(self, tmp_path):
         stem = tmp_path / "fig3"
-        rc = main(["fig3", *_BENCH_FLAGS, "--output", str(stem),
-                   "--config", str(_small_cfg(tmp_path))])
+        rc = main(["fig3", *_BENCH_FLAGS, "--output", str(stem)])
         assert rc == 0
-        for param in ("delta", "ec", "w", "r"):
+        for param, grid in FIG3_PANELS.items():
             path = tmp_path / f"fig3_{param}.csv"
-            assert path.exists()
+            values = [float(row.split(",")[0])
+                      for row in path.read_text().splitlines()[1:]]
+            assert values == list(grid)
             meta = json.loads(path.with_suffix(".meta.json").read_text())
             assert meta["sweep_param"] == param
             assert meta["xi_over_lambdaf"] == pytest.approx(33.8075, abs=1e-3)
@@ -597,12 +620,6 @@ class TestAtomicWrite:
         assert (tmp_path / "x.txt").read_text() == "old\n"
 
 
-def _small_cfg(tmp_path) -> Path:
-    p = tmp_path / "small.cfg"
-    p.write_text("fig3_points = 8\nsweep_points = 8\n")
-    return p
-
-
 @pytest.mark.slow
 class TestClassifyDeepPeak:
     def test_bell_violating_at_figure_defaults(self, tmp_path, capsys):
@@ -623,18 +640,15 @@ class TestAngularShape:
         # normal: antibunching dip at theta -> 0, -> 1 when separated, no
         # peak; superconducting: large bunching peak at theta = pi
         out = tmp_path / "ang.csv"
-        cfgfile = tmp_path / "run.cfg"
-        # theta_min well inside the antibunching dip (coherence angle is
-        # ~1/(k_F w) = 0.16 at the default w)
-        cfgfile.write_text("theta_min = 0.01\ntheta_max = 3.14159265358979\n"
-                           "theta_points = 3\n")
-        rc = main(["angular", "--config", str(cfgfile), "--output", str(out)])
+        # theta = 0, pi/2 and pi: the first inside the antibunching dip
+        # (coherence angle ~1/(k_F w) = 0.16 at the default w)
+        rc = main(["angular", "--theta-points", "3", "--output", str(out)])
         assert rc == 0
         rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
         thetas = [float(r[0]) for r in rows]
         q_n = [float(r[1]) for r in rows]
         q_s = [float(r[3]) for r in rows]
-        assert thetas[0] < 0.02 and abs(thetas[-1] - math.pi) < 1e-6
+        assert thetas == [0.0, math.pi / 2, math.pi]
         # normal curve: dip to ~1/2 near coincidence, ~1 beyond, monotone
         assert q_n[0] == pytest.approx(0.5, abs=0.02)
         assert q_n[-1] == pytest.approx(1.0, abs=0.02)
@@ -660,7 +674,6 @@ class TestDeterminism:
         cfgfile.write_text(
             "delta_over_mu = 0\n"          # normal state: fast rows
             "theta_points = 3\n"
-            "theta_max = 1.0\n"
             "rel_tol = 1e-3\n"
         )
         # one CPU (serial) and two (a pool of 2) each compute every row

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from pairemit.model import (LAMBDA_F, MASS, REGIME_KFR, REGIME_MU_OVER_EC,
-                            REGIME_SPREAD, EmitterParams, OutOfBandError,
-                            derive_params, form_factors, pole_momentum,
-                            regime_flags)
+from pairemit.model import (LAMBDA_F, MASS, PARAMS_FIG, R_FIG, REGIME_KFR,
+                            REGIME_MU_OVER_EC, REGIME_SPREAD, EmitterParams,
+                            OutOfBandError, derive_params, form_factors,
+                            pole_momentum, regime_flags)
 
 
 def test_pippard_length_identity():
@@ -18,8 +18,12 @@ def test_pippard_length_identity():
 
 
 def test_fig3_xi_value():
-    p = EmitterParams(delta=2.997e-3, ec=2.997e-3, w=1.0)
-    assert derive_params(p).xi_over_lambda_f == pytest.approx(33.8, abs=0.05)
+    # the figure point: |Delta| = E_C = 2.997e-3 mu, w = lambda_F, r = 100
+    # lambda_F, where xi = 33.8 lambda_F
+    assert (PARAMS_FIG, R_FIG) == (
+        EmitterParams(delta=2.997e-3, ec=2.997e-3, w=1.0), 100.0)
+    assert derive_params(PARAMS_FIG).xi_over_lambda_f == pytest.approx(
+        33.8, abs=0.05)
 
 
 def test_zero_gap_sentinel():

@@ -9,14 +9,13 @@ import pytest
 from pairemit import cli, peak
 from pairemit.entanglement import (Q_BELL_THRESHOLD,
                                    Q_ENTANGLEMENT_THRESHOLD)
-from pairemit.model import EmitterParams, derive_params
-from pairemit.peak import (DQ_BELL, DQ_ENTANGLEMENT, SweepSpec,
+from pairemit.model import PARAMS_FIG, R_FIG, EmitterParams, derive_params
+from pairemit.peak import (DQ_BELL, DQ_ENTANGLEMENT, FIG3_PANELS, SweepSpec,
                            angular_profile, delta_q_grid, delta_q_peak,
                            peak_envelope, threshold_maps)
 from pairemit.specfun import bessel_k1, hankel2_0
 
-PARAMS = EmitterParams(delta=2.997e-3, ec=2.997e-3, w=1.0)
-R = 100.0
+PARAMS, R = PARAMS_FIG, R_FIG
 
 
 def _lone_map(spec: SweepSpec):
@@ -278,14 +277,8 @@ class TestThresholdMap:
             math.sqrt(2.0) / (math.sqrt(2.0) - 1.0), rel=1e-15)
 
 
-# the four panels of `pairemit fig3` at its default fig3_points = 60, at the
-# figure base and at one other base (each with its detector distance)
-_FIG3_PANELS = {
-    "delta": np.geomspace(1e-4, 1e-2, 60),
-    "ec": np.geomspace(3e-4, 3e-2, 60),
-    "w": np.linspace(0.5, 4.0, 60),
-    "r": np.geomspace(10.0, 3.0e6, 60),
-}
+# the bases of fig3's panels (FIG3_PANELS) here: the figure base and one
+# other (each with its detector distance)
 _BASES = {"figure": (PARAMS, R),
           "other": (EmitterParams(5e-3, 2e-3, 1.7), 300.0)}
 
@@ -293,7 +286,7 @@ _BASES = {"figure": (PARAMS, R),
 def _fig3_spec(base: str, param: str, grid=None) -> SweepSpec:
     params, r = _BASES[base]
     return SweepSpec(base=params, r=r, param=param,
-                     grid=tuple(_FIG3_PANELS[param] if grid is None else grid))
+                     grid=tuple(FIG3_PANELS[param] if grid is None else grid))
 
 
 def _point(spec: SweepSpec, value: float) -> tuple[EmitterParams, float]:
@@ -304,7 +297,7 @@ def _point(spec: SweepSpec, value: float) -> tuple[EmitterParams, float]:
 
 
 @pytest.mark.parametrize("base", sorted(_BASES))
-@pytest.mark.parametrize("param", sorted(_FIG3_PANELS))
+@pytest.mark.parametrize("param", sorted(FIG3_PANELS))
 class TestFig3Panels:
     def test_grid_matches_mpmath(self, base, param):
         spec = _fig3_spec(base, param)
@@ -341,7 +334,7 @@ class TestThresholdMapCounts:
         res = _lone_map(_fig3_spec("figure", "delta"))
         assert sizes[0] == 60 and max(sizes[1:]) <= 2
 
-    @pytest.mark.parametrize("param", sorted(_FIG3_PANELS))
+    @pytest.mark.parametrize("param", sorted(FIG3_PANELS))
     def test_at_most_ten_evaluations_per_crossing(self, monkeypatch, param):
         # each bracket refines alone as in the full map, so a map over one
         # grid interval counts the evaluations of that interval's crossings
@@ -353,7 +346,7 @@ class TestThresholdMapCounts:
             return evaluate(*cols, **kw)
 
         monkeypatch.setattr(peak, "_evaluate", counted)
-        grid = _FIG3_PANELS[param]
+        grid = FIG3_PANELS[param]
         total = 0
         for lo, hi in zip(grid[:-1], grid[1:]):
             evals.clear()
@@ -402,7 +395,7 @@ _SIGNED = np.geomspace(1e-4, 1e-2, 20)
 _EDGE_SWEEPS = {
     # a w sweep with a crossing to refine
     "w-crossing": (EmitterParams(2.997e-3, 6.8e-3, 1.0), "w",
-                   _FIG3_PANELS["w"]),
+                   FIG3_PANELS["w"]),
     # a signed Delta grid through 0, where dQ = 0
     "delta-through-0": (PARAMS, "delta",
                         np.concatenate((-_SIGNED[::-1], [0.0], _SIGNED))),
@@ -410,9 +403,9 @@ _EDGE_SWEEPS = {
     "delta-across-0": (PARAMS, "delta", (-1e-4, 5e-3)),
     # the normal emitter: dQ = 0 along every other parameter
     "normal-w": (EmitterParams(0.0, PARAMS.ec, PARAMS.w), "w",
-                 _FIG3_PANELS["w"]),
+                 FIG3_PANELS["w"]),
     "normal-r": (EmitterParams(0.0, PARAMS.ec, PARAMS.w), "r",
-                 _FIG3_PANELS["r"]),
+                 FIG3_PANELS["r"]),
 }
 
 
@@ -455,11 +448,11 @@ class TestRefinementOracle:
         _assert_as_oracle(spec, _lone_map(spec))
 
     @pytest.mark.parametrize("base", sorted(_ORACLE_BASES))
-    @pytest.mark.parametrize("param", sorted(_FIG3_PANELS))
+    @pytest.mark.parametrize("param", sorted(FIG3_PANELS))
     def test_fig3_panels(self, base, param):
         params, r = _ORACLE_BASES[base]
         self.assert_as_oracle(SweepSpec(base=params, r=r, param=param,
-                                        grid=tuple(_FIG3_PANELS[param])))
+                                        grid=tuple(FIG3_PANELS[param])))
 
     @pytest.mark.parametrize("params, param, grid", _EDGE_SWEEPS.values(),
                              ids=list(_EDGE_SWEEPS))
@@ -515,12 +508,12 @@ class TestThresholdMaps:
         params, r = _ORACLE_BASES[base]
         self.assert_as_lone_maps([
             SweepSpec(base=params, r=r, param=param, grid=tuple(grid))
-            for param, grid in _FIG3_PANELS.items()])
+            for param, grid in FIG3_PANELS.items()])
 
     def test_edge_sweeps_among_fig3_panels(self):
         edges = [SweepSpec(base=params, r=R, param=param, grid=tuple(grid))
                  for params, param, grid in _EDGE_SWEEPS.values()]
-        panels = [_fig3_spec("figure", param) for param in _FIG3_PANELS]
+        panels = [_fig3_spec("figure", param) for param in FIG3_PANELS]
         self.assert_as_lone_maps([x for pair in zip(edges, panels)
                                   for x in pair] + edges[len(panels):])
 
@@ -607,7 +600,7 @@ class TestThresholdMapsCounts:
         assert cli.main(["fig3", "--output", str(tmp_path / "f")]) == 0
         assert sizes[0] == 4 * 60
         metas = [json.loads((tmp_path / f"f_{p}.meta.json").read_text())
-                 for p in _FIG3_PANELS]
+                 for p in FIG3_PANELS]
         crossings = sum(len(v) for m in metas for v in m["crossings"].values())
         assert crossings > 0 and max(sizes[1:]) <= crossings
 
@@ -617,7 +610,7 @@ class TestThresholdMapsCounts:
         hankel = _counting(monkeypatch, "hankel2_0")
         k1 = _counting(monkeypatch, "bessel_k1")
         lone = {}
-        for param in _FIG3_PANELS:
+        for param in FIG3_PANELS:
             hankel.clear()
             k1.clear()
             _lone_map(_fig3_spec("figure", param))
@@ -625,7 +618,7 @@ class TestThresholdMapsCounts:
             lone[param] = hankel[1:]
         hankel.clear()
         k1.clear()
-        threshold_maps([_fig3_spec("figure", p) for p in _FIG3_PANELS])
+        threshold_maps([_fig3_spec("figure", p) for p in FIG3_PANELS])
         assert hankel[0] == 4 * 60 and k1 == hankel
         assert hankel[1:] == [sum(step) for step in itertools.zip_longest(
             *lone.values(), fillvalue=0)]

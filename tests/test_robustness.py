@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from pairemit import peak, robustness
-from pairemit.model import EmitterParams, derive_params
+from pairemit.model import PARAMS_FIG, R_FIG, EmitterParams, derive_params
 from pairemit.peak import delta_q_grid, delta_q_peak
 from pairemit.robustness import FluctuationSpec, averaged_peak
 from pairemit.specfun import bessel_k1
 
-PARAMS = EmitterParams(delta=2.997e-3, ec=2.997e-3, w=1.0)
-R = 100.0
+PARAMS, R = PARAMS_FIG, R_FIG
 
 
 def test_zero_sigma_reduces_to_peak():

@@ -155,6 +155,25 @@ class TestHankel:
         res = sf.hankel2_0(complex(3.0, -6.0))
         assert res.est_error > 1e-10       # cancellation-limited region
 
+    @pytest.mark.parametrize("y", [709.0, 710.0, 713.0])
+    def test_rotated_wedge_up_to_the_double_range(self, y):
+        # H0^(2)(iy) = 2 I0(y) + 2i K0(y)/pi: I0's scale e^y passes the
+        # double range at y = 709.78, H0^(2)(iy) only at about 713.98
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            want = complex(mp.hankel2(0, mp.mpc(0.0, y)))
+        res = sf.hankel2_0(complex(0.0, y))
+        assert abs(res.value - want) <= res.est_error * abs(want)
+
+    @pytest.mark.parametrize("y", [800.0, 1000.0])
+    def test_rotated_wedge_past_the_double_range_overflows(self, y):
+        # as in the other wedges: no exception, a non-finite value and
+        # NumPy's overflow warning
+        with pytest.warns(RuntimeWarning) as caught:
+            value = sf.hankel2_0(complex(0.0, y)).value
+        assert not cmath.isfinite(value)
+        assert any("overflow" in str(w.message) for w in caught)
+
 
 # one argument in each route and wedge of hankel2_0: the series disc (with
 # Im z < -2, where its cancellation is e^4 or worse, among them), the plain

@@ -7,7 +7,9 @@ Runs `pairemit fig3`, `peak` and `sweep` (over each of r, delta, ec and w)
 at the defaults and at 5 seeded bases, drawn with numpy's
 default_rng(2024) over the ranges of the `closed_form_maps` benchmark
 points; the quadrature route: `classify --rel-tol 0.03` back to back at
-r = 100 and 1000 lambda_F and `angular --theta-points 5 --rel-tol 0.03`;
+r = 100 and 1000 lambda_F, `classify` at the default rel_tol at r = 100
+lambda_F, back to back and at theta = 2.5, and
+`angular --theta-points 5 --rel-tol 0.03`;
 plus the error paths: a `fig3` whose ec panel overflows, a `peak` whose
 point overflows, a `peak` at r = -1, a `fig3` whose output path runs
 through a file, and a `params` and a `fig3` whose output path is `.`.
@@ -86,6 +88,11 @@ def cases() -> dict[str, list[str]]:
         out[f"quadrature/classify_r{r}"] = [
             "classify", "--r", r, "--theta", repr(math.pi), "--rel-tol",
             "0.03", "--output", "classify.json"]
+    # ... and at the tolerance a user runs, the CLI's default rel_tol
+    for name, theta in (("pi", repr(math.pi)), ("2.5", "2.5")):
+        out[f"quadrature/classify_r100_default_theta{name}"] = [
+            "classify", "--r", "100", "--theta", theta, "--output",
+            "classify.json"]
     out["quadrature/angular"] = ["angular", "--theta-points", "5",
                                  "--rel-tol", "0.03", "--output",
                                  "angular.csv"]
