@@ -7,11 +7,9 @@ output path that cannot be written, or whose last component is empty or
 '.', is one), 3 numerical non-convergence.
 
 Each subcommand takes ``--output`` and flags only for the settings it reads
-(``_COMMANDS``); any other flag is a usage error.  Every setting has one flag.
-Configuration is line-oriented ``key = value`` text ('#' comments) that
-accepts every setting by its key, so one file can serve several commands;
-unknown keys are rejected.
-Precedence: command-line flags > config file > defaults.
+(``_COMMANDS``); any other flag is a usage error.  Every setting has one
+way in, its flag: a flag given beats the setting's default, and a setting a
+command does not read keeps its default.
 CSV outputs carry a header row and floats in scientific notation with 17
 significant digits; a JSON sidecar records the full configuration, its
 hash, the code version, and achieved error estimates.  All files are
@@ -67,7 +65,7 @@ _SETTINGS = {
 
 @dataclasses.dataclass
 class RunConfig:
-    """Resolved run configuration (defaults < config file < flags)."""
+    """Resolved run configuration (flags over defaults)."""
 
     values: dict
 
@@ -95,38 +93,10 @@ class ConfigError(ValueError):
     pass
 
 
-def _coerce(key: str, raw: str):
-    """Parse a config-file value as the type of the key's default."""
-    kind = type(_SETTINGS[key][0])
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-
-
-def load_config(path: str | None, overrides: dict) -> RunConfig:
+def load_config(given: dict) -> RunConfig:
+    """The settings given (None: not given) over the defaults, checked."""
     values = {key: default for key, (default, _, _) in _SETTINGS.items()}
-    if path:
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        for ln, line in enumerate(text.splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{ln}: expected 'key = value'")
-            key, raw = (s.strip() for s in line.split("=", 1))
-            if key not in _SETTINGS:
-                raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
-            values[key] = _coerce(key, raw)
-    for key, val in overrides.items():
-        if val is None:
-            continue
-        if key not in _SETTINGS:
-            raise ConfigError(f"unknown override {key!r}")
-        values[key] = val
+    values.update((key, val) for key, val in given.items() if val is not None)
     for key, val in values.items():
         if isinstance(val, float) and not math.isfinite(val):
             raise ConfigError(f"{key} must be finite, got {val}")
@@ -136,6 +106,9 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         raise ConfigError("physical ratios must be positive (delta may be 0)")
     if cfg.theta_points < 1 or cfg.sweep_points < 1:
         raise ConfigError("grids need at least one point")
+    for key in ("sweep_min", "sweep_max"):      # ends of a log grid
+        if values[key] <= 0:
+            raise ConfigError(f"{key} must be positive, got {values[key]}")
     return cfg
 
 
@@ -290,11 +263,9 @@ def cmd_angular(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _sweep_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """n log-spaced values from lo to hi."""
-    if lo <= 0:
-        raise ConfigError("log grid needs positive sweep_min")
-    return np.geomspace(lo, hi, n)
+def _sweep_grid(cfg: RunConfig) -> np.ndarray:
+    """sweep_points log-spaced values from sweep_min to sweep_max."""
+    return np.geomspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_points)
 
 
 def _sweep_spec(cfg: RunConfig, param: str, grid) -> SweepSpec:
@@ -331,8 +302,8 @@ _HEADER_SWEEP = ("param_value,Q_peak,err_est,regime_ok,classification,"
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     from .peak import threshold_maps
-    grid = _sweep_grid(cfg.sweep_min, cfg.sweep_max, cfg.sweep_points)
-    res, = threshold_maps([_sweep_spec(cfg, cfg.sweep_param, grid)])
+    res, = threshold_maps([_sweep_spec(cfg, cfg.sweep_param,
+                                       _sweep_grid(cfg))])
     rows, meta = _sweep_dataset(cfg, res)
     path = _named(args.output or f"sweep_{cfg.sweep_param}.csv")
     _write_dataset(path, _HEADER_SWEEP, rows, cfg,
@@ -344,17 +315,10 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 def cmd_peak(cfg: RunConfig, args) -> int:
     """Peak height along an r sweep at the configured parameters."""
     from .peak import threshold_maps
-    ends = [cfg.sweep_min, cfg.sweep_max]
-    if cfg.sweep_param != "r":
-        # the configured range is another parameter's: r takes the range
-        # given on the command line, or else the default one
-        ends = [_SETTINGS[key][0] if getattr(args, key) is None
-                else getattr(args, key) for key in ("sweep_min", "sweep_max")]
-    grid = _sweep_grid(*ends, cfg.sweep_points)
     # the point at --r goes first, so it is checked before the map and
     # before anything is written; one evaluation serves both
     point, res = threshold_maps([_sweep_spec(cfg, "r", [cfg.r_over_lambdaf]),
-                                 _sweep_spec(cfg, "r", grid)])
+                                 _sweep_spec(cfg, "r", _sweep_grid(cfg))])
     rows, meta = _sweep_dataset(cfg, res)
     path = _named(args.output or "peak_r.csv")
     _write_dataset(path, _HEADER_SWEEP, rows, cfg,
@@ -470,8 +434,6 @@ def _parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags) in _COMMANDS.items():
         sub = subs.add_parser(name)
-        if flags:
-            sub.add_argument("--config", help="key = value configuration file")
         sub.add_argument("--output", help="output path (CSV/JSON per command)")
         for flag in flags:
             key, default, help_ = setting[flag]
@@ -489,15 +451,14 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    overrides = {k: getattr(args, k, None) for k in _SETTINGS}
     try:
-        cfg = load_config(getattr(args, "config", None), overrides)
+        cfg = load_config({key: getattr(args, key, None) for key in _SETTINGS})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
         return _COMMANDS[args.command][0](cfg, args)
-    except (ConfigError, ValueError, OutputError) as exc:
+    except (ValueError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except UndefinedQError as exc:

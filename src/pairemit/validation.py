@@ -242,6 +242,16 @@ def check_peak_cross_validation() -> tuple[bool, str]:
 # closed-form checks
 # ---------------------------------------------------------------------------
 
+def _decay_window(n: int, asymptotic: bool = False) -> np.ndarray:
+    """n log-spaced r/lambda_F at the figure point over [10, 100] k_F xi^2,
+    or (asymptotic) over [10, 100] 2 pi^2 k_F xi^2, where the Hankel
+    argument spans [10, 100]."""
+    xi = derive_params(PARAMS_FIG).xi
+    scale_lf = (2.0 * math.pi ** 2 * xi * xi / (2.0 * math.pi) if asymptotic
+                else xi * xi / (2.0 * math.pi))
+    return np.geomspace(10.0 * scale_lf, 100.0 * scale_lf, n)
+
+
 def check_decay_law() -> tuple[bool, str]:
     """Power-law fit of the peak envelope over r in [10, 100] k_F xi^2.
 
@@ -249,12 +259,10 @@ def check_decay_law() -> tuple[bool, str]:
     dQ(r) (peak_envelope); the test also verifies that it genuinely bounds
     and touches the oscillating dQ samples.
     """
-    xi = derive_params(PARAMS_FIG).xi
-    kxi2_lf = xi * xi / (2.0 * math.pi)        # k_F xi^2 in lambda_F units
-    rs = np.geomspace(10.0 * kxi2_lf, 100.0 * kxi2_lf, 200)
+    rs = _decay_window(200)
     env = peak_envelope(PARAMS_FIG, rs)
     slope = float(np.polyfit(np.log(rs), np.log(env), 1)[0])
-    rs_d = np.geomspace(10.0 * kxi2_lf, 100.0 * kxi2_lf, 1500)
+    rs_d = _decay_window(1500)
     ratio = delta_q_grid(PARAMS_FIG.abs_delta, PARAMS_FIG.ec, PARAMS_FIG.w,
                          rs_d)[0] / peak_envelope(PARAMS_FIG, rs_d)
     is_envelope = bool(np.max(ratio) <= 1.0 + 1e-9) and np.max(ratio) > 0.95
@@ -270,9 +278,7 @@ def check_decay_law_asymptotic() -> tuple[bool, str]:
     [10, 100] * 2 pi^2 k_F xi^2); this is where the stated 1/r decay is an
     asymptotic statement.
     """
-    xi = derive_params(PARAMS_FIG).xi
-    scale_lf = 2.0 * math.pi ** 2 * xi * xi / (2.0 * math.pi)
-    rs = np.geomspace(10.0 * scale_lf, 100.0 * scale_lf, 200)
+    rs = _decay_window(200, asymptotic=True)
     env = peak_envelope(PARAMS_FIG, rs)
     slope = float(np.polyfit(np.log(rs), np.log(env), 1)[0])
     ok = abs(slope - (-1.0)) <= 0.15
@@ -329,9 +335,7 @@ def check_fig3_shapes() -> tuple[bool, str]:
         msgs.append("missing threshold crossing")
 
     # r-panel oscillations below the entanglement threshold at large r
-    xi = derive_params(base).xi
-    scale_lf = 2.0 * math.pi ** 2 * xi * xi / (2.0 * math.pi)
-    rs = np.geomspace(10.0 * scale_lf, 100.0 * scale_lf, 1200)
+    rs = _decay_window(1200, asymptotic=True)
     dq = delta_q_grid(base.abs_delta, base.ec, base.w, rs)[0]
     n_max = int(np.sum((dq[1:-1] > dq[:-2]) & (dq[1:-1] > dq[2:])))
     below = bool(np.all(dq < DQ_ENTANGLEMENT))

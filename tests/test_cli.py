@@ -20,98 +20,31 @@ from pairemit.peak import DQ_BELL, DQ_ENTANGLEMENT, FIG3_PANELS, delta_q_peak
 
 class TestConfig:
     def test_defaults(self):
-        cfg = load_config(None, {})
+        cfg = load_config({})
         assert (cfg.params(), cfg.r_over_lambdaf) == (PARAMS_FIG, R_FIG)
         assert "workers" not in cfg.values
 
-    def test_file_parsing(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("# comment\ndelta_over_mu = 1e-3\n  theta_points =  4 \n"
-                     "sweep_param = w\n")
-        cfg = load_config(str(p), {})
-        assert cfg.delta_over_mu == 1e-3
-        assert cfg.theta_points == 4
-        assert cfg.sweep_param == "w"
-
-    def test_unknown_key_rejected(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("frobnicate = 3\n")
-        with pytest.raises(ConfigError):
-            load_config(str(p), {})
-
-    def test_malformed_line_rejected(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("delta_over_mu 1e-3\n")
-        with pytest.raises(ConfigError):
-            load_config(str(p), {})
-
-    def test_flag_overrides_file(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("delta_over_mu = 1e-3\n")
-        cfg = load_config(str(p), {"delta_over_mu": 5e-3})
-        assert cfg.delta_over_mu == 5e-3
-
     def test_negative_ratio_rejected(self):
         with pytest.raises(ConfigError):
-            load_config(None, {"ec_over_mu": -1.0})
-
-    def test_non_finite_file_value_rejected(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("r_over_lambdaf = inf\n")
-        with pytest.raises(ConfigError, match="r_over_lambdaf"):
-            load_config(str(p), {})
+            load_config({"ec_over_mu": -1.0})
 
     @pytest.mark.parametrize("flags, key", [
-        (["--w", "inf"], "w_over_lambdaf"),
-        (["--delta", "nan"], "delta_over_mu"),
-        (["--ec=-inf"], "ec_over_mu"),
+        (["params", "--w", "inf"], "w_over_lambdaf"),
+        (["params", "--delta", "nan"], "delta_over_mu"),
+        (["params", "--ec=-inf"], "ec_over_mu"),
+        (["peak", "--r", "inf"], "r_over_lambdaf"),
     ])
-    def test_bad_flag_value_exit_2_names_key(self, flags, key, capsys):
-        assert main(["params", *flags]) == USAGE_ERROR
+    def test_bad_flag_value_exit_2_names_key(self, flags, key, tmp_path,
+                                             capsys):
+        out = tmp_path / "out"
+        assert main([*flags, "--output", str(out)]) == USAGE_ERROR
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and key in err
-
-    def test_workers_key_rejected(self, tmp_path, capsys):
-        # the pool is sized from the usable CPUs; the key is gone
-        p = tmp_path / "run.cfg"
-        p.write_text("workers = 2\n")
-        out = tmp_path / "angular.csv"
-        assert main(["angular", "--config", str(p), "--output", str(out)]) \
-            == USAGE_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "'workers'" in err
-        assert not out.exists()
-
-    def test_cache_dir_key_rejected(self, tmp_path, capsys):
-        # angular computes every row; the row cache and its key are gone
-        p = tmp_path / "run.cfg"
-        p.write_text(f"cache_dir = {tmp_path / 'cache'}\n")
-        out = tmp_path / "angular.csv"
-        assert main(["angular", "--config", str(p), "--output", str(out)]) \
-            == USAGE_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "'cache_dir'" in err
-        assert sorted(tmp_path.iterdir()) == [p]
-
-    @pytest.mark.parametrize("command, line", [
-        ("angular", "theta_min = 0.01"), ("angular", "theta_max = 1.0"),
-        ("sweep", "sweep_log = false"), ("fig3", "fig3_points = 8")])
-    def test_retired_key_rejected(self, command, line, tmp_path, capsys):
-        # every setting has a flag: angular runs theta over [0, pi], sweeps
-        # are log-spaced and fig3's panels have 60 points, with no key
-        p = tmp_path / "run.cfg"
-        p.write_text(line + "\n")
-        out = tmp_path / "out"
-        assert main([command, "--config", str(p), "--output", str(out)]) \
-            == USAGE_ERROR
-        err = capsys.readouterr().err
-        key = line.split(" =")[0]
-        assert err.startswith("config error: ") and f"'{key}'" in err
-        assert sorted(tmp_path.iterdir()) == [p]
+        assert list(tmp_path.iterdir()) == []
 
     def test_cache_dir_environment_not_read(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PAIREMIT_CACHE_DIR", str(tmp_path / "cache"))
-        assert "cache_dir" not in load_config(None, {}).values
+        assert "cache_dir" not in load_config({}).values
         out = tmp_path / "angular.csv"
         assert main(["angular", "--theta-points", "1", "--rel-tol", "0.03",
                      "--output", str(out)]) == 0
@@ -124,13 +57,13 @@ class TestConfig:
         assert len(s.split("e")[0].replace(".", "").replace("-", "")) == 17
 
 
-_BASE = {"--config", "--delta", "--ec", "--w"}
+_BASE = {"--delta", "--ec", "--w"}
 _SWEEP = _BASE | {"--r", "--sweep-min", "--sweep-max", "--sweep-points"}
 
 
 class TestFlags:
-    # every command offers --output; a command that reads settings also
-    # offers --config and one flag per setting it reads, and no other
+    # every command offers --output and one flag per setting it reads, and
+    # no other
     @pytest.mark.parametrize("command, flags", [
         ("params", _BASE),
         ("fig3", _BASE | {"--r"}),
@@ -258,11 +191,36 @@ class TestCommands:
         assert len(rows) == 5
         assert [row.split(",")[1] for row in rows[:2]] == ["inf", "inf"]
 
-    def test_bad_config_exit_2(self, tmp_path):
-        p = tmp_path / "bad.cfg"
-        p.write_text("nope = 1\n")
-        rc = main(["params", "--config", str(p)])
-        assert rc == USAGE_ERROR
+    def test_bad_config_exit_2(self, tmp_path, capsys):
+        # settings come in by their flags only: no command reads a file of
+        # them, so --config is a usage error and nothing is written
+        p = tmp_path / "run.cfg"
+        p.write_text("")
+        for command in ("params", "fig3", "classify", "angular", "peak",
+                        "sweep"):
+            out = tmp_path / "out"
+            assert main([command, "--config", str(p), "--output", str(out)]) \
+                == USAGE_ERROR, command
+            assert "unrecognized arguments: --config" \
+                in capsys.readouterr().err, command
+            assert list(tmp_path.iterdir()) == [p], command
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, key", [
+        (["sweep", "--sweep-max", "-5"], "sweep_max"),
+        (["sweep", "--sweep-min", "0"], "sweep_min"),
+        (["peak", "--sweep-max", "0"], "sweep_max"),
+        (["peak", "--sweep-min=-1e-3"], "sweep_min")])
+    def test_non_positive_sweep_end_exit_2_names_it(self, argv, key,
+                                                    tmp_path, capsys):
+        # a log grid needs two positive ends: no warning, one error line
+        # naming the end, no dataset
+        assert main([*argv, "--output", str(tmp_path / "s.csv")]) \
+            == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be positive")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_fig3_panels(self, tmp_path):
         stem = tmp_path / "fig3"
@@ -381,26 +339,13 @@ class TestCommands:
             assert rows and {row.split(",")[col] for row in rows} == {
                 meta["config_hash"][:12]}
 
-    def test_peak_takes_command_line_range_under_other_sweep_param(
-            self, tmp_path):
-        # one file serves `sweep` over w and `peak`: the file's range is w's,
-        # but a range given on the command line is peak's r range
-        cfg = tmp_path / "w.cfg"
-        cfg.write_text("sweep_param = w\nsweep_min = 0.5\nsweep_max = 2\n")
+    def test_peak_takes_command_line_range(self, tmp_path):
         out = tmp_path / "p.csv"
-        assert main(["peak", "--config", str(cfg), "--sweep-min", "100",
-                     "--sweep-max", "200", "--sweep-points", "3",
-                     "--output", str(out)]) == 0
+        assert main(["peak", "--sweep-min", "100", "--sweep-max", "200",
+                     "--sweep-points", "3", "--output", str(out)]) == 0
         rs = [float(line.split(",")[0])
               for line in out.read_text().splitlines()[1:]]
         assert rs == pytest.approx([100.0, 100.0 * math.sqrt(2.0), 200.0],
-                                   rel=1e-12)
-        # without a range on the command line, r keeps its default range
-        assert main(["peak", "--config", str(cfg), "--sweep-points", "3",
-                     "--output", str(out)]) == 0
-        rs = [float(line.split(",")[0])
-              for line in out.read_text().splitlines()[1:]]
-        assert rs == pytest.approx([10.0, math.sqrt(10.0 * 3.0e6), 3.0e6],
                                    rel=1e-12)
 
     def test_classify_normal_separable(self, tmp_path, capsys):
@@ -670,18 +615,13 @@ def _pin_cpus(monkeypatch, n: int) -> None:
 class TestDeterminism:
     def test_angular_bitwise_identical_across_workers(self, tmp_path,
                                                       monkeypatch):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(
-            "delta_over_mu = 0\n"          # normal state: fast rows
-            "theta_points = 3\n"
-            "rel_tol = 1e-3\n"
-        )
         # one CPU (serial) and two (a pool of 2) each compute every row
         outs = []
         for cpus in (1, 2):
             _pin_cpus(monkeypatch, cpus)
             out = tmp_path / f"angular_cpu{cpus}.csv"
-            rc = main(["angular", "--config", str(cfgfile),
+            rc = main(["angular", "--delta", "0",     # normal: fast rows
+                       "--theta-points", "3", "--rel-tol", "1e-3",
                        "--output", str(out)])
             assert rc == 0
             outs.append(out.read_bytes())

@@ -11,8 +11,9 @@ r = 100 and 1000 lambda_F, `classify` at the default rel_tol at r = 100
 lambda_F, back to back and at theta = 2.5, and
 `angular --theta-points 5 --rel-tol 0.03`;
 plus the error paths: a `fig3` whose ec panel overflows, a `peak` whose
-point overflows, a `peak` at r = -1, a `fig3` whose output path runs
-through a file, and a `params` and a `fig3` whose output path is `.`.
+point overflows, a `peak` at r = -1, a `sweep` whose grid ends at -5, a
+`fig3` whose output path runs through a file, and a `params` and a `fig3`
+whose output path is `.`.
 Each case runs in its own directory
 OUTDIR/<base>/<command> with relative output paths; its exit code (or the
 exception that escaped main), stdout and stderr go to run.txt there.  The
@@ -78,6 +79,9 @@ def cases() -> dict[str, list[str]]:
     out["overflow/peak"] = ["peak", "--delta", "0.05", "--w", "200",
                             "--output", "peak.csv"]
     out["bad_r/peak"] = ["peak", "--r", "-1", "--output", "peak.csv"]
+    # a log grid's end is not positive (exit 2)
+    out["bad_range/sweep"] = ["sweep", "--sweep-max", "-5", "--output",
+                              "sweep.csv"]
     # run() makes `blocked` a file, so the output cannot be written
     out["unwritable/fig3"] = ["fig3", "--output", "blocked/fig3"]
     # the output path names a directory, not a file (exit 2)
