@@ -30,6 +30,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -100,16 +101,16 @@ def load_config(given: dict) -> RunConfig:
     for key, val in values.items():
         if isinstance(val, float) and not math.isfinite(val):
             raise ConfigError(f"{key} must be finite, got {val}")
-    cfg = RunConfig(values)
-    # basic invariants
-    if cfg.delta_over_mu < 0 or cfg.ec_over_mu <= 0 or cfg.w_over_lambdaf <= 0:
-        raise ConfigError("physical ratios must be positive (delta may be 0)")
-    if cfg.theta_points < 1 or cfg.sweep_points < 1:
-        raise ConfigError("grids need at least one point")
-    for key in ("sweep_min", "sweep_max"):      # ends of a log grid
+    if values["delta_over_mu"] < 0:
+        raise ConfigError("delta_over_mu must not be negative, got "
+                          f"{values['delta_over_mu']}")
+    # the physical ratios and the ends of a log grid
+    for key in ("ec_over_mu", "w_over_lambdaf", "sweep_min", "sweep_max"):
         if values[key] <= 0:
             raise ConfigError(f"{key} must be positive, got {values[key]}")
-    return cfg
+    if values["theta_points"] < 1 or values["sweep_points"] < 1:
+        raise ConfigError("grids need at least one point")
+    return RunConfig(values)
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +421,21 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that reads any negative number as a flag's value, where
+    argparse's own test takes only plain decimals: `--delta -1e-3` and
+    `--r -inf` reach the checks.  Subparsers are made of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser of every command, built at the first main call
     of a process and reused by the later ones."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pairemit",
         description="Coincidence statistics and entanglement thresholds of "
                     "electron pairs field-emitted from a superconducting tip",

@@ -76,9 +76,9 @@ from .model import (LAMBDA_F, MASS, REGIME_KFR, EmitterParams,
 from .quad import QuadResult, QuadSpec, integrate_1d, integrate_nested
 
 __all__ = [
-    "DetectorGeometry", "CorrelationResult", "NonConvergenceError",
-    "UndefinedQError", "farfield_amplitude", "farfield_amplitude_direct",
-    "chi", "rho2_and_Q", "energy_cutoff", "default_spec",
+    "DetectorGeometry", "CorrelationResult", "farfield_amplitude",
+    "farfield_amplitude_direct", "rho2_and_Q", "energy_cutoff",
+    "default_spec",
 ]
 
 TWO_PI_M6 = (2.0 * math.pi) ** -6
@@ -230,8 +230,8 @@ def farfield_amplitude(k_vec: np.ndarray, r_vec: np.ndarray, omega_k: float,
 
 
 def farfield_amplitude_direct(k_vec: np.ndarray, r_vec: np.ndarray,
-                              omega_k: float, params: EmitterParams,
-                              spec: QuadSpec | None = None) -> complex:
+                              omega_k: float, params: EmitterParams
+                              ) -> complex:
     """Direct numerical evaluation of the defining 3D momentum integral.
 
     (2 pi)^{-3/2} int d3p T_pk e^{ip.r} / (eps_p + omega_k - i0): the angular
@@ -240,7 +240,6 @@ def farfield_amplitude_direct(k_vec: np.ndarray, r_vec: np.ndarray,
     residue.  Serves as the independent oracle for farfield_amplitude; it
     requires E_C w^2 > 1 (in Fermi units) for the radial integrand to decay.
     """
-    spec = spec or QuadSpec(rel_tol=1e-7, abs_tol=1e-300, max_depth=48)
     r_vec = np.asarray(r_vec, dtype=float) * LAMBDA_F
     k_vec = np.asarray(k_vec, dtype=float)
     w = params.w_kf
@@ -273,7 +272,8 @@ def farfield_amplitude_direct(k_vec: np.ndarray, r_vec: np.ndarray,
     def subtracted(p: np.ndarray) -> np.ndarray:
         return (g_smooth(p) - g_pole) / (p * p - p_w * p_w)
 
-    res = integrate_1d(subtracted, 1e-12, p_cut, spec)
+    res = integrate_1d(subtracted, 1e-12, p_cut,
+                       QuadSpec(rel_tol=1e-7, abs_tol=1e-300, max_depth=48))
     if not res.converged:
         raise NonConvergenceError("farfield oracle radial integral", res)
     pv_log = math.log((p_cut - p_w) / (p_cut + p_w)) / (2.0 * p_w)
@@ -553,38 +553,9 @@ def _chi_quad(geom: DetectorGeometry, params: EmitterParams,
 
     pref = complex(params.delta) * (-0.25j) * TWO_PI_M6 / (r1 * r2)
     total = _eps_integral(half, pref, energy_cutoff(params), spec, abs_floor)
-    return replace(total, evaluations=evals, fail_dim=-1,
+    return replace(total, evaluations=evals,
                    intervals=total.intervals + intervals,
                    max_depth=max(total.max_depth, depth))
-
-
-def chi(geom: DetectorGeometry, params: EmitterParams,
-        spec: QuadSpec | None = None) -> complex:
-    """Equal-time pair amplitude chi(2;1).
-
-    Proportional to the gap (exactly zero in the normal state) and symmetric
-    under exchanging the two detectors.  Warns, naming each false regime
-    flag of rho2_and_Q (kfr_large, spread_large at the nearer detector),
-    when the far-field / wave-packet-spreading conditions are not met.
-
-    Checked domain: its error estimate (rho2_and_Q's err_est["chi21"]) is
-    tested only for detectors 90 degrees or more apart.  Nearer than that
-    it is known to read low: chi was 13.4 times its err_est off at theta =
-    1.2e-7, and one contour u-line 23 times at theta = 1.19, radii 1852
-    and 407 lambda_F.  There chi is e^-(w k_F)^2/2 or more below its
-    back-to-back size.
-    """
-    if params.abs_delta == 0.0:
-        return 0.0 + 0.0j
-    flags = regime_flags(params.ec, params.w, min(geom.r1, geom.r2))
-    outside = [n for n in _REGIME_FLAGS if not flags[n]]
-    if outside:
-        warnings.warn("chi outside its validated regime: "
-                      + ", ".join(outside), stacklevel=2)
-    res = _chi_quad(geom, params, spec or default_spec())
-    if not res.converged:      # a u-line that fails raises where it fails
-        raise NonConvergenceError("chi eps integral did not converge", res)
-    return res.value
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +570,14 @@ def rho2_and_Q(geom: DetectorGeometry, params: EmitterParams,
     G(params) / r^2, and G is one quadrature per (|Delta|, E_C, w, spec)
     and process, cached: gamma11 = G / r1^2 and gamma22 = gamma11
     (r1 / r2)^2, each err_est scaled the same way.  Only gamma21 and chi
-    are integrated per point.  Raises NonConvergenceError naming each part
-    that failed, a gamma part with the variable its quadrature stopped in.
+    are integrated per point; chi21 is exactly 0 in the normal state.
+    Raises NonConvergenceError naming each part that failed, a gamma part
+    with the variable its quadrature stopped in, a chi u-line with its eps
+    node and u window.  err_est["chi21"] is tested only for detectors 90
+    degrees or more apart; nearer, it is known to read low: chi was 13.4
+    times its err_est off at theta = 1.2e-7, and one contour u-line 23
+    times at theta = 1.19, radii 1852 and 407 lambda_F.  There chi is
+    e^-(w k_F)^2/2 or more below its back-to-back size.
     """
     spec = spec or default_spec()
     r1 = geom.r1 * LAMBDA_F

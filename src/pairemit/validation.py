@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .correlations import (CorrelationResult, DetectorGeometry, chi,
+from .correlations import (CorrelationResult, DetectorGeometry,
                            farfield_amplitude, farfield_amplitude_direct,
                            rho2_and_Q)
 from .entanglement import (Q_BELL_THRESHOLD, Q_ENTANGLEMENT_THRESHOLD,
@@ -183,21 +183,30 @@ def check_normal_antibunching() -> tuple[bool, str]:
 
 
 def check_chi_null_symmetry_phase() -> tuple[bool, str]:
-    """chi = 0 at Delta = 0; detector-swap symmetry; gap-phase invariance."""
+    """The pair amplitude as rho2_and_Q returns it: chi21 = 0 at Delta = 0;
+    under a detector swap at unequal radii chi21 is unchanged and gamma21
+    turns into its conjugate (within their err_est); under Delta ->
+    Delta e^{1.3i}, |chi21| and Q are unchanged."""
     geom = DetectorGeometry.from_vectors(
         np.array([0.6, 0.0, 0.8]) * 90.0,
         np.array([-0.595, 0.1, -0.79]) / np.linalg.norm([-0.595, 0.1, -0.79])
         * 110.0)
-    x_null = chi(geom, replace(PARAMS_FIG, delta=0.0))
-    x_a = chi(geom, PARAMS_FIG)
-    x_b = chi(geom.swapped(), PARAMS_FIG)
-    swap_err = abs(x_a - x_b) / max(abs(x_a), 1e-300)
+    null = rho2_and_Q(geom, replace(PARAMS_FIG, delta=0.0))
+    a = rho2_and_Q(geom, PARAMS_FIG)
+    b = rho2_and_Q(geom.swapped(), PARAMS_FIG)
+    swap_err = abs(a.chi21 - b.chi21) / max(abs(a.chi21), 1e-300)
+    conj_err = abs(a.gamma21 - b.gamma21.conjugate())
+    conj_tol = a.err_est["gamma21"] + b.err_est["gamma21"]
     rotated = replace(PARAMS_FIG, delta=PARAMS_FIG.delta * np.exp(1.3j))
-    x_c = chi(geom, rotated)
-    phase_err = abs(abs(x_c) - abs(x_a)) / abs(x_a)
-    ok = x_null == 0.0 and swap_err <= 2e-2 and phase_err <= 1e-10
-    return ok, (f"chi(D=0) = {abs(x_null):.1e}, swap rel diff = "
-                f"{swap_err:.2e}, phase rel diff = {phase_err:.2e}")
+    c = rho2_and_Q(geom, rotated)
+    phase_err = max(abs(abs(c.chi21) - abs(a.chi21)) / abs(a.chi21),
+                    abs(c.Q - a.Q) / a.Q)
+    ok = null.chi21 == 0.0 and swap_err <= 2e-2 and conj_err <= conj_tol \
+        and phase_err <= 1e-10
+    return ok, (f"chi21(D=0) = {abs(null.chi21):.1e}, swap rel diff = "
+                f"{swap_err:.2e}, gamma21 conj diff = {conj_err:.1e} "
+                f"(err_est {conj_tol:.1e}), phase rel diff = "
+                f"{phase_err:.2e}")
 
 
 def check_farfield_oracle() -> tuple[bool, str]:

@@ -25,14 +25,36 @@ class TestConfig:
         assert "workers" not in cfg.values
 
     def test_negative_ratio_rejected(self):
-        with pytest.raises(ConfigError):
-            load_config({"ec_over_mu": -1.0})
+        # each message names the ratio and its value
+        for key, rule in (("delta_over_mu", "must not be negative"),
+                          ("ec_over_mu", "must be positive"),
+                          ("w_over_lambdaf", "must be positive")):
+            with pytest.raises(ConfigError) as info:
+                load_config({key: -1.0})
+            assert str(info.value) == f"{key} {rule}, got -1.0"
+
+    def test_negative_theta_in_scientific_notation_runs(self, tmp_path):
+        # argparse alone takes only plain decimals (-5, -0.001) for negative
+        # numbers; the parser the CLI and tools/cli_outputs.py use takes
+        # -1e-3 as it takes -0.001
+        for value in ("-1e-3", "-0.001"):
+            args = cli._parser().parse_args(["classify", "--theta", value])
+            assert args.theta == -0.001
+        out = tmp_path / "classify.json"
+        assert main(["classify", "--theta", "-1e-3", "--rel-tol", "0.03",
+                     "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["geometry"]["theta_rad"] == -0.001
 
     @pytest.mark.parametrize("flags, key", [
         (["params", "--w", "inf"], "w_over_lambdaf"),
         (["params", "--delta", "nan"], "delta_over_mu"),
         (["params", "--ec=-inf"], "ec_over_mu"),
         (["peak", "--r", "inf"], "r_over_lambdaf"),
+        # a negative value in any form a float takes reaches the check
+        (["params", "--delta", "-1e-3"], "delta_over_mu"),
+        (["classify", "--r", "-inf"], "r_over_lambdaf"),
+        (["fig3", "--ec", "-2E+1"], "ec_over_mu"),
+        (["params", "--w", "-.5"], "w_over_lambdaf"),
     ])
     def test_bad_flag_value_exit_2_names_key(self, flags, key, tmp_path,
                                              capsys):
@@ -210,7 +232,8 @@ class TestCommands:
         (["sweep", "--sweep-max", "-5"], "sweep_max"),
         (["sweep", "--sweep-min", "0"], "sweep_min"),
         (["peak", "--sweep-max", "0"], "sweep_max"),
-        (["peak", "--sweep-min=-1e-3"], "sweep_min")])
+        (["peak", "--sweep-min=-1e-3"], "sweep_min"),
+        (["sweep", "--sweep-min", "-1e-3"], "sweep_min")])
     def test_non_positive_sweep_end_exit_2_names_it(self, argv, key,
                                                     tmp_path, capsys):
         # a log grid needs two positive ends: no warning, one error line

@@ -10,12 +10,11 @@ import pairemit.correlations as correlations
 import pairemit.kernels as kernels
 import pairemit.quad as quad
 from pairemit.correlations import (CorrelationResult, DetectorGeometry,
-                                   NonConvergenceError,
                                    _chi_quad, default_spec, energy_cutoff,
                                    farfield_amplitude,
-                                   farfield_amplitude_direct, chi,
-                                   rho2_and_Q)
-from pairemit.model import (LAMBDA_F, MASS, EmitterParams, OutOfBandError,
+                                   farfield_amplitude_direct, rho2_and_Q)
+from pairemit.model import (LAMBDA_F, MASS, EmitterParams,
+                            NonConvergenceError, OutOfBandError,
                             pole_momentum, regime_flags)
 from pairemit.peak import delta_q_peak
 from pairemit.quad import QuadResult, QuadSpec
@@ -360,10 +359,15 @@ CHECK5_N2 = np.array([-0.595, 0.1, -0.79]) / np.linalg.norm([-0.595, 0.1,
                                                               -0.79])
 
 
+def _chi(geom, params):
+    """chi(2;1) as rho2_and_Q integrates it (without its absolute floor)."""
+    return _chi_quad(geom, params, default_spec()).value
+
+
 class TestChi:
     def test_exact_null_in_normal_state(self):
         geom = DetectorGeometry.from_r_theta(R, math.pi)
-        assert chi(geom, NORMAL) == 0.0
+        assert rho2_and_Q(geom, NORMAL).chi21 == 0.0
 
     @pytest.mark.parametrize("n1, n2, r1, r2", [
         (np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]), 628.3, 628.3),
@@ -475,7 +479,8 @@ class TestChi:
     def test_u_line_nonconvergence_is_located(self):
         spec = QuadSpec(rel_tol=1e-3, abs_tol=1e-300, max_depth=1)
         with pytest.raises(NonConvergenceError) as info:
-            chi(DetectorGeometry.from_r_theta(R, math.pi), SUPER, spec)
+            _chi_quad(DetectorGeometry.from_r_theta(R, math.pi), SUPER,
+                      spec)
         m = re.fullmatch(r"chi u-line did not converge at eps = (\S+), "
                          r"u in \[(\S+), (\S+)\]", str(info.value))
         assert m is not None, str(info.value)
@@ -498,7 +503,8 @@ class TestChi:
         monkeypatch.setattr(quad, "integrate_batch", recording)
         spec = QuadSpec(rel_tol=1e-3, abs_tol=1e-300, max_depth=1)
         with pytest.raises(NonConvergenceError) as info:
-            chi(DetectorGeometry.from_r_theta(R, math.pi), SUPER, spec)
+            _chi_quad(DetectorGeometry.from_r_theta(R, math.pi), SUPER,
+                      spec)
         # the u-lines of the sweep that raised: several failed, and the
         # first of them in eps order is named, with its own result; a
         # line's batch interval is its contour's parameter range
@@ -529,8 +535,8 @@ class TestChi:
             return chi_p(u, *args)
 
         monkeypatch.setattr(kernels, "chi_p", counting)
-        chi(DetectorGeometry.from_r_theta(R, math.pi), SUPER,
-            default_spec(rel_tol))
+        _chi_quad(DetectorGeometry.from_r_theta(R, math.pi), SUPER,
+                  default_spec(rel_tol))
         assert seen["calls"] <= max_calls
         assert seen["nodes"] == nodes
 
@@ -559,27 +565,22 @@ class TestChi:
         assert res.max_depth == max(r.max_depth for r in eps + lines) > 0
         assert res.evaluations == sum(2 + r.evaluations for r in lines)
 
-    def test_regime_warnings(self):
-        with pytest.warns(UserWarning):
-            chi(DetectorGeometry.from_r_theta(4.0, math.pi), SUPER,
-                QuadSpec(rel_tol=1e-2, abs_tol=1e-25, max_depth=25))
-
     @pytest.mark.slow
     def test_swap_symmetry_asymmetric_geometry(self):
         # chi(r1, r2) = chi(r2, r1) at unequal radii and off-axis angles
         n2 = np.array([-0.6, 0.15, -0.785])
         n2 /= np.linalg.norm(n2)
         geom = DetectorGeometry.from_vectors((0.0, 0.0, 90.0), 105.0 * n2)
-        a = chi(geom, SUPER)
-        b = chi(geom.swapped(), SUPER)
+        a = _chi(geom, SUPER)
+        b = _chi(geom.swapped(), SUPER)
         assert abs(a - b) <= 2e-2 * abs(a)
 
     @pytest.mark.slow
     def test_phase_invariance(self):
         geom = DetectorGeometry.from_r_theta(R, math.pi)
-        a = chi(geom, SUPER)
+        a = _chi(geom, SUPER)
         rotated = EmitterParams(delta=DELTA * cmath.exp(1.1j), ec=DELTA, w=1.0)
-        b = chi(geom, rotated)
+        b = _chi(geom, rotated)
         assert abs(abs(b) - abs(a)) <= 1e-10 * abs(a)
         # the phase itself co-rotates with the gap
         assert cmath.phase(b / a) == pytest.approx(1.1, abs=1e-6)
@@ -605,8 +606,8 @@ class TestChi:
                 return abs(sf.hankel2_0(z).value - s)
             return 2.0 * bracket(2 * d) / bracket(d)
 
-        x1 = chi(geom, EmitterParams(delta=2e-4, ec=ec, w=1.0))
-        x2 = chi(geom, EmitterParams(delta=4e-4, ec=ec, w=1.0))
+        x1 = _chi(geom, EmitterParams(delta=2e-4, ec=ec, w=1.0))
+        x2 = _chi(geom, EmitterParams(delta=4e-4, ec=ec, w=1.0))
         ratio = abs(x2) / abs(x1)
         assert ratio == pytest.approx(predicted_ratio(2e-4), rel=0.03)
         # directional convergence toward 2: shrinking the gap helps

@@ -8,9 +8,8 @@ from hypothesis import (Phase, assume, example, given, settings,
                         strategies as st)
 
 from pairemit import correlations
-from pairemit.correlations import (DetectorGeometry, NonConvergenceError,
-                                   default_spec, rho2_and_Q)
-from pairemit.model import LAMBDA_F, EmitterParams
+from pairemit.correlations import DetectorGeometry, default_spec, rho2_and_Q
+from pairemit.model import LAMBDA_F, EmitterParams, NonConvergenceError
 from pairemit.quad import QuadSpec
 
 DELTA = 2.997e-3

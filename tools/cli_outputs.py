@@ -12,8 +12,9 @@ lambda_F, back to back and at theta = 2.5, and
 `angular --theta-points 5 --rel-tol 0.03`;
 plus the error paths: a `fig3` whose ec panel overflows, a `peak` whose
 point overflows, a `peak` at r = -1, a `sweep` whose grid ends at -5, a
-`fig3` whose output path runs through a file, and a `params` and a `fig3`
-whose output path is `.`.
+`params` at delta = -1e-3 and a `sweep` whose grid starts at -1e-3 (a
+negative value in scientific notation), a `fig3` whose output path runs
+through a file, and a `params` and a `fig3` whose output path is `.`.
 Each case runs in its own directory
 OUTDIR/<base>/<command> with relative output paths; its exit code (or the
 exception that escaped main), stdout and stderr go to run.txt there.  The
@@ -82,6 +83,11 @@ def cases() -> dict[str, list[str]]:
     # a log grid's end is not positive (exit 2)
     out["bad_range/sweep"] = ["sweep", "--sweep-max", "-5", "--output",
                               "sweep.csv"]
+    # a negative value in scientific notation reaches the check (exit 2)
+    out["bad_sign/params"] = ["params", "--delta", "-1e-3", "--output",
+                              "params.json"]
+    out["bad_sign/sweep"] = ["sweep", "--sweep-min", "-1e-3", "--output",
+                             "sweep.csv"]
     # run() makes `blocked` a file, so the output cannot be written
     out["unwritable/fig3"] = ["fig3", "--output", "blocked/fig3"]
     # the output path names a directory, not a file (exit 2)
