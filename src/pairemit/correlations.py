@@ -310,7 +310,10 @@ def _eps_integral(integrate, pref: complex, ecut: float, spec: QuadSpec,
     split at eps = 0, where the coherence factors turn.  abs_floor, an
     absolute tolerance on the final value, becomes the halves' abs_tol in
     integrand units, and err_est adds the truncation bias of the window.
+    A zero pref (chi in the normal state) gives the exact zero.
     """
+    if pref == 0:
+        return QuadResult(0j, 0.0, 0, True)
     scale = abs(pref)
     spec = replace(spec, abs_tol=max(spec.abs_tol, abs_floor / scale))
     total = QuadResult(0.0, 0.0, 0, True)

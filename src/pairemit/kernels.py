@@ -1,7 +1,7 @@
 """Integrand kernels of the correlators, in NumPy.
 
-The correlators evaluate these on quadrature-node arrays: about a quarter of
-a back-to-back Q point under cProfile, most of the rest quad's Python.  The
+The correlators evaluate these on quadrature-node arrays: about a fifth of
+a back-to-back Q point under cProfile, and quad's own Python about half.  The
 pair-amplitude kernels ``chi_f`` and ``chi_p`` come with the k-direction
 integral done in closed form: both Gaussian form factors depend on k-hat
 only through exp(v . k-hat), and int dOmega exp(v . k-hat) =

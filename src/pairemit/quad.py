@@ -18,11 +18,17 @@ batch of one, and ``integrate_nested`` recurses through it.
 First-panel rule: most integrals (the inner levels of a nested one) end on
 their first panel, so the first sweep's values are tested before any
 per-line panel list is built.  A line that converges there costs its share
-of one integrand call, two 1-D dot products and one ``QuadResult``; a line
-that does not is bisected from those values and never evaluated again.
-Every first panel, alone or in a batch, is reduced by the same 1-D code
-(``_first_panel``), and every later sweep by per-line blocks, so a lone
-line stays bitwise its batch self.
+of one integrand call, one product and one ``QuadResult``; a line that
+does not is bisected from those values and never evaluated again.
+
+Panel reduction: K15 and G7 come from one product of a panel's 15 node
+values with a (15, 2) weight matrix, K15 in one column and G7 (0 at the
+Kronrod-only nodes) in the other, as QUADPACK's qk15 forms both sums from
+one pass over the values.  Every first panel, alone or in a batch, is
+reduced by the same 1-D product (``_first_panel``), and every later sweep
+by one product per line's block of panels, never as rows of a larger
+product, whose rounding of a row can depend on the rows around it; so a
+lone line stays bitwise its batch self.
 """
 
 from __future__ import annotations
@@ -37,9 +43,8 @@ import numpy as np
 __all__ = ["QuadSpec", "QuadResult", "integrate_1d", "integrate_batch",
            "integrate_nested"]
 
-# Gauss-Kronrod 7/15 nodes and weights on [-1, 1], ascending order.  The
-# weights are stored complex, the dtype of the node values they reduce, so
-# that no product casts them per call (the cast is exact either way).
+# Gauss-Kronrod 7/15 nodes and weights on [-1, 1], ascending order; the
+# G7 nodes are the odd-indexed K15 ones.
 _XGK = np.array([
     -0.9914553711208126392068546975263285,
     -0.9491079123427585245261896840478513,
@@ -73,8 +78,7 @@ _WGK = np.array([
     0.1047900103222501838398763225415180,
     0.0630920926299785532907006631892042,
     0.0229353220105292249637320080589695,
-], dtype=np.complex128)
-_GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
+])
 _WG = np.array([
     0.1294849661688696932706114326790820,
     0.2797053914892766679014677714237796,
@@ -83,7 +87,15 @@ _WG = np.array([
     0.3818300505051189449503697754889751,
     0.2797053914892766679014677714237796,
     0.1294849661688696932706114326790820,
-], dtype=np.complex128)
+])
+# both rules as the columns of one weight matrix, so that one product
+# reduces a panel: K15 at every node, G7 at the Gauss nodes and 0 at the
+# Kronrod-only ones.  It is stored complex, the dtype of the node values it
+# reduces, so that no product casts it per call (the cast is exact).
+_W = np.zeros((15, 2), dtype=np.complex128)
+_W[:, 0] = _WGK
+_W[1::2, 1] = _WG
+_W.flags.writeable = False
 
 # the line index of a lone line's first panel, shared read-only, so that
 # path allocates no index array
@@ -164,13 +176,15 @@ def _nodes(ls, rs) -> tuple[np.ndarray, np.ndarray]:
 
 def _first_panel(fv: np.ndarray, h: float) -> tuple[complex, float]:
     """K15 value and |K15 - G7| error estimate of one panel of half-width
-    ``h`` from its 15 node values (a 1-D array): two dot products, scaled
-    on Python scalars.  Every line's first panel is reduced here, alone or
-    in a batch, so a lone line is bitwise its batch self by construction.
-    The error keeps ``np.abs``: Python's ``abs`` can round it differently.
+    ``h`` from its 15 node values (a 1-D array): one product with both
+    weight columns, scaled on Python scalars.  Every line's first panel is
+    reduced here, alone or in a batch, so a lone line is bitwise its batch
+    self by construction.  The error keeps ``np.abs``: Python's ``abs`` can
+    round it differently.
     """
-    k15 = h * complex(fv @ _WGK)
-    return k15, float(np.abs(k15 - h * complex(fv[_GAUSS_IDX] @ _WG)))
+    k15, g7 = (fv @ _W).tolist()
+    k15 = h * k15
+    return k15, float(np.abs(k15 - h * g7))
 
 
 def _panels(f: Callable, ls: list, rs: list, owner: np.ndarray,
@@ -178,26 +192,22 @@ def _panels(f: Callable, ls: list, rs: list, owner: np.ndarray,
     """K15 values and |K15 - G7| error estimates of the panels [ls, rs].
 
     ``owner`` goes to ``f`` with the nodes; ``stops`` ends each line's block
-    of panels.  Each block is reduced by the same matrix-vector products
-    its line makes in a batch of its own, never as rows of a larger
-    product: OpenBLAS can round a row differently depending on the rows
-    around it (the Gauss product over numpy's Fortran-ordered column
-    selection does).
+    of panels.  Each block is reduced by one product with both weight
+    columns, the product its line makes in a batch of its own, never as
+    rows of a larger product: OpenBLAS can round a row differently
+    depending on the rows around it.
     """
-    m = len(ls)
     xs, h = _nodes(ls, rs)
     fv = np.asarray(f(xs.ravel(), owner), dtype=np.complex128)
     fv = fv.reshape(xs.shape)
-    fg = fv[:, _GAUSS_IDX]          # Fortran-ordered, as numpy makes it
-    k15 = np.empty(m, np.complex128)
-    g7 = np.empty(m, np.complex128)
+    kg = np.empty((len(ls), 2), np.complex128)
     start = 0
     for stop in stops:
-        k15[start:stop] = fv[start:stop] @ _WGK
-        g7[start:stop] = fg[start:stop] @ _WG
+        kg[start:stop] = fv[start:stop] @ _W
         start = stop
-    k15 = h * k15
-    return k15.tolist(), np.abs(k15 - h * g7).tolist()
+    kg *= h[:, None]
+    k15 = kg[:, 0]
+    return k15.tolist(), np.abs(k15 - kg[:, 1]).tolist()
 
 
 def integrate_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -219,8 +229,8 @@ def integrate_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
     First-panel rule: the first sweep's values are tested before any panel
     list is built.  A line that converges there costs its share of one
-    integrand call, two dot products and one ``QuadResult``; a line that
-    does not is bisected from those values, never evaluated again.  Its
+    integrand call, one product and one ``QuadResult``; a line that does
+    not is bisected from those values, never evaluated again.  Its
     first panel goes through the same 1-D reduction (``_first_panel``)
     whether the line runs alone or in a batch, which keeps it bitwise.
     """
@@ -243,16 +253,24 @@ def integrate_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         firsts = [_first_panel(row, hj) for row, hj in zip(fv, h.tolist())]
 
     results: list[QuadResult] = [None] * n
-    lefts, rights, depths, vals, errs, evals = {}, {}, {}, {}, {}, {}
-    plans = []          # (line, panels to bisect, their midpoints)
+    over = []           # lines whose first panel is over its tolerance
     for j, (v, e) in enumerate(firsts):
         tol = max(spec.abs_tol, spec.rel_tol * abs(v))
-        if not tol < e < math.inf:
+        if tol < e < math.inf:
+            over.append(j)
+        else:
             # converged, or an error no bisection is chosen for (NaN, inf)
             # 0 + v is the one-panel sum as sum() forms it below
             results[j] = QuadResult(0 + v, e, 15, e <= tol, -1, 1, 0)
-            continue
-        # a lone panel over its tolerance is always bisected (the rule below)
+    if not over:
+        return results
+
+    # per-line panel lists, built only once some line needs refinement; a
+    # lone panel over its tolerance is always bisected (the rule below)
+    lefts, rights, depths, vals, errs, evals = {}, {}, {}, {}, {}, {}
+    plans = []          # (line, panels to bisect, their midpoints)
+    for j in over:
+        v, e = firsts[j]
         lefts[j], rights[j], depths[j] = [a[j]], [b[j]], [0]
         vals[j], errs[j], evals[j] = [v], [e], 15
         plans.append((j, [0], [0.5 * (a[j] + b[j])]))
@@ -348,8 +366,8 @@ def integrate_nested(f: Callable, domains: Sequence[tuple[float, float]],
             g = fx
         else:
             def g(xs: np.ndarray) -> np.ndarray:
-                return np.array([level(idx + 1, partial(fx, float(x))).value
-                                 for x in xs], dtype=np.complex128)
+                return np.array([level(idx + 1, partial(fx, x)).value
+                                 for x in xs.tolist()], dtype=np.complex128)
         res = integrate_1d(g, *domains[idx], specs[idx])
         evals += res.evaluations
         intervals += res.intervals

@@ -369,6 +369,14 @@ class TestChi:
         geom = DetectorGeometry.from_r_theta(R, math.pi)
         assert rho2_and_Q(geom, NORMAL).chi21 == 0.0
 
+    def test_chi_quad_is_the_exact_zero_in_normal_state(self):
+        # chi's prefactor holds Delta: at Delta = 0 nothing is integrated,
+        # and nothing divides by the prefactor's modulus
+        res = _chi_quad(DetectorGeometry.from_r_theta(R, math.pi),
+                        EmitterParams(0.0, 3e-3, 1.0), default_spec())
+        assert res.value == 0 and res.err_est == 0.0 and res.converged
+        assert res.evaluations == 0
+
     @pytest.mark.parametrize("n1, n2, r1, r2", [
         (np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]), 628.3, 628.3),
         (np.array([math.sin(0.5 * (math.pi - 0.35)), 0.0,

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pairemit.quad import (QuadResult, QuadSpec, integrate_1d,
-                           integrate_batch, integrate_nested)
+from pairemit.quad import (_XGK, QuadResult, QuadSpec, _first_panel,
+                           _panels, integrate_1d, integrate_batch,
+                           integrate_nested)
 
 
 class TestIntegrate1D:
@@ -289,6 +290,80 @@ class TestFirstPanel:
         res = integrate_1d(np.zeros_like, 0.0, 1.0, QuadSpec(abs_tol=0.0))
         assert res == QuadResult(0j, 0.0, 15, True, intervals=1, max_depth=0)
         assert type(res.value) is complex and type(res.err_est) is float
+
+
+def _g7(f, lo, hi):
+    """G7 of f over [lo, hi], from numpy's own Gauss-Legendre rule."""
+    t, w = np.polynomial.legendre.leggauss(7)
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return h * complex(w @ f(c + h * t))
+
+
+_RULE_CASES = pytest.mark.parametrize("f, exact", [
+    (lambda x: x ** 14, lambda lo, hi: (hi ** 15 - lo ** 15) / 15.0),
+    (lambda x: np.exp(3j * x),
+     lambda lo, hi: (np.exp(3j * hi) - np.exp(3j * lo)) / 3j),
+], ids=["x^14", "exp(3ix)"])
+
+
+class TestPanelRule:
+    """Each panel's value is K15 and its err_est |K15 - G7|, against the
+    exact integral and a G7 built here.  K15 integrates x^14 exactly and
+    exp(3ix) to rounding; G7 does neither, by 4e-11 to 1e-3 relative on
+    these panels, far above rounding."""
+
+    @_RULE_CASES
+    def test_first_panel(self, f, exact):
+        v, e = _first_panel(np.asarray(f(_XGK), np.complex128), 1.0)
+        want = exact(-1.0, 1.0)
+        assert v == pytest.approx(want, rel=1e-13)
+        assert e == pytest.approx(abs(v - _g7(f, -1.0, 1.0)), rel=1e-6,
+                                  abs=1e-14 * abs(want))
+
+    @_RULE_CASES
+    @pytest.mark.parametrize("ls, rs, stops", [
+        ([-1.0], [1.0], [1]),
+        ([-2.0, -0.5, 1.0], [-0.5, 1.0, 2.5], [3]),
+        ([-2.0, -0.5, 1.0], [-0.5, 1.0, 2.5], [1, 3]),
+    ], ids=["one", "several", "several-blocks"])
+    def test_panels(self, f, exact, ls, rs, stops):
+        owner = np.repeat(np.arange(len(stops)),
+                          15 * np.diff([0, *stops]))
+        vals, errs = _panels(lambda xs, own: f(xs), ls, rs, owner, stops)
+        for lo, hi, v, e in zip(ls, rs, vals, errs, strict=True):
+            want = exact(lo, hi)
+            assert v == pytest.approx(want, rel=1e-13)
+            assert e == pytest.approx(abs(v - _g7(f, lo, hi)), rel=1e-6,
+                                      abs=1e-14 * abs(want))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("node", [4, 7], ids=["kronrod-only", "gauss"])
+    @pytest.mark.parametrize("sweeps", [1, 2],
+                             ids=["first-panel", "second-sweep"])
+    def test_non_finite_node_value_fails_its_line(self, bad, node, sweeps):
+        # |x| on [-1, 1] is linear on each half after one bisection; the
+        # marked node is one of the first panel or one of the left half's
+        at = _XGK[node] if sweeps == 1 else -0.5 + 0.5 * _XGK[node]
+        spec = QuadSpec(rel_tol=1e-10)
+
+        def g(xs):
+            return np.where(xs == at, bad, np.abs(xs))
+
+        def f(xs, owner):
+            # beside it: a line done on its first panel and one bisected
+            return np.where(owner == 1, g(xs), np.abs(xs - 1.0))
+
+        # inf times a weight's zero imaginary part is NaN, which numpy
+        # reports; the line's result is what is tested here
+        with np.errstate(invalid="ignore"):
+            alone = integrate_1d(g, -1.0, 1.0, spec)
+            batch = integrate_batch(f, [0.0, -1.0, 0.0], [1.0, 1.0, 2.0],
+                                    spec)
+        for res in (alone, batch[1]):
+            assert not res.converged and not math.isfinite(res.err_est)
+            assert res.evaluations == 15 + 30 * (sweeps - 1)
+        assert batch[0].converged and batch[0].evaluations == 15
+        assert batch[2].converged and batch[2].evaluations == 45
 
 
 class TestTelemetry:

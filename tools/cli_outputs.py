@@ -8,8 +8,8 @@ at the defaults and at 5 seeded bases, drawn with numpy's
 default_rng(2024) over the ranges of the `closed_form_maps` benchmark
 points; the quadrature route: `classify --rel-tol 0.03` back to back at
 r = 100 and 1000 lambda_F, `classify` at the default rel_tol at r = 100
-lambda_F, back to back and at theta = 2.5, and
-`angular --theta-points 5 --rel-tol 0.03`;
+lambda_F, back to back and at theta = 2.5 and 0.3 (where gamma21 refines
+deeply), and `angular --theta-points 5 --rel-tol 0.03`;
 plus the error paths: a `fig3` whose ec panel overflows, a `peak` whose
 point overflows, a `peak` at r = -1, a `sweep` whose grid ends at -5, a
 `params` at delta = -1e-3 and a `sweep` whose grid starts at -1e-3 (a
@@ -99,7 +99,8 @@ def cases() -> dict[str, list[str]]:
             "classify", "--r", r, "--theta", repr(math.pi), "--rel-tol",
             "0.03", "--output", "classify.json"]
     # ... and at the tolerance a user runs, the CLI's default rel_tol
-    for name, theta in (("pi", repr(math.pi)), ("2.5", "2.5")):
+    for name, theta in (("pi", repr(math.pi)), ("2.5", "2.5"),
+                        ("0.3", "0.3")):
         out[f"quadrature/classify_r100_default_theta{name}"] = [
             "classify", "--r", "100", "--theta", theta, "--output",
             "classify.json"]
