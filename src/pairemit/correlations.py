@@ -598,9 +598,7 @@ def rho2_and_Q(geom: DetectorGeometry, params: EmitterParams,
     floor = 1e-8 * math.sqrt(g11 * g22)
     res21 = _gamma_quad(geom, params, spec, abs_floor=floor)
 
-    chi_res = QuadResult(0.0, 0.0, 0, True)
-    if params.abs_delta != 0.0:
-        chi_res = _chi_quad(geom, params, spec, abs_floor=floor)
+    chi_res = _chi_quad(geom, params, spec, abs_floor=floor)
 
     parts = {"gamma11": res11, "gamma22": res22, "gamma21": res21,
              "chi21": chi_res}
