@@ -525,10 +525,8 @@ def _chi_quad(geom: DetectorGeometry, params: EmitterParams,
         omega = np.sqrt(eps * eps + dabs * dabs)
         k = np.sqrt(1.0 + eps)
         lo, hi, held = _chi_u_window(w, k, omega)
-        line = held & (omega < OMEGA_CAP) & (omega != 0.0)
+        line = held & (omega < OMEGA_CAP)
         out = np.zeros(eps.shape, np.complex128)
-        if not line.any():
-            return out
         eps, omega, k, lo, hi = (x[line] for x in (eps, omega, k, lo, hi))
         results, fm, fp = _chi_u_lines(k, omega, lo, hi, w, cos_theta, r1,
                                        r2, line_spec)

@@ -15,6 +15,13 @@ one call, while each line keeps its own panels, tolerance test and budget,
 so its result is bitwise the one it gets alone.  ``integrate_1d`` is the
 batch of one, and ``integrate_nested`` recurses through it.
 
+Panel records: a line being refined holds one list of records
+``(left, right, depth, value, error)`` in position order, as QUADPACK's
+qag keeps one record per interval, and a sweep replaces each bisected
+record by its two halves.  Its evaluation count follows from the panel
+count: each bisection adds one panel and 30 nodes to the first panel's
+15, so a line that ends with n panels used 15 (2n - 1) nodes.
+
 First-panel rule: most integrals (the inner levels of a nested one) end on
 their first panel, so the first sweep's values are tested before any
 per-line panel list is built.  A line that converges there costs its share
@@ -233,6 +240,9 @@ def integrate_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     not is bisected from those values, never evaluated again.  Its
     first panel goes through the same 1-D reduction (``_first_panel``)
     whether the line runs alone or in a batch, which keeps it bitwise.
+
+    Refinement keys two things by line: its panel records in position
+    order, and the panels it bisects next.
     """
     n = len(a)
     if len(b) != n:
@@ -253,61 +263,45 @@ def integrate_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         firsts = [_first_panel(row, hj) for row, hj in zip(fv, h.tolist())]
 
     results: list[QuadResult] = [None] * n
-    over = []           # lines whose first panel is over its tolerance
+    # panel records (left, right, depth, value, error) in position order, of
+    # each line whose first panel is over its tolerance
+    panels = {}
     for j, (v, e) in enumerate(firsts):
         tol = max(spec.abs_tol, spec.rel_tol * abs(v))
         if tol < e < math.inf:
-            over.append(j)
+            panels[j] = [(a[j], b[j], 0, v, e)]
         else:
             # converged, or an error no bisection is chosen for (NaN, inf)
             # 0 + v is the one-panel sum as sum() forms it below
             results[j] = QuadResult(0 + v, e, 15, e <= tol, -1, 1, 0)
-    if not over:
+    if not panels:
         return results
 
-    # per-line panel lists, built only once some line needs refinement; a
-    # lone panel over its tolerance is always bisected (the rule below)
-    lefts, rights, depths, vals, errs, evals = {}, {}, {}, {}, {}, {}
-    plans = []          # (line, panels to bisect, their midpoints)
-    for j in over:
-        v, e = firsts[j]
-        lefts[j], rights[j], depths[j] = [a[j]], [b[j]], [0]
-        vals[j], errs[j], evals[j] = [v], [e], 15
-        plans.append((j, [0], [0.5 * (a[j] + b[j])]))
-
+    # the panels each line bisects next; a lone panel over its tolerance is
+    # always bisected (the rule below)
+    plans = {j: [0] for j in panels}
     while plans:
-        ls: list = []
-        rs: list = []
-        for j, refine, mids in plans:
-            lj, rj = lefts[j], rights[j]
-            for i, m in zip(refine, mids):
-                ls += (lj[i], m)
-                rs += (m, rj[i])
-        sizes = [2 * len(refine) for _, refine, _ in plans]
-        stops = np.cumsum(sizes).tolist()
-        owner = np.repeat([j for j, _, _ in plans], [15 * s for s in sizes])
-        nv, ne = _panels(f, ls, rs, owner, stops)
-        start = 0
-        for j, refine, mids in plans:
-            evals[j] += 30 * len(refine)
-            lj, rj, dj = lefts[j], rights[j], depths[j]
-            vj, ej = vals[j], errs[j]
-            # splice children back in position order, right to left so
-            # that the indices still to splice stay valid
-            for k in reversed(range(len(refine))):
-                i, m = refine[k], mids[k]
-                d = dj[i] + 1
-                c = start + 2 * k
-                lj[i:i + 1] = [lj[i], m]
-                rj[i:i + 1] = [m, rj[i]]
-                dj[i:i + 1] = [d, d]
-                vj[i:i + 1] = nv[c:c + 2]
-                ej[i:i + 1] = ne[c:c + 2]
-            start += 2 * len(refine)
+        halves = []     # (left, right, depth) of the new panels, in order
+        for j, refine in plans.items():
+            pj = panels[j]
+            for i in refine:
+                lo, hi, d = pj[i][:3]
+                m = 0.5 * (lo + hi)
+                halves += ((lo, m, d + 1), (m, hi, d + 1))
+        sizes = [2 * len(refine) for refine in plans.values()]
+        owner = np.repeat(list(plans), [15 * s for s in sizes])
+        ls, rs, _ = zip(*halves)
+        nv, ne = _panels(f, ls, rs, owner, np.cumsum(sizes).tolist())
+        new = iter([(*p, v, e) for p, v, e in zip(halves, nv, ne)])
 
-        swept, plans = plans, []
-        for j, _, _ in swept:
-            vj, ej, dj = vals[j], errs[j], depths[j]
+        swept, plans = plans, {}
+        for j, bisected in swept.items():
+            pj = panels[j]
+            # each bisected panel gives way to its halves in position
+            # order; the k-th of them has moved k places right
+            for k, i in enumerate(bisected):
+                pj[i + k:i + k + 1] = next(new), next(new)
+            _, _, dj, vj, ej = zip(*pj)
             total = complex(sum(vj))        # position order: deterministic
             tot_err = float(sum(ej))
             tol = max(spec.abs_tol, spec.rel_tol * abs(total))
@@ -316,12 +310,13 @@ def integrate_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 cut = max(0.25 * max(ej), tol / (2.0 * len(ej)))
                 refine = [i for i, e in enumerate(ej)
                           if e > cut and dj[i] < spec.max_depth]
-            if not refine or len(ej) + len(refine) > _MAX_INTERVALS:
-                results[j] = QuadResult(total, tot_err, evals[j],
-                                        tot_err <= tol, -1, len(ej), max(dj))
-                continue
-            lj, rj = lefts[j], rights[j]
-            plans.append((j, refine, [0.5 * (lj[i] + rj[i]) for i in refine]))
+            if refine and len(ej) + len(refine) <= _MAX_INTERVALS:
+                plans[j] = refine
+            else:
+                # each bisection added one panel and 30 nodes
+                results[j] = QuadResult(
+                    total, tot_err, 15 * (2 * len(ej) - 1), tot_err <= tol,
+                    -1, len(ej), max(dj))
     return results
 
 

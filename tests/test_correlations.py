@@ -377,6 +377,21 @@ class TestChi:
         assert res.value == 0 and res.err_est == 0.0 and res.converged
         assert res.evaluations == 0
 
+    def test_chi_quad_with_no_u_window_is_zero(self, monkeypatch):
+        # no eps node holds a u-line: the eps integrand is 0 at every node
+        # through the general path, an empty batch of u-lines
+        window = correlations._chi_u_window
+
+        def no_window(w, k, omega):
+            lo, hi, held = window(w, k, omega)
+            return lo, hi, np.zeros_like(held)
+
+        monkeypatch.setattr(correlations, "_chi_u_window", no_window)
+        res = _chi_quad(DetectorGeometry.from_r_theta(R, math.pi), SUPER,
+                        default_spec())
+        assert res.value == 0 and res.err_est == 0.0 and res.converged
+        assert res.evaluations == 0
+
     @pytest.mark.parametrize("n1, n2, r1, r2", [
         (np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]), 628.3, 628.3),
         (np.array([math.sin(0.5 * (math.pi - 0.35)), 0.0,

@@ -157,6 +157,8 @@ class TestIntegrateBatch:
         # dataclass equality: value, err_est, evaluations, converged,
         # intervals and max_depth all bitwise
         assert got == [_alone(ln, spec, sweeps) for ln in lines]
+        # each bisection adds one panel and 30 nodes to the first panel's 15
+        assert all(r.evaluations == 15 * (2 * r.intervals - 1) for r in got)
         # lockstep: one integrand call per sweep, as many sweeps as the
         # slowest line needs alone; every call, a lone line's too, gets
         # each node's line index, the lines in order
