@@ -30,8 +30,9 @@ phase responsible for the slow oscillatory decay of the bunching peak).
 Every correlator reads a geometry as the two distances r1, r2 and the
 cosine of the angle between the detectors (DetectorGeometry), and both
 assemble their eps integrals alike (_eps_integral): two half-windows split
-at eps = 0, an absolute floor on the value turned into the halves'
-abs_tol, and the window's truncation bias added to err_est.
+at eps = 0 and integrated together, an absolute floor on the value turned
+into the halves' abs_tol, and the window's truncation bias added to
+err_est.
 
 gamma runs as nested adaptive quadrature over (eps_k, k-hat) with Gaussian
 truncation of the angular cap.  On the diagonal the phase e^{i p_k (r1 - r2)}
@@ -41,11 +42,14 @@ exactly, and kept in a small bounded cache (_gamma_diag).  In chi the k-hat
 integral is analytic: F depends on k-hat only through exp(v . k-hat),
 v = w^2 k (a n1 - b n2), and int dOmega exp(v . k-hat) = 4 pi sinh|v| / |v|
 (kernels.chi_f), so chi is one adaptive eps integral whose integrand is
-one adaptive u-line per eps node.  A sweep's nodes get their omega, k and
-u windows as arrays, and their u-lines run in lockstep
-(quad.integrate_batch): one chi_f call gives every line's F(-omega) and
-F(+omega), and each refinement sweep of the batch is one chi_p call over
-the new panels of all its unconverged lines, each converging on its own.
+one adaptive u-line per eps node.  Its two half-windows run as one batch
+of two eps lines (quad.integrate_batch), so each eps sweep covers both.
+A sweep's nodes get their omega, k and u windows as arrays, and their
+u-lines run in lockstep, started from their two halves (a u-line all but
+never ends on its first panel): one chi_f call gives every line's
+F(-omega) and F(+omega), and each refinement sweep of the batch is one
+chi_p call over the new panels of all its unconverged lines, each
+converging on its own.
 
 Each u-line int P(u) du runs from u_lo to u_hi along a path in the complex
 u plane, not along the real segment (numerical steepest descent:
@@ -306,10 +310,12 @@ def _eps_integral(integrate, pref: complex, ecut: float, spec: QuadSpec,
     """pref times an eps integral over [-ecut, ecut], as gamma and chi
     assemble theirs.
 
-    ``integrate(lo, hi, spec)`` integrates one half-window; the two halves
-    split at eps = 0, where the coherence factors turn.  abs_floor, an
-    absolute tolerance on the final value, becomes the halves' abs_tol in
-    integrand units, and err_est adds the truncation bias of the window.
+    The window is two halves split at eps = 0, where the coherence factors
+    turn, and ``integrate(los, his, spec)`` integrates both at once, as
+    quad.integrate_batch takes its lines: it returns the results of
+    [-ecut, 0] and [0, ecut], which are summed in that order.  abs_floor,
+    an absolute tolerance on the final value, becomes the halves' abs_tol
+    in integrand units, and err_est adds the truncation bias of the window.
     A zero pref (chi in the normal state) gives the exact zero.
     """
     if pref == 0:
@@ -317,8 +323,8 @@ def _eps_integral(integrate, pref: complex, ecut: float, spec: QuadSpec,
     scale = abs(pref)
     spec = replace(spec, abs_tol=max(spec.abs_tol, abs_floor / scale))
     total = QuadResult(0.0, 0.0, 0, True)
-    for lo, hi in ((-ecut, 0.0), (0.0, ecut)):
-        total = total + integrate(lo, hi, spec)
+    for res in integrate((-ecut, 0.0), (0.0, ecut), spec):
+        total = total + res
     err = scale * total.err_est \
         + TRUNCATION_BIAS_REL * abs(pref * total.value)
     return replace(total, value=pref * total.value, err_est=err)
@@ -344,15 +350,15 @@ def _gamma_core(cth2: float, r1: float, r2: float, dabs: float, ec: float,
         return kernels.gamma_integrand(phis, eps, cosa, dabs, ec, w,
                                        r1, r2, cth2, OMEGA_CAP)
 
-    def half(lo: float, hi: float, s: QuadSpec) -> QuadResult:
-        if dabs == 0.0 and lo == 0.0:
-            # normal state: v_k^2 = (1 - eps/omega)/2 is exactly 0 on eps > 0
-            return QuadResult(0j, 0.0, 0, True)
-        return integrate_nested(f, [(lo, hi), (cosa_lo, 1.0), (0.0, math.pi)],
-                                s)
+    def halves(los, his, s: QuadSpec) -> list[QuadResult]:
+        # normal state: v_k^2 = (1 - eps/omega)/2 is exactly 0 on eps > 0
+        return [QuadResult(0j, 0.0, 0, True) if dabs == 0.0 and lo == 0.0
+                else integrate_nested(
+                    f, [(lo, hi), (cosa_lo, 1.0), (0.0, math.pi)], s)
+                for lo, hi in zip(los, his)]
 
     pref = (math.pi / 2.0) * TWO_PI_M6 / (r1 * r2) * 2.0   # phi parity doubling
-    return _eps_integral(half, pref, ecut, spec, abs_floor)
+    return _eps_integral(halves, pref, ecut, spec, abs_floor)
 
 
 @functools.lru_cache(maxsize=_DIAG_CACHE_SIZE)
@@ -468,7 +474,9 @@ def _chi_u_lines(k: np.ndarray, omega: np.ndarray, lo: np.ndarray,
                  r2: float, spec: QuadSpec) -> tuple[list[QuadResult],
                                                      np.ndarray, np.ndarray]:
     """The pole-subtracted u-lines int P(u) du of the given k, omega and
-    windows [lo, hi], each along its contour, in one lockstep batch.
+    windows [lo, hi], each along its contour, in one lockstep batch whose
+    lines start bisected: 30 (n - 1) nodes for a line of n final panels.
+    chi passes the u-lines of an eps sweep of both half-windows at once.
 
     Returns the line results and every line's F(-omega) and F(+omega),
     which one chi_f call gives.  By Cauchy each value is the real-line
@@ -491,7 +499,8 @@ def _chi_u_lines(k: np.ndarray, omega: np.ndarray, lo: np.ndarray,
     # quad's own name, not one bound in this module: a tracer that spans
     # this module's quad names as correlator calls (perfbench) must not
     # take a batch of u-lines for a correlator
-    return quad.integrate_batch(p, a.tolist(), b.tolist(), spec), fm, fp
+    return quad.integrate_batch(p, a.tolist(), b.tolist(), spec,
+                                start_bisected=True), fm, fp
 
 
 def _chi_quad(geom: DetectorGeometry, params: EmitterParams,
@@ -501,9 +510,12 @@ def _chi_quad(geom: DetectorGeometry, params: EmitterParams,
     ``evaluations`` counts kernel nodes: two chi_f nodes and the chi_p
     nodes of every u-line.  ``intervals`` adds the final panels of the eps
     integral and of every u-line, and ``max_depth`` is the deepest
-    bisection of either level.  A u-line that does not converge raises
-    NonConvergenceError naming its eps node and u window, the first such
-    node in eps order within its sweep.
+    bisection of either level.  Both eps half-windows run as one batch, so
+    each eps sweep's u-lines, of both windows, are one batch of lines
+    started bisected: one chi_f call, and one chi_p call per refinement
+    sweep.  A u-line that does not converge raises NonConvergenceError
+    naming its eps node and u window, the first such node in eps order
+    within its sweep, which spans both windows.
     """
     cos_theta = geom.cos_theta
     r1 = geom.r1 * LAMBDA_F
@@ -515,11 +527,12 @@ def _chi_quad(geom: DetectorGeometry, params: EmitterParams,
     evals = intervals = depth = 0
 
     def f(eps: np.ndarray, line_spec: QuadSpec) -> np.ndarray:
-        """m k(eps) times the energy-line integral over u, at every eps node.
+        """m k(eps) times the energy-line integral over u, at every eps node
+        of a sweep of both half-windows.
 
         The u-lines of all eps nodes whose window holds one run in one
-        lockstep batch, with one chi_f call for all their F(-omega) and
-        F(+omega).
+        lockstep batch, started bisected, with one chi_f call for all their
+        F(-omega) and F(+omega).
         """
         nonlocal evals, intervals, depth
         omega = np.sqrt(eps * eps + dabs * dabs)
@@ -531,7 +544,8 @@ def _chi_quad(geom: DetectorGeometry, params: EmitterParams,
         results, fm, fp = _chi_u_lines(k, omega, lo, hi, w, cos_theta, r1,
                                        r2, line_spec)
         for i, res in enumerate(results):
-            # the first failed line in eps order names where chi failed
+            # the first failed line in eps order (the sweep's nodes of
+            # [-ecut, 0] come first) names where chi failed
             if not res.converged:
                 raise NonConvergenceError(
                     f"chi u-line did not converge at eps = {float(eps[i])!r}"
@@ -548,12 +562,16 @@ def _chi_quad(geom: DetectorGeometry, params: EmitterParams,
         out[line] = 0.5 * k * (values + analytic)       # m k(eps) measure
         return out
 
-    def half(lo: float, hi: float, s: QuadSpec) -> QuadResult:
+    def halves(los, his, s: QuadSpec) -> list[QuadResult]:
+        """Both eps half-windows as one batch of two lines: each eps sweep
+        is one f call, whose u-lines form one batch."""
         line_spec = s.tightened()
-        return integrate_1d(lambda eps: f(eps, line_spec), lo, hi, s)
+        return quad.integrate_batch(lambda eps, owner: f(eps, line_spec),
+                                    los, his, s)
 
     pref = complex(params.delta) * (-0.25j) * TWO_PI_M6 / (r1 * r2)
-    total = _eps_integral(half, pref, energy_cutoff(params), spec, abs_floor)
+    total = _eps_integral(halves, pref, energy_cutoff(params), spec,
+                          abs_floor)
     return replace(total, evaluations=evals,
                    intervals=total.intervals + intervals,
                    max_depth=max(total.max_depth, depth))

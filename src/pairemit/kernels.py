@@ -1,7 +1,8 @@
 """Integrand kernels of the correlators, in NumPy.
 
-The correlators evaluate these on quadrature-node arrays: about a fifth of
-a back-to-back Q point under cProfile, and quad's own Python about half.  The
+The correlators evaluate these on quadrature-node arrays: 21 % of the self
+time of a back-to-back Q point under cProfile (r = 100, rel_tol = 1e-3, the
+diagonal G cached), against 54 % in quad's own Python.  The
 pair-amplitude kernels ``chi_f`` and ``chi_p`` come with the k-direction
 integral done in closed form: both Gaussian form factors depend on k-hat
 only through exp(v . k-hat), and int dOmega exp(v . k-hat) =

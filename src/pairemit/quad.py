@@ -20,13 +20,19 @@ Panel records: a line being refined holds one list of records
 qag keeps one record per interval, and a sweep replaces each bisected
 record by its two halves.  Its evaluation count follows from the panel
 count: each bisection adds one panel and 30 nodes to the first panel's
-15, so a line that ends with n panels used 15 (2n - 1) nodes.
+15, so a line that ends with n panels used 15 (2n - 1) nodes, or
+30 (n - 1) when it was started bisected (below).
 
 First-panel rule: most integrals (the inner levels of a nested one) end on
 their first panel, so the first sweep's values are tested before any
 per-line panel list is built.  A line that converges there costs its share
 of one integrand call, one product and one ``QuadResult``; a line that
 does not is bisected from those values and never evaluated again.
+``integrate_1d`` and ``integrate_nested`` always apply it.  A caller whose
+lines all but never end on their first panel (chi's u-lines) passes
+``start_bisected=True``: its lines start from their two halves, as
+QUADPACK's qag goes on once its first interval has failed, and the 15
+nodes of a first panel that would only be bisected are never evaluated.
 
 Panel reduction: K15 and G7 come from one product of a panel's 15 node
 values with a (15, 2) weight matrix, K15 in one column and G7 (0 at the
@@ -219,7 +225,8 @@ def _panels(f: Callable, ls: list, rs: list, owner: np.ndarray,
 
 def integrate_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                     a: Sequence[float], b: Sequence[float],
-                    spec: QuadSpec = QuadSpec()) -> list[QuadResult]:
+                    spec: QuadSpec = QuadSpec(), *,
+                    start_bisected: bool = False) -> list[QuadResult]:
     """Adaptive integrals of one vectorized integrand over the lines [a, b].
 
     Line ``j`` runs over the finite ``[a[j], b[j]]``.  Each sweep evaluates
@@ -241,6 +248,13 @@ def integrate_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     first panel goes through the same 1-D reduction (``_first_panel``)
     whether the line runs alone or in a batch, which keeps it bitwise.
 
+    ``start_bisected=True`` skips the first panel, for lines that seldom
+    end on it: every line starts from its two halves, as QUADPACK's qag
+    does once it has split its first interval.  A line's result is then
+    bitwise the one it gets started whole whenever its whole first panel
+    would be bisected (its finite error over its tolerance), with 15 fewer
+    evaluations; n final panels cost 30 (n - 1) nodes.
+
     Refinement keys two things by line: its panel records in position
     order, and the panels it bisects next.
     """
@@ -252,34 +266,40 @@ def integrate_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
             raise ValueError(f"need finite a < b, got [{lo}, {hi}]")
     if n == 0:
         return []
-    if n == 1:
-        h = float(0.5 * (b[0] - a[0]))
-        fv = f(0.5 * (a[0] + b[0]) + h * _XGK, _OWNER0)
-        firsts = [_first_panel(np.asarray(fv, dtype=np.complex128), h)]
-    else:
-        xs, h = _nodes(a, b)
-        fv = f(xs.ravel(), np.repeat(np.arange(n), 15))
-        fv = np.asarray(fv, dtype=np.complex128).reshape(n, 15)
-        firsts = [_first_panel(row, hj) for row, hj in zip(fv, h.tolist())]
-
     results: list[QuadResult] = [None] * n
     # panel records (left, right, depth, value, error) in position order, of
-    # each line whose first panel is over its tolerance
-    panels = {}
-    for j, (v, e) in enumerate(firsts):
-        tol = max(spec.abs_tol, spec.rel_tol * abs(v))
-        if tol < e < math.inf:
-            panels[j] = [(a[j], b[j], 0, v, e)]
+    # each line being refined
+    if start_bisected:
+        # a record that is only ever bisected needs no value or error
+        panels = {j: [(a[j], b[j], 0, None, None)] for j in range(n)}
+    else:
+        if n == 1:
+            h = float(0.5 * (b[0] - a[0]))
+            fv = f(0.5 * (a[0] + b[0]) + h * _XGK, _OWNER0)
+            firsts = [_first_panel(np.asarray(fv, dtype=np.complex128), h)]
         else:
-            # converged, or an error no bisection is chosen for (NaN, inf)
-            # 0 + v is the one-panel sum as sum() forms it below
-            results[j] = QuadResult(0 + v, e, 15, e <= tol, -1, 1, 0)
-    if not panels:
-        return results
+            xs, h = _nodes(a, b)
+            fv = f(xs.ravel(), np.repeat(np.arange(n), 15))
+            fv = np.asarray(fv, dtype=np.complex128).reshape(n, 15)
+            firsts = [_first_panel(row, hj)
+                      for row, hj in zip(fv, h.tolist())]
+        # only the lines whose first panel is over its tolerance
+        panels = {}
+        for j, (v, e) in enumerate(firsts):
+            tol = max(spec.abs_tol, spec.rel_tol * abs(v))
+            if tol < e < math.inf:
+                panels[j] = [(a[j], b[j], 0, v, e)]
+            else:
+                # converged, or an error no bisection is chosen for (NaN,
+                # inf); 0 + v is the one-panel sum as sum() forms it below
+                results[j] = QuadResult(0 + v, e, 15, e <= tol, -1, 1, 0)
+        if not panels:
+            return results
 
-    # the panels each line bisects next; a lone panel over its tolerance is
-    # always bisected (the rule below)
+    # the panels each line bisects next: its one panel, over its tolerance
+    # or, started bisected, never evaluated
     plans = {j: [0] for j in panels}
+    first = 0 if start_bisected else 15     # the first panel's nodes
     while plans:
         halves = []     # (left, right, depth) of the new panels, in order
         for j, refine in plans.items():
@@ -315,8 +335,8 @@ def integrate_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
             else:
                 # each bisection added one panel and 30 nodes
                 results[j] = QuadResult(
-                    total, tot_err, 15 * (2 * len(ej) - 1), tot_err <= tol,
-                    -1, len(ej), max(dj))
+                    total, tot_err, first + 30 * (len(ej) - 1),
+                    tot_err <= tol, -1, len(ej), max(dj))
     return results
 
 

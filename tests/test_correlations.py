@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -518,8 +519,8 @@ class TestChi:
         batches = []
         batch = quad.integrate_batch
 
-        def recording(f, a, b, spec):
-            res = batch(f, a, b, spec)
+        def recording(f, a, b, spec, **kw):
+            res = batch(f, a, b, spec, **kw)
             batches.append((a, b, res))
             return res
 
@@ -544,11 +545,12 @@ class TestChi:
         assert info.value.result is lines[first]
 
     @pytest.mark.parametrize("rel_tol, max_calls, nodes", [
-        (0.03, 4, 1_350), (1e-3, 12, 9_450)])
+        (0.03, 1, 900), (1e-3, 4, 8_100)])
     def test_kernel_calls_at_the_figure_point(self, monkeypatch, rel_tol,
                                               max_calls, nodes):
-        # machine-independent counts: the u-lines of an eps sweep share
-        # their chi_p calls, while each line keeps its own nodes
+        # machine-independent counts: the u-lines of an eps sweep, of both
+        # half-windows, share their chi_p calls, while each line keeps its
+        # own nodes
         seen = {"calls": 0, "nodes": 0}
         chi_p = kernels.chi_p
 
@@ -563,26 +565,48 @@ class TestChi:
         assert seen["calls"] <= max_calls
         assert seen["nodes"] == nodes
 
+    @pytest.mark.parametrize("rel_tol", [0.03, 1e-3])
+    def test_one_batch_is_the_half_windows_one_by_one(self, monkeypatch,
+                                                      rel_tol):
+        # both eps half-windows in one batch, every u-line started
+        # bisected, against each half-window integrated on its own with
+        # u-lines started whole: bit for bit the same chi, and 15 fewer
+        # nodes a u-line, none of which ends on its first panel here
+        geom = DetectorGeometry.from_r_theta(R, math.pi)
+        got = _chi_quad(geom, SUPER, default_spec(rel_tol))
+        batch = quad.integrate_batch
+        whole_lines = []
+
+        def one_by_one(f, a, b, spec, start_bisected=False):
+            if start_bisected:          # u-lines, started whole
+                res = batch(f, a, b, spec)
+                whole_lines.extend(res)
+                return res
+            return [batch(f, [lo], [hi], spec)[0] for lo, hi in zip(a, b)]
+
+        monkeypatch.setattr(quad, "integrate_batch", one_by_one)
+        want = _chi_quad(geom, SUPER, default_spec(rel_tol))
+        assert all(r.intervals > 1 for r in whole_lines)
+        assert got == replace(want, evaluations=want.evaluations
+                              - 15 * len(whole_lines))
+
     def test_telemetry_sums_the_eps_integral_and_every_u_line(
             self, monkeypatch):
-        eps, batches = [], []
-        integrate_1d, batch = correlations.integrate_1d, quad.integrate_batch
+        batches = {False: [], True: []}
+        batch = quad.integrate_batch
 
-        def eps_recording(*args):
-            eps.append(integrate_1d(*args))
-            return eps[-1]
+        def recording(*args, start_bisected=False):
+            res = batch(*args, start_bisected=start_bisected)
+            batches[start_bisected].append(res)
+            return res
 
-        def recording(*args):
-            batches.append(batch(*args))
-            return batches[-1]
-
-        monkeypatch.setattr(correlations, "integrate_1d", eps_recording)
         monkeypatch.setattr(quad, "integrate_batch", recording)
         res = _chi_quad(DetectorGeometry.from_r_theta(R, math.pi), SUPER,
                         default_spec(0.03))
-        # the eps integrals' own batches of one are not u-lines
-        lines = [r for b in batches for r in b
-                 if not any(r is e for e in eps)]
+        # one batch of the two eps half-windows, started whole; every
+        # batch of u-lines started bisected
+        (eps,) = batches[False]
+        lines = [r for b in batches[True] for r in b]
         assert len(eps) == 2 and len(lines) >= 2 * 15
         assert res.intervals == sum(r.intervals for r in eps + lines)
         assert res.max_depth == max(r.max_depth for r in eps + lines) > 0
@@ -797,8 +821,8 @@ class TestChiContour:
         batch = quad.integrate_batch
         line_spec = default_spec(0.03).tightened()
 
-        def recording(f, a, b, spec):
-            res = batch(f, a, b, spec)
+        def recording(f, a, b, spec, **kw):
+            res = batch(f, a, b, spec, **kw)
             if spec == line_spec:       # u-lines, not the eps integral
                 lines[r] = lines.get(r, []) + res
             return res
@@ -808,13 +832,19 @@ class TestChiContour:
         for r in (100.0, 3000.0):
             total[r] = _chi_quad(DetectorGeometry.from_r_theta(r, math.pi),
                                  SUPER, default_spec(0.03)).evaluations
-        per_line = {r: sum(x.evaluations for x in v) / len(v)
+        # started bisected, a line of n final panels takes 30 (n - 1)
+        # nodes, its panels less the 15 of a first panel; the bounds below
+        # count its nodes started whole, 15 (2n - 1), on the same panels
+        assert all(x.evaluations == 30 * (x.intervals - 1)
+                   for v in lines.values() for x in v)
+        per_line = {r: sum(15 * (2 * x.intervals - 1) for x in v) / len(v)
                     for r, v in lines.items()}
         assert per_line[3000.0] <= 2.0 * per_line[100.0]
         # the eps integral needs three times the u-lines at r = 3000: the
         # pair residues' phase r omega^2 / 4 turns 17 rad over its window
         assert len(lines[3000.0]) == 3 * len(lines[100.0])
-        assert total[3000.0] <= 6.0 * total[100.0]
+        whole = {r: total[r] + 15 * len(lines[r]) for r in total}
+        assert whole[3000.0] <= 6.0 * whole[100.0]
         # at the CLI's rel_tol the eps integral resolves that phase at
         # r = 100 already, and chi's nodes stay within twice (real line:
         # 47,430 and 600,330)

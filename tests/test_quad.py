@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pairemit.quad import (_XGK, QuadResult, QuadSpec, _first_panel,
-                           _panels, integrate_1d, integrate_batch,
+                           _nodes, _panels, integrate_1d, integrate_batch,
                            integrate_nested)
 
 
@@ -244,6 +244,83 @@ class TestIntegrateBatch:
     def test_endpoint_counts_must_match(self):
         with pytest.raises(ValueError):
             integrate_batch(lambda xs, owner: xs, [0.0, 1.0], [1.0])
+
+
+def _bisected(lines, spec, calls=None):
+    """integrate_batch of lines (freq, kind, kink, a, b), started bisected;
+    appends each integrand call's abscissae to ``calls``."""
+    g = _batch_integrand(lines)
+
+    def f(xs, owner):
+        if calls is not None:
+            calls.append(xs.copy())
+        return g(xs, owner)
+
+    return integrate_batch(f, [ln[3] for ln in lines],
+                           [ln[4] for ln in lines], spec, start_bisected=True)
+
+
+class TestStartBisected:
+    """Lines started from their two halves (``start_bisected=True``)."""
+
+    @_BATCH_SETTINGS
+    @given(lines=st.lists(_LINE, min_size=1, max_size=8), spec=_SPEC)
+    def test_line_is_its_whole_start_past_the_first_panel(self, lines,
+                                                          spec):
+        calls = []
+        got = _bisected(lines, spec, calls)
+        past = 0
+        for ln, res in zip(lines, got, strict=True):
+            assert res == _bisected([ln], spec)[0]     # its lone self
+            assert res.evaluations == 30 * (res.intervals - 1)
+            whole = _alone(ln, spec)
+            if whole.intervals > 1:
+                # the whole line bisected its first panel: the same panels
+                # from there on, without the first panel's 15 nodes
+                past += 1
+                assert res == QuadResult(
+                    whole.value, whole.err_est, whole.evaluations - 15,
+                    whole.converged, intervals=whole.intervals,
+                    max_depth=whole.max_depth)
+        # the first sweep is every line's two halves, split at (a + b) / 2
+        ls, rs = [], []
+        for _, _, _, a, b in lines:
+            m = 0.5 * (a + b)
+            ls += [a, m]
+            rs += [m, b]
+        assert calls[0].tolist() == _nodes(ls, rs)[0].ravel().tolist()
+        assume(past > 0)
+
+    @_BATCH_SETTINGS
+    @given(lines=st.lists(_LINE, min_size=2, max_size=8), spec=_SPEC,
+           data=st.data())
+    def test_line_unchanged_by_permutation_or_subset(self, lines, spec,
+                                                     data):
+        whole = _bisected(lines, spec)
+        perm = data.draw(st.permutations(range(len(lines))))
+        assert _bisected([lines[i] for i in perm], spec) \
+            == [whole[i] for i in perm]
+        keep = data.draw(st.lists(st.sampled_from(range(len(lines))),
+                                  min_size=1, unique=True))
+        assert _bisected([lines[i] for i in keep], spec) \
+            == [whole[i] for i in keep]
+
+    @_BATCH_SETTINGS
+    @given(line=_LINE.filter(lambda ln: ln[1] != 2
+                             and ln[0] * (ln[4] - ln[3]) <= 8.0),
+           spec=_SPEC)
+    def test_line_done_on_its_first_panel_ends_on_two(self, line, spec):
+        # lines a first panel resolves: no kink, and a wave of at most
+        # 8 radians over the line.  A kink, or a wave 15 nodes cannot
+        # follow, can hide from a first panel's error estimate and show
+        # in its halves'
+        whole = _alone(line, spec)
+        assume(whole.intervals == 1 and whole.converged)
+        (res,) = _bisected([line], spec)
+        tol = max(spec.abs_tol, spec.rel_tol * abs(res.value))
+        assert res.converged and res.err_est <= tol
+        assert (res.intervals, res.max_depth, res.evaluations) == (2, 1, 30)
+        assert abs(res.value - whole.value) <= tol
 
 
 class TestFirstPanel:

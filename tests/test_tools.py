@@ -99,6 +99,30 @@ def test_q_within_its_error_columns_exits_0(tmp_path):
     assert _compare(tmp_path, _outputs(), _outputs(q=2.5015)) == 0
 
 
+def test_every_moved_quadrature_number_is_listed_and_counted(tmp_path,
+                                                             capsys):
+    # Q within its error columns passes, but is listed as moved, and so
+    # is a nested classify reading; nothing else moved
+    b = _outputs(q=2.5015)
+    case = "quadrature/classify_r100/classify.json"
+    b[case] = b[case].replace('"p": 0.6', '"p": 0.7')
+    assert _compare(tmp_path, _outputs(), b) == 0
+    moved = [ln for ln in capsys.readouterr().out.splitlines()
+             if not ln.startswith("ok ")]
+    assert moved == [
+        "moved quadrature/angular/angular.csv: Q_super[0] 2.5 -> 2.5015",
+        f"moved {case}: Q 2.5 -> 2.5015",
+        f"moved {case}: werner.p 0.6 -> 0.7",
+        "0 difference(s), 3 quadrature number(s) moved"]
+
+
+def test_no_moved_number_is_counted_as_0(tmp_path, capsys):
+    assert _compare(tmp_path, _outputs(), _outputs()) == 0
+    out = capsys.readouterr().out
+    assert "moved " not in out
+    assert out.endswith("0 difference(s), 0 quadrature number(s) moved\n")
+
+
 @pytest.mark.parametrize("case", ["classify_r100/classify.json",
                                   "angular/angular.csv"])
 def test_q_further_apart_than_its_error_columns_exits_1(tmp_path, capsys,
@@ -201,6 +225,15 @@ def test_changed_names_are_masked_in_their_case(tmp_path, capsys, edits,
     assert _compare_edited(tmp_path, edits, changed) == 0
     case = changed.partition(":")[0]
     assert f"changed {case}: masking" in capsys.readouterr().out
+
+
+def test_a_masked_quadrature_number_is_still_listed_as_moved(tmp_path,
+                                                             capsys):
+    assert _compare_edited(tmp_path, [_Q_CLASSIFY],
+                           "quadrature/classify_r100:Q") == 0
+    out = capsys.readouterr().out
+    assert "moved quadrature/classify_r100/classify.json: Q 2.5 -> 9.0" in out
+    assert "0 difference(s), 1 quadrature number(s) moved" in out
 
 
 @pytest.mark.parametrize("changed, code", [

@@ -30,6 +30,10 @@ Passes (exit 0) when
 
 The .meta.json of an `angular` dataset is compared like a closed-form one.
 Every difference is printed, and so is every masked field that differs.
+Every number of a quadrature case's classify.json and angular.csv that
+differs at all between A and B, within its error columns or masked, is
+printed with both values and counted in the summary line, so that the log
+shows whether any output bit moved; it does not fail the comparison.
 """
 
 from __future__ import annotations
@@ -99,6 +103,42 @@ def _masked_json(text: str, keys: Collection[str]) -> tuple[dict, dict]:
     return rest, values
 
 
+def _numbers(path: Path, text: str) -> dict[str, str]:
+    """Every number of a classify.json (by its dotted key) or of a CSV (as
+    `column[row]`, rows from 0), each as written: two are the same number
+    exactly when they are written alike."""
+    if path.suffix == ".json":
+        numbers, todo = {}, [("", json.loads(text))]
+        while todo:
+            prefix, node = todo.pop()
+            for key, value in node.items():
+                if isinstance(value, dict):
+                    todo.append((f"{prefix}{key}.", value))
+                elif isinstance(value, (int, float)) \
+                        and not isinstance(value, bool):
+                    numbers[prefix + key] = repr(value)
+        return numbers
+    numbers = {}
+    for i, row in enumerate(csv.DictReader(io.StringIO(text))):
+        for column, value in row.items():
+            try:
+                float(value)
+            except (TypeError, ValueError):
+                continue
+            numbers[f"{column}[{i}]"] = value
+    return numbers
+
+
+def _moved(path: Path, ta: str, tb: str) -> int:
+    """Print each number of a quadrature output that differs between its
+    texts in A and B at all, with both values; return how many did."""
+    na, nb = _numbers(path, ta), _numbers(path, tb)
+    moved = sorted(k for k in na.keys() & nb.keys() if na[k] != nb[k])
+    for k in moved:
+        print(f"moved {path}: {k} {na[k]} -> {nb[k]}")
+    return len(moved)
+
+
 def _quadrature(path: Path, a: Path, b: Path, masked: set[str],
                 problems: list) -> None:
     """Q within the sum of the two error columns (classify and angular),
@@ -131,11 +171,13 @@ def _quadrature(path: Path, a: Path, b: Path, masked: set[str],
 
 
 def compare(a: Path, b: Path, changed: set[str],
-            fields: dict[str, set[str]]) -> list[str]:
+            fields: dict[str, set[str]]) -> tuple[list[str], int]:
     """Every difference between A and B outside the cases that a pattern
     in changed matches and the names that fields gives a matching case
-    pattern."""
+    pattern, and how many numbers of the compared quadrature outputs
+    moved."""
     problems: list[str] = []
+    moved = 0
     cases = sorted({p.parent.relative_to(a) for p in a.rglob("run.txt")}
                    | {p.parent.relative_to(b) for p in b.rglob("run.txt")})
     skipped = a / "skipped.txt"
@@ -185,6 +227,7 @@ def compare(a: Path, b: Path, changed: set[str],
                         if ka[k] != kb[k]))
             elif path.parts[0] == "quadrature":     # classify.json, Q rows
                 _quadrature(path, a, b, named, problems)
+                moved += _moved(path, ta, tb)
             elif path.suffix == ".csv":
                 columns = (*MASKED_COLUMNS, *sorted(named))
                 (ca, na), (cb, _) = (_masked_csv(t, columns)
@@ -196,7 +239,7 @@ def compare(a: Path, b: Path, changed: set[str],
                     print(f"masked {path}: columns {sorted(na)}")
             elif ta != tb:
                 problems.append(f"{path}: differs")
-    return problems
+    return problems, moved
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -218,10 +261,11 @@ def main(argv: list[str] | None = None) -> int:
             fields.setdefault(case, set()).update(names.split(","))
         else:
             changed.add(case)
-    problems = compare(args.a, args.b, changed, fields)
+    problems, moved = compare(args.a, args.b, changed, fields)
     for p in problems:
         print(f"FAIL {p}")
-    print(f"{len(problems)} difference(s)")
+    print(f"{len(problems)} difference(s), {moved} quadrature number(s) "
+          "moved")
     return 1 if problems else 0
 
 
